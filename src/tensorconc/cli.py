@@ -25,7 +25,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a (dotted) config key")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent trials")
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="run trials in N spawned worker processes, each with one "
+                            "BLAS thread; the output bytes do not depend on N or on "
+                            "OPENBLAS_NUM_THREADS")
         p.add_argument("--out", default=None, help="output path override")
     return parser
 

@@ -4,16 +4,17 @@ CSV output.
 Each (n, trial) pair runs independently under seed (base_seed, trial); n
 enters only through the coordinate space, never the seed.  Records are
 buffered and written in (n, trial) order, so output bytes are identical
-regardless of the worker count (the wall_ms column is the one field that
-varies between runs and is masked by determinism comparisons).
+regardless of the worker count or the BLAS thread count (the wall_ms column
+is the one field that varies between runs and is masked by determinism
+comparisons).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
+import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -358,14 +359,17 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
 def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
     """Execute every (n, trial) cell, write the CSV and a JSON summary.
 
-    Output is a pure function of the config: trials may execute on up to
-    ``jobs`` workers, but records are emitted in (n, trial) order.
+    Output is a pure function of the config: with ``jobs > 1`` trials run
+    in up to ``jobs`` spawned worker processes (see ``_run_in_processes``),
+    but records are emitted in (n, trial) order.  A script that calls this
+    with ``jobs > 1`` needs an ``if __name__ == "__main__":`` guard, since
+    each spawned worker imports the script's main module.
     """
     cfg.validate()
     tasks = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda nt: _run_trial(cfg, *nt), tasks))
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        records = _run_in_processes(cfg, tasks, workers)
     else:
         records = [_run_trial(cfg, n, trial) for n, trial in tasks]
     records.sort(key=lambda r: (r.n, r.trial))
@@ -382,9 +386,43 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
     return records
 
 
+# Each worker process runs one trial at a time, so it gets one BLAS thread.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def _run_in_processes(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
+    """Run ``_run_trial`` over ``tasks`` in ``workers`` spawned processes.
+
+    BLAS reads its thread count from the environment when numpy loads, so
+    ``_WORKER_ENV`` is set while the pool spawns its workers (one per
+    submit, up to ``workers``) and restored afterwards.  A trial that
+    raises re-raises here; a worker that dies raises ``BrokenProcessPool``.
+    Either way the trials not yet started are cancelled.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        saved = {name: os.environ.get(name) for name in _WORKER_ENV}
+        os.environ.update(_WORKER_ENV)
+        try:
+            futures = [pool.submit(_run_trial, cfg, n, trial) for n, trial in tasks]
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def summarize(csv_path: str) -> dict:
     """Deterministic aggregation of a results CSV: per-n medians/maxima of the
-    ratio columns, fitted constants, and sandwich-violation counts."""
+    ratio columns, fitted constants, sandwich-violation counts, and counts of
+    rows whose lower or upper estimate did not converge (from ``aux``)."""
     try:
         with open(csv_path, "r", encoding="ascii", newline="") as f:
             reader = csv.reader(f)
@@ -398,6 +436,7 @@ def summarize(csv_path: str) -> dict:
     body = rows[1:]
     per_n: dict = {}
     violations = 0
+    nonconverged_lower = nonconverged_upper = 0
     max_ratio_upper = 0.0
     min_ratio_lower = float("inf")
     for row in body:
@@ -407,16 +446,29 @@ def summarize(csv_path: str) -> dict:
             n = int(row[2])
             lower, upper = float(row[7]), float(row[8])
             ratio_lower, ratio_upper = float(row[10]), float(row[11])
+            aux = json.loads(row[12])
         except ValueError as exc:
             raise CsvFormatError(f"unparsable row {row!r}: {exc}") from exc
+        if not isinstance(aux, dict):
+            raise CsvFormatError(f"aux is not a JSON object in row {row!r}")
         if lower > upper + 1e-8:
             violations += 1
+        if aux.get("lower_converged") is False:
+            nonconverged_lower += 1
+        if aux.get("upper_converged") is False:
+            nonconverged_upper += 1
         bucket = per_n.setdefault(n, {"ratio_lower": [], "ratio_upper": []})
         bucket["ratio_lower"].append(ratio_lower)
         bucket["ratio_upper"].append(ratio_upper)
         max_ratio_upper = max(max_ratio_upper, ratio_upper)
         min_ratio_lower = min(min_ratio_lower, ratio_lower)
-    out = {"rows": len(body), "violations": violations, "per_n": {}}
+    out = {
+        "rows": len(body),
+        "violations": violations,
+        "nonconverged_lower": nonconverged_lower,
+        "nonconverged_upper": nonconverged_upper,
+        "per_n": {},
+    }
     for n in sorted(per_n):
         rl, ru = per_n[n]["ratio_lower"], per_n[n]["ratio_upper"]
         out["per_n"][str(n)] = {

@@ -18,6 +18,7 @@ bound above the lower bound up to floating-point slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
@@ -116,6 +117,16 @@ class MatrixNormResult:
     trace: Optional[list] = None
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, summed by numpy rather than BLAS.
+
+    BLAS ``ddot`` (behind ``np.linalg.norm``) splits long sums across its
+    threads, so its last bits depend on the BLAS thread count; this sum
+    does not, which keeps every estimate a function of the input alone.
+    """
+    return math.sqrt(float(np.einsum("i,i", x, x)))
+
+
 def _init_vectors(dim: int, config: PowerIterConfig, label: int, count: int) -> list:
     """Deterministic start vectors: uniform first, then keyed random."""
     inits = [np.full(dim, dim**-0.5)]
@@ -123,7 +134,7 @@ def _init_vectors(dim: int, config: PowerIterConfig, label: int, count: int) -> 
     for r in range(count - 1):
         u = rng.uniform_block(key, r * dim, dim)
         v = 2.0 * u - 1.0
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv == 0.0:
             v = np.zeros(dim)
             v[r % dim] = 1.0
@@ -159,8 +170,10 @@ def matrix_op_norm(
     best = None
     total_iter = 0
     for v0 in starts:
-        nv0 = np.linalg.norm(v0)
-        if nv0 == 0.0 or v0.shape != (mat.ncols,):
+        if v0.shape != (mat.ncols,):
+            continue
+        nv0 = _norm(v0)
+        if nv0 == 0.0:
             continue
         res = _power_iterate(mat, v0 / nv0, config, collect_trace)
         total_iter += res.iterations
@@ -181,12 +194,12 @@ def _power_iterate(mat: _Matrix, v: np.ndarray, config: PowerIterConfig,
     it = 0
     for it in range(1, config.max_iterations + 1):
         w = mat.mv(v)
-        sigma = np.linalg.norm(w)
+        sigma = _norm(w)
         if sigma == 0.0:
             return MatrixNormResult(0.0, u, v, it, True, trace)
         u = w / sigma
         z = mat.rmv(u)
-        nu = float(np.linalg.norm(z))
+        nu = _norm(z)
         if nu == 0.0:
             return MatrixNormResult(0.0, u, v, it, True, trace)
         v = z / nu
@@ -229,23 +242,23 @@ def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> Optiona
     v = res.right
     for j in range(1, k):
         if v.shape[0] == n:
-            nv = np.linalg.norm(v)
+            nv = _norm(v)
             xs[j] = v / nv if nv > 0 else np.full(n, n**-0.5)
             break
         mat = v.reshape(-1, n)
         x = np.full(n, n**-0.5)
         for _ in range(20):
             u = mat @ x
-            nu = np.linalg.norm(u)
+            nu = _norm(u)
             if nu == 0.0:
                 break
             u /= nu
             x = mat.T @ u
-            nx = np.linalg.norm(x)
+            nx = _norm(x)
             if nx == 0.0:
                 break
             x /= nx
-        nx = np.linalg.norm(x)
+        nx = _norm(x)
         xs[j] = x / nx if nx > 0 else np.full(n, n**-0.5)
         v = mat @ xs[j]
     for j in range(k):
@@ -282,7 +295,7 @@ def hopm_lower(
         for j in range(k):
             u = rng.uniform_block(key, (r * k + j) * n, n)
             v = 2.0 * u - 1.0
-            nv = np.linalg.norm(v)
+            nv = _norm(v)
             xs.append(v / nv if nv > 0 else np.full(n, n**-0.5))
         starts.append(xs)
     best_val = -1.0
@@ -301,7 +314,7 @@ def hopm_lower(
             for j in range(1, k + 1):
                 others = [xs[i] for i in range(k) if i != j - 1]
                 v = contract_all_but_one(t, others, j)
-                nv = np.linalg.norm(v)
+                nv = _norm(v)
                 if nv == 0.0:
                     dead = True
                     break

@@ -44,6 +44,10 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the default unpickling sets attributes
+        return (Partition, (self.blocks,))
+
     @property
     def arity(self) -> int:
         return len(self.blocks)

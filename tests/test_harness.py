@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -146,6 +148,15 @@ class TestRun:
         rec = run(cfg)[0]
         assert rec.aux["partition_upper"] >= rec.lower - 1e-8
 
+    def test_partition_override_jobs(self, tmp_path):
+        # the config crosses to worker processes by pickle, Partition included
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = config_from_dict(_base_config(n_list=[8], partition=[[1, 3], [2]]))
+        run(cfg, jobs=1, out=str(a))
+        run(cfg, jobs=2, out=str(b))
+        assert _masked(a) == _masked(b)
+        assert "partition_upper" in _masked(b)[1].decode()
+
     def test_partition_override_validated(self):
         with pytest.raises(ConfigError):
             config_from_dict(_base_config(partition=[[1], [2]]))  # covers [2], k=3
@@ -161,6 +172,50 @@ class TestRun:
         for rec in run(cfg):
             assert rec.aux["degree_within"] in (True, False)
             assert rec.aux["disc_violations"] >= 0
+
+
+class TestWorkers:
+    # Each run happens in a subprocess whose timeout turns a hang into a failure.
+    SCRIPT = textwrap.dedent("""
+        import os
+        from tensorconc.harness import config_from_dict, run
+
+        class Die:
+            def __reduce__(self):  # a worker that unpickles this exits at once
+                return (os._exit, (3,))
+
+        cfg = config_from_dict({cfg!r})
+        if {die!r}:
+            cfg.params["die"] = Die()
+        try:
+            run(cfg, jobs={jobs})
+        except Exception as exc:
+            print(type(exc).__name__, exc)
+    """)
+
+    def _error(self, cfg, jobs, die=False):
+        script = self.SCRIPT.format(cfg=cfg, jobs=jobs, die=die)
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        return res.stdout.strip()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trial_error_propagates(self, tmp_path, jobs):
+        # int("lots") raises inside the trial, so inside a worker at jobs=2
+        cfg = _base_config(command="diagnostics", n_list=[8], m=1,
+                           out=str(tmp_path / "r.csv"), params={"families": "lots"})
+        error = self._error(cfg, jobs)
+        assert error.startswith("ValueError") and "lots" in error
+
+    def test_worker_death_raises(self, tmp_path):
+        cfg = _base_config(out=str(tmp_path / "r.csv"))
+        assert self._error(cfg, 2, die=True).startswith("BrokenProcessPool")
+
+    def test_environment_restored(self, tmp_path):
+        before = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        run(config_from_dict(_base_config(n_list=[8], out=str(tmp_path / "r.csv"))), jobs=2)
+        assert {k: os.environ.get(k) for k in before} == before
 
 
 class TestSummarize:
@@ -187,6 +242,33 @@ class TestSummarize:
             ratios = sorted(r.ratio_upper for r in records if r.n == n)
             assert summary["per_n"][str(n)]["max_ratio_upper"] == pytest.approx(ratios[-1])
         assert summary["violations"] == 0
+
+    def test_nonconverged_counts(self, tmp_path):
+        out = tmp_path / "r.csv"
+        cfg = config_from_dict(_base_config(out=str(out)))
+        records = run(cfg)
+        rows = list(csv.reader(open(out)))
+        flags = [(True, True), (False, True), (False, False), (True, False)]
+        for row, (low, up) in zip(rows[1:], flags):
+            aux = json.loads(row[12])
+            aux.update(lower_converged=low, upper_converged=up)
+            row[12] = json.dumps(aux)
+        with open(out, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        summary = summarize(str(out))
+        assert (summary["nonconverged_lower"], summary["nonconverged_upper"]) == (2, 2)
+        assert summary["rows"] == len(records) and summary["violations"] == 0
+
+    def test_nonconverged_absent_flags(self, tmp_path):
+        # diagnostics rows carry no convergence flags and count as converged
+        out = tmp_path / "r.csv"
+        cfg = config_from_dict(_base_config(
+            command="diagnostics", k=3, n_list=[20], m=1,
+            p_rule={"kind": "c_logn_over_nm", "c": 5.0, "m": 1},
+            trials=1, out=str(out), params={"families": 50}))
+        run(cfg)
+        summary = json.loads((tmp_path / "r.csv.summary.json").read_text())
+        assert summary["nonconverged_lower"] == summary["nonconverged_upper"] == 0
 
     def test_malformed_header(self, tmp_path):
         from tensorconc.harness import CsvFormatError
@@ -235,6 +317,29 @@ class TestCli:
         sum_cfg.write_text(json.dumps({"csv": str(bad)}))
         res = self._cli("summarize", "--config", str(sum_cfg))
         assert res.returncode == 3
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # n=120 gives a 120 x 14400 unfolding: its 14400-long vectors are past
+        # the length at which OpenBLAS splits a dot product across threads.
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(_base_config(
+            n_list=[120], p_rule={"kind": "c_logn_over_nm", "c": 5.0, "m": 2},
+            trials=2, base_seed=1, estimator={"restarts": 2})))
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            for jobs in ("1", "2"):
+                out = tmp_path / f"t{threads}-j{jobs}.csv"
+                res = subprocess.run(
+                    [sys.executable, "-m", "tensorconc.cli", "concentration", "--config",
+                     str(cfg_path), "--jobs", jobs, "--out", str(out)],
+                    capture_output=True, text=True, env=env)
+                assert res.returncode == 0, res.stderr
+                outputs[threads, jobs] = _masked(out)
+        reference = outputs["1", "1"]
+        assert len(reference) == 4  # header, two rows, trailing newline
+        for key, lines in outputs.items():
+            assert lines == reference, key
 
     def test_set_override(self, tmp_path):
         cfg_path = tmp_path / "c.json"

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ class TestPartitionType:
     def test_json_roundtrip(self):
         p = Partition([[1, 3], [2]])
         assert Partition.from_json_blocks(p.to_json_blocks()) == p
+
+    def test_pickle_roundtrip(self):
+        p = Partition([[1, 3], [2]])
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.order == 3
+        with pytest.raises(AttributeError):
+            q.order = 4
 
 
 class TestPhi:
