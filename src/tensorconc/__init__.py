@@ -19,12 +19,10 @@ from .core import (
     VectorTuple,
     center,
     contract_all_but_one,
-    dump_tensor,
     dumps_tensor,
     frobenius_inner,
     frobenius_norm,
     hadamard,
-    load_tensor,
     loads_tensor,
     multilinear_form,
     rank1,
@@ -32,7 +30,6 @@ from .core import (
 from .diagnostics import (
     DyadicProfile,
     LatticeNet,
-    LemmaConstants,
     TupleSplit,
     bounded_degree_check,
     discrepancy_check,

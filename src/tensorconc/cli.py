@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .harness import COMMANDS, ConfigError, CsvFormatError, load_config, run, summarize
+from .harness import COMMANDS, ConfigError, CsvFormatError, load_config, read_config, run, summarize
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,9 +26,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a (dotted) config key")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run trials in N spawned worker processes, each with one "
-                            "BLAS thread; the output bytes do not depend on N or on "
-                            "OPENBLAS_NUM_THREADS")
+                       help="run trials in N spawned worker processes (at most one per "
+                            "usable CPU), each with one BLAS thread; the output bytes do "
+                            "not depend on N or on OPENBLAS_NUM_THREADS")
         p.add_argument("--out", default=None, help="output path override")
     return parser
 
@@ -52,21 +52,7 @@ def main(argv=None) -> int:
 
 
 def _summarize_cmd(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        try:
-            data[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            data[key] = raw
+    data = read_config(args.config, args.set)
     data.pop("command", None)
     csv_path = data.pop("csv", None)
     if csv_path is None or data:

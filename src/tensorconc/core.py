@@ -533,13 +533,3 @@ def loads_tensor(text: str) -> OffsetTensor:
         coords[i] = [int(x) for x in parts[:k]]
         values[i] = float(parts[k])
     return OffsetTensor(SparseTensor(shape, coords, values), background)
-
-
-def dump_tensor(t: TensorLike, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(dumps_tensor(t))
-
-
-def load_tensor(path) -> OffsetTensor:
-    with open(path, "r", encoding="ascii") as f:
-        return loads_tensor(f.read())

@@ -31,23 +31,6 @@ from .spectral import PowerIterConfig, hopm_lower
 
 
 @dataclass(frozen=True)
-class LemmaConstants:
-    """Tunable constants for the degree / discrepancy / net checks."""
-
-    c1: float = 3.0
-    c2: float = 20.0
-    c3: float = 20.0
-    delta: float = 0.5
-
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3"):
-            if getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must exceed 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class LatticeNet:
     """Grid points x in the unit ball with sqrt(n) * x_i / delta integral."""
 

@@ -27,10 +27,9 @@ from .hypergraph import SubsetFamilies, adjacency, mixing_check
 from .regularization import degree_map, expander_construct, regularize, removed_count_check
 from .rng import SeedSpec
 from .sampling import bernoulli_sample, er_hypergraph, sparsify_uniform
-from .spectral import PowerIterConfig, spectral_sandwich
-from .unfolding import Partition
+from .spectral import PowerIterConfig, matrix_op_norm, spectral_sandwich
+from .unfolding import Partition, unfold
 
-COMMANDS = ("concentration", "regularize", "expander", "sparsify", "diagnostics")
 CSV_HEADER = [
     "command", "k", "n", "p", "m", "trial", "seed", "lower", "upper",
     "sqrt_nmp", "ratio_lower", "ratio_upper", "aux", "wall_ms",
@@ -90,6 +89,11 @@ class EstimatorSettings:
     tensor_tol: float = 1e-8
     max_iterations: int = 500
     num_slices: int = 4
+
+    def __post_init__(self):
+        if self.num_slices < 1:
+            raise ValueError("num_slices must be >= 1")
+        self.power_config(SeedSpec())  # PowerIterConfig checks the rest
 
     def power_config(self, seed: SeedSpec) -> PowerIterConfig:
         return PowerIterConfig(
@@ -151,7 +155,7 @@ def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig
         raise ConfigError("no command given")
     try:
         est = EstimatorSettings(**data.pop("estimator", {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimator settings: {exc}") from exc
     part = data.pop("partition", None)
     if part is not None:
@@ -183,7 +187,12 @@ def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig
     return cfg
 
 
-def load_config(path: str, command: str | None = None, overrides: list | None = None) -> ExperimentConfig:
+def read_config(path: str, overrides: list | None = None) -> dict:
+    """Read a JSON config object and apply ``--set key=value`` overrides.
+
+    A dotted key reaches into nested objects; a value that does not parse as
+    JSON is kept as a string.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
@@ -191,6 +200,8 @@ def load_config(path: str, command: str | None = None, overrides: list | None = 
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -206,7 +217,11 @@ def load_config(path: str, command: str | None = None, overrides: list | None = 
             if not isinstance(node, dict):
                 raise ConfigError(f"--set path {key!r} crosses a non-object")
         node[parts[-1]] = value
-    return config_from_dict(data, command)
+    return data
+
+
+def load_config(path: str, command: str | None = None, overrides: list | None = None) -> ExperimentConfig:
+    return config_from_dict(read_config(path, overrides), command)
 
 
 @dataclass
@@ -236,114 +251,100 @@ class ResultRecord:
         ]
 
 
-def _sandwich_aux(est) -> dict:
+def _concentration(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
+    t = bernoulli_sample(TensorShape(cfg.k, n), Homogeneous(p), seed)
+    return center(t, Homogeneous(p)), {"nnz": t.nnz}
+
+
+def _regularize(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
+    t = bernoulli_sample(TensorShape(cfg.k, n), Homogeneous(p), seed)
+    reg = regularize(t, cfg.m, p)
     aux = {
-        "hopm": est.hopm_value,
-        "upper_capped": est.upper_capped,
-        "lower_converged": est.lower_converged,
-        "upper_converged": est.upper_converged,
+        "nnz": t.nnz,
+        "removed": reg.removed_count,
+        "threshold": reg.threshold,
+        "max_prefix_degree": degree_map(reg.regularized, cfg.m).max_degree,
     }
-    if est.slice_value is not None:
-        aux["slice"] = est.slice_value
-    if est.chain_upper is not None:
-        aux["chain_upper"] = est.chain_upper
-    return aux
+    if reg.in_guarantee_regime:
+        chk = removed_count_check(reg, n, p)
+        aux["removed_bound"] = chk.bound
+        aux["removed_within"] = chk.within
+    return center(reg.regularized, Homogeneous(p)), aux
 
 
-def _estimate(cfg: ExperimentConfig, w: OffsetTensor, seed: SeedSpec):
-    pconf = cfg.estimator.power_config(seed)
-    est = spectral_sandwich(w, cfg.m, pconf, num_slices=cfg.estimator.num_slices)
-    extra = None
-    if cfg.partition is not None and cfg.partition != est.upper_partition:
-        from .spectral import matrix_op_norm
-        from .unfolding import unfold
+def _expander(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
+    h = er_hypergraph(cfg.k, n, p, seed)
+    tprime = expander_construct(adjacency(h), p)
+    aux = {
+        "edges": h.num_edges,
+        "max_first_mode_degree": degree_map(tprime, cfg.k - 1).max_degree if tprime.nnz else 0,
+        "degree_bound": 2.0 * math.factorial(cfg.k) * n ** (cfg.k - 1) * p,
+    }
+    if 0 < p < 1:
+        fam = SubsetFamilies.sampled(int(cfg.params.get("mixing_families", 500)))
+        report = mixing_check(tprime, p, fam, seed)
+        aux["mixing_max_ratio"] = report.max_ratio
+        aux["fitted_C"] = report.fitted_c
+    return center(tprime, Homogeneous(p)), aux
 
-        extra = matrix_op_norm(unfold(w, cfg.partition), pconf).value
-    return est, extra
+
+def _sparsify(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
+    shape = TensorShape(cfg.k, n)
+    base = SparseTensor.all_ones(shape)
+    kept = sparsify_uniform(base, p, seed)
+    mask = np.zeros(shape.ncoords, dtype=bool)
+    mask[kept.linear_indices().astype(np.int64)] = True
+    values = np.where(mask, base.values * (1.0 - p), base.values * (-p))
+    w = OffsetTensor(SparseTensor(shape, base.coords, values, presorted=True), 0.0)
+    return w, {"kept": kept.nnz, "total": base.nnz}
+
+
+def _diagnostics(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
+    t = bernoulli_sample(TensorShape(cfg.k, n), Homogeneous(p), seed)
+    bd = bounded_degree_check(t, p, float(cfg.params.get("c1", 3.0)))
+    disc = discrepancy_check(t, p, float(cfg.params.get("c2", 20.0)),
+                             float(cfg.params.get("c3", 20.0)),
+                             int(cfg.params.get("families", 1000)), seed)
+    return None, {
+        "nnz": t.nnz,
+        "max_degree": bd.max_degree,
+        "degree_bound": bd.bound,
+        "degree_within": bd.within,
+        "disc_violations": disc.violations,
+        "fitted_c2": disc.fitted_c2,
+        "fitted_c3": disc.fitted_c3,
+    }
+
+
+# command -> trial body: (cfg, n, p, seed) -> (tensor to bracket or None, aux fields)
+_TRIALS = {
+    "concentration": _concentration,
+    "regularize": _regularize,
+    "expander": _expander,
+    "sparsify": _sparsify,
+    "diagnostics": _diagnostics,
+}
+COMMANDS = tuple(_TRIALS)
 
 
 def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
     start = time.perf_counter()
     seed = SeedSpec(cfg.base_seed, trial)
     p = cfg.p_rule.value(n)
-    shape = TensorShape(cfg.k, n)
-    aux: dict = {}
+    w, aux = _TRIALS[cfg.command](cfg, n, p, seed)
     lower = upper = 0.0
-    partition_upper = None
-    if cfg.command == "concentration":
-        t = bernoulli_sample(shape, Homogeneous(p), seed)
-        w = center(t, Homogeneous(p))
-        est, partition_upper = _estimate(cfg, w, seed)
+    if w is not None:
+        pconf = cfg.estimator.power_config(seed)
+        est = spectral_sandwich(w, cfg.m, pconf, num_slices=cfg.estimator.num_slices)
         lower, upper = est.lower, est.upper
-        aux = {"nnz": t.nnz, **_sandwich_aux(est)}
-    elif cfg.command == "regularize":
-        t = bernoulli_sample(shape, Homogeneous(p), seed)
-        reg = regularize(t, cfg.m, p)
-        w = center(reg.regularized, Homogeneous(p))
-        est, partition_upper = _estimate(cfg, w, seed)
-        lower, upper = est.lower, est.upper
-        aux = {
-            "nnz": t.nnz,
-            "removed": reg.removed_count,
-            "threshold": reg.threshold,
-            **_sandwich_aux(est),
-        }
-        if reg.in_guarantee_regime:
-            chk = removed_count_check(reg, n, p)
-            aux["removed_bound"] = chk.bound
-            aux["removed_within"] = chk.within
-        post = degree_map(reg.regularized, cfg.m)
-        aux["max_prefix_degree"] = post.max_degree
-    elif cfg.command == "expander":
-        h = er_hypergraph(cfg.k, n, p, seed)
-        tprime = expander_construct(adjacency(h), p)
-        w = center(tprime, Homogeneous(p))
-        est, partition_upper = _estimate(cfg, w, seed)
-        lower, upper = est.lower, est.upper
-        dmax = degree_map(tprime, cfg.k - 1).max_degree if tprime.nnz else 0
-        fam = SubsetFamilies.sampled(int(cfg.params.get("mixing_families", 500)))
-        report = mixing_check(tprime, p, fam, seed) if 0 < p < 1 else None
-        aux = {
-            "edges": h.num_edges,
-            "max_first_mode_degree": dmax,
-            "degree_bound": 2.0 * math.factorial(cfg.k) * n ** (cfg.k - 1) * p,
-            **_sandwich_aux(est),
-        }
-        if report is not None:
-            aux["mixing_max_ratio"] = report.max_ratio
-            aux["fitted_C"] = report.fitted_c
-    elif cfg.command == "sparsify":
-        base = SparseTensor.all_ones(shape)
-        kept = sparsify_uniform(base, p, seed)
-        keep_lin = kept.linear_indices()
-        mask = np.zeros(shape.ncoords, dtype=bool)
-        mask[keep_lin.astype(np.int64)] = True
-        values = np.where(mask, base.values * (1.0 - p), base.values * (-p))
-        w = OffsetTensor(SparseTensor(shape, base.coords, values, presorted=True), 0.0)
-        est, partition_upper = _estimate(cfg, w, seed)
-        lower, upper = est.lower, est.upper
-        aux = {"kept": kept.nnz, "total": base.nnz, **_sandwich_aux(est)}
-    elif cfg.command == "diagnostics":
-        t = bernoulli_sample(shape, Homogeneous(p), seed)
-        c1 = float(cfg.params.get("c1", 3.0))
-        c2 = float(cfg.params.get("c2", 20.0))
-        c3 = float(cfg.params.get("c3", 20.0))
-        nfam = int(cfg.params.get("families", 1000))
-        bd = bounded_degree_check(t, p, c1)
-        disc = discrepancy_check(t, p, c2, c3, nfam, seed)
-        aux = {
-            "nnz": t.nnz,
-            "max_degree": bd.max_degree,
-            "degree_bound": bd.bound,
-            "degree_within": bd.within,
-            "disc_violations": disc.violations,
-            "fitted_c2": disc.fitted_c2,
-            "fitted_c3": disc.fitted_c3,
-        }
-    else:  # pragma: no cover - guarded by validate()
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    if partition_upper is not None:
-        aux["partition_upper"] = partition_upper
+        aux.update(hopm=est.hopm_value, upper_capped=est.upper_capped,
+                   lower_converged=est.lower_converged, upper_converged=est.upper_converged)
+        if est.slice_value is not None:
+            aux["slice"] = est.slice_value
+        if est.chain_upper is not None:
+            aux["chain_upper"] = est.chain_upper
+        if cfg.partition is not None and cfg.partition != est.upper_partition:
+            aux["partition_upper"] = matrix_op_norm(unfold(w, cfg.partition), pconf).value
     sqrt_nmp = math.sqrt(n**cfg.m * p)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
@@ -360,14 +361,14 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
     """Execute every (n, trial) cell, write the CSV and a JSON summary.
 
     Output is a pure function of the config: with ``jobs > 1`` trials run
-    in up to ``jobs`` spawned worker processes (see ``_run_in_processes``),
-    but records are emitted in (n, trial) order.  A script that calls this
+    in up to ``jobs`` spawned worker processes, never more than there are
+    trials or usable CPUs (see ``_run_in_processes``), but records are emitted in (n, trial) order.  A script that calls this
     with ``jobs > 1`` needs an ``if __name__ == "__main__":`` guard, since
     each spawned worker imports the script's main module.
     """
     cfg.validate()
     tasks = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         records = _run_in_processes(cfg, tasks, workers)
     else:
@@ -384,6 +385,15 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
         json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")
     return records
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: a worker past that count only adds its
+    start-up cost (about half a second of imports)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 # Each worker process runs one trial at a time, so it gets one BLAS thread.

@@ -19,7 +19,7 @@ bound above the lower bound up to floating-point slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -29,14 +29,16 @@ import scipy.sparse as sp
 from . import rng
 from .core import (
     OffsetTensor,
+    SparseTensor,
     TensorLike,
+    TensorShape,
     VectorTuple,
     as_offset,
     contract_all_but_one,
     multilinear_form,
 )
 from .rng import SeedSpec
-from .unfolding import GroupedMatrix, Partition, UnfoldedView, balanced_partition, multiway_partition, unfold
+from .unfolding import Partition, UnfoldedView, balanced_partition, multiway_partition, unfold
 
 SANDWICH_SLACK = 1e-8
 
@@ -89,22 +91,18 @@ class _Matrix:
 
 
 def _as_matrix(m) -> _Matrix:
-    if isinstance(m, _Matrix):
-        return m
-    if isinstance(m, GroupedMatrix):
-        return _Matrix(m.nrows, m.ncols, m.rows, m.cols, m.values, m.background)
+    """The one route to a ``_Matrix``: an arity-2 unfolding or an order-2 tensor."""
     if isinstance(m, UnfoldedView):
         if m.arity != 2:
             raise ValueError(f"matrix operations need an arity-2 unfolding, got {m.arity}")
-        coords = m.coords
-        return _Matrix(m.dims[0], m.dims[1], coords[:, 0] - 1, coords[:, 1] - 1,
-                       m.values, m.background)
-    t = as_offset(m)
-    if t.shape.order != 2:
-        raise ValueError(f"matrix operations need an order-2 tensor, got order {t.shape.order}")
-    n = t.shape.dim
-    return _Matrix(n, n, t.sparse.coords[:, 0] - 1, t.sparse.coords[:, 1] - 1,
-                   t.sparse.values, t.background)
+        (nrows, ncols), coords, values = m.dims, m.coords, m.values
+    else:
+        m = as_offset(m)
+        if m.shape.order != 2:
+            raise ValueError(f"matrix operations need an order-2 tensor, got order {m.shape.order}")
+        nrows = ncols = m.shape.dim
+        coords, values = m.sparse.coords, m.sparse.values
+    return _Matrix(nrows, ncols, coords[:, 0] - 1, coords[:, 1] - 1, values, m.background)
 
 
 @dataclass
@@ -151,11 +149,11 @@ def matrix_op_norm(
 ) -> MatrixNormResult:
     """Dominant singular value via alternating power iteration on v -> M^T(M v).
 
-    Accepts an order-2 OffsetTensor, an arity-2 UnfoldedView, or a grouped
-    matrix.  Matrix-vector products cost O(nnz) for the sparse part plus
-    O(rows + cols) for the rank-1 background.  Returns the best value over
-    restarts; the recorded objective is monotone non-decreasing per
-    iteration, so the value is always an achieved |u^T M v| with unit u, v.
+    Accepts an order-2 tensor or an arity-2 UnfoldedView.  Matrix-vector
+    products cost O(nnz) for the sparse part plus O(rows + cols) for the
+    rank-1 background.  Returns the best value over restarts; the recorded
+    objective is monotone non-decreasing per iteration, so the value is
+    always an achieved |u^T M v| with unit u, v.
     Non-convergence within max_iterations is reported via ``converged``.
     """
     mat = _as_matrix(m)
@@ -232,9 +230,7 @@ def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> Optiona
     reshape, mirroring the digit order of the unfolding map.
     """
     k, n = t.shape.order, t.shape.dim
-    sub = PowerIterConfig(matrix_tol=config.matrix_tol, tensor_tol=config.tensor_tol,
-                          max_iterations=config.max_iterations, restarts=2, seed=config.seed)
-    res = matrix_op_norm(unfold(t, balanced_partition(k, k - 1)), sub)
+    res = matrix_op_norm(unfold(t, balanced_partition(k, k - 1)), replace(config, restarts=2))
     if res.value == 0.0:
         return None
     xs = [None] * k
@@ -365,6 +361,7 @@ def slice_lower(
     k, n = t.shape.order, t.shape.dim
     if k < 3:
         raise ValueError(f"slice bound needs order >= 3, got {k}")
+    slice_shape = TensorShape(2, n)
     assignments = [np.ones(k - 2, dtype=np.int64)]
     if num_slices > 1:
         key = rng.stream_key(seed, rng.LBL_SLICE)
@@ -380,15 +377,11 @@ def slice_lower(
         if tup in seen:
             continue
         seen.add(tup)
-        if t.nnz:
-            mask = np.all(t.sparse.coords[:, 2:] == np.asarray(tup, dtype=np.int32), axis=1)
-            sub_coords = t.sparse.coords[mask][:, :2]
-            sub_values = t.sparse.values[mask]
-        else:
-            sub_coords = np.empty((0, 2), dtype=np.int32)
-            sub_values = np.empty(0)
-        mat = _Matrix(n, n, sub_coords[:, 0] - 1, sub_coords[:, 1] - 1, sub_values, t.background)
-        res = matrix_op_norm(mat, config)
+        mask = np.all(t.sparse.coords[:, 2:] == np.asarray(tup, dtype=np.int32), axis=1)
+        # a subset of canonical entries stays canonical
+        piece = SparseTensor(slice_shape, t.sparse.coords[mask][:, :2], t.sparse.values[mask],
+                             presorted=True)
+        res = matrix_op_norm(OffsetTensor(piece, t.background), config)
         converged = converged and res.converged
         if res.value > best_val:
             best_val = res.value
@@ -442,9 +435,10 @@ def spectral_sandwich(
     """Bracket the spectral norm: achieved-form lower bound and balanced
     {1..k-m | k-m+1..k} unfolding upper bound.
 
-    For m < k/2 the multiway-unfolding chain (unfold by consecutive blocks
-    of size m, then group to a matrix) is recorded as a diagnostic upper
-    bound.  ``upper_capped`` inflates the power-iteration value by
+    For m < k/2 the multiway chain is recorded as a diagnostic upper bound:
+    the unfolding by the coarsened two-block partition that merges the
+    consecutive size-m blocks on either side of their most balanced split.
+    ``upper_capped`` inflates the power-iteration value by
     1/(1 - 10*matrix_tol) for reporting; assertions use the raw value.
     """
     t = as_offset(t)
@@ -474,13 +468,13 @@ def spectral_sandwich(
     chain = None
     if 2 * m < k:
         pi2 = multiway_partition(k, m)
-        view2 = unfold(t, pi2)
-        # most balanced two-group split of the multiway modes
-        logs = np.log([float(d) for d in view2.dims])
+        # most balanced two-group split of the multiway blocks
+        logs = np.log([float(d) for d in pi2.dims(t.shape.dim)])
         total = logs.sum()
-        split = min(range(1, view2.arity),
+        split = min(range(1, pi2.arity),
                     key=lambda s: abs(2.0 * logs[:s].sum() - total))
-        chain_res = matrix_op_norm(view2.group_modes(split), config)
+        coarse = Partition([sum(pi2.blocks[:split], ()), sum(pi2.blocks[split:], ())])
+        chain_res = matrix_op_norm(unfold(t, coarse), config)
         iterations += chain_res.iterations
         chain = chain_res.value
     check = abs(multilinear_form(t, witness))

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetTensor, SparseTensor, TensorLike, as_offset
+from .core import OffsetTensor, TensorLike, as_offset
 
 
 class Partition:
@@ -211,65 +211,10 @@ class UnfoldedView:
             coords, values = coords[order], values[order]
         return coords, values
 
-    def group_modes(self, split: int) -> "GroupedMatrix":
-        """Merge unfolded modes [1..split] and [split+1..l] into a matrix.
-
-        Mixed-radix merge with the first mode least significant, matching the
-        digit order of ``phi``; equivalent to unfolding the source by the
-        coarsened two-block partition.
-        """
-        if not 1 <= split < self.arity:
-            raise ValueError(f"split must be in [1, {self.arity - 1}]")
-        coords = self.coords
-        rows = np.zeros(self.nnz, dtype=np.int64)
-        cols = np.zeros(self.nnz, dtype=np.int64)
-        stride = 1
-        nrows = ncols = 1
-        for j in range(split):
-            rows += (coords[:, j] - 1) * stride
-            stride *= self.dims[j]
-            nrows *= self.dims[j]
-        stride = 1
-        for j in range(split, self.arity):
-            cols += (coords[:, j] - 1) * stride
-            stride *= self.dims[j]
-            ncols *= self.dims[j]
-        return GroupedMatrix(nrows, ncols, rows, cols, self.values, self.background)
-
     def __repr__(self):
         return f"UnfoldedView(dims={self.dims}, nnz={self.nnz}, background={self.background!r})"
-
-
-class GroupedMatrix:
-    """Rectangular sparse matrix plus constant background (0-based indices)."""
-
-    __slots__ = ("nrows", "ncols", "rows", "cols", "values", "background")
-
-    def __init__(self, nrows, ncols, rows, cols, values, background):
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
-        self.rows = rows
-        self.cols = cols
-        self.values = values
-        self.background = float(background)
 
 
 def unfold(t: TensorLike, partition: Partition) -> UnfoldedView:
     """Unfold a tensor through a partition of its modes."""
     return UnfoldedView(as_offset(t), partition)
-
-
-def unfolded_to_sparse(view: UnfoldedView) -> "SparseTensor":
-    """Materialize an arity-k view with uniform dims back into a SparseTensor.
-
-    Only valid when every unfolded mode has the same dimension (e.g. the
-    identity partition or k = 2 with square blocks).
-    """
-    from .core import TensorShape
-
-    dims = set(view.dims)
-    if len(dims) != 1:
-        raise ValueError(f"unfolded dims {view.dims} are not uniform")
-    coords, values = view.canonical_entries()
-    shape = TensorShape(view.arity, view.dims[0])
-    return SparseTensor(shape, coords.astype(np.int64), values, presorted=True)

@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from tensorconc import ConfigError, load_config, run, summarize
+from tensorconc import ConfigError, harness, load_config, run, summarize
 from tensorconc.harness import CSV_HEADER, config_from_dict
 
 
@@ -63,6 +63,12 @@ class TestConfig:
     def test_log_rule_values(self):
         cfg = config_from_dict(_base_config(p_rule={"kind": "c_logn_over_nm", "c": 5, "m": 2}))
         assert cfg.p_rule.value(10) == pytest.approx(5 * np.log(10) / 100)
+
+    @pytest.mark.parametrize("bad", [
+        {"restarts": 0}, {"matrix_tol": -1}, {"max_iterations": 0}, {"num_slices": 0}])
+    def test_bad_estimator_settings(self, bad):
+        with pytest.raises(ConfigError, match="bad estimator settings"):
+            config_from_dict(_base_config(estimator=bad))
 
     def test_set_overrides(self, tmp_path):
         path = tmp_path / "c.json"
@@ -157,6 +163,15 @@ class TestRun:
         assert _masked(a) == _masked(b)
         assert "partition_upper" in _masked(b)[1].decode()
 
+    def test_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("worker processes started on a one-CPU host")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness, "_run_in_processes", no_pool)
+        records = run(config_from_dict(_base_config(out=str(tmp_path / "r.csv"))), jobs=4)
+        assert len(records) == 4
+
     def test_partition_override_validated(self):
         with pytest.raises(ConfigError):
             config_from_dict(_base_config(partition=[[1], [2]]))  # covers [2], k=3
@@ -179,6 +194,8 @@ class TestWorkers:
     SCRIPT = textwrap.dedent("""
         import os
         from tensorconc.harness import config_from_dict, run
+
+        os.sched_getaffinity = lambda pid: set(range(4))  # use the pool on any host
 
         class Die:
             def __reduce__(self):  # a worker that unpickles this exits at once
@@ -303,6 +320,14 @@ class TestCli:
         cfg_path.write_text(json.dumps(_base_config(trials=0)))
         res = self._cli("concentration", "--config", str(cfg_path))
         assert res.returncode == 2
+
+    def test_bad_estimator_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1)))
+        res = self._cli("concentration", "--config", str(cfg_path),
+                        "--set", "estimator.restarts=0", "--out", str(tmp_path / "o.csv"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: bad estimator settings")
 
     def test_command_mismatch_exit_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"

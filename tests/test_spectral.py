@@ -20,7 +20,7 @@ from tensorconc import (
     spectral_sandwich,
     unfold,
 )
-from tensorconc.unfolding import balanced_partition
+from tensorconc.unfolding import Partition, balanced_partition, multiway_partition
 
 
 def _matrix_tensor(m: np.ndarray) -> SparseTensor:
@@ -72,6 +72,13 @@ class TestMatrixOpNorm:
         m = rng.standard_normal((30, 30))
         res = matrix_op_norm(_matrix_tensor(m), PowerIterConfig(max_iterations=2, restarts=1))
         assert not res.converged
+
+    def test_rejects_non_matrix_inputs(self):
+        t = SparseTensor.all_ones(TensorShape(3, 2))
+        with pytest.raises(ValueError, match="arity-2 unfolding, got 3"):
+            matrix_op_norm(unfold(t, multiway_partition(3, 1)))
+        with pytest.raises(ValueError, match="order-2 tensor, got order 3"):
+            matrix_op_norm(t)
 
 
 class TestHopm:
@@ -170,6 +177,17 @@ class TestSandwich:
         est = spectral_sandwich(w, 1, PowerIterConfig(restarts=4, seed=SeedSpec(6, 0)))
         assert est.chain_upper is not None
         assert est.chain_upper >= est.lower - 1e-8
+
+    def test_chain_is_coarsened_unfolding(self):
+        # k=3, m=1: both splits of {1}{2}{3} are equally balanced; rounding in
+        # the float-log comparison picks one of them, depending on n
+        t = bernoulli_sample(TensorShape(3, 10), Homogeneous(0.3), SeedSpec(6, 0))
+        w = center(t, Homogeneous(0.3))
+        cfg = PowerIterConfig(restarts=4, seed=SeedSpec(6, 0))
+        est = spectral_sandwich(w, 1, cfg)
+        coarse = [matrix_op_norm(unfold(w, Partition(b)), cfg).value
+                  for b in ([[1, 2], [3]], [[1], [2, 3]])]
+        assert est.chain_upper in coarse
 
     def test_upper_bounds_both_partitions_dominate_lower(self):
         t = bernoulli_sample(TensorShape(4, 6), Homogeneous(0.2), SeedSpec(7, 1))
