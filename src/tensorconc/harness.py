@@ -337,8 +337,8 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
         pconf = cfg.estimator.power_config(seed)
         est = spectral_sandwich(w, cfg.m, pconf, num_slices=cfg.estimator.num_slices)
         lower, upper = est.lower, est.upper
-        aux.update(hopm=est.hopm_value, upper_capped=est.upper_capped,
-                   lower_converged=est.lower_converged, upper_converged=est.upper_converged)
+        aux.update(hopm=est.hopm_value, lower_converged=est.lower_converged,
+                   upper_converged=est.upper_converged)
         if est.slice_value is not None:
             aux["slice"] = est.slice_value
         if est.chain_upper is not None:

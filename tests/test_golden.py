@@ -39,24 +39,24 @@ CASES = {
                     "params": {"families": 100}},
 }
 DIGESTS = {
-    "concentration": ("57582d47607b918e4a29462568064788434e99f85e597cb4aa3cfb196e875b01",
-                      "daa38c4af6b24d31332242ab87fe167b86678588a0d8b6c5d9c6a14ce50648be"),
-    "chain-k3-m1": ("3fb43fdc0da9088bc5dac468c0bfe73baa50fbbb21a912ce89dfc5b28ea389f9",
-                    "703740524584f6bb613895b6f9776770b715a7ec8d7dfc82895a0cfab07f3ec1"),
-    "chain-k5-m2": ("f6356f77b9c35fc1039ecbdd8e62c42bd8581dfdfef65c8f27d61889683e944b",
-                    "851ec73add61b8620730b0faecd1d3fc7ee8a3e585770e3ea5854d26763549b4"),
-    "k2": ("ba29798240517b907baadcac21007a5308106aa59eefe4dd68c30213fdd721f7",
-           "3b2904f027100a02e724fe4628fd197fda866f9451736deedef799eac23c3e9d"),
-    "partition": ("7c6146c984ea719670bd2721f1070a2e8d15bc149436624e67948229331c1488",
-                  "daa38c4af6b24d31332242ab87fe167b86678588a0d8b6c5d9c6a14ce50648be"),
-    "regularize": ("bd8cc4d04f1a30d8d3c73dd8279732ae63b6bf0aad3028b7024932883e4cc2ae",
-                   "988b43b6ae48b3acac66d07378362be7a15d2723e4aed3a57ee150f157b71290"),
-    "regularize-chain": ("e1afa2761160899c39bf4958aa59193e0b7fe2f4f2289807c365a7e1a79aef09",
-                         "781a0b830b4f10a0d31319b5c509b342414ee9dcaed5acdfac315f09de5e0755"),
-    "expander": ("635df7e791ab51e65e12a3ceb6a5a1d8a934f2cdecd31759ff8426cdd0e213ea",
-                 "360a8fe88819391c2eb9d0ba21ba998f471974d36c549d77089c570c269d1da9"),
-    "sparsify": ("6e7fed6dcb3192cb8dbccbecd625d4a2461d3489db7081c14352657e74f27607",
-                 "cbe28ced4dc9fc58b5a8f6562d6b36efcbf93b54308443f04df39818b8e66f89"),
+    "concentration": ("b834f8990b5e59dd61bbe4daa6f7695682f853741a968fb3f35ac823db658340",
+                      "7ef41dcbc5fe2ebaf3a6004207dfb237e18a803c5b804c7b02188eb507519b18"),
+    "chain-k3-m1": ("bb68d5a678ee8fed0365b9fa7d1d4244045582c07a0b4ac8a593ec0875fd4645",
+                    "8ce566b39d84526faa2462c7469de6b2979a1cdcb0231c96c2033c0db5b23e41"),
+    "chain-k5-m2": ("755258891ed787ec765ea4ee241b78dad9a667304e1822b154bd47ecaf5686e3",
+                    "02375fe84a5f4e5d4262f869abb8e31cef2e829117b87ed819ef3b8fd760594d"),
+    "k2": ("f6b9599da8273ab6f2abac569058f4180a99316a725724496ebad563454e44e0",
+           "c26b9f3227739240cfa0ebf4907e9e56d1884de2a5cd9039338fe41ec7836893"),
+    "partition": ("00a9cc4c8f0cdc748f876bdd0c7beba134380ba5e2960c1fc4a149c9986dcd98",
+                  "7ef41dcbc5fe2ebaf3a6004207dfb237e18a803c5b804c7b02188eb507519b18"),
+    "regularize": ("f9fcb6e310fd6a384688fe5a25d56f3c7331b375168cb8c8b3183719cc7f424c",
+                   "3e64c5aac91b3a6614f1e322954634102ca61df0e4dfc39bb5900464cdf13019"),
+    "regularize-chain": ("e03eb0b86effae9b642b73519a16c36a65c4e8cff1d8f2c7845978771b9cdfc3",
+                         "0ac1c00986c3baeab90ebf0deafd964e7e1b387cb4b9ae544a0e964f0ce1151a"),
+    "expander": ("7010eac92d5836923e460012ca63baad4a326f5424d0a8842867e32ac8c66b2b",
+                 "1d55d07a3e33620f9a3146d2dec74d33c4018ac59cee037babcd9eb4eba3e451"),
+    "sparsify": ("23309b44b8032634b8bdaf39b21c054d7df1186f5407e2d8501d4fbd4b2d7c0a",
+                 "42f5457be1940c0506e4c1c4a6c27ba47245add4dc08b565f4fd60350cdb81a2"),
     "diagnostics": ("7402f4626dd71608a902cd2e625514ca165414aba7939e207bd2a523db23c976",
                     "01f8f655f05cae4b3701873d2e1346ffb92f4c1e4203d2f464f4a9a133e1bb11"),
 }

@@ -346,25 +346,28 @@ class TestCli:
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # n=120 gives a 120 x 14400 unfolding: its 14400-long vectors are past
         # the length at which OpenBLAS splits a dot product across threads.
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(_base_config(
-            n_list=[120], p_rule={"kind": "c_logn_over_nm", "c": 5.0, "m": 2},
-            trials=2, base_seed=1, estimator={"restarts": 2})))
-        outputs = {}
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            for jobs in ("1", "2"):
-                out = tmp_path / f"t{threads}-j{jobs}.csv"
-                res = subprocess.run(
-                    [sys.executable, "-m", "tensorconc.cli", "concentration", "--config",
-                     str(cfg_path), "--jobs", jobs, "--out", str(out)],
-                    capture_output=True, text=True, env=env)
-                assert res.returncode == 0, res.stderr
-                outputs[threads, jobs] = _masked(out)
-        reference = outputs["1", "1"]
-        assert len(reference) == 4  # header, two rows, trailing newline
-        for key, lines in outputs.items():
-            assert lines == reference, key
+        # n=300 gives a 300 x 300 Gram matrix, a size at which LAPACK's
+        # symmetric eigensolver returns different bits at 1 and 2 threads.
+        for n, trials in ((120, 2), (300, 1)):
+            cfg_path = tmp_path / f"c{n}.json"
+            cfg_path.write_text(json.dumps(_base_config(
+                n_list=[n], p_rule={"kind": "c_logn_over_nm", "c": 5.0, "m": 2},
+                trials=trials, base_seed=1, estimator={"restarts": 2})))
+            outputs = {}
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                for jobs in ("1", "2"):
+                    out = tmp_path / f"n{n}-t{threads}-j{jobs}.csv"
+                    res = subprocess.run(
+                        [sys.executable, "-m", "tensorconc.cli", "concentration", "--config",
+                         str(cfg_path), "--jobs", jobs, "--out", str(out)],
+                        capture_output=True, text=True, env=env)
+                    assert res.returncode == 0, res.stderr
+                    outputs[threads, jobs] = _masked(out)
+            reference = outputs["1", "1"]
+            assert len(reference) == trials + 2  # header, rows, trailing newline
+            for key, lines in outputs.items():
+                assert lines == reference, (n, key)
 
     def test_set_override(self, tmp_path):
         cfg_path = tmp_path / "c.json"

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from tensorconc import (
     multilinear_form,
     rank1,
     slice_lower,
+    spectral,
     spectral_sandwich,
     unfold,
 )
@@ -52,7 +57,8 @@ class TestMatrixOpNorm:
         got = matrix_op_norm(_matrix_tensor(m), PowerIterConfig(max_iterations=3000)).value
         assert got == pytest.approx(jacobi_spectral_norm(m), rel=1e-8)
 
-    def test_objective_monotone(self, rng):
+    def test_objective_monotone(self, rng, monkeypatch):
+        monkeypatch.setattr(spectral, "_GRAM_MAX", 0)  # the iterative path
         m = rng.standard_normal((12, 12))
         res = matrix_op_norm(_matrix_tensor(m), collect_trace=True)
         trace = np.asarray(res.trace)
@@ -67,11 +73,24 @@ class TestMatrixOpNorm:
     def test_zero_matrix(self):
         res = matrix_op_norm(SparseTensor.empty(TensorShape(2, 4)))
         assert res.value == 0.0 and res.converged
+        cancelled = center(SparseTensor.all_ones(TensorShape(2, 5)), Homogeneous(1.0))
+        assert matrix_op_norm(cancelled).value == 0.0
 
-    def test_nonconvergence_flagged(self, rng):
+    def test_nonconvergence_flagged(self, rng, monkeypatch):
+        monkeypatch.setattr(spectral, "_GRAM_MAX", 0)  # the iterative path
         m = rng.standard_normal((30, 30))
         res = matrix_op_norm(_matrix_tensor(m), PowerIterConfig(max_iterations=2, restarts=1))
         assert not res.converged
+
+    def test_gram_and_iterative_paths_agree(self, rng, monkeypatch):
+        t = _matrix_tensor(rng.standard_normal((30, 30)))
+        cfg = PowerIterConfig(max_iterations=3000)
+        dense = matrix_op_norm(t, cfg)
+        assert (dense.iterations, dense.converged, dense.trace) == (1, True, None)
+        monkeypatch.setattr(spectral, "_GRAM_MAX", 0)
+        iterative = matrix_op_norm(t, cfg)
+        assert iterative.converged and iterative.iterations > 1
+        assert dense.value == pytest.approx(iterative.value, rel=1e-8)
 
     def test_rejects_non_matrix_inputs(self):
         t = SparseTensor.all_ones(TensorShape(3, 2))
@@ -79,6 +98,89 @@ class TestMatrixOpNorm:
             matrix_op_norm(unfold(t, multiway_partition(3, 1)))
         with pytest.raises(ValueError, match="order-2 tensor, got order 3"):
             matrix_op_norm(t)
+
+
+def _svd_norm(dense: np.ndarray) -> float:
+    return float(np.linalg.svd(dense, compute_uv=False)[0])
+
+
+def _dense_unfolding(w, part) -> np.ndarray:
+    view = unfold(w, part)
+    dense = np.full(view.dims, view.background)
+    dense[view.coords[:, 0] - 1, view.coords[:, 1] - 1] += view.values
+    return dense
+
+
+def _assert_certified(upper: float, sigma: float):
+    assert sigma <= upper <= sigma * (1 + 1e-8), (upper, sigma)
+
+
+class TestCertifiedUpper:
+    """The Gram path's value is at least the SVD norm, and barely above it."""
+
+    def test_concentration_trials(self):
+        n, p = 120, 5.0 * np.log(120) / 120**2  # the conc-k3 benchmark workload
+        for trial in range(4):
+            t = bernoulli_sample(TensorShape(3, n), Homogeneous(p), SeedSpec(1, trial))
+            w = center(t, Homogeneous(p))
+            est = spectral_sandwich(w, 2, PowerIterConfig(restarts=6, seed=SeedSpec(1, trial)))
+            _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, balanced_partition(3, 2))))
+            assert est.upper_converged
+
+    def test_k4_balanced(self):
+        t = bernoulli_sample(TensorShape(4, 8), Homogeneous(0.2), SeedSpec(9, 0))
+        w = center(t, Homogeneous(0.2))
+        est = spectral_sandwich(w, 2, PowerIterConfig(restarts=3, seed=SeedSpec(9, 0)))
+        _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, balanced_partition(4, 2))))
+
+    def test_k3_chain(self):
+        t = bernoulli_sample(TensorShape(3, 12), Homogeneous(0.3), SeedSpec(6, 1))
+        w = center(t, Homogeneous(0.3))
+        est = spectral_sandwich(w, 1, PowerIterConfig(restarts=3, seed=SeedSpec(6, 1)))
+        _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, balanced_partition(3, 1))))
+        _assert_certified(est.chain_upper, _svd_norm(_dense_unfolding(w, Partition([[1], [2, 3]]))))
+
+    def test_order2_with_background(self, rng):
+        m = np.where(rng.random((9, 9)) < 0.4, rng.standard_normal((9, 9)), 0.0)
+        t = OffsetTensor(SparseTensor.from_dense(m), -0.3)
+        _assert_certified(matrix_op_norm(t).value, _svd_norm(m - 0.3))
+
+    def test_degenerate_inputs(self):
+        zero_row = np.arange(1.0, 26.0).reshape(5, 5)
+        zero_row[2] = 0.0
+        cases = [
+            (_matrix_tensor(np.eye(5)), np.eye(5)),
+            (_matrix_tensor(np.ones((6, 6))), np.ones((6, 6))),
+            (OffsetTensor(SparseTensor.empty(TensorShape(2, 7)), 1.0), np.ones((7, 7))),
+            (_matrix_tensor(zero_row), zero_row),
+        ]
+        for t, dense in cases:
+            res = matrix_op_norm(t)
+            _assert_certified(res.value, _svd_norm(dense))
+            achieved = abs(res.left @ dense @ res.right)
+            assert achieved == pytest.approx(_svd_norm(dense), rel=1e-12)
+
+    def test_slice_witness_reproduces_value(self):
+        t = bernoulli_sample(TensorShape(3, 30), Homogeneous(0.2), SeedSpec(4, 0))
+        w = center(t, Homogeneous(0.2))
+        res = slice_lower(w, num_slices=4, seed=SeedSpec(4, 0))
+        assert abs(multilinear_form(w, res.witness)) == pytest.approx(res.value, rel=1e-12)
+
+    def test_no_lapack_import(self):
+        script = textwrap.dedent("""
+            import sys, tempfile, os
+            import tensorconc.cli
+            from tensorconc.harness import config_from_dict, run
+            with tempfile.TemporaryDirectory() as tmp:
+                run(config_from_dict({
+                    "command": "concentration", "k": 3, "m": 2, "n_list": [120],
+                    "p_rule": {"kind": "c_logn_over_nm", "c": 5.0, "m": 2}, "trials": 1,
+                    "estimator": {"restarts": 2}, "out": os.path.join(tmp, "r.csv")}))
+            print(sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules))
+        """)
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
 
 class TestHopm:
@@ -168,7 +270,6 @@ class TestSandwich:
         est = spectral_sandwich(w, 2, PowerIterConfig(restarts=6, seed=SeedSpec(5, 0)))
         assert 0 < est.lower <= est.upper + 1e-8
         assert np.isfinite(est.upper)
-        assert est.upper_capped >= est.upper
         assert abs(multilinear_form(w, est.lower_witness)) == pytest.approx(est.lower, rel=1e-8)
 
     def test_multiway_chain_recorded(self):
@@ -179,15 +280,15 @@ class TestSandwich:
         assert est.chain_upper >= est.lower - 1e-8
 
     def test_chain_is_coarsened_unfolding(self):
-        # k=3, m=1: both splits of {1}{2}{3} are equally balanced; rounding in
-        # the float-log comparison picks one of them, depending on n
-        t = bernoulli_sample(TensorShape(3, 10), Homogeneous(0.3), SeedSpec(6, 0))
-        w = center(t, Homogeneous(0.3))
+        # k=3, m=1: both splits of {1}{2}{3} are equally balanced; the tie
+        # goes to the first, {1 | 2,3}, whatever n is
         cfg = PowerIterConfig(restarts=4, seed=SeedSpec(6, 0))
-        est = spectral_sandwich(w, 1, cfg)
-        coarse = [matrix_op_norm(unfold(w, Partition(b)), cfg).value
-                  for b in ([[1, 2], [3]], [[1], [2, 3]])]
-        assert est.chain_upper in coarse
+        for n in (6, 8, 12, 13):
+            t = bernoulli_sample(TensorShape(3, n), Homogeneous(0.3), SeedSpec(6, 0))
+            w = center(t, Homogeneous(0.3))
+            est = spectral_sandwich(w, 1, cfg)
+            first = matrix_op_norm(unfold(w, Partition([[1], [2, 3]])), cfg).value
+            assert est.chain_upper == first, n
 
     def test_upper_bounds_both_partitions_dominate_lower(self):
         t = bernoulli_sample(TensorShape(4, 6), Homogeneous(0.2), SeedSpec(7, 1))
