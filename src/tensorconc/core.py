@@ -151,11 +151,7 @@ class SparseTensor:
         """Row-major 0-based linear index per entry (requires n^k < 2^63)."""
         if self.shape.ncoords >= _LINEAR_LIMIT:
             raise ValueError("coordinate space too large for linear indexing")
-        n = np.uint64(self.shape.dim)
-        lin = np.zeros(self.nnz, dtype=np.uint64)
-        for j in range(self.shape.order):
-            lin = lin * n + (self.coords[:, j].astype(np.uint64) - np.uint64(1))
-        return lin
+        return linear_index(self.coords, self.shape.dim)
 
     def to_dense(self) -> np.ndarray:
         self.shape.require_dense_gate()
@@ -480,6 +476,16 @@ def rank1(xs) -> np.ndarray:
         if v.shape != (dim,):
             raise ShapeMismatchError("all vectors must share one length")
     return reduce(np.multiply.outer, vecs)
+
+
+def linear_index(coords: np.ndarray, dim: int) -> np.ndarray:
+    """Row-major 0-based uint64 linear index of each row of 1-based ``coords``
+    over [dim]^columns; wraps modulo 2^64 past that."""
+    base = np.uint64(dim)
+    lin = np.zeros(coords.shape[0], dtype=np.uint64)
+    for j in range(coords.shape[1]):
+        lin = lin * base + (coords[:, j].astype(np.uint64) - np.uint64(1))
+    return lin
 
 
 def _coords_from_linear(lin: np.ndarray, order: int, dim: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from .core import (
     TensorLike,
     VectorTuple,
     as_offset,
+    linear_index,
     multilinear_form,
 )
 from .hypergraph import _BoxCounter, box_sum, sample_subset_families
@@ -196,10 +197,7 @@ def light_contribution_check(
     if split.heavy_count:
         vals = np.full(split.heavy_count, w.background)
         if w.nnz:
-            heavy_lin = np.zeros(split.heavy_count, dtype=np.uint64)
-            base = np.uint64(n)
-            for j in range(w.shape.order):
-                heavy_lin = heavy_lin * base + (split.heavy_coords[:, j].astype(np.uint64) - np.uint64(1))
+            heavy_lin = linear_index(split.heavy_coords, n)
             tensor_lin = w.sparse.linear_indices()
             pos = np.searchsorted(tensor_lin, heavy_lin)
             pos = np.minimum(pos, len(tensor_lin) - 1)

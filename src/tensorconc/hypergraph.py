@@ -398,10 +398,14 @@ def matrix_mixing_check(
 ) -> MatrixMixingReport:
     """Classical two-set mixing check for a (nominally d-regular) graph.
 
-    lam is estimated as the operator norm of A - (d/n) * J.  For each pair
-    (V1, V2) the margin |e(V1,V2) - d|V1||V2|/n| minus
-    lam * sqrt(|V1||V2|(1-|V1|/n)(1-|V2|/n)) is reported; for genuinely
-    d-regular graphs the margin is <= 0 up to estimator slack.
+    lam is the operator norm of A - (d/n) * J from ``matrix_op_norm``: a
+    certified upper bound for n up to its dense cap, a Lanczos estimate from
+    below above it.  For each pair (V1, V2) the margin
+    |e(V1,V2) - d|V1||V2|/n| minus lam * sqrt(|V1||V2|(1-|V1|/n)(1-|V2|/n))
+    is reported; for genuinely d-regular graphs the margin is <= 0.  A
+    certified lam is at least the true norm, so its slack can only lower a
+    margin: the check "margin <= 0" is then conservative, and a margin > 0
+    is a real violation.
     """
     from .core import OffsetTensor
     from .spectral import PowerIterConfig, matrix_op_norm

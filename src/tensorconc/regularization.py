@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseTensor
+from .core import SparseTensor, linear_index
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,7 @@ def regularize(t: SparseTensor, m: int, p: float) -> RegularizationResult:
     removed = np.ascontiguousarray(dm.prefixes[bad])
     if removed.shape[0] == 0 or t.nnz == 0:
         return RegularizationResult(t, removed, threshold, m, in_regime)
-    plen = k - m
-    base = np.int64(n)
-    pref_lin = np.zeros(t.nnz, dtype=np.int64)
-    bad_lin = np.zeros(removed.shape[0], dtype=np.int64)
-    for j in range(plen):
-        pref_lin = pref_lin * base + (t.coords[:, j].astype(np.int64) - 1)
-        bad_lin = bad_lin * base + (removed[:, j].astype(np.int64) - 1)
-    keep = ~np.isin(pref_lin, bad_lin)
+    keep = ~np.isin(linear_index(t.coords[:, :k - m], n), linear_index(removed, n))
     out = SparseTensor(t.shape, t.coords[keep], t.values[keep], presorted=True)
     return RegularizationResult(out, removed, threshold, m, in_regime)
 

@@ -6,21 +6,19 @@ contract here is a certified bracket:
   * lower bounds are achieved multilinear-form values, found by alternating
     rank-1 maximization (higher-order power iteration) and by slice matrices
     with basis vectors pinned on modes 3..k;
-  * upper bounds are operator norms of matrix unfoldings.  When the smaller
-    side of the unfolding is at most ``_GRAM_MAX`` the norm is computed from
-    the Gram matrix of that side by a dense eigen-kernel that makes no BLAS
-    call, and rounded up past a stated error bound: a certified upper bound.
-    Above the cap it is estimated by alternating power iteration, whose
-    Rayleigh objective is monotone non-decreasing: a lower estimate of the
-    matrix norm, seeded with the Kronecker lift of the best witness found on
-    the lower side, which pins it above the lower bound up to
-    floating-point slack.
+  * upper bounds are operator norms of matrix unfoldings.  Every matrix
+    eigen-solve here is one Lanczos routine that makes no BLAS call.  When
+    the smaller side of the unfolding is at most ``_DENSE_MAX`` its Gram
+    matrix is formed densely and the Lanczos value is certified by a
+    Cholesky factorization: a certified upper bound.  Above the cap the
+    Lanczos value is a lower estimate of the matrix norm, flagged as not
+    converged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -43,12 +41,16 @@ from .unfolding import Partition, UnfoldedView, balanced_partition, multiway_par
 
 SANDWICH_SLACK = 1e-8
 
-# Largest smaller side solved densely through its Gram matrix.  The dense
-# kernel costs O(r^3): on a 2-core x86-64 host it took 6 ms at r = 120,
-# 0.21 s at 512 and 1.6 s at 1024.  At n = 512 the k = 3, m = 2 unfolding
-# of a centered Bernoulli tensor (p = 5 log n / n^2) took 0.74 s by 6-restart
-# power iteration and 0.21 s by the Gram path, whose r x r Gram is 2 MB.
-_GRAM_MAX = 512
+# Largest smaller side whose r x r Gram matrix is formed densely and
+# certified; at 4096 the Gram matrix, its shifted copy and the Cholesky
+# factor take 128 MB each.
+_DENSE_MAX = 4096
+
+_EPS = float(np.finfo(np.float64).eps)
+
+# Lanczos tests its Ritz residual every this many steps: each test is a
+# bisection costing O(steps) Python work per Sturm count.
+_CHECK_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,9 @@ def _as_matrix(m) -> _Matrix:
 class MatrixNormResult:
     """Operator norm of a matrix and its top singular pair.
 
-    On the Gram path ``value`` is a certified upper bound on the norm,
-    ``iterations`` is 1 and ``converged`` is True.  On the power-iteration
-    path ``value`` is the achieved |left^T M right|, ``iterations`` counts
-    every restart's iterations and ``trace`` holds the objective when asked.
+    ``converged`` means certified: ``value`` is then an upper bound on the
+    norm.  It is False only above ``_DENSE_MAX``, where ``value`` is a Lanczos
+    estimate from below.  ``iterations`` counts Lanczos steps.
     """
 
     value: float
@@ -132,7 +133,6 @@ class MatrixNormResult:
     right: np.ndarray
     iterations: int
     converged: bool
-    trace: Optional[list] = None
 
 
 def _norm(x: np.ndarray) -> float:
@@ -149,72 +149,51 @@ def _e1(dim: int) -> np.ndarray:
     return np.eye(1, dim)[0]
 
 
-def _top_eigenpair(g: np.ndarray) -> tuple:
-    """Largest eigenvalue of the symmetric matrix ``g`` and a unit eigenvector.
+def _tridiagonal_top(d: list, e: list) -> tuple:
+    """Largest eigenvalue of the symmetric tridiagonal matrix T with diagonal
+    ``d`` and off-diagonal ``e``, and a unit eigenvector.
 
-    Householder reduction g = Q T Q^T to tridiagonal T, Sturm-count bisection
-    for the largest eigenvalue of T, inverse iteration on T for its
-    eigenvector y, and back-transformation Q y.  Only elementwise numpy,
-    ``einsum`` and outer products are used, so no bit depends on BLAS or on
-    its thread count.  The eigenvalue returned is the upper end of the final
+    Sturm-count bisection for the eigenvalue and inverse iteration on T for
+    its eigenvector, in Python floats and elementwise numpy, so no bit
+    depends on BLAS.  The eigenvalue returned is the upper end of the final
     bisection interval; tiny pivots in inverse iteration are replaced by
     eps * ||T|| as in LAPACK ``dstein``.
     """
+    r = len(d)
     # an exact power-of-two scaling to entries <= 1, so no squared entry overflows
-    exp = math.frexp(float(np.max(np.abs(g))))[1]
-    a = np.ldexp(np.asarray(g, dtype=np.float64), -exp)
-    r = a.shape[0]
-    e = np.zeros(max(r - 1, 0))
-    reflectors = []
-    for k in range(r - 2):
-        x = a[k + 1:, k]
-        nx = _norm(x)
-        if nx == 0.0:
-            reflectors.append(None)
-            continue
-        e[k] = -math.copysign(nx, x[0])
-        v = x.copy()
-        v[0] -= e[k]
-        v /= _norm(v)
-        sub = a[k + 1:, k + 1:]
-        p = np.einsum("ij,j->i", sub, v)
-        w = 2.0 * p - (2.0 * float(np.einsum("i,i", v, p))) * v
-        sub -= np.multiply.outer(v, w) + np.multiply.outer(w, v)
-        reflectors.append(v)
-    if r > 1:
-        e[r - 2] = a[r - 1, r - 2]
-    d = np.diagonal(a).copy()
-    rad = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
-    lo, hi = float(np.min(d - rad)), float(np.max(d + rad))
+    exp = math.frexp(max(map(abs, d + e)))[1]
+    dv, ev = np.ldexp(d, -exp), np.ldexp(e, -exp)
+    rad = np.abs(np.append(ev, 0.0)) + np.abs(np.append(0.0, ev))
+    lo, hi = float(np.min(dv - rad)), float(np.max(dv + rad))
     tnorm = max(abs(lo), abs(hi))
     if tnorm == 0.0:
         return 0.0, _e1(r)
-    eps, tiny = float(np.finfo(np.float64).eps), float(np.finfo(np.float64).tiny)
-    lo, hi = lo - eps * tnorm, hi + eps * tnorm
-    dl, el = d.tolist(), e.tolist()
+    lo, hi = lo - _EPS * tnorm, hi + _EPS * tnorm
+    dl, el = dv.tolist(), ev.tolist()
     e2 = [x * x for x in el]
-    pivmin = tiny * max(1.0, max(e2, default=0.0))
+    pivmin = float(np.finfo(np.float64).tiny) * max(1.0, max(e2, default=0.0))
+    pairs = list(zip(dl, [0.0] + e2))
 
     def all_below(x: float) -> bool:
         """Every Sturm pivot of T - x I is negative: all eigenvalues are < x."""
-        q = 1.0
-        for i in range(r):
-            q = dl[i] - x - (e2[i - 1] / q if i else 0.0)
-            if abs(q) < pivmin:
-                q = -pivmin
-            if q >= 0.0:
+        q = -1.0
+        for di, e2i in pairs:
+            q = di - x - e2i / q
+            if q >= pivmin:
                 return False
+            if q > -pivmin:
+                q = -pivmin
         return True
 
     mid = 0.5 * (lo + hi)
-    while hi - lo > 2.0 * eps * tnorm and lo < mid < hi:
+    while hi - lo > 2.0 * _EPS * tnorm and lo < mid < hi:
         if all_below(mid):
             hi = mid
         else:
             lo = mid
         mid = 0.5 * (lo + hi)
     # LU of the positive definite hi*I - T needs no pivoting; floor tiny pivots
-    floor = eps * tnorm
+    floor = _EPS * tnorm
     piv, mult = [], []
     for i in range(r):
         p = hi - dl[i]
@@ -232,93 +211,118 @@ def _top_eigenpair(g: np.ndarray) -> tuple:
         scale = max(abs(t) for t in y)
         y = [t / scale for t in y]
     vec = np.array(y)
-    for k in range(len(reflectors) - 1, -1, -1):
-        v = reflectors[k]
-        if v is not None:
-            seg = vec[k + 1:]
-            seg -= (2.0 * float(np.einsum("i,i", v, seg))) * v
     return math.ldexp(hi, exp), vec / _norm(vec)
 
 
-def _init_vectors(dim: int, config: PowerIterConfig, label: int, count: int) -> list:
-    """Deterministic start vectors: uniform first, then keyed random."""
-    inits = [np.full(dim, dim**-0.5)]
-    key = rng.stream_key(config.seed, label)
-    for r in range(count - 1):
-        u = rng.uniform_block(key, r * dim, dim)
-        v = 2.0 * u - 1.0
-        nv = _norm(v)
-        if nv == 0.0:
-            v = np.zeros(dim)
-            v[r % dim] = 1.0
-            nv = 1.0
-        inits.append(v / nv)
-    return inits
+def _lanczos(op, start: np.ndarray, config: PowerIterConfig) -> tuple:
+    """Top eigenpair of the symmetric positive semidefinite operator ``op``.
+
+    Lanczos from the unit vector along ``start``, with full
+    reorthogonalization (Gram-Schmidt twice) in ``einsum``, so no bit
+    depends on BLAS.  It stops once the top Ritz pair's residual
+    |beta_j s_j| is at most ``matrix_tol`` times its Ritz value, or after
+    min(dim, max_iterations) steps.  A breakdown (beta at rounding level:
+    the Krylov space is invariant) of the first run continues from a keyed
+    random vector orthogonalized against the basis; a breakdown of that
+    second run ends the solve, whose top Ritz value then is the top
+    eigenvalue.  Returns the largest Ritz value over both runs, its unit
+    Ritz vector and the step count.
+    """
+    dim = start.shape[0]
+    limit = min(dim, config.max_iterations)
+    basis = np.empty((min(limit, 64), dim))
+    basis[0] = start / _norm(start)
+    alphas, betas = [], []
+    first, scale = 0, 0.0  # first: index of the current run's first vector
+    for j in range(limit):
+        q = basis[:j + 1]
+        w = op(basis[j])
+        alphas.append(float(np.einsum("i,i", basis[j], w)))
+        for _ in range(2):
+            w = w - np.einsum("ij,i->j", q, np.einsum("ij,j->i", q, w))
+        beta = _norm(w)
+        scale = max(scale, abs(alphas[-1]) + beta)
+        if j + 1 == limit:
+            break
+        if beta <= dim * _EPS * scale:
+            if first:
+                break
+            first, beta = j + 1, 0.0
+            w = 2.0 * rng.uniform_block(rng.stream_key(config.seed, rng.LBL_POWER_INIT), 0, dim) - 1.0
+            for _ in range(2):
+                w = w - np.einsum("ij,i->j", q, np.einsum("ij,j->i", q, w))
+        elif (j + 1 - first) % _CHECK_EVERY == 0:
+            theta, s = _tridiagonal_top(alphas[first:], betas[first:])
+            if beta * abs(s[-1]) <= config.matrix_tol * theta:
+                break
+        betas.append(beta)
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])[:limit]
+        basis[j + 1] = w / _norm(w)
+    steps = len(alphas)
+    theta, s = _tridiagonal_top(alphas, betas[:steps - 1])
+    vec = np.einsum("ij,i->j", basis[:steps], s)
+    return theta, vec / _norm(vec), steps
 
 
 def matrix_op_norm(
     m,
     config: PowerIterConfig = PowerIterConfig(),
     extra_inits: Sequence[np.ndarray] = (),
-    collect_trace: bool = False,
 ) -> MatrixNormResult:
     """Operator norm of an order-2 tensor or an arity-2 UnfoldedView.
 
-    When the smaller side is at most ``_GRAM_MAX``, the norm comes from the
-    Gram matrix of that side (see ``_gram_norm``): ``value`` is then a
-    certified upper bound on the norm, ``left``/``right`` are the computed
-    top singular pair, ``iterations`` is 1 and ``converged`` is True.
+    The norm squared is the top eigenvalue of the Gram matrix G of the
+    smaller side, found by ``_lanczos``.  The start is the first usable
+    vector of ``extra_inits`` (length ``ncols``, mapped onto the rows by the
+    matrix when the rows are the smaller side), else the uniform vector.
 
-    Above the cap it is the best value over restarts of alternating power
-    iteration on v -> M^T(M v), seeded with ``extra_inits`` and then keyed
-    random starts.  Matrix-vector products cost O(nnz) for the sparse part
-    plus O(rows + cols) for the rank-1 background.  The recorded objective
-    (``collect_trace``) is monotone non-decreasing per iteration, so the
-    value is an achieved |u^T M v| with unit u, v: a lower estimate of the
-    norm.  Non-convergence within max_iterations is reported via
-    ``converged``.  ``extra_inits`` and ``collect_trace`` apply only to this
-    path.
+    When the smaller side is at most ``_DENSE_MAX``, G is formed densely and
+    ``value`` is a certified upper bound on the norm (see ``_certify``);
+    ``converged`` is then True.  Above the cap the operator is two sparse
+    products, ``value`` is the square root of the top Ritz value, a lower
+    estimate of the norm, and ``converged`` is False.  ``left``/``right``
+    are the computed top singular pair and ``iterations`` counts Lanczos
+    steps.
     """
     mat = _as_matrix(m)
     if mat.is_zero():
-        return MatrixNormResult(0.0, _e1(mat.nrows), _e1(mat.ncols), 0, True,
-                                [] if collect_trace else None)
-    if min(mat.nrows, mat.ncols) <= _GRAM_MAX:
-        return _gram_norm(mat)
-    starts = [np.asarray(v, dtype=np.float64) for v in extra_inits]
-    starts += _init_vectors(mat.ncols, config, rng.LBL_POWER_INIT, config.restarts)
-    best = None
-    total_iter = 0
-    for v0 in starts:
-        if v0.shape != (mat.ncols,):
-            continue
-        nv0 = _norm(v0)
-        if nv0 == 0.0:
-            continue
-        res = _power_iterate(mat, v0 / nv0, config, collect_trace)
-        total_iter += res.iterations
-        if best is None or res.value > best.value:
-            best = res
-    best.iterations = total_iter
-    return best
-
-
-def _gram_norm(mat: _Matrix) -> MatrixNormResult:
-    """Certified norm of A = S + b 11^T from the Gram matrix of its smaller side.
-
-    With r the smaller side, N the other, s the sums of S along N and
-    G = S S^T + b (s 1^T + 1 s^T) + b^2 N 11^T (or the S^T S form), the value
-    is sqrt(lam + delta) rounded up, where lam is the eigenvalue returned by
-    ``_top_eigenpair(G)`` and delta = (N + 10 r^2) u F, with u the unit
-    roundoff and F = sum over all entries of (|S_ij| + |b|)^2 >= ||A||_F^2.
-    Forming G perturbs it by at most gamma_{N+4} F in norm (each entry is a
-    sum of at most N + 4 rounded terms bounded by (|A| |A|^T)_ij); Householder
-    tridiagonalization is backward stable with a perturbation of order
-    r^2 u ||G||_F and the Sturm count with one of order u ||T||, and
-    ||G||_F <= F.  By Weyl's inequality the norm squared is then at most
-    lam + delta (Golub & Van Loan, Matrix Computations, sections 8.1 and 8.3).
-    """
+        return MatrixNormResult(0.0, _e1(mat.nrows), _e1(mat.ncols), 0, True)
     rows_side = mat.nrows <= mat.ncols
+    r = min(mat.nrows, mat.ncols)
+    start = np.full(r, r**-0.5)
+    for v in extra_inits:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape == (mat.ncols,):
+            q = mat.mv(v) if rows_side else v
+            if _norm(q) > 0.0:
+                start = q
+                break
+    if r <= _DENSE_MAX:
+        g, form_err = _gram(mat, rows_side)
+        theta, vec, steps = _lanczos(lambda q: np.einsum("ij,j->i", g, q), start, config)
+        value, certified = _certify(g, theta, form_err), True
+    else:
+        fwd, back = (mat.rmv, mat.mv) if rows_side else (mat.mv, mat.rmv)
+        theta, vec, steps = _lanczos(lambda q: back(fwd(q)), start, config)
+        value, certified = math.sqrt(max(theta, 0.0)), False
+    other = mat.rmv(vec) if rows_side else mat.mv(vec)
+    norm = _norm(other)
+    other = other / norm if norm > 0.0 else _e1(other.shape[0])
+    left, right = (vec, other) if rows_side else (other, vec)
+    return MatrixNormResult(value, left, right, steps, certified)
+
+
+def _gram(mat: _Matrix, rows_side: bool) -> tuple:
+    """Dense Gram matrix of A = S + b 11^T on its smaller side, and a bound
+    on the error of forming it.
+
+    With r the smaller side, N the other and s the sums of S along N,
+    G = S S^T + b (s 1^T + 1 s^T) + b^2 N 11^T (or the S^T S form).  Each
+    entry is a sum of at most N + 4 rounded terms bounded by (|A| |A|^T)_ij,
+    so the computed G is within gamma_{N+4} F of the exact one in norm,
+    where F = sum over all entries of (|S_ij| + |b|)^2 >= ||A||_F^2.
+    """
     s, st = (mat.csr, mat.csc) if rows_side else (mat.csc, mat.csr)
     r, big = s.shape
     g = (s @ st).toarray()
@@ -328,47 +332,53 @@ def _gram_norm(mat: _Matrix) -> MatrixNormResult:
         g += b * np.add.outer(sums, sums) + b * b * big
     mags = np.abs(s.data) + abs(b)
     frob = float(np.einsum("i,i", mags, mags)) + b * b * (r * big - s.nnz)
-    lam, vec = _top_eigenpair(g)
-    delta = (big + 10.0 * r * r) * (np.finfo(np.float64).eps / 2) * frob
-    value = math.nextafter(math.sqrt(max(lam, 0.0) + delta), math.inf)
-    other = mat.rmv(vec) if rows_side else mat.mv(vec)
-    norm = _norm(other)
-    other = other / norm if norm > 0.0 else _e1(big)
-    left, right = (vec, other) if rows_side else (other, vec)
-    return MatrixNormResult(value, left, right, 1, True)
+    return g, _gamma(big + 4) * frob
 
 
-def _power_iterate(mat: _Matrix, v: np.ndarray, config: PowerIterConfig,
-                   collect_trace: bool) -> MatrixNormResult:
-    trace = [] if collect_trace else None
-    prev = -np.inf
-    hits = 0
-    nu = 0.0
-    u = np.zeros(mat.nrows)
-    converged = False
-    it = 0
-    for it in range(1, config.max_iterations + 1):
-        w = mat.mv(v)
-        sigma = _norm(w)
-        if sigma == 0.0:
-            return MatrixNormResult(0.0, u, v, it, True, trace)
-        u = w / sigma
-        z = mat.rmv(u)
-        nu = _norm(z)
-        if nu == 0.0:
-            return MatrixNormResult(0.0, u, v, it, True, trace)
-        v = z / nu
-        if trace is not None:
-            trace.append(nu)
-        if prev > -np.inf and abs(nu - prev) <= config.matrix_tol * max(nu, 1e-300):
-            hits += 1
-            if hits >= 2:
-                converged = True
-                break
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * _EPS / 2 / (1.0 - k * _EPS / 2)
+
+
+def _certify(g: np.ndarray, theta: float, form_err: float) -> float:
+    """Certified upper bound on ||A|| from a Ritz value ``theta`` of the
+    computed Gram matrix ``g`` of A.
+
+    A shift nu >= theta is accepted when the floating-point Cholesky
+    factorization of H = fl((nu - c) I - g) succeeds, with
+    c = gamma_{r+1} / (1 - gamma_{r+1}) r nu + 3 u (nu + max_i g_ii).
+    Success gives R^T R = H + E with
+    ||E|| <= gamma_{r+1} ||R||_F^2 <= gamma_{r+1} / (1 - gamma_{r+1}) tr H
+    and tr H <= r nu (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3; Rump, BIT 46, 2006); the 3 u term covers rounding
+    the diagonal of H.  So nu bounds the top eigenvalue of g, and
+    nu + ``form_err`` that of A A^T, barring underflow.  The value is the
+    square root of that sum, each step rounded up.  The first nu tried is
+    theta + 2c; each failure quadruples the excess.  Cholesky is only a
+    yes/no gate: the bits of the value come from ``theta`` and this rule,
+    not from LAPACK.
+    """
+    r = g.shape[0]
+    coef = _gamma(r + 1) / (1.0 - _gamma(r + 1)) * r
+    top = float(np.max(np.diagonal(g)))
+    theta = max(theta, 0.0)
+
+    def margin(nu: float) -> float:
+        # the 1.01 absorbs the rounding of this sum
+        return 1.01 * (coef * nu + 1.5 * _EPS * (nu + top))
+
+    excess = 2.0 * margin(theta)
+    for _ in range(200):
+        nu = theta + excess
+        h = -g
+        h[np.diag_indices(r)] += nu - margin(nu)
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            excess *= 4.0
         else:
-            hits = 0
-        prev = nu
-    return MatrixNormResult(nu, u, v, it, converged, trace)
+            return math.nextafter(math.sqrt(math.nextafter(nu + form_err, math.inf)), math.inf)
+    raise ArithmeticError("no Cholesky certificate for the Gram matrix")
 
 
 @dataclass
@@ -383,40 +393,24 @@ def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> Optiona
     """Start vectors from the dominant singular pair of the {1 | 2..k} unfolding.
 
     The left vector seeds mode 1; the right vector (length n^(k-1)) is peeled
-    one mode at a time by dominant-singular-vector extraction of its n-column
-    reshape, mirroring the digit order of the unfolding map.
+    one mode at a time: the top right singular vector of its n-column
+    reshape, found by ``_lanczos`` from the uniform start, seeds the next
+    mode, mirroring the digit order of the unfolding map.
     """
     k, n = t.shape.order, t.shape.dim
-    res = matrix_op_norm(unfold(t, balanced_partition(k, k - 1)), replace(config, restarts=2))
+    res = matrix_op_norm(unfold(t, balanced_partition(k, k - 1)), config)
     if res.value == 0.0:
         return None
-    xs = [None] * k
-    xs[0] = res.left
+    xs = [res.left]
     v = res.right
-    for j in range(1, k):
-        if v.shape[0] == n:
-            nv = _norm(v)
-            xs[j] = v / nv if nv > 0 else np.full(n, n**-0.5)
-            break
+    for _ in range(k - 2):
         mat = v.reshape(-1, n)
-        x = np.full(n, n**-0.5)
-        for _ in range(20):
-            u = mat @ x
-            nu = _norm(u)
-            if nu == 0.0:
-                break
-            u /= nu
-            x = mat.T @ u
-            nx = _norm(x)
-            if nx == 0.0:
-                break
-            x /= nx
-        nx = _norm(x)
-        xs[j] = x / nx if nx > 0 else np.full(n, n**-0.5)
-        v = mat @ xs[j]
-    for j in range(k):
-        if xs[j] is None:
-            xs[j] = np.full(n, n**-0.5)
+        _, x, _ = _lanczos(lambda x: np.einsum("ij,i->j", mat, np.einsum("ij,j->i", mat, x)),
+                           np.full(n, n**-0.5), config)
+        xs.append(x)
+        v = np.einsum("ij,j->i", mat, x)
+    nv = _norm(v)
+    xs.append(v / nv if nv > 0 else np.full(n, n**-0.5))
     return xs
 
 

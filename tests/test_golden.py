@@ -39,24 +39,24 @@ CASES = {
                     "params": {"families": 100}},
 }
 DIGESTS = {
-    "concentration": ("b834f8990b5e59dd61bbe4daa6f7695682f853741a968fb3f35ac823db658340",
-                      "7ef41dcbc5fe2ebaf3a6004207dfb237e18a803c5b804c7b02188eb507519b18"),
-    "chain-k3-m1": ("bb68d5a678ee8fed0365b9fa7d1d4244045582c07a0b4ac8a593ec0875fd4645",
-                    "8ce566b39d84526faa2462c7469de6b2979a1cdcb0231c96c2033c0db5b23e41"),
-    "chain-k5-m2": ("755258891ed787ec765ea4ee241b78dad9a667304e1822b154bd47ecaf5686e3",
-                    "02375fe84a5f4e5d4262f869abb8e31cef2e829117b87ed819ef3b8fd760594d"),
-    "k2": ("f6b9599da8273ab6f2abac569058f4180a99316a725724496ebad563454e44e0",
-           "c26b9f3227739240cfa0ebf4907e9e56d1884de2a5cd9039338fe41ec7836893"),
-    "partition": ("00a9cc4c8f0cdc748f876bdd0c7beba134380ba5e2960c1fc4a149c9986dcd98",
-                  "7ef41dcbc5fe2ebaf3a6004207dfb237e18a803c5b804c7b02188eb507519b18"),
-    "regularize": ("f9fcb6e310fd6a384688fe5a25d56f3c7331b375168cb8c8b3183719cc7f424c",
-                   "3e64c5aac91b3a6614f1e322954634102ca61df0e4dfc39bb5900464cdf13019"),
-    "regularize-chain": ("e03eb0b86effae9b642b73519a16c36a65c4e8cff1d8f2c7845978771b9cdfc3",
-                         "0ac1c00986c3baeab90ebf0deafd964e7e1b387cb4b9ae544a0e964f0ce1151a"),
-    "expander": ("7010eac92d5836923e460012ca63baad4a326f5424d0a8842867e32ac8c66b2b",
-                 "1d55d07a3e33620f9a3146d2dec74d33c4018ac59cee037babcd9eb4eba3e451"),
-    "sparsify": ("23309b44b8032634b8bdaf39b21c054d7df1186f5407e2d8501d4fbd4b2d7c0a",
-                 "42f5457be1940c0506e4c1c4a6c27ba47245add4dc08b565f4fd60350cdb81a2"),
+    "concentration": ("635c1f6ce99f32ded79637abd2c9a0808e156f45ae16131f38e71150f8a4243c",
+                      "06cb040dae4f38486fa68dffaa75385257e8fda61eb27eb48792bf44d13e6028"),
+    "chain-k3-m1": ("112a81f416bd8da580bdb0e9e3fa2fca021b5c5e05b4da04f4042482a4b19b6b",
+                    "17a33ee4bafd45734730e03ca5d2e187e0195d344bc102b671aa35d5462658a2"),
+    "chain-k5-m2": ("4a3891a1e1ecc7e65ac88be8e9720a40d6c852931ea68f36696d803a0f4c5522",
+                    "e6dc48fd12ac4d11b5aa2a3f0793040b27f3df04043eae743b6f730831d928c1"),
+    "k2": ("3addbc9a5365d5b6098f168e87d8d958e1e825923e1dd74a0a5e2fb2715a8226",
+           "157a32bba8ce3be12d7d496ee79315a228c8c50c9b071e1e66b2fd65c487c4d1"),
+    "partition": ("13c2eb262b66271899dfcaa5700369cd85bcb39c4f777a7b8e33e6a8b9d2b962",
+                  "06cb040dae4f38486fa68dffaa75385257e8fda61eb27eb48792bf44d13e6028"),
+    "regularize": ("c9473588fa67ad5cdcb6875aae25038372453a820d7ab400ada24e3d7f51f3b3",
+                   "24eb9030b17fb9ab88719d7ee0a35ee6e42b6a93daf6149563604b47bc2c1b3f"),
+    "regularize-chain": ("08f35d98935dfd5076ee4dc6c215732031624b62354e21631bb7844e0932908b",
+                         "5da21f09bbed75d13648dcf0cebbaed2cc6f70670f82792ddac2eff99bba85ff"),
+    "expander": ("2724b8aeed7b0b1ebcae866763e4ead81119f6ce1c432051e85da498eaa8fbe0",
+                 "4e96b1595d058b8e6af670cc0a8760b3524865a60fbd121044a69073af40cd70"),
+    "sparsify": ("487d98a0b69760782cf6970113b589476333cb1ca12c14d50dcefc633be9dde5",
+                 "744fd7fe89a4ecf66fa30c06933b1521c6a740dbd4a8da78fd00f48115a3b268"),
     "diagnostics": ("7402f4626dd71608a902cd2e625514ca165414aba7939e207bd2a523db23c976",
                     "01f8f655f05cae4b3701873d2e1346ffb92f4c1e4203d2f464f4a9a133e1bb11"),
 }

@@ -348,16 +348,19 @@ class TestCli:
         # the length at which OpenBLAS splits a dot product across threads.
         # n=300 gives a 300 x 300 Gram matrix, a size at which LAPACK's
         # symmetric eigensolver returns different bits at 1 and 2 threads.
-        for n, trials in ((120, 2), (300, 1)):
-            cfg_path = tmp_path / f"c{n}.json"
+        # k=4, n=24 gives a 576 x 576 Gram matrix, whose LAPACK Cholesky
+        # factor has different bits at 1 and 2 threads; it is only a yes/no
+        # gate of the certified upper bound.
+        for k, n, trials in ((3, 120, 2), (3, 300, 1), (4, 24, 1)):
+            cfg_path = tmp_path / f"c{k}-{n}.json"
             cfg_path.write_text(json.dumps(_base_config(
-                n_list=[n], p_rule={"kind": "c_logn_over_nm", "c": 5.0, "m": 2},
+                k=k, n_list=[n], p_rule={"kind": "c_logn_over_nm", "c": 5.0, "m": 2},
                 trials=trials, base_seed=1, estimator={"restarts": 2})))
             outputs = {}
             for threads in ("1", "2"):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
                 for jobs in ("1", "2"):
-                    out = tmp_path / f"n{n}-t{threads}-j{jobs}.csv"
+                    out = tmp_path / f"k{k}-n{n}-t{threads}-j{jobs}.csv"
                     res = subprocess.run(
                         [sys.executable, "-m", "tensorconc.cli", "concentration", "--config",
                          str(cfg_path), "--jobs", jobs, "--out", str(out)],
@@ -367,7 +370,7 @@ class TestCli:
             reference = outputs["1", "1"]
             assert len(reference) == trials + 2  # header, rows, trailing newline
             for key, lines in outputs.items():
-                assert lines == reference, (n, key)
+                assert lines == reference, (k, n, key)
 
     def test_set_override(self, tmp_path):
         cfg_path = tmp_path / "c.json"
