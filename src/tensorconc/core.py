@@ -11,6 +11,11 @@ form, so two tensors are equal exactly when their entry lists are equal.
 materialization is gated at n^k <= 10^6 and exceeding the gate is an error,
 never a silent fallback.
 
+Contractions against vectors have one implementation, ``_Contraction``: it
+lays a tensor out once as contiguous 0-based index arrays per mode, and
+``multilinear_form``, ``contract_all_but_one`` and higher-order power
+iteration (which reuses one layout across all its sweeps) all run on it.
+
 All types are immutable after construction and safe to share across threads.
 """
 
@@ -318,7 +323,7 @@ class VectorTuple:
     @property
     def unit(self) -> bool:
         """True when every vector has Euclidean norm within 1e-12 of 1."""
-        return all(abs(np.linalg.norm(v) - 1.0) <= 1e-12 for v in self.vectors)
+        return all(abs(np.sqrt(_dot(v, v)) - 1.0) <= 1e-12 for v in self.vectors)
 
     @classmethod
     def basis(cls, order: int, dim: int, indices: Sequence[int]) -> "VectorTuple":
@@ -350,6 +355,17 @@ def _vectors_of(xs, order: int, dim: int) -> tuple:
     return tuple(out)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a_i * b_i over 1-d arrays, by numpy's own loop rather than BLAS.
+
+    BLAS ``ddot`` (behind ``np.dot`` and ``np.linalg.norm``) splits long sums
+    across its threads, so its last bits depend on the BLAS thread count;
+    this sum does not, which keeps every result a function of the input
+    alone.  Every dot product and vector norm in the package uses it.
+    """
+    return float(np.einsum("i,i", a, b))
+
+
 def _require_same_shape(a: TensorShape, b: TensorShape) -> None:
     if a != b:
         raise ShapeMismatchError(f"shape mismatch: {a} vs {b}")
@@ -370,7 +386,7 @@ def frobenius_inner(t: TensorLike, a: TensorLike) -> float:
     if t.nnz and a.nnz:
         lt, la = t.sparse.linear_indices(), a.sparse.linear_indices()
         _, it, ia = np.intersect1d(lt, la, assume_unique=True, return_indices=True)
-        total += float(np.dot(t.sparse.values[it], a.sparse.values[ia]))
+        total += _dot(t.sparse.values[it], a.sparse.values[ia])
     if a.background != 0.0:
         total += a.background * float(t.sparse.values.sum())
     if t.background != 0.0:
@@ -384,26 +400,77 @@ def frobenius_norm(t: TensorLike) -> float:
     return float(np.sqrt(max(frobenius_inner(t, t), 0.0)))
 
 
+class _Contraction:
+    """A tensor laid out for repeated contractions against vectors.
+
+    Holds the contiguous 0-based ``intp`` index array of each mode, the
+    values, the background and n, built once per tensor.  A vector enters a
+    contraction as its mode-j *factor* (``factor``): the vector gathered at
+    the entries' mode-j indices, and its sum.  A caller that changes one
+    vector at a time (power iteration) refreshes only that factor.  Both
+    contractions multiply the values by the gathered factors in ascending
+    mode order and add the background term as b * prod sum(x_j), also in
+    mode order.  Vectors are trusted to be float64 of length n.
+    """
+
+    __slots__ = ("index", "values", "background", "dim")
+
+    def __init__(self, t: OffsetTensor):
+        coords = t.sparse.coords
+        self.index = tuple(coords[:, j].astype(np.intp) - 1 for j in range(t.shape.order))
+        self.values = t.sparse.values
+        self.background = t.background
+        self.dim = t.shape.dim
+
+    def factor(self, j: int, v: np.ndarray) -> tuple:
+        """(v at the 0-based mode ``j`` index of each entry, sum of v)."""
+        return v[self.index[j]], float(v.sum()) if self.background != 0.0 else 0.0
+
+    def _product(self, factors) -> np.ndarray:
+        prod = self.values.copy()
+        for gathered, _ in factors:
+            prod *= gathered
+        return prod
+
+    def _background_term(self, factors) -> float:
+        bg = self.background
+        for _, total in factors:
+            bg *= total
+        return bg
+
+    def form(self, factors) -> float:
+        """sum_i T_i prod_j x_j[i_j] over the sparse part (pairwise summed),
+        plus the background term; one factor per mode."""
+        total = 0.0
+        if len(self.values):
+            total += float(self._product(factors).sum())
+        if self.background != 0.0:
+            total += self._background_term(factors)
+        return total
+
+    def all_but_one(self, factors, free: int) -> np.ndarray:
+        """Contraction with every mode's factor but the 0-based mode ``free``
+        (``factors[free]`` is not read), summed by ``bincount``."""
+        others = [f for j, f in enumerate(factors) if j != free]
+        if len(self.values):
+            out = np.bincount(self.index[free], weights=self._product(others),
+                              minlength=self.dim)
+        else:
+            out = np.zeros(self.dim)
+        if self.background != 0.0:
+            out = out + self._background_term(others)
+        return out
+
+
 def multilinear_form(t: TensorLike, xs) -> float:
     """Inner product of the tensor with the rank-1 tensor x_1 (x) ... (x) x_k.
 
     Cost O(nnz * k + n * k); never materializes the dense tensor.
     """
     t = as_offset(t)
-    k, n = t.shape.order, t.shape.dim
-    vecs = _vectors_of(xs, k, n)
-    total = 0.0
-    if t.nnz:
-        prod = t.sparse.values.copy()
-        for j in range(k):
-            prod *= vecs[j][t.sparse.coords[:, j] - 1]
-        total += float(prod.sum())
-    if t.background != 0.0:
-        bg = t.background
-        for v in vecs:
-            bg *= float(v.sum())
-        total += bg
-    return total
+    c = _Contraction(t)
+    vecs = _vectors_of(xs, t.shape.order, t.shape.dim)
+    return c.form([c.factor(j, v) for j, v in enumerate(vecs)])
 
 
 def contract_all_but_one(t: TensorLike, xs, free_mode: int) -> np.ndarray:
@@ -416,20 +483,11 @@ def contract_all_but_one(t: TensorLike, xs, free_mode: int) -> np.ndarray:
     k, n = t.shape.order, t.shape.dim
     if not 1 <= free_mode <= k:
         raise ValueError(f"free_mode must be in [1, {k}], got {free_mode}")
-    vecs = _vectors_of(xs, k - 1, n)
     others = [j for j in range(k) if j != free_mode - 1]
-    out = np.zeros(n)
-    if t.nnz:
-        weights = t.sparse.values.copy()
-        for v, j in zip(vecs, others):
-            weights *= v[t.sparse.coords[:, j] - 1]
-        out = np.bincount(t.sparse.coords[:, free_mode - 1] - 1, weights=weights, minlength=n)
-    if t.background != 0.0:
-        bg = t.background
-        for v in vecs:
-            bg *= float(v.sum())
-        out = out + bg
-    return out
+    c = _Contraction(t)
+    factors = [c.factor(j, v) for j, v in zip(others, _vectors_of(xs, k - 1, n))]
+    factors.insert(free_mode - 1, None)
+    return c.all_but_one(factors, free_mode - 1)
 
 
 def hadamard(a, t: SparseTensor) -> SparseTensor:

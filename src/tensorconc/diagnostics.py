@@ -22,6 +22,7 @@ from .core import (
     SparseTensor,
     TensorLike,
     VectorTuple,
+    _dot,
     as_offset,
     linear_index,
     multilinear_form,
@@ -203,7 +204,7 @@ def light_contribution_check(
             pos = np.minimum(pos, len(tensor_lin) - 1)
             hit = tensor_lin[pos] == heavy_lin
             vals[hit] += w.sparse.values[pos[hit]]
-        heavy_part = float(np.dot(split.heavy_products, vals))
+        heavy_part = _dot(split.heavy_products, vals)
     light_sum = total - heavy_part
     ratio = abs(light_sum) / math.sqrt(n * p)
     return LightContributionRecord(light_sum, ratio, c, ratio <= c, split.heavy_count)
@@ -440,6 +441,6 @@ def kl_bernoulli(theta: ProbabilityModel, theta_prime: ProbabilityModel,
             kl += (1.0 - p_) * math.log((1.0 - p_) / (1.0 - q_))
     denom = a * (1.0 - b)
     diff = pt - qt
-    fro_sq = float(np.dot(diff, diff))
+    fro_sq = _dot(diff, diff)
     bound = fro_sq / denom if denom > 0 else float("inf")
     return KLRecord(float(kl), float(bound), bool(kl <= bound + 1e-12))

@@ -351,7 +351,7 @@ def mixing_check(
         if total <= families.exhaustive_limit:
             fams = [fam for fam in itertools.product(*families.candidates)]
         else:
-            pick_key = rng.stream_key(seed, rng.LBL_SUBSET_SIZE)
+            pick_key = rng.stream_key(seed, rng.LBL_SUBSET_PICK)
             count = families.count or families.exhaustive_limit
             u = rng.uniform_block(pick_key, 0, count * k)
             fams = []

@@ -6,12 +6,22 @@ seed pair and an operation label, and the counter (a coordinate's linear
 index, a draw index, a restart number, ...) is hashed through a splitmix64
 finalizer.  There is no sequential generator state, so results are identical
 under any iteration order or degree of parallelism.
+
+Every array of draws comes from one kernel, ``_hash53``.  It walks the
+counters in blocks of 2^16 and hashes each block in place in two reused
+uint64 buffers.  For a contiguous run of counters it adds the block's offset
+``(start * GAMMA + key) mod 2^64``, computed with Python integers, to a
+precomputed ``i * GAMMA`` ramp.  It yields the top 53 bits ``h`` of each
+hash; the uniform is ``u = h * 2^-53`` exactly.  So a Bernoulli(p) keep test
+``u < p`` is the exact integer test ``h < ceil(p * 2^53)``, which is how
+``_positions_percoord`` runs it, with no float temporary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,8 +39,14 @@ LBL_HOPM_INIT = 0x05
 LBL_SLICE = 0x06
 LBL_SUBSET_SIZE = 0x07
 LBL_SUBSET_MEMBERS = 0x08
+LBL_SUBSET_PICK = 0x09
 
-_BLOCK = 1 << 20
+_BLOCK = 1 << 16
+_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
+# i * GAMMA mod 2^64; counter start + i enters the hash as start's offset plus _RAMP[i]
+_RAMP = np.arange(_BLOCK, dtype=np.uint64) * _U_GAMMA
+_RAMP.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -57,15 +73,6 @@ def _fin_int(z: int) -> int:
     return z
 
 
-def _fin_arr(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return z
-
-
 def stream_key(seed: SeedSpec, label: int) -> int:
     """64-bit key for one (seed, operation) substream."""
     k = _fin_int(seed.base_seed + _GAMMA)
@@ -74,21 +81,61 @@ def stream_key(seed: SeedSpec, label: int) -> int:
     return k
 
 
+def _hash53(key: int, counters) -> Iterator[tuple]:
+    """Top 53 bits of the keyed splitmix64 hash of each counter, by block.
+
+    ``counters`` is a 1-d array (cast to uint64 as ``astype`` does) or a
+    ``range`` with step 1.  Yields ``(lo, h)`` for each block of up to
+    ``_BLOCK`` counters starting at position ``lo``; ``h`` is a view of a
+    buffer that the next block overwrites.
+    """
+    total = len(counters)
+    contiguous = isinstance(counters, range)
+    z = np.empty(min(total, _BLOCK), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    for lo in range(0, total, _BLOCK):
+        count = min(_BLOCK, total - lo)
+        h, t = z[:count], tmp[:count]
+        if contiguous:
+            np.add(_RAMP[:count], np.uint64(((counters.start + lo) * _GAMMA + key) & _MASK64), out=h)
+        else:
+            h[...] = counters[lo:lo + count]
+            h *= _U_GAMMA
+            h += np.uint64(key)
+        np.right_shift(h, _U30, out=t)
+        h ^= t
+        h *= _U_MIX1
+        np.right_shift(h, _U27, out=t)
+        h ^= t
+        h *= _U_MIX2
+        np.right_shift(h, _U31, out=t)
+        h ^= t
+        h >>= _U11
+        yield lo, h
+
+
+def _uniforms(key: int, counters, open_left: bool) -> np.ndarray:
+    """(h + open_left) * 2^-53 per counter: in [0, 1), or in (0, 1]."""
+    out = np.empty(len(counters), dtype=np.float64)
+    for lo, h in _hash53(key, counters):
+        if open_left:
+            h += np.uint64(1)
+        np.multiply(h, 2.0**-53, out=out[lo:lo + len(h)])
+    return out
+
+
 def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) at the given uint64 counters."""
-    z = counters.astype(np.uint64) * np.uint64(_GAMMA) + np.uint64(key)
-    return (_fin_arr(z) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return _uniforms(key, np.ravel(counters), False).reshape(np.shape(counters))
 
 
 def uniforms_open_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in (0, 1] at the given uint64 counters (safe for log)."""
-    z = counters.astype(np.uint64) * np.uint64(_GAMMA) + np.uint64(key)
-    h = (_fin_arr(z) >> np.uint64(11)) + np.uint64(1)
-    return h.astype(np.float64) * 2.0**-53
+    return _uniforms(key, np.ravel(counters), True).reshape(np.shape(counters))
 
 
 def uniform_block(key: int, start: int, count: int) -> np.ndarray:
-    return uniforms_at(key, np.arange(start, start + count, dtype=np.uint64))
+    return _uniforms(key, range(start, start + count), False)
 
 
 def bernoulli_positions(total: int, p: float, key: int, method: str = "auto") -> np.ndarray:
@@ -117,12 +164,18 @@ def bernoulli_positions(total: int, p: float, key: int, method: str = "auto") ->
     raise ValueError(f"unknown sampling method: {method!r}")
 
 
-def _positions_percoord(total: int, p: float, key: int) -> np.ndarray:
+def _positions_percoord(total: int, p, key: int) -> np.ndarray:
+    """Sorted uint64 positions c in [0, total) with uniform u_c < p.
+
+    ``p`` is one probability, or an array of one per position.
+    """
+    scalar = np.ndim(p) == 0
+    if scalar:
+        thresh = np.uint64(math.ceil(p * 2.0**53))
     kept = []
-    for start in range(0, total, _BLOCK):
-        ctr = np.arange(start, min(start + _BLOCK, total), dtype=np.uint64)
-        u = uniforms_at(key, ctr)
-        kept.append(ctr[u < p])
+    for lo, h in _hash53(key, range(total)):
+        below = h < (thresh if scalar else np.ceil(p[lo:lo + len(h)] * 2.0**53))
+        kept.append(np.flatnonzero(below).astype(np.uint64) + np.uint64(lo))
     return np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
 
 
@@ -133,8 +186,7 @@ def _positions_skip(total: int, p: float, key: int) -> np.ndarray:
     pos = -1
     drawn = 0
     while pos < total:
-        ctr = np.arange(drawn, drawn + block, dtype=np.uint64)
-        u = uniforms_open_at(key, ctr)
+        u = _uniforms(key, range(drawn, drawn + block), True)
         steps = np.floor(np.log(u) / log1mp).astype(np.int64) + 1
         positions = pos + np.cumsum(steps)
         out.append(positions[positions < total].astype(np.uint64))
@@ -147,6 +199,6 @@ def sample_without_replacement(key: int, counter_base: int, n: int, size: int) -
     """Deterministic size-subset of [1, n], sorted ascending (1-based)."""
     if not 1 <= size <= n:
         raise ValueError(f"subset size {size} out of range [1, {n}]")
-    u = uniforms_at(key, np.arange(counter_base, counter_base + n, dtype=np.uint64))
+    u = uniform_block(key, counter_base, n)
     picked = np.argsort(u, kind="stable")[:size] + 1
     return np.sort(picked).astype(np.int32)

@@ -51,14 +51,7 @@ def bernoulli_sample(
         raise TypeError(f"unsupported probability model: {type(model).__name__}")
     if model.shape != shape:
         raise ValueError(f"model shape {model.shape} mismatches {shape}")
-    flat = model.table.reshape(-1)
-    kept = []
-    total = shape.ncoords
-    for start in range(0, total, 1 << 20):
-        ctr = np.arange(start, min(start + (1 << 20), total), dtype=np.uint64)
-        u = rng.uniforms_at(key, ctr)
-        kept.append(ctr[u < flat[start : start + len(ctr)]])
-    positions = np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
+    positions = rng._positions_percoord(shape.ncoords, model.table.reshape(-1), key)
     coords = _coords_from_linear(positions, shape.order, shape.dim)
     return SparseTensor(shape, coords, np.ones(len(positions)), presorted=True)
 

@@ -32,8 +32,10 @@ from .core import (
     TensorLike,
     TensorShape,
     VectorTuple,
+    _Contraction,
+    _dot,
+    _vectors_of,
     as_offset,
-    contract_all_but_one,
     multilinear_form,
 )
 from .rng import SeedSpec
@@ -136,13 +138,8 @@ class MatrixNormResult:
 
 
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a vector, summed by numpy rather than BLAS.
-
-    BLAS ``ddot`` (behind ``np.linalg.norm``) splits long sums across its
-    threads, so its last bits depend on the BLAS thread count; this sum
-    does not, which keeps every estimate a function of the input alone.
-    """
-    return math.sqrt(float(np.einsum("i,i", x, x)))
+    """Euclidean norm of a vector, summed by ``_dot``, not BLAS."""
+    return math.sqrt(_dot(x, x))
 
 
 def _e1(dim: int) -> np.ndarray:
@@ -237,7 +234,7 @@ def _lanczos(op, start: np.ndarray, config: PowerIterConfig) -> tuple:
     for j in range(limit):
         q = basis[:j + 1]
         w = op(basis[j])
-        alphas.append(float(np.einsum("i,i", basis[j], w)))
+        alphas.append(_dot(basis[j], w))
         for _ in range(2):
             w = w - np.einsum("ij,i->j", q, np.einsum("ij,j->i", q, w))
         beta = _norm(w)
@@ -331,7 +328,7 @@ def _gram(mat: _Matrix, rows_side: bool) -> tuple:
         sums = s @ np.ones(big)
         g += b * np.add.outer(sums, sums) + b * b * big
     mags = np.abs(s.data) + abs(b)
-    frob = float(np.einsum("i,i", mags, mags)) + b * b * (r * big - s.nnz)
+    frob = _dot(mags, mags) + b * b * (r * big - s.nnz)
     return g, _gamma(big + 4) * frob
 
 
@@ -436,7 +433,7 @@ def hopm_lower(
     if folded is not None:
         starts.append(folded)
     for x in extra_inits:
-        starts.append([np.asarray(v, dtype=np.float64) for v in x])
+        starts.append(list(_vectors_of(x, k, n)))
     for r in range(config.restarts):
         xs = []
         for j in range(k):
@@ -445,12 +442,14 @@ def hopm_lower(
             nv = _norm(v)
             xs.append(v / nv if nv > 0 else np.full(n, n**-0.5))
         starts.append(xs)
+    contraction = _Contraction(t)
     best_val = -1.0
     best_xs = None
     best_conv = False
     total_iter = 0
     for xs in starts:
         xs = [x.copy() for x in xs]
+        factors = [contraction.factor(j, x) for j, x in enumerate(xs)]
         prev = -np.inf
         hits = 0
         obj = 0.0
@@ -458,17 +457,17 @@ def hopm_lower(
         for sweep in range(1, config.max_iterations + 1):
             total_iter += 1
             dead = False
-            for j in range(1, k + 1):
-                others = [xs[i] for i in range(k) if i != j - 1]
-                v = contract_all_but_one(t, others, j)
+            for j in range(k):
+                v = contraction.all_but_one(factors, j)
                 nv = _norm(v)
                 if nv == 0.0:
                     dead = True
                     break
-                xs[j - 1] = v / nv
+                xs[j] = v / nv
+                factors[j] = contraction.factor(j, xs[j])
                 obj = nv
             if dead:
-                obj = abs(multilinear_form(t, xs))
+                obj = abs(contraction.form(factors))
                 converged = True
                 break
             if prev > -np.inf and abs(obj - prev) <= config.tensor_tol * max(obj, 1e-300):
@@ -479,7 +478,7 @@ def hopm_lower(
             else:
                 hits = 0
             prev = obj
-        val = abs(multilinear_form(t, xs))
+        val = abs(contraction.form(factors))
         if val > best_val:
             best_val = val
             best_xs = xs

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetTensor, TensorLike, as_offset
+from .core import OffsetTensor, TensorLike, _dot, as_offset
 
 
 class Partition:
@@ -194,7 +194,7 @@ class UnfoldedView:
     def frobenius_sq(self) -> float:
         """Frobenius norm squared, computed analytically (bijection preserves it)."""
         v = self.values
-        total = float(np.dot(v, v))
+        total = _dot(v, v)
         bg = self.background
         if bg != 0.0:
             ncoords = 1

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +101,20 @@ class TestFrobenius:
         expected = np.sqrt(dense_inner(t.to_dense(), t.to_dense()))
         assert frobenius_norm(t) == pytest.approx(expected, rel=1e-12)
 
+    def test_norm_independent_of_blas_threads(self):
+        # a million-term sum is long enough for BLAS to split it across threads
+        script = ("import numpy as np; from tensorconc import SparseTensor, frobenius_norm; "
+                  "t = SparseTensor.from_dense(np.random.default_rng(3).standard_normal((1000, 1000))); "
+                  "print(repr(frobenius_norm(t)))")
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                 env=env)
+            assert res.returncode == 0, res.stderr
+            outputs.add(res.stdout)
+        assert len(outputs) == 1
+
     def test_background_inner_gated(self):
         small = OffsetTensor(SparseTensor.empty(TensorShape(2, 3)), 2.0)
         assert frobenius_inner(small, small) == pytest.approx(4.0 * 9)
@@ -183,6 +201,26 @@ class TestContract:
                 e[i] = 1.0
                 probe[mode - 1] = e
                 assert v[i] == pytest.approx(multilinear_form(t, probe), rel=1e-12, abs=1e-12)
+
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("background", [0.0, -0.3])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_matches_dense_einsum(self, rng, k, background, empty):
+        n = 3
+        sparse = SparseTensor.empty(TensorShape(k, n)) if empty else random_sparse(
+            rng, k, n, values="float")
+        t = OffsetTensor(sparse, background)
+        dense = t.materialize()
+        xs = list(rng.standard_normal((k, n)))
+        modes = "abcde"[:k]
+        want = np.einsum(f"{modes},{','.join(modes)}->", dense, *xs)
+        assert multilinear_form(t, xs) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for free in range(k):
+            others = [xs[j] for j in range(k) if j != free]
+            spec = f"{modes},{','.join(modes[:free] + modes[free + 1:])}->{modes[free]}"
+            got = contract_all_but_one(t, others, free + 1)
+            assert got == pytest.approx(np.einsum(spec, dense, *others), rel=1e-12, abs=1e-12)
 
 
 class TestHadamard:

@@ -1,4 +1,4 @@
-"""Golden output bytes: one tiny sweep per command, pinned by sha256.
+"""Golden output bytes: one small sweep per command, pinned by sha256.
 
 Each case pins the digest of the results CSV with its wall_ms column masked,
 and of the summary JSON.  A change that moves any estimate by one ulp, or
@@ -37,6 +37,13 @@ CASES = {
     "diagnostics": {"command": "diagnostics", "n_list": [20], "m": 1,
                     "p_rule": {"kind": "c_logn_over_nm", "c": 5.0, "m": 1},
                     "params": {"families": 100}},
+    # workload scale: n^k spans many hash blocks, and HOPM runs long
+    "conc-n120": {"command": "concentration", "n_list": [120], "trials": 1,
+                  "p_rule": {"kind": "c_logn_over_nm", "c": 5.0, "m": 2},
+                  "estimator": {"restarts": 2}},
+    "diag-n100": {"command": "diagnostics", "m": 1, "n_list": [100],
+                  "p_rule": {"kind": "c_logn_over_nm", "c": 5.0, "m": 1},
+                  "params": {"families": 100}},
 }
 DIGESTS = {
     "concentration": ("635c1f6ce99f32ded79637abd2c9a0808e156f45ae16131f38e71150f8a4243c",
@@ -59,6 +66,10 @@ DIGESTS = {
                  "744fd7fe89a4ecf66fa30c06933b1521c6a740dbd4a8da78fd00f48115a3b268"),
     "diagnostics": ("7402f4626dd71608a902cd2e625514ca165414aba7939e207bd2a523db23c976",
                     "01f8f655f05cae4b3701873d2e1346ffb92f4c1e4203d2f464f4a9a133e1bb11"),
+    "conc-n120": ("691278e17ae404e9f38af5cf41fee9303c65d14bae08a8ea36cd8aea724c1298",
+                  "23c090a34a797b31b6b3f6eba0183c06e6963250fb45c1bd78598065c0224315"),
+    "diag-n100": ("b99b4769daac951eef7fe25c4c314145a4084bc63545613d586d47b1d95c4cf6",
+                  "012f152fc03c9df12358a9d476704a793359df8591ffd98a288ab9d7c89ab626"),
 }
 
 

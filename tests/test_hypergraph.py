@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -23,6 +24,7 @@ from tensorconc import (
     multilinear_form,
     sample_subset_families,
 )
+from tensorconc import rng
 
 
 class TestAdjacency:
@@ -152,6 +154,25 @@ class TestMixingCheck:
         cands = ([np.array([1, 2]), np.array([3])], [np.array([4]), np.array([5, 6])])
         rep = mixing_check(t, 0.5, SubsetFamilies.product(cands), SeedSpec(0, 0))
         assert len(rep.trials) == 4
+
+    def test_product_families_sampled_over_limit(self):
+        t = adjacency(er_hypergraph(2, 6, 0.5, SeedSpec(36, 0)))
+        # candidate sizes differ within each mode, so sizes identify the picks
+        cands = ([np.array([1, 2]), np.array([3]), np.array([1, 4, 5])],
+                 [np.array([4]), np.array([5, 6])])
+        fams = dataclasses.replace(SubsetFamilies.product(cands), exhaustive_limit=5, count=40)
+        seed = SeedSpec(9, 2)
+        a = mixing_check(t, 0.5, fams, seed)
+        b = mixing_check(t, 0.5, fams, seed)
+        assert [(tr.sizes, tr.e) for tr in a.trials] == [(tr.sizes, tr.e) for tr in b.trials]
+        u = rng.uniform_block(rng.stream_key(seed, rng.LBL_SUBSET_PICK), 0, 40 * 2)
+        picks = [(len(cands[0][int(u[2 * i] * 3)]), len(cands[1][int(u[2 * i + 1] * 2)]))
+                 for i in range(40)]
+        assert [tr.sizes for tr in a.trials] == picks
+
+    def test_rng_labels_distinct(self):
+        labels = {v for name, v in vars(rng).items() if name.startswith("LBL_")}
+        assert len(labels) == len([name for name in vars(rng) if name.startswith("LBL_")])
 
     def test_report_emission(self):
         h = er_hypergraph(3, 10, 0.2, SeedSpec(38, 0))

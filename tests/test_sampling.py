@@ -16,7 +16,16 @@ from tensorconc import (
     er_hypergraph,
     sparsify_uniform,
 )
-from tensorconc.rng import LBL_BERNOULLI, stream_key, uniforms_at
+from tensorconc.rng import (
+    _GAMMA,
+    _MASK64,
+    LBL_BERNOULLI,
+    _fin_int,
+    _positions_percoord,
+    stream_key,
+    uniforms_at,
+    uniforms_open_at,
+)
 
 
 class TestBernoulliSample:
@@ -81,6 +90,48 @@ class TestBernoulliSample:
         table[0, :] = 1.0
         t = bernoulli_sample(TensorShape(2, 3), DenseProbability(table), SeedSpec(0, 0))
         assert t.coords.tolist() == [[1, 1], [1, 2], [1, 3]]
+
+    def test_dense_model_matches_uniform_replay(self):
+        # 41^3 coordinates span two hash blocks
+        table = np.random.default_rng(4).random((41, 41, 41))
+        table[0] = 0.0
+        table[1] = 1.0
+        seed = SeedSpec(6, 1)
+        t = bernoulli_sample(TensorShape(3, 41), DenseProbability(table), seed)
+        u = uniforms_at(stream_key(seed, LBL_BERNOULLI), np.arange(41**3, dtype=np.uint64))
+        assert np.array_equal(t.linear_indices(), np.flatnonzero(u < table.reshape(-1)))
+
+
+class TestHashKernel:
+    # 0.3 * 2^53 is not an integer, so the threshold is rounded up
+    P_VALUES = [2.0**-53, 0.5, 1.0 - 2.0**-53, 0.3]
+
+    @pytest.mark.parametrize("total", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_percoord_is_uniform_below_p(self, total, p):
+        key = stream_key(SeedSpec(11, total), LBL_BERNOULLI)
+        want = np.flatnonzero(uniforms_at(key, np.arange(total, dtype=np.uint64)) < p)
+        got = _positions_percoord(total, p, key)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_integer_threshold_at_its_edge(self, p):
+        thresh = math.ceil(p * 2.0**53)
+        for h in (thresh - 1, thresh, thresh + 1):
+            assert (h < thresh) == (h * 2.0**-53 < p)
+        assert (0.3 * 2.0**53) % 1.0 != 0.0
+
+    def test_uniforms_match_scalar_replay(self):
+        gen = np.random.default_rng(5)
+        near_top = np.uint64(_MASK64) - np.arange(50_000, dtype=np.uint64)
+        ctr = np.concatenate([near_top, gen.integers(0, 2**64 - 1, 90_000, dtype=np.uint64)])
+        gen.shuffle(ctr)
+        ctr = ctr[::2]  # unsorted, strided, and longer than one hash block
+        key = stream_key(SeedSpec(3, 4), LBL_BERNOULLI)
+        tops = [_fin_int(int(c) * _GAMMA + key) >> 11 for c in ctr]
+        assert np.array_equal(uniforms_at(key, ctr), np.array(tops) * 2.0**-53)
+        assert np.array_equal(uniforms_open_at(key, ctr), (np.array(tops) + 1) * 2.0**-53)
 
 
 class TestSparsifyUniform:
