@@ -19,9 +19,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import Homogeneous, OffsetTensor, SparseTensor, TensorShape, center
+from .core import DENSE_GATE, Homogeneous, SparseTensor, TensorShape, center
 from .diagnostics import bounded_degree_check, discrepancy_check
 from .hypergraph import SubsetFamilies, adjacency, mixing_check
 from .regularization import degree_map, expander_construct, regularize, removed_count_check
@@ -117,7 +115,10 @@ class ExperimentConfig:
     estimator: EstimatorSettings = EstimatorSettings()
     out: str = "results.csv"
     partition: object = None  # optional Partition override for the upper bound
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # typed and completed by _check_params
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", _check_params(self.command, self.params))
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -136,6 +137,9 @@ class ExperimentConfig:
                 raise ConfigError(f"p_rule gives p={p} outside (0, 1] at n={n}")
         if self.command == "expander" and self.m != self.k - 1:
             raise ConfigError("expander runs use m = k - 1")
+        if self.command == "sparsify" and max(self.n_list) ** self.k > DENSE_GATE:
+            raise ConfigError(f"sparsify lists all n^k entries; n = {max(self.n_list)} is "
+                              f"above the dense gate n^k <= {DENSE_GATE}")
         if self.partition is not None:
             if self.partition.order != self.k:
                 raise ConfigError(
@@ -281,7 +285,7 @@ def _expander(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
         "degree_bound": 2.0 * math.factorial(cfg.k) * n ** (cfg.k - 1) * p,
     }
     if 0 < p < 1:
-        fam = SubsetFamilies.sampled(int(cfg.params.get("mixing_families", 500)))
+        fam = SubsetFamilies.sampled(cfg.params["mixing_families"])
         report = mixing_check(tprime, p, fam, seed)
         aux["mixing_max_ratio"] = report.max_ratio
         aux["fitted_C"] = report.fitted_c
@@ -289,22 +293,16 @@ def _expander(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
 
 
 def _sparsify(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
-    shape = TensorShape(cfg.k, n)
-    base = SparseTensor.all_ones(shape)
+    base = SparseTensor.all_ones(TensorShape(cfg.k, n))
     kept = sparsify_uniform(base, p, seed)
-    mask = np.zeros(shape.ncoords, dtype=bool)
-    mask[kept.linear_indices().astype(np.int64)] = True
-    values = np.where(mask, base.values * (1.0 - p), base.values * (-p))
-    w = OffsetTensor(SparseTensor(shape, base.coords, values, presorted=True), 0.0)
-    return w, {"kept": kept.nnz, "total": base.nnz}
+    return center(kept, Homogeneous(p)), {"kept": kept.nnz, "total": base.nnz}
 
 
 def _diagnostics(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
     t = bernoulli_sample(TensorShape(cfg.k, n), Homogeneous(p), seed)
-    bd = bounded_degree_check(t, p, float(cfg.params.get("c1", 3.0)))
-    disc = discrepancy_check(t, p, float(cfg.params.get("c2", 20.0)),
-                             float(cfg.params.get("c3", 20.0)),
-                             int(cfg.params.get("families", 1000)), seed)
+    bd = bounded_degree_check(t, p, cfg.params["c1"])
+    disc = discrepancy_check(t, p, cfg.params["c2"], cfg.params["c3"],
+                             cfg.params["families"], seed)
     return None, {
         "nnz": t.nnz,
         "max_degree": bd.max_degree,
@@ -325,6 +323,33 @@ _TRIALS = {
     "diagnostics": _diagnostics,
 }
 COMMANDS = tuple(_TRIALS)
+
+# command -> {params key: (type, default)}; every int is a count
+_PARAMS = {
+    "expander": {"mixing_families": (int, 500)},
+    "diagnostics": {"c1": (float, 3.0), "c2": (float, 20.0), "c3": (float, 20.0),
+                    "families": (int, 1000)},
+}
+
+
+def _check_params(command: str, params: dict) -> dict:
+    """``params`` typed and completed with defaults from ``_PARAMS``."""
+    table = _PARAMS.get(command, {})
+    unknown = sorted(set(params) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown params for {command}: {unknown}; known: {sorted(table)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        raw = params.get(key, default)
+        try:  # no bool, no rounding, no string parsing
+            ok = not isinstance(raw, bool) and kind(raw) == raw and (kind is float or raw >= 1)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            want = "an int >= 1" if kind is int else "a number"
+            raise ConfigError(f"params.{key} must be {want}, got {raw!r}")
+        out[key] = kind(raw)
+    return out
 
 
 def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:

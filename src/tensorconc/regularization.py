@@ -1,5 +1,5 @@
 """Tuple-degree computation, degree-threshold regularization, and the
-three-step bounded-degree expander construction.
+bounded-degree expander construction built from them.
 
 The degree of a (k-m)-tuple is the number of stored entries sharing that
 prefix (equal to the value sum for 0/1 tensors).  Regularization zeroes
@@ -9,14 +9,14 @@ threshold are kept.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseTensor, linear_index
+from .core import SparseTensor
+from .hypergraph import Hypergraph, adjacency
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,10 @@ class RegularizationResult:
 def regularize(t: SparseTensor, m: int, p: float) -> RegularizationResult:
     """Remove all entries whose (k-m)-prefix degree exceeds 2 * n^m * p.
 
-    The guarantee regime is k/2 <= m <= k-1; other m still run but are
-    flagged (and warned) as outside it.
+    ``degree_map`` splits the sorted entries into one contiguous run per
+    prefix, so an entry is kept exactly when its run is at most the
+    threshold long.  The guarantee regime is k/2 <= m <= k-1; other m still
+    run but are flagged (and warned) as outside it.
     """
     k, n = t.shape.order, t.shape.dim
     if not 1 <= m <= k - 1:
@@ -94,9 +96,9 @@ def regularize(t: SparseTensor, m: int, p: float) -> RegularizationResult:
     dm = degree_map(t, m)
     bad = dm.counts > threshold
     removed = np.ascontiguousarray(dm.prefixes[bad])
-    if removed.shape[0] == 0 or t.nnz == 0:
+    if removed.shape[0] == 0:
         return RegularizationResult(t, removed, threshold, m, in_regime)
-    keep = ~np.isin(linear_index(t.coords[:, :k - m], n), linear_index(removed, n))
+    keep = np.repeat(~bad, dm.counts)
     out = SparseTensor(t.shape, t.coords[keep], t.values[keep], presorted=True)
     return RegularizationResult(out, removed, threshold, m, in_regime)
 
@@ -120,58 +122,29 @@ def removed_count_check(result: RegularizationResult, n: int, p: float) -> Remov
 
 
 def _validate_symmetric_adjacency(t: SparseTensor) -> None:
-    k = t.shape.order
-    if t.nnz == 0:
-        return
-    if np.any(np.sort(t.coords, axis=1)[:, :-1] == np.sort(t.coords, axis=1)[:, 1:]):
-        raise ValueError("adjacency tensor has an entry with repeated indices")
+    """Unit values on distinct-index coordinates in complete orbits: as the
+    coordinates are unique, that is nnz == (distinct sorted rows) * k!."""
+    if np.any(t.values != 1.0):
+        raise ValueError("adjacency tensor has a value other than 1")
     srt = np.sort(t.coords, axis=1)
-    order = np.lexsort(tuple(srt[:, j] for j in range(k - 1, -1, -1)))
-    srt = srt[order]
-    vals = t.values[order]
-    new = np.empty(t.nnz, dtype=bool)
-    new[0] = True
-    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-    starts = np.flatnonzero(new)
-    sizes = np.diff(np.append(starts, t.nnz))
-    fact = math.factorial(k)
-    if np.any(sizes != fact):
+    if np.any(srt[:, :-1] == srt[:, 1:]):
+        raise ValueError("adjacency tensor has an entry with repeated indices")
+    if np.unique(srt, axis=0).shape[0] * math.factorial(t.shape.order) != t.nnz:
         raise ValueError("input tensor is not symmetric: incomplete permutation orbit")
-    for s, c in zip(starts, sizes):
-        if not np.all(vals[s : s + c] == vals[s]):
-            raise ValueError("input tensor is not symmetric: orbit values differ")
 
 
 def expander_construct(t: SparseTensor, p: float) -> SparseTensor:
-    """Three-step bounded-degree regularization of a symmetric adjacency tensor.
+    """Bounded-degree regularization of a symmetric 0/1 adjacency tensor.
 
-    1. keep only strictly increasing coordinates;
-    2. zero every first-mode slice whose degree exceeds 2 * n^(k-1) * p;
-    3. symmetrize by summing over all index permutations.
-
-    Each surviving edge has exactly one increasing representative, so the
-    output has 0/1 values on distinct-index coordinates (asserted).
+    1. keep only strictly increasing coordinates, one per edge;
+    2. ``regularize`` them with m = k-1: every edge whose first vertex lies
+       in more than 2 * n^(k-1) * p kept edges is dropped (ties kept);
+    3. ``adjacency`` of the surviving edges, i.e. the sum over all index
+       permutations.
     """
     k, n = t.shape.order, t.shape.dim
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
     _validate_symmetric_adjacency(t)
-    if t.nnz == 0:
-        return SparseTensor.empty(t.shape)
     increasing = np.all(np.diff(t.coords, axis=1) > 0, axis=1)
-    coords = t.coords[increasing]
-    values = t.values[increasing]
-    threshold = 2.0 * n ** (k - 1) * p
-    first_degree = np.bincount(coords[:, 0], minlength=n + 1)
-    bad = first_degree > threshold
-    keep = ~bad[coords[:, 0]]
-    coords, values = coords[keep], values[keep]
-    if coords.shape[0] == 0:
-        return SparseTensor.empty(t.shape)
-    perms = list(itertools.permutations(range(k)))
-    sym_coords = np.concatenate([coords[:, perm] for perm in perms], axis=0)
-    sym_values = np.tile(values, len(perms))
-    out = SparseTensor(t.shape, sym_coords, sym_values)
-    if out.nnz and not np.all(np.isin(out.values, (0.0, 1.0))):
-        raise AssertionError("expander construction produced non-0/1 values")
-    return out
+    upper = SparseTensor(t.shape, t.coords[increasing], t.values[increasing], presorted=True)
+    kept = regularize(upper, k - 1, p).regularized
+    return adjacency(Hypergraph(k, n, kept.coords, presorted=True))

@@ -132,3 +132,24 @@ def set_partitions(k: int):
             out[b].append(k)
             yield out
         yield [list(blk) for blk in rest] + [[k]]
+
+
+def dense_expander(t: np.ndarray, p: float) -> np.ndarray:
+    """The three expander steps as loops over a dense adjacency array:
+    increasing coordinates, first-vertex degree filter (ties kept), and the
+    sum over all index permutations."""
+    k, n = t.ndim, t.shape[0]
+    upper = np.zeros_like(t)
+    for idx in itertools.product(range(n), repeat=k):
+        if all(a < b for a, b in zip(idx, idx[1:])):
+            upper[idx] = t[idx]
+    threshold = 2.0 * n ** (k - 1) * p
+    for i in range(n):
+        if np.count_nonzero(upper[i]) > threshold:
+            upper[i] = 0.0
+    out = np.zeros_like(t)
+    for idx in itertools.product(range(n), repeat=k):
+        if upper[idx] != 0:
+            for perm in itertools.permutations(idx):
+                out[perm] += upper[idx]
+    return out

@@ -26,7 +26,6 @@ from oracles import (
 )
 from tensorconc import (
     Homogeneous,
-    OffsetTensor,
     Partition,
     PowerIterConfig,
     SeedSpec,
@@ -256,10 +255,7 @@ def test_criterion_07_uniform_sparsification():
     ok_count = 0
     for s in range(trials):
         kept = sparsify_uniform(base, p, SeedSpec(707, s))
-        mask = np.zeros(base.shape.ncoords, dtype=bool)
-        mask[kept.linear_indices().astype(np.int64)] = True
-        values = np.where(mask, 1.0 - p, -p)
-        w = OffsetTensor(SparseTensor(base.shape, base.coords, values, presorted=True))
+        w = center(kept, Homogeneous(p))  # kept - p*J
         est = spectral_sandwich(w, m, PowerIterConfig(restarts=3, seed=SeedSpec(707, s)))
         ratio = est.upper / scale
         worst = max(worst, ratio)

@@ -62,8 +62,8 @@ DIGESTS = {
                          "5da21f09bbed75d13648dcf0cebbaed2cc6f70670f82792ddac2eff99bba85ff"),
     "expander": ("2724b8aeed7b0b1ebcae866763e4ead81119f6ce1c432051e85da498eaa8fbe0",
                  "4e96b1595d058b8e6af670cc0a8760b3524865a60fbd121044a69073af40cd70"),
-    "sparsify": ("487d98a0b69760782cf6970113b589476333cb1ca12c14d50dcefc633be9dde5",
-                 "744fd7fe89a4ecf66fa30c06933b1521c6a740dbd4a8da78fd00f48115a3b268"),
+    "sparsify": ("c2cf0453cabb9c73baa15d4c869cdc009b093aac413eefc136fb5515fb014d6e",
+                 "cbc3bc5a0f8c4a939da4ddb196d81839c4f7afe13e95dfa83dca5d05f2500767"),
     "diagnostics": ("7402f4626dd71608a902cd2e625514ca165414aba7939e207bd2a523db23c976",
                     "01f8f655f05cae4b3701873d2e1346ffb92f4c1e4203d2f464f4a9a133e1bb11"),
     "conc-n120": ("691278e17ae404e9f38af5cf41fee9303c65d14bae08a8ea36cd8aea724c1298",

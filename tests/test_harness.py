@@ -70,6 +70,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad estimator settings"):
             config_from_dict(_base_config(estimator=bad))
 
+    def test_params_typed_with_defaults(self):
+        cfg = config_from_dict(_base_config(command="diagnostics", m=1,
+                                            params={"families": 100, "c1": 4}))
+        assert cfg.params == {"c1": 4.0, "c2": 20.0, "c3": 20.0, "families": 100}
+        assert isinstance(cfg.params["c1"], float)
+        assert config_from_dict(_base_config(command="expander")).params == {
+            "mixing_families": 500}
+        assert config_from_dict(_base_config()).params == {}
+
+    @pytest.mark.parametrize("command,params,match", [
+        ("diagnostics", {"familes": 10}, "unknown params"),
+        ("concentration", {"families": 10}, "unknown params"),
+        ("diagnostics", {"families": "abc"}, "must be an int >= 1"),
+        ("diagnostics", {"families": 2.5}, "must be an int >= 1"),
+        ("diagnostics", {"families": True}, "must be an int >= 1"),
+        ("diagnostics", {"families": float("inf")}, "must be an int >= 1"),
+        ("diagnostics", {"c2": "x"}, "must be a number"),
+        ("diagnostics", {"c3": float("nan")}, "must be a number"),
+        ("diagnostics", {"families": 0}, "must be an int >= 1"),
+        ("expander", {"mixing_families": -3}, "must be an int >= 1"),
+    ])
+    def test_bad_params(self, command, params, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(_base_config(command=command, m=1 if command == "diagnostics" else 2,
+                                          params=params))
+
+    def test_sparsify_above_dense_gate(self):
+        config_from_dict(_base_config(command="sparsify", n_list=[8, 100]))  # 100^3 = 10^6
+        with pytest.raises(ConfigError, match="dense gate"):
+            config_from_dict(_base_config(command="sparsify", n_list=[8, 101]))
+
     def test_set_overrides(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(_base_config()))
@@ -202,6 +233,7 @@ class TestWorkers:
                 return (os._exit, (3,))
 
         cfg = config_from_dict({cfg!r})
+        cfg.params.update({params!r})  # after the load-time check
         if {die!r}:
             cfg.params["die"] = Die()
         try:
@@ -210,8 +242,8 @@ class TestWorkers:
             print(type(exc).__name__, exc)
     """)
 
-    def _error(self, cfg, jobs, die=False):
-        script = self.SCRIPT.format(cfg=cfg, jobs=jobs, die=die)
+    def _error(self, cfg, jobs, die=False, params=None):
+        script = self.SCRIPT.format(cfg=cfg, jobs=jobs, die=die, params=params or {})
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
@@ -219,11 +251,11 @@ class TestWorkers:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_trial_error_propagates(self, tmp_path, jobs):
-        # int("lots") raises inside the trial, so inside a worker at jobs=2
-        cfg = _base_config(command="diagnostics", n_list=[8], m=1,
-                           out=str(tmp_path / "r.csv"), params={"families": "lots"})
-        error = self._error(cfg, jobs)
-        assert error.startswith("ValueError") and "lots" in error
+        # a zero family count set past the load-time check raises inside the
+        # trial (SubsetFamilies.sampled), so inside a worker at jobs=2
+        cfg = _base_config(command="expander", n_list=[8], out=str(tmp_path / "r.csv"))
+        error = self._error(cfg, jobs, params={"mixing_families": 0})
+        assert error.startswith("ValueError") and "count must be >= 1" in error
 
     def test_worker_death_raises(self, tmp_path):
         cfg = _base_config(out=str(tmp_path / "r.csv"))
@@ -328,6 +360,30 @@ class TestCli:
                         "--set", "estimator.restarts=0", "--out", str(tmp_path / "o.csv"))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: bad estimator settings")
+
+    def test_sparsify_above_dense_gate_exit_2(self, tmp_path):
+        # 120^3 > 10^6: refused before the n = 8 trials run
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps(_base_config(command="sparsify", n_list=[8, 120],
+                                                    trials=1, out=str(out))))
+        res = self._cli("sparsify", "--config", str(cfg_path))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: sparsify") and "dense gate" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params,override", [
+        ({"familes": 10}, []), ({}, ["params.families=abc"]), ({}, ["params.families=0"])])
+    def test_bad_params_exit_2(self, tmp_path, params, override):
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps(_base_config(
+            command="diagnostics", n_list=[8], m=1, trials=1, out=str(out), params=params)))
+        sets = [arg for item in override for arg in ("--set", item)]
+        res = self._cli("diagnostics", "--config", str(cfg_path), *sets)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: ") and "params" in res.stderr
+        assert not out.exists()
 
     def test_command_mismatch_exit_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"

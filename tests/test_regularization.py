@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
-from oracles import dense_degree_counts
+from oracles import dense_degree_counts, dense_expander
 from tensorconc import (
     Homogeneous,
     SeedSpec,
@@ -105,6 +105,27 @@ class TestRegularize:
         res = regularize(t, 1, 0.25)  # threshold 2*4*0.25 = 2, prefix (1,) has degree 2
         assert res.removed_count == 0
 
+    def test_prefix_runs_past_linear_index_range(self):
+        # n^(k-m) = (2^31-1)^3 > 2^64: the prefix (5,9,5) has degree 1 and
+        # survives, although its row-major index wraps onto the removed (1,1,1)
+        n = 2**31 - 1
+        coords = [[1, 1, 1, j] for j in range(1, 6)] + [[5, 9, 5, 1]]
+        t = SparseTensor(TensorShape(4, n), coords, np.ones(6))
+        with pytest.warns(UserWarning, match="outside the guarantee regime"):
+            res = regularize(t, 1, 1e-9)  # threshold 2 * n * 1e-9 ~ 4.29
+        assert res.removed.tolist() == [[1, 1, 1]]
+        assert res.regularized.coords.tolist() == [[5, 9, 5, 1]]
+
+    def test_matches_bruteforce(self, rng):
+        for k, n, m in ((2, 7, 1), (3, 5, 2), (4, 4, 2), (4, 4, 3)):
+            t = random_sparse(rng, k, n, values="binary")
+            counts = dense_degree_counts(t.to_dense(), m)
+            for p in (0.01, 0.1, 0.3):
+                res = regularize(t, m, p)
+                kept = [c for c in t.coords.tolist()
+                        if counts[tuple(c[:k - m])] <= res.threshold]
+                assert res.regularized.coords.tolist() == kept
+
     def test_out_of_regime_warns(self):
         t = SparseTensor.all_ones(TensorShape(4, 3))
         with pytest.warns(UserWarning, match="outside the guarantee regime"):
@@ -180,6 +201,28 @@ class TestExpanderConstruct:
             out = expander_construct(adjacency(h), p)
             if out.nnz:
                 assert degree_map(out, k - 1).max_degree <= cap
+
+    # (k, n, c, edge probability, seed, removes a vertex); p = c / n^(k-1)
+    ORACLE_CASES = [
+        (2, 12, 1.0, 0.35, 0, True), (2, 12, 6.0, 0.5, 1, False),
+        (3, 9, 1.5, 0.3, 4, True), (3, 9, 20.0, 0.3, 3, False),
+        (4, 8, 2.0, 0.3, 0, True), (4, 8, 100.0, 0.2, 1, False),
+    ]
+
+    @pytest.mark.parametrize("k,n,c,q,seed,removes", ORACLE_CASES)
+    def test_matches_dense_oracle(self, k, n, c, q, seed, removes):
+        p = c / n ** (k - 1)
+        adj = adjacency(er_hypergraph(k, n, q, SeedSpec(15, seed)))
+        out = expander_construct(adj, p)
+        assert np.array_equal(out.to_dense(), dense_expander(adj.to_dense(), p))
+        assert (0 < out.nnz < adj.nnz) if removes else out == adj
+
+    def test_rejects_non_unit_values(self):
+        h = er_hypergraph(3, 8, 0.5, SeedSpec(11, 0))
+        adj = adjacency(h)
+        doubled = SparseTensor(adj.shape, adj.coords, 2.0 * adj.values, presorted=True)
+        with pytest.raises(ValueError, match="value other than 1"):
+            expander_construct(doubled, 0.5)
 
     def test_rejects_nonsymmetric(self):
         sh = TensorShape(3, 4)
