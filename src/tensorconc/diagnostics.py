@@ -27,9 +27,14 @@ from .core import (
     linear_index,
     multilinear_form,
 )
-from .hypergraph import _BoxCounter, box_sum, sample_subset_families
+from .hypergraph import _BoxCounter, _validate_families, sample_subset_families
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, hopm_lower
+
+
+def _check_p(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,7 @@ def split_tuples(ys, n: int, p: float) -> TupleSplit:
     the running |product| times the remaining modes' maxima cannot exceed
     the threshold.  Cost is output-sensitive.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    _check_p(p)
     vecs = list(ys.vectors) if isinstance(ys, VectorTuple) else [np.asarray(v, float) for v in ys]
     k = len(vecs)
     for v in vecs:
@@ -221,6 +225,7 @@ def bounded_degree_check(t: SparseTensor, p: float, c1: float) -> BoundedDegreeR
     """Maximum (k-1)-prefix degree versus c1 * n * p."""
     from .regularization import degree_map
 
+    _check_p(p)
     dm = degree_map(t, 1)
     bound = c1 * t.shape.dim * p
     return BoundedDegreeRecord(dm.max_degree, bound, dm.max_degree <= bound)
@@ -287,24 +292,23 @@ def discrepancy_check(
 
     ``families`` is either an integer (that many sampled families, sizes
     log-uniform, keyed by seed) or an explicit list of k-tuples of index
-    sets.  Sets are sorted by size internally so |I_1| <= ... <= |I_k|.
+    sets, each a set of distinct members.  Sets are sorted by size
+    internally so |I_1| <= ... <= |I_k|.
     """
+    _check_p(p)
     k, n = t.shape.order, t.shape.dim
     if isinstance(families, int):
         fams = sample_subset_families(k, n, families, seed)
     else:
-        fams = [tuple(np.asarray(s, dtype=np.int64) for s in fam) for fam in families]
+        fams = _validate_families(t.shape, families, "index sets must be nonempty")
     report = DiscrepancyReport(c2=c2, c3=c3)
     need_c2 = 0.0
     need_c3 = 0.0
     counter = _BoxCounter(t)
     for fam in fams:
         fam = tuple(sorted(fam, key=len))
-        for s in fam:
-            if len(s) == 0:
-                raise ValueError("index sets must be nonempty")
         sizes = tuple(len(s) for s in fam)
-        e = counter.sum(fam)
+        e = counter.count(fam)
         mu_bar = p
         for s in sizes:
             mu_bar *= s
@@ -352,8 +356,7 @@ def dyadic_profile(ys, delta: float, t: SparseTensor, p: float) -> DyadicProfile
     sigma over all nonempty class tuples."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    _check_p(p)
     vecs = list(ys.vectors) if isinstance(ys, VectorTuple) else [np.asarray(v, float) for v in ys]
     k, n = t.shape.order, t.shape.dim
     if len(vecs) != k:
@@ -374,12 +377,13 @@ def dyadic_profile(ys, delta: float, t: SparseTensor, p: float) -> DyadicProfile
             if members.size:
                 classes[(j, level)] = members
                 alpha[(j, level)] = members.size * 2.0 ** (2 * level) / n
+    counter = _BoxCounter(t)
     tuples = []
     per_mode = [[lvl for (j, lvl) in classes if j == mode] for mode in range(1, k + 1)]
     for combo in itertools.product(*per_mode):
         fam = tuple(classes[(j + 1, combo[j])] for j in range(k))
         sizes = tuple(len(f) for f in fam)
-        e = box_sum(t, fam)
+        e = counter.sum(fam)
         mu_bar = p
         for s_ in sizes:
             mu_bar *= s_

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .core import SparseTensor, TensorShape
+from .core import DENSE_GATE, SparseTensor, TensorShape
 from .rng import SeedSpec
 
 
@@ -108,18 +108,31 @@ def adjacency(h: Hypergraph) -> SparseTensor:
     return SparseTensor(shape, coords, np.ones(coords.shape[0]))
 
 
-def _validate_subsets(shape: TensorShape, subsets: Sequence[np.ndarray]) -> list:
-    if len(subsets) != shape.order:
-        raise ValueError(f"expected {shape.order} subsets, got {len(subsets)}")
-    out = []
-    for s in subsets:
-        s = np.asarray(s, dtype=np.int64)
-        if s.size == 0:
-            raise ValueError("subsets must be nonempty")
-        if s.min() < 1 or s.max() > shape.dim:
-            raise ValueError(f"subset members must lie in [1, {shape.dim}]")
-        out.append(s)
-    return out
+def _validate_families(shape: TensorShape, families, empty: str = "subsets must be nonempty") -> list:
+    """Each family as a tuple of int64 arrays, checked in one vectorized pass:
+    ``shape.order`` nonempty sets of distinct members of [1, n]."""
+    k, n = shape.order, shape.dim
+    fams = []
+    for fam in families:
+        if len(fam) != k:
+            raise ValueError(f"expected {k} subsets, got {len(fam)}")
+        fams.append(tuple(np.asarray(s, dtype=np.int64) for s in fam))
+    if not fams:
+        return fams
+    sets = [s for fam in fams for s in fam]
+    sizes = np.array([s.size for s in sets])
+    if not sizes.all():
+        raise ValueError(empty)
+    members = np.concatenate(sets, axis=None)
+    if members.min() < 1 or members.max() > n:
+        raise ValueError(f"subset members must lie in [1, {n}]")
+    # set number * (n + 1) + member rises strictly iff no set repeats a member
+    keys = np.repeat(np.arange(len(sets)) * (n + 1), sizes) + members
+    if np.any(keys[1:] <= keys[:-1]):
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("subset members must be distinct")
+    return fams
 
 
 def _table(dim: int, subset: np.ndarray) -> np.ndarray:
@@ -129,43 +142,58 @@ def _table(dim: int, subset: np.ndarray) -> np.ndarray:
 
 
 class _BoxCounter:
-    """Reusable box-sum evaluator: pays coordinate-layout cost once so that
-    many subset families can be scored against one tensor cheaply.
+    """Reusable box-sum evaluator: pays layout cost once so that many subset
+    families can be scored against one tensor cheaply.
 
-    Entries are lexicographically sorted, so the rows matching mode 1 form
-    contiguous runs; when the first subset is small only those runs are
-    scanned instead of every entry.
+    A 0/1 tensor with n^k <= ``DENSE_GATE`` is held as a dense bool bitmap.
+    A box sum takes the box out of it one mode at a time, smallest set
+    first, masks the largest set's mode and counts the ones: an exact
+    integer, with no BLAS.  Any other tensor keeps its sorted entries; the
+    rows matching mode 1 form contiguous runs, so when the first subset is
+    small only those runs are scanned instead of every entry.
     """
 
-    __slots__ = ("shape", "cols", "values", "unit_values", "run_bounds")
+    __slots__ = ("shape", "bits", "cols", "values", "unit_values", "run_bounds")
 
     def __init__(self, t: SparseTensor):
         self.shape = t.shape
-        self.cols = [np.ascontiguousarray(t.coords[:, j]) for j in range(t.shape.order)]
         self.values = t.values
         self.unit_values = bool(t.nnz) and bool(np.all(t.values == 1.0))
+        self.bits = self.cols = self.run_bounds = None
+        if self.unit_values and t.shape.ncoords <= DENSE_GATE:
+            bits = np.zeros(t.shape.ncoords, dtype=bool)
+            bits[t.linear_indices()] = True
+            self.bits = bits.reshape((t.shape.dim,) * t.shape.order)
+            return
+        self.cols = [np.ascontiguousarray(t.coords[:, j]) for j in range(t.shape.order)]
         if t.nnz:
             self.run_bounds = np.searchsorted(self.cols[0], np.arange(1, t.shape.dim + 2))
-        else:
-            self.run_bounds = np.zeros(t.shape.dim + 1, dtype=np.int64)
 
     def sum(self, subsets: Sequence[np.ndarray]) -> float:
-        subsets = _validate_subsets(self.shape, subsets)
+        return self.count(_validate_families(self.shape, [subsets])[0])
+
+    def count(self, subsets: Sequence[np.ndarray]) -> float:
+        """Box sum over subsets already known to be valid (``_validate_families``)."""
         if self.values.size == 0:
             return 0.0
         k, n = self.shape.order, self.shape.dim
+        if self.bits is not None:
+            *small, last = sorted(range(k), key=lambda j: len(subsets[j]))
+            box = self.bits
+            for j in small:
+                box = box.take(subsets[j] - 1, axis=j)
+            # the largest set masks its mode in place: cheaper than a gather
+            inside = _table(n, subsets[last])[1:].reshape((n,) + (1,) * (k - 1 - last))
+            return float(np.count_nonzero(box & inside))
         if len(subsets[0]) <= n // 2:
-            first = np.unique(subsets[0])
+            first = np.sort(subsets[0])
             pieces = [np.arange(self.run_bounds[v - 1], self.run_bounds[v]) for v in first]
-            idx = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+            idx = np.concatenate(pieces)
             if idx.size == 0:
                 return 0.0
-            mask = None
-            for j in range(1, k):
-                hit = _table(n, subsets[j])[self.cols[j][idx]]
-                mask = hit if mask is None else (mask & hit)
-            if mask is None:  # k == 1 cannot happen (order >= 2)
-                mask = np.ones(idx.size, dtype=bool)
+            mask = _table(n, subsets[1])[self.cols[1][idx]]
+            for j in range(2, k):
+                mask &= _table(n, subsets[j])[self.cols[j][idx]]
             if self.unit_values:
                 return float(np.count_nonzero(mask))
             return float(np.sum(self.values[idx], where=mask))
@@ -178,7 +206,10 @@ class _BoxCounter:
 
 
 def box_sum(t: SparseTensor, subsets: Sequence[np.ndarray]) -> float:
-    """Sum of entry values over the box V_1 x ... x V_k."""
+    """Sum of entry values over the box V_1 x ... x V_k.
+
+    Each V_j is a nonempty set of members of [1, n]; a repeated member
+    raises ``ValueError``."""
     return _BoxCounter(t).sum(subsets)
 
 
@@ -232,21 +263,42 @@ class SubsetFamilies:
         return cls(kind="product", candidates=cands)
 
 
+_MEMBER_CHUNK = 1 << 16  # member counters drawn and ranked at a time
+
+
+def _smallest(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mask of the ``sizes[r]`` smallest entries of each row ``u[r]``; ties
+    go to the earlier position, as a stable argsort ranks them."""
+    cut = np.take_along_axis(np.sort(u, axis=1), sizes[:, None] - 1, axis=1)
+    below = u < cut
+    tied = u == cut
+    room = sizes[:, None] - np.count_nonzero(below, axis=1, keepdims=True)
+    return below | (tied & (np.cumsum(tied, axis=1) <= room))
+
+
 def sample_subset_families(k: int, n: int, count: int, seed: SeedSpec) -> list:
-    """``count`` tuples of k subsets of [1, n]; deterministic under seed."""
+    """``count`` tuples of k subsets of [1, n]; deterministic under seed.
+
+    Set j of family t has a log-uniform size and holds the members whose
+    uniforms at counters ``(t * k + j) * n + [0, n)`` rank below that size,
+    ascending, as int32.  All sets are drawn as one run of counters,
+    ``_MEMBER_CHUNK`` counters at a time.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     size_key = rng.stream_key(seed, rng.LBL_SUBSET_SIZE)
     member_key = rng.stream_key(seed, rng.LBL_SUBSET_MEMBERS)
     u = rng.uniform_block(size_key, 0, count * k)
     sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
-    families = []
-    for t in range(count):
-        fam = []
-        for j in range(k):
-            size = int(sizes[t * k + j])
-            base = (t * k + j) * n
-            fam.append(rng.sample_without_replacement(member_key, base, n, size))
-        families.append(tuple(fam))
-    return families
+    rows = max(1, _MEMBER_CHUNK // n)
+    sets = []
+    for lo in range(0, count * k, rows):
+        hi = min(count * k, lo + rows)
+        draws = rng.uniform_block(member_key, lo * n, (hi - lo) * n).reshape(hi - lo, n)
+        members = np.nonzero(_smallest(draws, sizes[lo:hi]))[1].astype(np.int32) + 1
+        ends = np.cumsum(sizes[lo:hi]).tolist()
+        sets.extend(members[a:b] for a, b in zip([0] + ends[:-1], ends))
+    return [tuple(sets[t * k:(t + 1) * k]) for t in range(count)]
 
 
 @dataclass(frozen=True)
@@ -295,7 +347,7 @@ class MixingReport:
 
 def _mixing_trial(counter: "_BoxCounter", p: float, fam) -> MixingTrial:
     sizes = tuple(int(len(s)) for s in fam)
-    e = counter.sum(fam)
+    e = counter.count(fam)
     vol = 1.0
     for s in sizes:
         vol *= s
@@ -363,6 +415,8 @@ def mixing_check(
                 fams.append(fam)
     else:
         raise ValueError(f"unknown family kind {families.kind!r}")
+    if families.kind != "sampled":
+        fams = _validate_families(t.shape, fams)
     counter = _BoxCounter(t)
     for fam in fams:
         report.trials.append(_mixing_trial(counter, p, fam))
@@ -419,10 +473,11 @@ def matrix_mixing_check(
     if pairs is None:
         fams = sample_subset_families(2, n, num_pairs, seed)
     else:
-        fams = [tuple(np.asarray(s, dtype=np.int64) for s in pair) for pair in pairs]
+        fams = _validate_families(a.shape, pairs)
+    counter = _BoxCounter(a)
     trials = []
     for v1, v2 in fams:
-        e = count_edges(a, (v1, v2))
+        e = int(counter.count((v1, v2)))  # adjacency entries are 1: an exact count
         s1, s2 = len(v1), len(v2)
         expected = d * s1 * s2 / n
         bound = lam * math.sqrt(s1 * s2 * (1 - s1 / n) * (1 - s2 / n))

@@ -194,11 +194,3 @@ def _positions_skip(total: int, p: float, key: int) -> np.ndarray:
         drawn += block
     return np.concatenate(out)
 
-
-def sample_without_replacement(key: int, counter_base: int, n: int, size: int) -> np.ndarray:
-    """Deterministic size-subset of [1, n], sorted ascending (1-based)."""
-    if not 1 <= size <= n:
-        raise ValueError(f"subset size {size} out of range [1, {n}]")
-    u = uniform_block(key, counter_base, n)
-    picked = np.argsort(u, kind="stable")[:size] + 1
-    return np.sort(picked).astype(np.int32)

@@ -185,6 +185,47 @@ class TestDiscrepancy:
         rep = discrepancy_check(t, 0.4, 2.0, 2.0, 200, SeedSpec(64, 0))
         assert rep.fitted_c2 >= 0.0 and rep.fitted_c3 >= 0.0
 
+    def test_repeated_member_rejected(self):
+        # e would count member 1 once while mu_bar counts it twice
+        t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
+        with pytest.raises(ValueError, match="distinct"):
+            discrepancy_check(t, 0.5, 1.0, 1.0, [([1, 1, 2], [1, 2], [1, 2])])
+        rep = discrepancy_check(t, 0.5, 1.0, 1.0, [([1, 2], [1, 2], [1, 2])])
+        assert rep.trials[0].mu_bar == 4.0
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_family_count_below_one_rejected(self, count):
+        t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            discrepancy_check(t, 0.5, 1.0, 1.0, count)
+
+    @pytest.mark.parametrize("p", [0.0, -0.2, 1.5])
+    def test_p_outside_unit_interval_rejected(self, p):
+        t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
+        with pytest.raises(ValueError, match=r"p must be in \(0, 1\]"):
+            discrepancy_check(t, p, 1.0, 1.0, 10)
+        with pytest.raises(ValueError, match=r"p must be in \(0, 1\]"):
+            bounded_degree_check(t, p, 3.0)
+
+    def test_explicit_families_validated(self):
+        t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
+        ok = ([1], [2], [3])
+        cases = [(([1], [2]), "expected 3 subsets, got 2"),
+                 (([1], [], [3]), "index sets must be nonempty"),
+                 (([1], [7], [3]), r"lie in \[1, 6\]")]
+        for bad, msg in cases:
+            with pytest.raises(ValueError, match=msg):
+                discrepancy_check(t, 0.5, 1.0, 1.0, [ok, bad, ok])
+
+    def test_explicit_and_sampled_families_agree(self):
+        from tensorconc import sample_subset_families
+
+        t = bernoulli_sample(TensorShape(3, 30), Homogeneous(0.3), SeedSpec(65, 0))
+        fams = sample_subset_families(3, 30, 300, SeedSpec(65, 1))
+        listed = discrepancy_check(t, 0.3, 2.0, 2.0, [[s.tolist() for s in f] for f in fams])
+        sampled = discrepancy_check(t, 0.3, 2.0, 2.0, 300, SeedSpec(65, 1))
+        assert listed.trials == sampled.trials
+
 
 class TestDyadicProfile:
     def test_uniform_vector_single_class(self):

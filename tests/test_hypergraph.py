@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_sparse
 from oracles import dense_count_edges
 from tensorconc import (
     Hypergraph,
@@ -14,6 +15,7 @@ from tensorconc import (
     SubsetFamilies,
     TensorShape,
     adjacency,
+    box_sum,
     count_edges,
     dumps_hypergraph,
     er_hypergraph,
@@ -24,7 +26,7 @@ from tensorconc import (
     multilinear_form,
     sample_subset_families,
 )
-from tensorconc import rng
+from tensorconc import hypergraph, rng
 
 
 class TestAdjacency:
@@ -232,3 +234,131 @@ class TestMatrixMixing:
         h = Hypergraph(3, 5, [[1, 2, 3]])
         with pytest.raises(ValueError):
             matrix_mixing_check(h, d=2)
+
+
+def _replay_families(k, n, count, seed, which):
+    """Per-set reference for families ``which`` of ``sample_subset_families``:
+    each set draws its own n uniforms and keeps the first ``size`` positions
+    of their stable argsort, sorted ascending."""
+    member_key = rng.stream_key(seed, rng.LBL_SUBSET_MEMBERS)
+    u = rng.uniform_block(rng.stream_key(seed, rng.LBL_SUBSET_SIZE), 0, count * k)
+    sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
+    fams = {}
+    for t in which:
+        fam = []
+        for j in range(k):
+            draws = rng.uniform_block(member_key, (t * k + j) * n, n)
+            picked = np.argsort(draws, kind="stable")[: sizes[t * k + j]] + 1
+            fam.append(np.sort(picked).astype(np.int32))
+        fams[t] = tuple(fam)
+    return fams
+
+
+class TestFamilySamplerKernel:
+    CHUNK = hypergraph._MEMBER_CHUNK
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 100])
+    def test_matches_per_set_replay_across_chunks(self, k, n):
+        rows = self.CHUNK // n
+        # the last family crosses a chunk boundary for n = 100; for n = 1 the
+        # sets fill one chunk and spill into a second
+        for count in sorted({1, rows // k, rows // k + 1}):
+            seed = SeedSpec(500 + k, n)
+            got = sample_subset_families(k, n, count, seed)
+            assert len(got) == count and all(len(fam) == k for fam in got)
+            # every family, or (for the 65k one-member sets at n = 1) the
+            # families at both ends and on each side of the chunk boundary
+            which = [t for t in range(count) if count * k <= 2000
+                     or min(t, count - 1 - t, abs(t - rows // k)) < 20]
+            for t, want in _replay_families(k, n, count, seed, which).items():
+                for a, b in zip(got[t], want):
+                    assert a.dtype == np.int32
+                    assert np.array_equal(a, b)
+            if n == 1:
+                assert {s.tobytes() for fam in got for s in fam} == {np.int32(1).tobytes()}
+
+    def test_smallest_breaks_ties_by_position(self):
+        gen = np.random.default_rng(5)
+        u = gen.integers(0, 4, size=(300, 9)).astype(float)  # heavy ties
+        sizes = gen.integers(1, 10, size=300)
+        ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
+        assert np.array_equal(hypergraph._smallest(u, sizes), ranks < sizes[:, None])
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample_subset_families(3, 10, count, SeedSpec(1, 0))
+
+
+def _distinct_subsets(gen, k, n):
+    return [np.sort(gen.choice(np.arange(1, n + 1), size=gen.integers(1, n + 1), replace=False))
+            for _ in range(k)]
+
+
+class TestBoxCounterPaths:
+    @pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 5)])
+    def test_bitmap_sparse_and_dense_oracle_agree(self, k, n, monkeypatch):
+        gen = np.random.default_rng(70 + k)
+        t = adjacency(er_hypergraph(k, n, 0.5, SeedSpec(71, k)))
+        dense = t.to_dense()
+        bitmap = hypergraph._BoxCounter(t)
+        monkeypatch.setattr(hypergraph, "DENSE_GATE", 0)
+        sparse = hypergraph._BoxCounter(t)
+        assert bitmap.bits is not None and sparse.bits is None
+        for _ in range(40):
+            subsets = _distinct_subsets(gen, k, n)
+            want = dense_count_edges(dense, subsets)
+            assert bitmap.sum(subsets) == sparse.sum(subsets) == want
+            assert count_edges(t, subsets) == want
+
+    def test_gate_is_inclusive(self):
+        coords = np.array([[1, 2], [3, 4]], dtype=np.int32)
+        at_gate = SparseTensor(TensorShape(2, 1000), coords, np.ones(2))
+        above = SparseTensor(TensorShape(2, 1001), coords, np.ones(2))
+        assert at_gate.shape.ncoords == hypergraph.DENSE_GATE
+        assert hypergraph._BoxCounter(at_gate).bits is not None
+        assert hypergraph._BoxCounter(above).bits is None
+        subsets = [np.array([1, 3]), np.array([2, 4, 5])]
+        assert box_sum(at_gate, subsets) == box_sum(above, subsets) == 2.0
+
+    def test_weighted_tensor_stays_sparse(self):
+        gen = np.random.default_rng(72)
+        t = random_sparse(gen, 3, 6, values="int")
+        counter = hypergraph._BoxCounter(t)
+        assert counter.bits is None
+        dense = t.to_dense()
+        for _ in range(20):
+            subsets = _distinct_subsets(gen, 3, 6)
+            want = dense[np.ix_(*(s - 1 for s in subsets))].sum()
+            assert counter.sum(subsets) == want
+
+
+class TestSubsetValidation:
+    def test_repeated_member_rejected(self):
+        t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(73, 0)))
+        repeated = [np.array([1, 1, 2]), np.array([1, 2]), np.array([1, 2])]
+        with pytest.raises(ValueError, match="distinct"):
+            box_sum(t, repeated)
+        with pytest.raises(ValueError, match="distinct"):
+            count_edges(t, repeated)
+        with pytest.raises(ValueError, match="distinct"):
+            mixing_check(t, 0.5, SubsetFamilies.explicit([repeated]))
+
+    def test_explicit_family_errors(self):
+        t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(74, 0)))
+        ok = (np.array([1]), np.array([2]), np.array([3]))
+        cases = [
+            ((np.array([1]), np.array([2])), "expected 3 subsets, got 2"),
+            ((np.array([1]), np.array([], dtype=int), np.array([3])), "nonempty"),
+            ((np.array([1]), np.array([7]), np.array([3])), r"lie in \[1, 6\]"),
+            ((np.array([0]), np.array([2]), np.array([3])), r"lie in \[1, 6\]"),
+        ]
+        for bad, msg in cases:
+            with pytest.raises(ValueError, match=msg):
+                mixing_check(t, 0.5, SubsetFamilies.explicit([ok, ok, bad, ok]))
+
+    def test_matrix_mixing_pairs_validated(self):
+        g = Hypergraph(2, 4, [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="distinct"):
+            matrix_mixing_check(g, d=1, pairs=[(np.array([1, 2]), np.array([3, 3]))])
