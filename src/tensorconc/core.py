@@ -11,10 +11,10 @@ form, so two tensors are equal exactly when their entry lists are equal.
 materialization is gated at n^k <= 10^6 and exceeding the gate is an error,
 never a silent fallback.
 
-Contractions against vectors have one implementation, ``_Contraction``: it
-lays a tensor out once as contiguous 0-based index arrays per mode, and
-``multilinear_form``, ``contract_all_but_one`` and higher-order power
-iteration (which reuses one layout across all its sweeps) all run on it.
+Contractions against vectors have one implementation, ``_Contraction``:
+``multilinear_form``, ``contract_all_but_one``, higher-order power iteration
+(one layout for all its sweeps) and the spectral module's matrix products
+(an order-2 layout of any shape) all run on it.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -401,26 +401,30 @@ def frobenius_norm(t: TensorLike) -> float:
 
 
 class _Contraction:
-    """A tensor laid out for repeated contractions against vectors.
+    """Entries laid out for repeated contractions against vectors.
 
-    Holds the contiguous 0-based ``intp`` index array of each mode, the
-    values, the background and n, built once per tensor.  A vector enters a
-    contraction as its mode-j *factor* (``factor``): the vector gathered at
-    the entries' mode-j indices, and its sum.  A caller that changes one
-    vector at a time (power iteration) refreshes only that factor.  Both
-    contractions multiply the values by the gathered factors in ascending
-    mode order and add the background term as b * prod sum(x_j), also in
-    mode order.  Vectors are trusted to be float64 of length n.
+    Holds the 0-based ``intp`` index array of each mode (from 1-based
+    ``coords``), the values, the background and the dimensions ``dims``;
+    ``of`` lays out a tensor.  A vector enters a contraction as its mode-j
+    *factor* (``factor``): the vector gathered at the entries' mode-j
+    indices, and its sum.  A caller that changes one vector at a time (power
+    iteration) refreshes only that factor.  Both contractions multiply the
+    values by the factors in ascending mode order and add b * prod sum(x_j),
+    also in mode order; ``all_but_one`` sums each output entry in entry
+    order.  Vectors are trusted to be float64 of length ``dims[j]``.
     """
 
-    __slots__ = ("index", "values", "background", "dim")
+    __slots__ = ("index", "values", "background", "dims")
 
-    def __init__(self, t: OffsetTensor):
-        coords = t.sparse.coords
-        self.index = tuple(coords[:, j].astype(np.intp) - 1 for j in range(t.shape.order))
-        self.values = t.sparse.values
-        self.background = t.background
-        self.dim = t.shape.dim
+    def __init__(self, coords: np.ndarray, values: np.ndarray, background: float, dims: tuple):
+        self.index = tuple(coords[:, j].astype(np.intp) - 1 for j in range(len(dims)))
+        self.values = values
+        self.background = background
+        self.dims = dims
+
+    @classmethod
+    def of(cls, t: OffsetTensor) -> "_Contraction":
+        return cls(t.sparse.coords, t.sparse.values, t.background, (t.shape.dim,) * t.shape.order)
 
     def factor(self, j: int, v: np.ndarray) -> tuple:
         """(v at the 0-based mode ``j`` index of each entry, sum of v)."""
@@ -454,9 +458,9 @@ class _Contraction:
         others = [f for j, f in enumerate(factors) if j != free]
         if len(self.values):
             out = np.bincount(self.index[free], weights=self._product(others),
-                              minlength=self.dim)
+                              minlength=self.dims[free])
         else:
-            out = np.zeros(self.dim)
+            out = np.zeros(self.dims[free])
         if self.background != 0.0:
             out = out + self._background_term(others)
         return out
@@ -468,7 +472,7 @@ def multilinear_form(t: TensorLike, xs) -> float:
     Cost O(nnz * k + n * k); never materializes the dense tensor.
     """
     t = as_offset(t)
-    c = _Contraction(t)
+    c = _Contraction.of(t)
     vecs = _vectors_of(xs, t.shape.order, t.shape.dim)
     return c.form([c.factor(j, v) for j, v in enumerate(vecs)])
 
@@ -484,7 +488,7 @@ def contract_all_but_one(t: TensorLike, xs, free_mode: int) -> np.ndarray:
     if not 1 <= free_mode <= k:
         raise ValueError(f"free_mode must be in [1, {k}], got {free_mode}")
     others = [j for j in range(k) if j != free_mode - 1]
-    c = _Contraction(t)
+    c = _Contraction.of(t)
     factors = [c.factor(j, v) for j, v in zip(others, _vectors_of(xs, k - 1, n))]
     factors.insert(free_mode - 1, None)
     return c.all_but_one(factors, free_mode - 1)

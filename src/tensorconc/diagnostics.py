@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,14 +292,14 @@ def discrepancy_check(
     """Evaluate both discrepancy cases over index-set families.
 
     ``families`` is either an integer (that many sampled families, sizes
-    log-uniform, keyed by seed) or an explicit list of k-tuples of index
-    sets, each a set of distinct members.  Sets are sorted by size
+    log-uniform, keyed by seed) or an explicit nonempty list of k-tuples of
+    index sets, each a set of distinct members.  Sets are sorted by size
     internally so |I_1| <= ... <= |I_k|.
     """
     _check_p(p)
     k, n = t.shape.order, t.shape.dim
-    if isinstance(families, int):
-        fams = sample_subset_families(k, n, families, seed)
+    if isinstance(families, numbers.Integral) and not isinstance(families, bool):
+        fams = sample_subset_families(k, n, int(families), seed)
     else:
         fams = _validate_families(t.shape, families, "index sets must be nonempty")
     report = DiscrepancyReport(c2=c2, c3=c3)

@@ -109,8 +109,8 @@ def adjacency(h: Hypergraph) -> SparseTensor:
 
 
 def _validate_families(shape: TensorShape, families, empty: str = "subsets must be nonempty") -> list:
-    """Each family as a tuple of int64 arrays, checked in one vectorized pass:
-    ``shape.order`` nonempty sets of distinct members of [1, n]."""
+    """Each of one or more families as a tuple of int64 arrays, checked in one
+    vectorized pass: ``shape.order`` nonempty sets of distinct members of [1, n]."""
     k, n = shape.order, shape.dim
     fams = []
     for fam in families:
@@ -118,7 +118,7 @@ def _validate_families(shape: TensorShape, families, empty: str = "subsets must 
             raise ValueError(f"expected {k} subsets, got {len(fam)}")
         fams.append(tuple(np.asarray(s, dtype=np.int64) for s in fam))
     if not fams:
-        return fams
+        raise ValueError("need at least one family")
     sets = [s for fam in fams for s in fam]
     sizes = np.array([s.size for s in sets])
     if not sizes.all():

@@ -13,6 +13,9 @@ contract here is a certified bracket:
     Cholesky factorization: a certified upper bound.  Above the cap the
     Lanczos value is a lower estimate of the matrix norm, flagged as not
     converged.
+
+A matrix is an order-2 ``core._Contraction`` of its entries sorted by
+(row, col); its products and its Gram matrix are formed in numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import rng
 from .core import (
@@ -47,6 +49,10 @@ SANDWICH_SLACK = 1e-8
 # certified; at 4096 the Gram matrix, its shifted copy and the Cholesky
 # factor take 128 MB each.
 _DENSE_MAX = 4096
+
+# Most products _gram adds per pass: a memory cap, and small enough that a
+# pass's arrays (512 KB each) stay in cache, which made dense inputs 2x faster.
+_PAIR_CHUNK = 1 << 16
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -72,53 +78,24 @@ class PowerIterConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-class _Matrix:
-    """Sparse rectangular matrix plus rank-1 background, with fast matvecs."""
-
-    __slots__ = ("nrows", "ncols", "csr", "csc", "background", "nnz")
-
-    def __init__(self, nrows, ncols, rows, cols, values, background):
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
-        self.nnz = len(values)
-        m = sp.coo_matrix((values, (rows, cols)), shape=(self.nrows, self.ncols))
-        self.csr = m.tocsr()
-        self.csc = m.T.tocsr()
-        self.background = float(background)
-
-    def mv(self, v: np.ndarray) -> np.ndarray:
-        out = self.csr @ v
-        if self.background != 0.0:
-            out = out + self.background * v.sum()
-        return out
-
-    def rmv(self, u: np.ndarray) -> np.ndarray:
-        out = self.csc @ u
-        if self.background != 0.0:
-            out = out + self.background * u.sum()
-        return out
-
-    def is_zero(self) -> bool:
-        """True when every entry, background included, is exactly 0."""
-        if self.background == 0.0:
-            return self.nnz == 0
-        return self.csr.nnz == self.nrows * self.ncols and bool(
-            np.all(self.csr.data == -self.background))
-
-
-def _as_matrix(m) -> _Matrix:
-    """The one route to a ``_Matrix``: an arity-2 unfolding or an order-2 tensor."""
+def _as_matrix(m) -> tuple:
+    """The one route to a matrix, from an arity-2 unfolding or an order-2
+    tensor: (source tensor, ``_Contraction`` of entries sorted by (row, col))."""
     if isinstance(m, UnfoldedView):
         if m.arity != 2:
             raise ValueError(f"matrix operations need an arity-2 unfolding, got {m.arity}")
-        (nrows, ncols), coords, values = m.dims, m.coords, m.values
-    else:
-        m = as_offset(m)
-        if m.shape.order != 2:
-            raise ValueError(f"matrix operations need an order-2 tensor, got order {m.shape.order}")
-        nrows = ncols = m.shape.dim
-        coords, values = m.sparse.coords, m.sparse.values
-    return _Matrix(nrows, ncols, coords[:, 0] - 1, coords[:, 1] - 1, values, m.background)
+        coords, values = m.canonical_entries()
+        return m.source, _Contraction(coords, values, m.background, m.dims)
+    m = as_offset(m)
+    if m.shape.order != 2:
+        raise ValueError(f"matrix operations need an order-2 tensor, got order {m.shape.order}")
+    return m, _Contraction.of(m)
+
+
+def _times(mat: _Contraction, v: np.ndarray, mode: int) -> np.ndarray:
+    """``v`` contracted on the 0-based ``mode``: A v for mode 1, A^T v for 0."""
+    factors = [mat.factor(0, v), None] if mode == 0 else [None, mat.factor(1, v)]
+    return mat.all_but_one(factors, 1 - mode)
 
 
 @dataclass
@@ -282,53 +259,70 @@ def matrix_op_norm(
     are the computed top singular pair and ``iterations`` counts Lanczos
     steps.
     """
-    mat = _as_matrix(m)
-    if mat.is_zero():
-        return MatrixNormResult(0.0, _e1(mat.nrows), _e1(mat.ncols), 0, True)
-    rows_side = mat.nrows <= mat.ncols
-    r = min(mat.nrows, mat.ncols)
+    source, mat = _as_matrix(m)
+    nrows, ncols = mat.dims
+    if source.is_exactly_zero():
+        return MatrixNormResult(0.0, _e1(nrows), _e1(ncols), 0, True)
+    short = 0 if nrows <= ncols else 1
+    r = mat.dims[short]
     start = np.full(r, r**-0.5)
     for v in extra_inits:
         v = np.asarray(v, dtype=np.float64)
-        if v.shape == (mat.ncols,):
-            q = mat.mv(v) if rows_side else v
+        if v.shape == (ncols,):
+            q = v if short else _times(mat, v, 1)
             if _norm(q) > 0.0:
                 start = q
                 break
     if r <= _DENSE_MAX:
-        g, form_err = _gram(mat, rows_side)
+        g, form_err = _gram(mat, short)
         theta, vec, steps = _lanczos(lambda q: np.einsum("ij,j->i", g, q), start, config)
         value, certified = _certify(g, theta, form_err), True
     else:
-        fwd, back = (mat.rmv, mat.mv) if rows_side else (mat.mv, mat.rmv)
-        theta, vec, steps = _lanczos(lambda q: back(fwd(q)), start, config)
+        theta, vec, steps = _lanczos(
+            lambda q: _times(mat, _times(mat, q, short), 1 - short), start, config)
         value, certified = math.sqrt(max(theta, 0.0)), False
-    other = mat.rmv(vec) if rows_side else mat.mv(vec)
+    other = _times(mat, vec, short)
     norm = _norm(other)
     other = other / norm if norm > 0.0 else _e1(other.shape[0])
-    left, right = (vec, other) if rows_side else (other, vec)
+    left, right = (other, vec) if short else (vec, other)
     return MatrixNormResult(value, left, right, steps, certified)
 
 
-def _gram(mat: _Matrix, rows_side: bool) -> tuple:
-    """Dense Gram matrix of A = S + b 11^T on its smaller side, and a bound
-    on the error of forming it.
+def _gram(mat: _Contraction, short: int) -> tuple:
+    """Dense Gram matrix of A = S + b 11^T on its smaller side, the 0-based
+    mode ``short`` of ``mat``, and a bound on the error of forming it.
 
     With r the smaller side, N the other and s the sums of S along N,
-    G = S S^T + b (s 1^T + 1 s^T) + b^2 N 11^T (or the S^T S form).  Each
-    entry is a sum of at most N + 4 rounded terms bounded by (|A| |A|^T)_ij,
-    so the computed G is within gamma_{N+4} F of the exact one in norm,
-    where F = sum over all entries of (|S_ij| + |b|)^2 >= ||A||_F^2.
+    G = S S^T + b (s 1^T + 1 s^T) + b^2 N 11^T (or the S^T S form).  S S^T
+    adds the product of each pair of entries that share a long-side index,
+    in ascending long-side order, and s adds each row in that order, as CSR
+    kernels do.  Each entry is a sum of at most N + 4 rounded terms bounded
+    by (|A| |A|^T)_ij, so the computed G is within gamma_{N+4} F of the
+    exact one in norm, where F = sum over all entries of (|S_ij| + |b|)^2
+    >= ||A||_F^2, summed in row-major order of S.
     """
-    s, st = (mat.csr, mat.csc) if rows_side else (mat.csc, mat.csr)
-    r, big = s.shape
-    g = (s @ st).toarray()
+    r, big = mat.dims[short], mat.dims[1 - short]
+    by_col = np.argsort(mat.index[1], kind="stable")
+    # entries by ascending long-side index, and S's row-major order
+    grouped, summed = (by_col, slice(None)) if short == 0 else (slice(None), by_col)
+    idx, vals, longs = (a[grouped] for a in (mat.index[short], mat.values, mat.index[1 - short]))
+    start = np.searchsorted(longs, longs)
+    counts = np.searchsorted(longs, longs, "right") - start
+    g = np.zeros((r, r))
+    # an entry adds one product per entry of its run
+    step = max(1, _PAIR_CHUNK // counts.max(initial=1))
+    for lo in range(0, len(vals), step):
+        e = slice(lo, lo + step)
+        c = counts[e]
+        right = np.repeat(start[e] + c - np.cumsum(c), c) + np.arange(c.sum())
+        np.add.at(g.reshape(-1), np.repeat(idx[e] * r, c) + idx[right],
+                  np.repeat(vals[e], c) * vals[right])
     b = mat.background
     if b != 0.0:
-        sums = s @ np.ones(big)
+        sums = np.bincount(mat.index[short], weights=mat.values, minlength=r)
         g += b * np.add.outer(sums, sums) + b * b * big
-    mags = np.abs(s.data) + abs(b)
-    frob = _dot(mags, mags) + b * b * (r * big - s.nnz)
+    mags = np.abs(mat.values[summed]) + abs(b)
+    frob = _dot(mags, mags) + b * b * (r * big - len(vals))
     return g, _gamma(big + 4) * frob
 
 
@@ -442,7 +436,7 @@ def hopm_lower(
             nv = _norm(v)
             xs.append(v / nv if nv > 0 else np.full(n, n**-0.5))
         starts.append(xs)
-    contraction = _Contraction(t)
+    contraction = _Contraction.of(t)
     best_val = -1.0
     best_xs = None
     best_conv = False

@@ -199,6 +199,19 @@ class TestDiscrepancy:
         with pytest.raises(ValueError, match="count must be >= 1"):
             discrepancy_check(t, 0.5, 1.0, 1.0, count)
 
+    def test_integral_family_count(self):
+        t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
+        want = discrepancy_check(t, 0.5, 1.0, 1.0, 5, SeedSpec(2, 0)).trials
+        for count in (np.int64(5), np.int32(5), np.uint8(5)):
+            assert discrepancy_check(t, 0.5, 1.0, 1.0, count, SeedSpec(2, 0)).trials == want
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            discrepancy_check(t, 0.5, 1.0, 1.0, np.int64(0))
+
+    def test_empty_family_list_rejected(self):
+        t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
+        with pytest.raises(ValueError, match="at least one family"):
+            discrepancy_check(t, 0.5, 1.0, 1.0, [])
+
     @pytest.mark.parametrize("p", [0.0, -0.2, 1.5])
     def test_p_outside_unit_interval_rejected(self, p):
         t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))

@@ -4,8 +4,9 @@ Each case pins the digest of the results CSV with its wall_ms column masked,
 and of the summary JSON.  A change that moves any estimate by one ulp, or
 reorders an aux key, changes a digest.  When such a change is intended,
 print the new digests with ``PYTHONPATH=src python tests/test_golden.py``
-and say why they moved.  They were recorded with numpy 2.4 and scipy 1.17
-on x86-64; whether they hold on other hosts is unchecked.
+and say why they moved.  The library imports numpy alone, so the bytes
+depend on the numpy build: they were recorded with numpy 2.4 on x86-64, and
+whether they hold on other hosts is unchecked.
 """
 
 import hashlib

@@ -172,6 +172,13 @@ class TestMixingCheck:
                  for i in range(40)]
         assert [tr.sizes for tr in a.trials] == picks
 
+    def test_empty_family_list_rejected(self):
+        t = adjacency(er_hypergraph(2, 6, 0.5, SeedSpec(36, 0)))
+        with pytest.raises(ValueError, match="at least one family"):
+            mixing_check(t, 0.5, SubsetFamilies.explicit([]))
+        with pytest.raises(ValueError, match="at least one family"):
+            matrix_mixing_check(Hypergraph(2, 6, [[1, 2], [3, 4]]), d=1, pairs=[])
+
     def test_rng_labels_distinct(self):
         labels = {v for name, v in vars(rng).items() if name.startswith("LBL_")}
         assert len(labels) == len([name for name in vars(rng) if name.startswith("LBL_")])

@@ -26,7 +26,7 @@ from tensorconc import (
     unfold,
 )
 from tensorconc.spectral import kron_lift
-from tensorconc.unfolding import Partition, balanced_partition, multiway_partition
+from tensorconc.unfolding import Partition, UnfoldedView, balanced_partition, multiway_partition
 
 
 def _matrix_tensor(m: np.ndarray) -> SparseTensor:
@@ -92,6 +92,72 @@ class TestMatrixOpNorm:
             matrix_op_norm(unfold(t, multiway_partition(3, 1)))
         with pytest.raises(ValueError, match="order-2 tensor, got order 3"):
             matrix_op_norm(t)
+
+
+def _wide_range_tensor(rng, k: int, n: int, density: float) -> SparseTensor:
+    """Gaussian entries over six decades, so that summation order shows in the bits."""
+    dense = rng.standard_normal((n,) * k) * 10.0 ** rng.uniform(-3, 3, (n,) * k)
+    dense[rng.random(dense.shape) >= density] = 0.0
+    return SparseTensor.from_dense(dense)
+
+
+class TestMatrixProductsMatchScipy:
+    """The order-2 contraction products and the Gram matrix, bit for bit
+    against scipy's CSR/CSC kernels on the same entries."""
+
+    @pytest.fixture(params=[0.0, -0.37], ids=["b0", "b-0.37"])
+    def cases(self, request, rng):
+        b = request.param
+        return [
+            unfold(OffsetTensor(_wide_range_tensor(rng, 3, 7, 0.5), b), balanced_partition(3, 2)),
+            unfold(OffsetTensor(_wide_range_tensor(rng, 3, 6, 0.6), b), balanced_partition(3, 1)),
+            OffsetTensor(_wide_range_tensor(rng, 2, 23, 0.7), b),
+            unfold(OffsetTensor(SparseTensor.empty(TensorShape(3, 4)), b), balanced_partition(3, 1)),
+        ]
+
+    @staticmethod
+    def _scipy(m):
+        """CSR of the matrix and of its transpose, built from the unsorted entries."""
+        sp = pytest.importorskip("scipy.sparse")
+        if isinstance(m, UnfoldedView):
+            coords, values, dims = m.coords, m.values, m.dims
+        else:
+            coords, values, dims = m.sparse.coords, m.sparse.values, (m.shape.dim,) * 2
+        coo = sp.coo_matrix((values, (coords[:, 0] - 1, coords[:, 1] - 1)), shape=dims)
+        return coo.tocsr(), coo.T.tocsr()
+
+    def test_products(self, cases, rng):
+        for m in cases:
+            csr, csc = self._scipy(m)
+            b = m.background
+            _, mat = spectral._as_matrix(m)
+            v, u = rng.standard_normal(csr.shape[1]), rng.standard_normal(csr.shape[0])
+            want_mv, want_rmv = csr @ v, csc @ u
+            if b != 0.0:
+                want_mv, want_rmv = want_mv + b * v.sum(), want_rmv + b * u.sum()
+            assert spectral._times(mat, v, 1).tobytes() == want_mv.tobytes()
+            assert spectral._times(mat, u, 0).tobytes() == want_rmv.tobytes()
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_gram(self, cases, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_PAIR_CHUNK", chunk)
+        for m in cases:
+            csr, csc = self._scipy(m)
+            b = m.background
+            _, mat = spectral._as_matrix(m)
+            for short in (0, 1):
+                s, st = (csr, csc) if short == 0 else (csc, csr)
+                r, big = s.shape
+                want = (s @ st).toarray()
+                if b != 0.0:
+                    sums = s @ np.ones(big)
+                    want += b * np.add.outer(sums, sums) + b * b * big
+                mags = np.abs(s.data) + abs(b)
+                frob = float(np.einsum("i,i", mags, mags)) + b * b * (r * big - s.nnz)
+                g, form_err = spectral._gram(mat, short)
+                assert g.tobytes() == want.tobytes()
+                assert form_err == spectral._gamma(big + 4) * frob
 
 
 def _svd_norm(dense: np.ndarray) -> float:
@@ -183,7 +249,7 @@ class TestCertifiedUpper:
                     "command": "concentration", "k": 3, "m": 2, "n_list": [120],
                     "p_rule": {"kind": "c_logn_over_nm", "c": 5.0, "m": 2}, "trials": 1,
                     "estimator": {"restarts": 2}, "out": os.path.join(tmp, "r.csv")}))
-            print(sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules))
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         """)
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
