@@ -2,8 +2,8 @@
 
 Every Bernoulli decision is a hash of (base_seed, stream_id, coordinate), so
 samples are identical across runs, iteration orders, and worker counts.  The
-homogeneous sampler switches to geometric skipping on large coordinate
-spaces, paying O(nnz) instead of O(n^k).
+homogeneous sampler switches to geometric skipping above 2^21 coordinates,
+paying O(nnz) instead of O(n^k).
 """
 
 import math

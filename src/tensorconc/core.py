@@ -102,7 +102,7 @@ class SparseTensor:
             keep = values != 0.0
             coords, values = coords[keep], values[keep]
             if coords.shape[0] > 1:
-                order = np.lexsort(tuple(coords[:, j] for j in range(shape.order - 1, -1, -1)))
+                order = _lex_order(coords)
                 coords, values = coords[order], values[order]
                 dup = np.all(coords[1:] == coords[:-1], axis=1)
                 if dup.any():
@@ -246,10 +246,6 @@ class Homogeneous:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.p}")
 
-    @property
-    def p_max(self) -> float:
-        return self.p
-
 
 class DenseProbability:
     """Entrywise probability table, gated to n^k <= 10^6."""
@@ -272,10 +268,6 @@ class DenseProbability:
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseProbability is immutable")
-
-    @property
-    def p_max(self) -> float:
-        return float(self.table.max()) if self.table.size else 0.0
 
 
 ProbabilityModel = Union[Homogeneous, DenseProbability]
@@ -538,6 +530,11 @@ def rank1(xs) -> np.ndarray:
         if v.shape != (dim,):
             raise ShapeMismatchError("all vectors must share one length")
     return reduce(np.multiply.outer, vecs)
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Stable permutation that sorts the rows of a 2-d array lexicographically."""
+    return np.lexsort(rows.T[::-1])
 
 
 def linear_index(coords: np.ndarray, dim: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from .core import (
     TensorLike,
     VectorTuple,
     _dot,
+    _lex_order,
     as_offset,
     linear_index,
     multilinear_form,
@@ -170,7 +171,7 @@ def split_tuples(ys, n: int, p: float) -> TupleSplit:
     heavy_coords = np.array(heavy, dtype=np.int32).reshape(len(heavy), k)
     heavy_products = np.array(prods, dtype=np.float64)
     if len(heavy) > 1:
-        order = np.lexsort(tuple(heavy_coords[:, j] for j in range(k - 1, -1, -1)))
+        order = _lex_order(heavy_coords)
         heavy_coords, heavy_products = heavy_coords[order], heavy_products[order]
     total = 1.0
     for v in vecs:

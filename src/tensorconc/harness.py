@@ -127,6 +127,10 @@ class ExperimentConfig:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         if not self.n_list or list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigError("n_list must be nonempty, ascending, duplicate-free")
+        if self.n_list[0] < 1 or self.n_list[-1] >= 2**31:
+            raise ConfigError(f"n_list entries must lie in [1, 2^31), got {list(self.n_list)}")
+        if self.n_list[-1] ** self.k >= 2**63:
+            raise ConfigError(f"n^k = {self.n_list[-1]}^{self.k} is not below 2^63")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 1 <= self.m <= self.k - 1:
@@ -137,6 +141,9 @@ class ExperimentConfig:
                 raise ConfigError(f"p_rule gives p={p} outside (0, 1] at n={n}")
         if self.command == "expander" and self.m != self.k - 1:
             raise ConfigError("expander runs use m = k - 1")
+        if self.command == "expander" and self.n_list[0] < self.k:
+            raise ConfigError(f"expander edges are k-subsets of [n]; "
+                              f"n = {self.n_list[0]} < k = {self.k}")
         if self.command == "sparsify" and max(self.n_list) ** self.k > DENSE_GATE:
             raise ConfigError(f"sparsify lists all n^k entries; n = {max(self.n_list)} is "
                               f"above the dense gate n^k <= {DENSE_GATE}")

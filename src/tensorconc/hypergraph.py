@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .core import DENSE_GATE, SparseTensor, TensorShape
+from .core import DENSE_GATE, SparseTensor, TensorShape, _lex_order
 from .rng import SeedSpec
 
 
@@ -43,8 +43,7 @@ class Hypergraph:
             if np.any(np.diff(edges, axis=1) <= 0):
                 raise ValueError("each edge must be a strictly increasing vertex tuple")
         if not presorted and edges.shape[0] > 1:
-            order = np.lexsort(tuple(edges[:, j] for j in range(k - 1, -1, -1)))
-            edges = edges[order]
+            edges = edges[_lex_order(edges)]
             if np.any(np.all(edges[1:] == edges[:-1], axis=1)):
                 raise ValueError("duplicate edge")
         edges = np.ascontiguousarray(edges)
@@ -59,13 +58,6 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def degrees(self) -> np.ndarray:
-        """Vertex degrees (number of incident edges), index 0 unused."""
-        out = np.zeros(self.n + 1, dtype=np.int64)
-        if self.num_edges:
-            np.add.at(out, self.edges.reshape(-1), 1)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
@@ -148,26 +140,27 @@ class _BoxCounter:
     A 0/1 tensor with n^k <= ``DENSE_GATE`` is held as a dense bool bitmap.
     A box sum takes the box out of it one mode at a time, smallest set
     first, masks the largest set's mode and counts the ones: an exact
-    integer, with no BLAS.  Any other tensor keeps its sorted entries; the
-    rows matching mode 1 form contiguous runs, so when the first subset is
-    small only those runs are scanned instead of every entry.
+    integer, with no BLAS.  Any other tensor keeps its sorted entries, whose
+    rows with mode-1 index v form the run ``starts[v - 1]:starts[v]``.  A
+    box sum gathers the runs of V_1's members with one ``np.repeat``, masks
+    modes 2..k on those rows alone, and counts them (unit values, exact) or
+    sums their values.
     """
 
-    __slots__ = ("shape", "bits", "cols", "values", "unit_values", "run_bounds")
+    __slots__ = ("shape", "bits", "cols", "values", "unit_values", "starts")
 
     def __init__(self, t: SparseTensor):
         self.shape = t.shape
         self.values = t.values
         self.unit_values = bool(t.nnz) and bool(np.all(t.values == 1.0))
-        self.bits = self.cols = self.run_bounds = None
+        self.bits = self.cols = self.starts = None
         if self.unit_values and t.shape.ncoords <= DENSE_GATE:
             bits = np.zeros(t.shape.ncoords, dtype=bool)
             bits[t.linear_indices()] = True
             self.bits = bits.reshape((t.shape.dim,) * t.shape.order)
             return
         self.cols = [np.ascontiguousarray(t.coords[:, j]) for j in range(t.shape.order)]
-        if t.nnz:
-            self.run_bounds = np.searchsorted(self.cols[0], np.arange(1, t.shape.dim + 2))
+        self.starts = np.searchsorted(self.cols[0], np.arange(1, t.shape.dim + 2))
 
     def sum(self, subsets: Sequence[np.ndarray]) -> float:
         return self.count(_validate_families(self.shape, [subsets])[0])
@@ -185,24 +178,16 @@ class _BoxCounter:
             # the largest set masks its mode in place: cheaper than a gather
             inside = _table(n, subsets[last])[1:].reshape((n,) + (1,) * (k - 1 - last))
             return float(np.count_nonzero(box & inside))
-        if len(subsets[0]) <= n // 2:
-            first = np.sort(subsets[0])
-            pieces = [np.arange(self.run_bounds[v - 1], self.run_bounds[v]) for v in first]
-            idx = np.concatenate(pieces)
-            if idx.size == 0:
-                return 0.0
-            mask = _table(n, subsets[1])[self.cols[1][idx]]
-            for j in range(2, k):
-                mask &= _table(n, subsets[j])[self.cols[j][idx]]
-            if self.unit_values:
-                return float(np.count_nonzero(mask))
-            return float(np.sum(self.values[idx], where=mask))
-        mask = _table(n, subsets[0])[self.cols[0]]
-        for j in range(1, k):
-            mask &= _table(n, subsets[j])[self.cols[j]]
+        lo = self.starts[subsets[0] - 1]
+        lens = self.starts[subsets[0]] - lo
+        # run r's rows are lo[r] + [0, lens[r]), laid end to end
+        idx = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        mask = _table(n, subsets[1])[self.cols[1][idx]]
+        for j in range(2, k):
+            mask &= _table(n, subsets[j])[self.cols[j][idx]]
         if self.unit_values:
             return float(np.count_nonzero(mask))
-        return float(np.sum(self.values, where=mask))
+        return float(np.sum(self.values[idx], where=mask))
 
 
 def box_sum(t: SparseTensor, subsets: Sequence[np.ndarray]) -> float:
@@ -230,17 +215,14 @@ class SubsetFamilies:
       sampled    -- ``count`` families; sizes log-uniform on [1, n], members
                     uniform without replacement, keyed by the check's seed
       singletons -- all n^k singleton tuples, evaluated in closed form
-      explicit   -- a fixed list of subset tuples
-      product    -- per-mode candidate subset lists; the full product is
-                    evaluated when it has at most ``exhaustive_limit``
-                    tuples and is sampled otherwise
+      explicit   -- a fixed list of subset tuples; every tuple of a product
+                    of per-mode candidate lists is
+                    ``explicit(itertools.product(*candidates))``
     """
 
     kind: str
     count: int = 0
     families: Optional[tuple] = None
-    candidates: Optional[tuple] = None
-    exhaustive_limit: int = 10**5
 
     @classmethod
     def sampled(cls, count: int) -> "SubsetFamilies":
@@ -256,11 +238,6 @@ class SubsetFamilies:
     def explicit(cls, families) -> "SubsetFamilies":
         fams = tuple(tuple(np.asarray(s, dtype=np.int64) for s in fam) for fam in families)
         return cls(kind="explicit", families=fams)
-
-    @classmethod
-    def product(cls, candidates) -> "SubsetFamilies":
-        cands = tuple(tuple(np.asarray(s, dtype=np.int64) for s in cand) for cand in candidates)
-        return cls(kind="product", candidates=cands)
 
 
 _MEMBER_CHUNK = 1 << 16  # member counters drawn and ranked at a time
@@ -388,35 +365,16 @@ def mixing_check(
         raise ValueError(f"p must be in (0, 1), got {p}")
     k, n = t.shape.order, t.shape.dim
     report = MixingReport(k=k, n=n, p=p, c=p * n ** (k - 1), seed=seed)
-    if families.kind == "sampled":
-        fams = sample_subset_families(k, n, families.count, seed)
-    elif families.kind == "singletons":
+    if families.kind == "singletons":
         report.trials = _singleton_trials(t, p)
         report.max_ratio = max((tr.ratio for tr in report.trials), default=0.0)
         return report
+    if families.kind == "sampled":
+        fams = sample_subset_families(k, n, families.count, seed)
     elif families.kind == "explicit":
-        fams = list(families.families)
-    elif families.kind == "product":
-        total = 1
-        for cand in families.candidates:
-            total *= len(cand)
-        if total <= families.exhaustive_limit:
-            fams = [fam for fam in itertools.product(*families.candidates)]
-        else:
-            pick_key = rng.stream_key(seed, rng.LBL_SUBSET_PICK)
-            count = families.count or families.exhaustive_limit
-            u = rng.uniform_block(pick_key, 0, count * k)
-            fams = []
-            for t_i in range(count):
-                fam = tuple(
-                    families.candidates[j][int(u[t_i * k + j] * len(families.candidates[j]))]
-                    for j in range(k)
-                )
-                fams.append(fam)
+        fams = _validate_families(t.shape, families.families)
     else:
         raise ValueError(f"unknown family kind {families.kind!r}")
-    if families.kind != "sampled":
-        fams = _validate_families(t.shape, fams)
     counter = _BoxCounter(t)
     for fam in fams:
         report.trials.append(_mixing_trial(counter, p, fam))
@@ -448,7 +406,6 @@ def matrix_mixing_check(
     num_pairs: int = 200,
     seed: SeedSpec = SeedSpec(),
     pairs: Optional[list] = None,
-    config=None,
 ) -> MatrixMixingReport:
     """Classical two-set mixing check for a (nominally d-regular) graph.
 
@@ -468,8 +425,7 @@ def matrix_mixing_check(
         raise ValueError(f"matrix mixing check needs a 2-uniform graph, got k = {g.k}")
     n = g.n
     a = adjacency(g)
-    config = config or PowerIterConfig(seed=seed)
-    lam = matrix_op_norm(OffsetTensor(a, -d / n), config).value
+    lam = matrix_op_norm(OffsetTensor(a, -d / n), PowerIterConfig(seed=seed)).value
     if pairs is None:
         fams = sample_subset_families(2, n, num_pairs, seed)
     else:

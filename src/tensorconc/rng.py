@@ -39,7 +39,6 @@ LBL_HOPM_INIT = 0x05
 LBL_SLICE = 0x06
 LBL_SUBSET_SIZE = 0x07
 LBL_SUBSET_MEMBERS = 0x08
-LBL_SUBSET_PICK = 0x09
 
 _BLOCK = 1 << 16
 _U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
@@ -138,14 +137,15 @@ def uniform_block(key: int, start: int, count: int) -> np.ndarray:
     return _uniforms(key, range(start, start + count), False)
 
 
-def bernoulli_positions(total: int, p: float, key: int, method: str = "auto") -> np.ndarray:
+def bernoulli_positions(total: int, p: float, key: int) -> np.ndarray:
     """Sorted uint64 positions in [0, total) kept by independent Bernoulli(p).
 
-    ``percoord`` evaluates one keyed uniform per position (the canonical
-    stream); ``skip`` draws geometric gaps over a sequential draw counter
-    and costs O(total * p) expected.  The two are distributionally identical
-    but not byte-identical.  ``auto`` picks percoord for small spaces and
-    skip otherwise; the choice depends only on (total, p), never the seed.
+    Up to 2^21 positions the result is the per-coordinate stream
+    (``_positions_percoord``: one keyed uniform per position); above that it
+    is the geometric-skipping stream (``_positions_skip``: gaps drawn over a
+    sequential draw counter, O(total * p) expected).  The two are
+    distributionally identical but not byte-identical; the choice depends
+    only on ``total``, never on p or the seed.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
@@ -155,13 +155,9 @@ def bernoulli_positions(total: int, p: float, key: int, method: str = "auto") ->
         return np.empty(0, dtype=np.uint64)
     if p == 1.0:
         return np.arange(total, dtype=np.uint64)
-    if method == "auto":
-        method = "percoord" if total <= (1 << 21) else "skip"
-    if method == "percoord":
+    if total <= 1 << 21:
         return _positions_percoord(total, p, key)
-    if method == "skip":
-        return _positions_skip(total, p, key)
-    raise ValueError(f"unknown sampling method: {method!r}")
+    return _positions_skip(total, p, key)
 
 
 def _positions_percoord(total: int, p, key: int) -> np.ndarray:

@@ -3,11 +3,10 @@ k-uniform hypergraphs, and uniform sparsification.
 
 Every decision is keyed by (base_seed, stream_id, coordinate), so identical
 seeds give byte-identical canonical output regardless of iteration order or
-parallelism.  For homogeneous sampling over large coordinate spaces a
-geometric-skipping path over the lexicographic coordinate stream is used;
-it matches the per-coordinate keyed path in distribution (not byte-for-byte),
-and the per-coordinate path is the canonical one whenever determinism across
-path choice matters.
+parallelism.  Homogeneous sampling over more than 2^21 coordinates skips
+geometrically along the lexicographic coordinate stream; that matches the
+per-coordinate keyed path in distribution (not byte-for-byte), and the size
+of the space alone picks the path.
 """
 
 from __future__ import annotations
@@ -29,22 +28,18 @@ from .hypergraph import Hypergraph
 from .rng import SeedSpec
 
 
-def bernoulli_sample(
-    shape: TensorShape,
-    model: ProbabilityModel,
-    seed: SeedSpec,
-    method: str = "auto",
-) -> SparseTensor:
+def bernoulli_sample(shape: TensorShape, model: ProbabilityModel, seed: SeedSpec) -> SparseTensor:
     """Sample an order-k tensor with independent Bernoulli entries.
 
     Entry (i_1..i_k) is 1 exactly when its keyed uniform falls below its
-    probability.  ``method`` ("auto" | "percoord" | "skip") selects the
-    homogeneous code path; dense probability tables always use the
-    per-coordinate path.
+    probability.  A homogeneous model samples the n^k coordinates through
+    ``rng.bernoulli_positions``: per coordinate up to 2^21 of them, by
+    geometric skipping above that.  A dense probability table is always
+    sampled per coordinate.
     """
     key = rng.stream_key(seed, rng.LBL_BERNOULLI)
     if isinstance(model, Homogeneous):
-        positions = rng.bernoulli_positions(shape.ncoords, model.p, key, method=method)
+        positions = rng.bernoulli_positions(shape.ncoords, model.p, key)
         coords = _coords_from_linear(positions, shape.order, shape.dim)
         return SparseTensor(shape, coords, np.ones(len(positions)), presorted=True)
     if not isinstance(model, DenseProbability):
@@ -74,7 +69,7 @@ def sparsify_uniform(t: SparseTensor, p: float, seed: SeedSpec) -> SparseTensor:
     return SparseTensor(t.shape, t.coords[keep], t.values[keep], presorted=True)
 
 
-def er_hypergraph(k: int, n: int, p: float, seed: SeedSpec, method: str = "auto") -> Hypergraph:
+def er_hypergraph(k: int, n: int, p: float, seed: SeedSpec) -> Hypergraph:
     """Erdos-Renyi k-uniform hypergraph: each k-subset of [n] is an edge
     independently with probability p.  Edges are vertex subsets, so
     repeated-vertex tuples never occur."""
@@ -84,7 +79,7 @@ def er_hypergraph(k: int, n: int, p: float, seed: SeedSpec, method: str = "auto"
         raise ValueError(f"probability must be in [0, 1], got {p}")
     key = rng.stream_key(seed, rng.LBL_HYPEREDGE)
     total = comb(n, k)
-    ranks = rng.bernoulli_positions(total, p, key, method=method)
+    ranks = rng.bernoulli_positions(total, p, key)
     edges = np.empty((len(ranks), k), dtype=np.int32)
     for row, r in enumerate(ranks):
         edges[row] = _unrank_combination(int(r), n, k)

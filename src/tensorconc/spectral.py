@@ -484,7 +484,6 @@ def hopm_lower(
 class SliceResult:
     value: float
     witness: VectorTuple
-    assignments: list
     converged: bool
 
 
@@ -539,8 +538,7 @@ def slice_lower(
         e = np.zeros(n)
         e[idx - 1] = 1.0
         vecs.append(e)
-    return SliceResult(best_val, VectorTuple(vecs), [tuple(int(x) for x in a) for a in assignments],
-                       converged)
+    return SliceResult(best_val, VectorTuple(vecs), converged)
 
 
 def kron_lift(xs: Sequence[np.ndarray], modes: Sequence[int]) -> np.ndarray:

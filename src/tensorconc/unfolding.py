@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetTensor, TensorLike, _dot, as_offset
+from .core import OffsetTensor, TensorLike, _dot, _lex_order, as_offset
 
 
 class Partition:
@@ -207,7 +207,7 @@ class UnfoldedView:
         """(coords, values) sorted lexicographically in unfolded coordinates."""
         coords, values = self.coords, self.values
         if coords.shape[0] > 1:
-            order = np.lexsort(tuple(coords[:, j] for j in range(self.arity - 1, -1, -1)))
+            order = _lex_order(coords)
             coords, values = coords[order], values[order]
         return coords, values
 

@@ -385,6 +385,21 @@ class TestCli:
         assert res.stderr.startswith("config error: ") and "params" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("over,match", [
+        ({"n_list": [0, 5]}, "n_list entries must lie in"),
+        ({"k": 4, "n_list": [100000]}, "not below 2^63"),
+        ({"command": "expander", "n_list": [2]}, "n = 2 < k = 3"),
+    ])
+    def test_bad_sizes_exit_2(self, tmp_path, over, match):
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "o.csv"
+        cfg = _base_config(trials=1, out=str(out), **over)
+        cfg_path.write_text(json.dumps(cfg))
+        res = self._cli(cfg["command"], "--config", str(cfg_path), "--jobs", "2")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: ") and match in res.stderr
+        assert not out.exists()
+
     def test_command_mismatch_exit_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(_base_config(command="expander")))

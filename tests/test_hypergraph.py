@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -150,27 +149,13 @@ class TestMixingCheck:
         assert a.to_json_summary() == b.to_json_summary()
         assert [tr.ratio for tr in a.trials] == [tr.ratio for tr in b.trials]
 
-    def test_product_families_exhaustive(self):
-        h = er_hypergraph(2, 6, 0.5, SeedSpec(36, 0))
-        t = adjacency(h)
-        cands = ([np.array([1, 2]), np.array([3])], [np.array([4]), np.array([5, 6])])
-        rep = mixing_check(t, 0.5, SubsetFamilies.product(cands), SeedSpec(0, 0))
-        assert len(rep.trials) == 4
-
-    def test_product_families_sampled_over_limit(self):
+    def test_explicit_product_of_candidates(self):
         t = adjacency(er_hypergraph(2, 6, 0.5, SeedSpec(36, 0)))
-        # candidate sizes differ within each mode, so sizes identify the picks
-        cands = ([np.array([1, 2]), np.array([3]), np.array([1, 4, 5])],
-                 [np.array([4]), np.array([5, 6])])
-        fams = dataclasses.replace(SubsetFamilies.product(cands), exhaustive_limit=5, count=40)
-        seed = SeedSpec(9, 2)
-        a = mixing_check(t, 0.5, fams, seed)
-        b = mixing_check(t, 0.5, fams, seed)
-        assert [(tr.sizes, tr.e) for tr in a.trials] == [(tr.sizes, tr.e) for tr in b.trials]
-        u = rng.uniform_block(rng.stream_key(seed, rng.LBL_SUBSET_PICK), 0, 40 * 2)
-        picks = [(len(cands[0][int(u[2 * i] * 3)]), len(cands[1][int(u[2 * i + 1] * 2)]))
-                 for i in range(40)]
-        assert [tr.sizes for tr in a.trials] == picks
+        cands = ([np.array([1, 2]), np.array([3])], [np.array([4]), np.array([5, 6])])
+        rep = mixing_check(t, 0.5, SubsetFamilies.explicit(itertools.product(*cands)))
+        assert [tr.sizes for tr in rep.trials] == [(2, 1), (2, 2), (1, 1), (1, 2)]
+        want = [count_edges(t, fam) for fam in itertools.product(*cands)]
+        assert [tr.e for tr in rep.trials] == want
 
     def test_empty_family_list_rejected(self):
         t = adjacency(er_hypergraph(2, 6, 0.5, SeedSpec(36, 0)))
@@ -318,6 +303,25 @@ class TestBoxCounterPaths:
             want = dense_count_edges(dense, subsets)
             assert bitmap.sum(subsets) == sparse.sum(subsets) == want
             assert count_edges(t, subsets) == want
+
+    @pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 5)])
+    def test_sparse_path_first_set_above_half(self, k, n, monkeypatch):
+        # |V_1| > n/2, members in any order, up to all of [n]
+        gen = np.random.default_rng(73 + k)
+        monkeypatch.setattr(hypergraph, "DENSE_GATE", 0)
+        unit = adjacency(er_hypergraph(k, n, 0.7, SeedSpec(74, k)))
+        weighted = random_sparse(gen, k, n, values="normal")
+        unit_counter = hypergraph._BoxCounter(unit)
+        weighted_counter = hypergraph._BoxCounter(weighted)
+        assert unit_counter.bits is None and unit_counter.unit_values
+        unit_dense, weighted_dense = unit.to_dense(), weighted.to_dense()
+        for size in range(n // 2 + 1, n + 1):
+            for _ in range(6):
+                subsets = _distinct_subsets(gen, k, n)
+                subsets[0] = gen.permutation(n)[:size] + 1
+                assert unit_counter.sum(subsets) == dense_count_edges(unit_dense, subsets)
+                want = weighted_dense[np.ix_(*(s - 1 for s in subsets))].sum()
+                assert weighted_counter.sum(subsets) == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_gate_is_inclusive(self):
         coords = np.array([[1, 2], [3, 4]], dtype=np.int32)

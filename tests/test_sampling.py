@@ -22,6 +22,8 @@ from tensorconc.rng import (
     LBL_BERNOULLI,
     _fin_int,
     _positions_percoord,
+    _positions_skip,
+    bernoulli_positions,
     stream_key,
     uniforms_at,
     uniforms_open_at,
@@ -62,7 +64,7 @@ class TestBernoulliSample:
         # entry membership must depend only on (seed, coordinate), not iteration order
         sh = TensorShape(2, 7)
         seed = SeedSpec(42, 3)
-        t = bernoulli_sample(sh, Homogeneous(0.35), seed, method="percoord")
+        t = bernoulli_sample(sh, Homogeneous(0.35), seed)
         key = stream_key(seed, LBL_BERNOULLI)
         expected = []
         for lin in range(49):
@@ -72,18 +74,26 @@ class TestBernoulliSample:
         assert t.coords.tolist() == expected
 
     def test_skip_and_percoord_paths_agree_in_distribution(self):
-        sh = TensorShape(2, 40)
-        counts_a = [bernoulli_sample(sh, Homogeneous(0.1), SeedSpec(9, s), method="percoord").nnz
-                    for s in range(200)]
-        counts_b = [bernoulli_sample(sh, Homogeneous(0.1), SeedSpec(10_000, s), method="skip").nnz
-                    for s in range(200)]
+        keys = [[stream_key(SeedSpec(base, s), LBL_BERNOULLI) for s in range(200)]
+                for base in (9, 10_000)]
+        counts_a = [len(_positions_percoord(1600, 0.1, key)) for key in keys[0]]
+        counts_b = [len(_positions_skip(1600, 0.1, key)) for key in keys[1]]
         assert stats.ks_2samp(counts_a, counts_b).pvalue > 1e-3
 
     def test_skip_path_deterministic(self):
-        sh = TensorShape(3, 30)
-        a = bernoulli_sample(sh, Homogeneous(0.05), SeedSpec(3, 3), method="skip")
-        b = bernoulli_sample(sh, Homogeneous(0.05), SeedSpec(3, 3), method="skip")
-        assert a == b
+        key = stream_key(SeedSpec(3, 3), LBL_BERNOULLI)
+        a = _positions_skip(27_000, 0.05, key)
+        assert a.size and np.array_equal(a, _positions_skip(27_000, 0.05, key))
+        assert np.all(np.diff(a.astype(np.int64)) > 0) and int(a[-1]) < 27_000
+
+    @pytest.mark.parametrize("total,path,other", [
+        (2**21, _positions_percoord, _positions_skip),
+        (2**21 + 1, _positions_skip, _positions_percoord)])
+    def test_size_picks_the_path(self, total, path, other):
+        key = stream_key(SeedSpec(8, 1), LBL_BERNOULLI)
+        got = bernoulli_positions(total, 1e-4, key)
+        assert np.array_equal(got, path(total, 1e-4, key))
+        assert not np.array_equal(got, other(total, 1e-4, key))
 
     def test_dense_model_sampling(self):
         table = np.zeros((3, 3))
