@@ -388,8 +388,18 @@ def frobenius_inner(t: TensorLike, a: TensorLike) -> float:
     return total
 
 
+def _frobenius_sq(t: OffsetTensor) -> float:
+    """Sum of squares over all n^k entries in closed form, v.v + 2 b sum(v) + b^2 n^k,
+    so no dense gate applies."""
+    v, b = t.sparse.values, t.background
+    total = _dot(v, v)
+    if b != 0.0:
+        total += 2.0 * b * float(v.sum()) + b * b * t.shape.ncoords
+    return total
+
+
 def frobenius_norm(t: TensorLike) -> float:
-    return float(np.sqrt(max(frobenius_inner(t, t), 0.0)))
+    return float(np.sqrt(max(_frobenius_sq(as_offset(t)), 0.0)))
 
 
 class _Contraction:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .core import DENSE_GATE, Homogeneous, SparseTensor, TensorShape, center
+from .core import DENSE_GATE, Homogeneous, SparseTensor, TensorShape, _fmt, center
 from .diagnostics import bounded_degree_check, discrepancy_check
 from .hypergraph import SubsetFamilies, adjacency, mixing_check
 from .regularization import degree_map, expander_construct, regularize, removed_count_check
@@ -40,10 +41,6 @@ class ConfigError(Exception):
 
 class CsvFormatError(Exception):
     """Malformed results CSV (CLI exit code 3)."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -69,38 +66,27 @@ class PRule:
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigError(f"p_rule must be an object with a 'kind', got {d!r}")
         kind = d["kind"]
-        if kind == "fixed":
-            if "p" not in d:
-                raise ConfigError("fixed p_rule needs 'p'")
-            return cls(kind="fixed", p=float(d["p"]))
-        if kind in ("c_logn_over_nm", "c_over_nm"):
-            if "c" not in d or "m" not in d:
-                raise ConfigError(f"{kind} p_rule needs 'c' and 'm'")
-            return cls(kind=kind, c=float(d["c"]), m=int(d["m"]))
-        raise ConfigError(f"unknown p_rule kind {kind!r}")
+        if kind not in _P_RULES:
+            raise ConfigError(f"unknown p_rule kind {kind!r}")
+        table = _P_RULES[kind]
+        if set(d) != {"kind", *table}:
+            raise ConfigError(f"{kind} p_rule takes exactly {sorted(table)}, "
+                              f"got {sorted(set(d) - {'kind'})}")
+        return cls(kind, **{key: _number(d[key], t, f"p_rule.{key}") for key, t in table.items()})
+
+
+# p_rule kind -> the numbers it takes, all required
+_P_RULES = {"c_logn_over_nm": {"c": float, "m": int}, "c_over_nm": {"c": float, "m": int},
+            "fixed": {"p": float}}
 
 
 @dataclass(frozen=True)
 class EstimatorSettings:
     restarts: int = 16
-    matrix_tol: float = 1e-10
-    tensor_tol: float = 1e-8
-    max_iterations: int = 500
     num_slices: int = 4
 
-    def __post_init__(self):
-        if self.num_slices < 1:
-            raise ValueError("num_slices must be >= 1")
-        self.power_config(SeedSpec())  # PowerIterConfig checks the rest
-
     def power_config(self, seed: SeedSpec) -> PowerIterConfig:
-        return PowerIterConfig(
-            matrix_tol=self.matrix_tol,
-            tensor_tol=self.tensor_tol,
-            max_iterations=self.max_iterations,
-            restarts=self.restarts,
-            seed=seed,
-        )
+        return PowerIterConfig(restarts=self.restarts, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -115,10 +101,11 @@ class ExperimentConfig:
     estimator: EstimatorSettings = EstimatorSettings()
     out: str = "results.csv"
     partition: object = None  # optional Partition override for the upper bound
-    params: dict = field(default_factory=dict)  # typed and completed by _check_params
+    params: dict = field(default_factory=dict)  # typed and completed from _PARAMS
 
     def __post_init__(self):
-        object.__setattr__(self, "params", _check_params(self.command, self.params))
+        object.__setattr__(self, "params",
+                           _read_table("params", _PARAMS.get(self.command, {}), self.params))
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -136,7 +123,7 @@ class ExperimentConfig:
         if not 1 <= self.m <= self.k - 1:
             raise ConfigError(f"m must be in [1, {self.k - 1}], got {self.m}")
         for n in self.n_list:
-            p = self.p_rule.value(int(n))
+            p = self.p_rule.value(n)
             if not 0.0 < p <= 1.0:
                 raise ConfigError(f"p_rule gives p={p} outside (0, 1] at n={n}")
         if self.command == "expander" and self.m != self.k - 1:
@@ -164,29 +151,26 @@ def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig
         cmd = command
     if cmd is None:
         raise ConfigError("no command given")
-    try:
-        est = EstimatorSettings(**data.pop("estimator", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad estimator settings: {exc}") from exc
+    est = EstimatorSettings(**_read_table("estimator", _ESTIMATOR, data.pop("estimator", {})))
     part = data.pop("partition", None)
     if part is not None:
         try:
-            part = Partition.from_json_blocks(part)
-        except ValueError as exc:
+            part = Partition([[_number(i, int, "partition entry") for i in b] for b in part])
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad partition: {exc}") from exc
     try:
         cfg = ExperimentConfig(
             command=cmd,
-            k=int(data.pop("k")),
-            n_list=tuple(int(n) for n in data.pop("n_list")),
+            k=_number(data.pop("k"), int, "k"),
+            n_list=tuple(_number(n, int, "n_list entry") for n in data.pop("n_list")),
             p_rule=PRule.from_dict(data.pop("p_rule")),
-            m=int(data.pop("m")),
-            trials=int(data.pop("trials")),
-            base_seed=int(data.pop("base_seed", 0)),
+            m=_number(data.pop("m"), int, "m"),
+            trials=_number(data.pop("trials"), int, "trials"),
+            base_seed=_number(data.pop("base_seed", 0), int, "base_seed"),
             estimator=est,
             out=str(data.pop("out", "results.csv")),
             partition=part,
-            params=dict(data.pop("params", {})),
+            params=data.pop("params", {}),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc.args[0]}") from exc
@@ -331,32 +315,40 @@ _TRIALS = {
 }
 COMMANDS = tuple(_TRIALS)
 
-# command -> {params key: (type, default)}; every int is a count
+# Typed tables of config sections, {key: (type, default)}; every int in them is a count.
+# command -> its params
 _PARAMS = {
     "expander": {"mixing_families": (int, 500)},
     "diagnostics": {"c1": (float, 3.0), "c2": (float, 20.0), "c3": (float, 20.0),
                     "families": (int, 1000)},
 }
+_ESTIMATOR = {f.name: (int, f.default) for f in fields(EstimatorSettings)}
 
 
-def _check_params(command: str, params: dict) -> dict:
-    """``params`` typed and completed with defaults from ``_PARAMS``."""
-    table = _PARAMS.get(command, {})
-    unknown = sorted(set(params) - set(table))
+def _number(raw, kind: type, name: str, least: int | None = None):
+    """``raw`` as an ``int`` (a JSON integer) or a ``float`` (any JSON number),
+    at least ``least`` if given: no bool, no rounding, no string parsing."""
+    try:  # operator.index takes integers alone
+        value = (operator.index if kind is int else float)(raw)
+        ok = not isinstance(raw, bool) and value == raw and (least is None or value >= least)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        want = "a number" if kind is float else "an int" if least is None else f"an int >= {least}"
+        raise ConfigError(f"{name} must be {want}, got {raw!r}")
+    return value
+
+
+def _read_table(section: str, table: dict, raw) -> dict:
+    """The config object ``raw`` typed by ``table`` and completed with its defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - set(table))
     if unknown:
-        raise ConfigError(f"unknown params for {command}: {unknown}; known: {sorted(table)}")
-    out = {}
-    for key, (kind, default) in table.items():
-        raw = params.get(key, default)
-        try:  # no bool, no rounding, no string parsing
-            ok = not isinstance(raw, bool) and kind(raw) == raw and (kind is float or raw >= 1)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            want = "an int >= 1" if kind is int else "a number"
-            raise ConfigError(f"params.{key} must be {want}, got {raw!r}")
-        out[key] = kind(raw)
-    return out
+        raise ConfigError(f"unknown {section} keys: {unknown}; known: {sorted(table)}")
+    return {key: _number(raw.get(key, default), kind, f"{section}.{key}",
+                         1 if kind is int else None)
+            for key, (kind, default) in table.items()}
 
 
 def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:

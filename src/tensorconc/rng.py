@@ -128,11 +128,6 @@ def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
     return _uniforms(key, np.ravel(counters), False).reshape(np.shape(counters))
 
 
-def uniforms_open_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1] at the given uint64 counters (safe for log)."""
-    return _uniforms(key, np.ravel(counters), True).reshape(np.shape(counters))
-
-
 def uniform_block(key: int, start: int, count: int) -> np.ndarray:
     return _uniforms(key, range(start, start + count), False)
 

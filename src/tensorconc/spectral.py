@@ -30,6 +30,7 @@ import numpy as np
 from . import rng
 from .core import (
     OffsetTensor,
+    ShapeMismatchError,
     SparseTensor,
     TensorLike,
     TensorShape,
@@ -60,22 +61,22 @@ _EPS = float(np.finfo(np.float64).eps)
 # bisection costing O(steps) Python work per Sturm count.
 _CHECK_EVERY = 8
 
+# Stopping rules: a Lanczos solve ends at a Ritz residual of _LANCZOS_TOL times
+# its Ritz value, a HOPM start after two sweeps in a row that each move its
+# value by at most _HOPM_TOL (relative); each gets at most _MAX_STEPS steps.
+_LANCZOS_TOL = 1e-10
+_HOPM_TOL = 1e-8
+_MAX_STEPS = 500
+
 
 @dataclass(frozen=True)
 class PowerIterConfig:
-    matrix_tol: float = 1e-10
-    tensor_tol: float = 1e-8
-    max_iterations: int = 500
     restarts: int = 16
     seed: SeedSpec = SeedSpec()
 
     def __post_init__(self):
-        if self.matrix_tol <= 0 or self.tensor_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def _as_matrix(m) -> tuple:
@@ -188,22 +189,22 @@ def _tridiagonal_top(d: list, e: list) -> tuple:
     return math.ldexp(hi, exp), vec / _norm(vec)
 
 
-def _lanczos(op, start: np.ndarray, config: PowerIterConfig) -> tuple:
+def _lanczos(op, start: np.ndarray, seed: SeedSpec) -> tuple:
     """Top eigenpair of the symmetric positive semidefinite operator ``op``.
 
     Lanczos from the unit vector along ``start``, with full
     reorthogonalization (Gram-Schmidt twice) in ``einsum``, so no bit
     depends on BLAS.  It stops once the top Ritz pair's residual
-    |beta_j s_j| is at most ``matrix_tol`` times its Ritz value, or after
-    min(dim, max_iterations) steps.  A breakdown (beta at rounding level:
-    the Krylov space is invariant) of the first run continues from a keyed
-    random vector orthogonalized against the basis; a breakdown of that
+    |beta_j s_j| is at most ``_LANCZOS_TOL`` times its Ritz value, or after
+    min(dim, ``_MAX_STEPS``) steps.  A breakdown (beta at rounding level:
+    the Krylov space is invariant) of the first run continues from a vector
+    keyed by ``seed``, orthogonalized against the basis; a breakdown of that
     second run ends the solve, whose top Ritz value then is the top
     eigenvalue.  Returns the largest Ritz value over both runs, its unit
     Ritz vector and the step count.
     """
     dim = start.shape[0]
-    limit = min(dim, config.max_iterations)
+    limit = min(dim, _MAX_STEPS)
     basis = np.empty((min(limit, 64), dim))
     basis[0] = start / _norm(start)
     alphas, betas = [], []
@@ -222,12 +223,12 @@ def _lanczos(op, start: np.ndarray, config: PowerIterConfig) -> tuple:
             if first:
                 break
             first, beta = j + 1, 0.0
-            w = 2.0 * rng.uniform_block(rng.stream_key(config.seed, rng.LBL_POWER_INIT), 0, dim) - 1.0
+            w = 2.0 * rng.uniform_block(rng.stream_key(seed, rng.LBL_POWER_INIT), 0, dim) - 1.0
             for _ in range(2):
                 w = w - np.einsum("ij,i->j", q, np.einsum("ij,j->i", q, w))
         elif (j + 1 - first) % _CHECK_EVERY == 0:
             theta, s = _tridiagonal_top(alphas[first:], betas[first:])
-            if beta * abs(s[-1]) <= config.matrix_tol * theta:
+            if beta * abs(s[-1]) <= _LANCZOS_TOL * theta:
                 break
         betas.append(beta)
         if j + 1 == len(basis):
@@ -247,9 +248,10 @@ def matrix_op_norm(
     """Operator norm of an order-2 tensor or an arity-2 UnfoldedView.
 
     The norm squared is the top eigenvalue of the Gram matrix G of the
-    smaller side, found by ``_lanczos``.  The start is the first usable
-    vector of ``extra_inits`` (length ``ncols``, mapped onto the rows by the
-    matrix when the rows are the smaller side), else the uniform vector.
+    smaller side, found by ``_lanczos``.  The start is the first vector of
+    ``extra_inits`` that is nonzero once mapped onto the rows by the matrix
+    when the rows are the smaller side, else the uniform vector; a vector
+    read whose length is not ``ncols`` raises ``ShapeMismatchError``.
 
     When the smaller side is at most ``_DENSE_MAX``, G is formed densely and
     ``value`` is a certified upper bound on the norm (see ``_certify``);
@@ -268,18 +270,19 @@ def matrix_op_norm(
     start = np.full(r, r**-0.5)
     for v in extra_inits:
         v = np.asarray(v, dtype=np.float64)
-        if v.shape == (ncols,):
-            q = v if short else _times(mat, v, 1)
-            if _norm(q) > 0.0:
-                start = q
-                break
+        if v.shape != (ncols,):
+            raise ShapeMismatchError(f"start vector shape {v.shape} != ({ncols},)")
+        q = v if short else _times(mat, v, 1)
+        if _norm(q) > 0.0:
+            start = q
+            break
     if r <= _DENSE_MAX:
         g, form_err = _gram(mat, short)
-        theta, vec, steps = _lanczos(lambda q: np.einsum("ij,j->i", g, q), start, config)
+        theta, vec, steps = _lanczos(lambda q: np.einsum("ij,j->i", g, q), start, config.seed)
         value, certified = _certify(g, theta, form_err), True
     else:
         theta, vec, steps = _lanczos(
-            lambda q: _times(mat, _times(mat, q, short), 1 - short), start, config)
+            lambda q: _times(mat, _times(mat, q, short), 1 - short), start, config.seed)
         value, certified = math.sqrt(max(theta, 0.0)), False
     other = _times(mat, vec, short)
     norm = _norm(other)
@@ -397,7 +400,7 @@ def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> Optiona
     for _ in range(k - 2):
         mat = v.reshape(-1, n)
         _, x, _ = _lanczos(lambda x: np.einsum("ij,i->j", mat, np.einsum("ij,j->i", mat, x)),
-                           np.full(n, n**-0.5), config)
+                           np.full(n, n**-0.5), config.seed)
         xs.append(x)
         v = np.einsum("ij,j->i", mat, x)
     nv = _norm(v)
@@ -448,7 +451,7 @@ def hopm_lower(
         hits = 0
         obj = 0.0
         converged = False
-        for sweep in range(1, config.max_iterations + 1):
+        for sweep in range(1, _MAX_STEPS + 1):
             total_iter += 1
             dead = False
             for j in range(k):
@@ -464,7 +467,7 @@ def hopm_lower(
                 obj = abs(contraction.form(factors))
                 converged = True
                 break
-            if prev > -np.inf and abs(obj - prev) <= config.tensor_tol * max(obj, 1e-300):
+            if prev > -np.inf and abs(obj - prev) <= _HOPM_TOL * max(obj, 1e-300):
                 hits += 1
                 if hits >= 2:
                     converged = True

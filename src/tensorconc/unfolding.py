@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetTensor, TensorLike, _dot, _lex_order, as_offset
+from .core import OffsetTensor, TensorLike, _frobenius_sq, _lex_order, as_offset
 
 
 class Partition:
@@ -66,13 +66,6 @@ class Partition:
     def __repr__(self):
         return f"Partition({list(list(b) for b in self.blocks)})"
 
-    def to_json_blocks(self) -> list:
-        return [list(b) for b in self.blocks]
-
-    @classmethod
-    def from_json_blocks(cls, blocks) -> "Partition":
-        return cls(blocks)
-
 
 def balanced_partition(k: int, m: int) -> Partition:
     """Two blocks {1..k-m} and {k-m+1..k}; the second has size m."""
@@ -94,10 +87,6 @@ def multiway_partition(k: int, m: int) -> Partition:
     return Partition(blocks)
 
 
-def _block_strides(block: tuple, n: int) -> np.ndarray:
-    return (np.uint64(n) ** np.arange(len(block), dtype=np.uint64)).astype(np.uint64)
-
-
 def phi(partition: Partition, coord: Sequence[int], n: int) -> tuple:
     """Map one 1-based coordinate through the unfolding bijection."""
     coord = tuple(int(i) for i in coord)
@@ -105,15 +94,7 @@ def phi(partition: Partition, coord: Sequence[int], n: int) -> tuple:
         raise ValueError(f"coordinate length {len(coord)} != order {partition.order}")
     if any(not 1 <= i <= n for i in coord):
         raise ValueError(f"coordinate {coord} out of range [1, {n}]")
-    out = []
-    for block in partition.blocks:
-        m = 1
-        stride = 1
-        for r in block:
-            m += (coord[r - 1] - 1) * stride
-            stride *= n
-        out.append(m)
-    return tuple(out)
+    return tuple(phi_array(partition, np.array([coord]), n)[0].tolist())
 
 
 def phi_inverse(partition: Partition, unfolded: Sequence[int], n: int) -> tuple:
@@ -134,10 +115,12 @@ def phi_inverse(partition: Partition, unfolded: Sequence[int], n: int) -> tuple:
 
 def phi_array(partition: Partition, coords: np.ndarray, n: int) -> np.ndarray:
     """Vectorized ``phi`` over an (nnz, k) coordinate array; int64 output."""
+    if max(partition.dims(n)) >= 2**63:
+        raise ValueError(f"unfolded sides {partition.dims(n)} are not all below 2^63")
     out = np.empty((coords.shape[0], partition.arity), dtype=np.int64)
     for j, block in enumerate(partition.blocks):
         cols = coords[:, [r - 1 for r in block]].astype(np.uint64) - np.uint64(1)
-        strides = _block_strides(block, n)
+        strides = np.uint64(n) ** np.arange(len(block), dtype=np.uint64)
         out[:, j] = (cols * strides).sum(axis=1).astype(np.int64) + 1
     return out
 
@@ -192,16 +175,8 @@ class UnfoldedView:
         return self.source.nnz
 
     def frobenius_sq(self) -> float:
-        """Frobenius norm squared, computed analytically (bijection preserves it)."""
-        v = self.values
-        total = _dot(v, v)
-        bg = self.background
-        if bg != 0.0:
-            ncoords = 1
-            for d in self.dims:
-                ncoords *= d
-            total += 2.0 * bg * float(v.sum()) + bg * bg * ncoords
-        return total
+        """Frobenius norm squared of the source (the bijection preserves it)."""
+        return _frobenius_sq(self.source)
 
     def canonical_entries(self) -> tuple:
         """(coords, values) sorted lexicographically in unfolded coordinates."""

@@ -14,10 +14,13 @@ from tensorconc import (
     DenseProbability,
     Homogeneous,
     OffsetTensor,
+    SeedSpec,
     ShapeMismatchError,
     SparseTensor,
     TensorShape,
     VectorTuple,
+    balanced_partition,
+    bernoulli_sample,
     center,
     contract_all_but_one,
     dumps_tensor,
@@ -27,6 +30,7 @@ from tensorconc import (
     loads_tensor,
     multilinear_form,
     rank1,
+    unfold,
 )
 
 
@@ -114,6 +118,15 @@ class TestFrobenius:
             assert res.returncode == 0, res.stderr
             outputs.add(res.stdout)
         assert len(outputs) == 1
+
+    def test_norm_of_centered_tensor_above_dense_gate(self):
+        # 120^3 coordinates: above the dense gate, which the closed form never needs
+        p = 0.001
+        t = bernoulli_sample(TensorShape(3, 120), Homogeneous(p), SeedSpec(1, 0))
+        w = center(t, Homogeneous(p))
+        expected = np.sqrt(t.nnz * (1 - p) ** 2 + (120**3 - t.nnz) * p**2)
+        assert frobenius_norm(w) == pytest.approx(expected, rel=1e-12)
+        assert frobenius_norm(w) == np.sqrt(unfold(w, balanced_partition(3, 2)).frobenius_sq())
 
     def test_background_inner_gated(self):
         small = OffsetTensor(SparseTensor.empty(TensorShape(2, 3)), 2.0)

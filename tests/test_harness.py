@@ -56,6 +56,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(_base_config(p_rule={"kind": "c_over_nm", "c": 0.0, "m": 2}))
 
+    @pytest.mark.parametrize("rule,match", [
+        ({"kind": "fixed", "p": 0.2, "m": 2},
+         r"fixed p_rule takes exactly \['p'\], got \['m', 'p'\]"),
+        ({"kind": "c_over_nm", "c": 1.0}, "c_over_nm p_rule takes exactly"),
+        ({"kind": "c_logn_over_nm", "c": 1.0, "m": 2, "p": 0.1}, "takes exactly"),
+        ({"kind": "c_logn_over_nm", "c": 1.0, "m": 2.0}, "p_rule.m must be an int"),
+        ({"kind": "nope"}, "unknown p_rule kind"),
+    ])
+    def test_p_rule_keys_exact(self, rule, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(_base_config(p_rule=rule))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict(_base_config(bogus=1))
@@ -65,10 +77,16 @@ class TestConfig:
         assert cfg.p_rule.value(10) == pytest.approx(5 * np.log(10) / 100)
 
     @pytest.mark.parametrize("bad", [
-        {"restarts": 0}, {"matrix_tol": -1}, {"max_iterations": 0}, {"num_slices": 0}])
+        {"matrix_tol": 1e-10}, {"tensor_tol": 1e-8}, {"max_iterations": 500},
+        {"restarts": 4, "max_iterations": 500}])
     def test_bad_estimator_settings(self, bad):
-        with pytest.raises(ConfigError, match="bad estimator settings"):
+        with pytest.raises(ConfigError, match="unknown estimator keys"):
             config_from_dict(_base_config(estimator=bad))
+
+    @pytest.mark.parametrize("key", ["restarts", "num_slices"])
+    def test_estimator_counts_at_least_1(self, key):
+        with pytest.raises(ConfigError, match=f"estimator.{key} must be an int >= 1, got 0"):
+            config_from_dict(_base_config(estimator={key: 0}))
 
     def test_params_typed_with_defaults(self):
         cfg = config_from_dict(_base_config(command="diagnostics", m=1,
@@ -359,7 +377,7 @@ class TestCli:
         res = self._cli("concentration", "--config", str(cfg_path),
                         "--set", "estimator.restarts=0", "--out", str(tmp_path / "o.csv"))
         assert res.returncode == 2, res.stderr
-        assert res.stderr.startswith("config error: bad estimator settings")
+        assert res.stderr.startswith("config error: estimator.restarts must be an int >= 1")
 
     def test_sparsify_above_dense_gate_exit_2(self, tmp_path):
         # 120^3 > 10^6: refused before the n = 8 trials run
@@ -370,6 +388,22 @@ class TestCli:
         res = self._cli("sparsify", "--config", str(cfg_path))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: sparsify") and "dense gate" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        "k=3.9", "n_list=[8.7]", "trials=2.5", 'trials="2"', "base_seed=1.5", "p_rule.m=2.5",
+        "estimator.restarts=2.5", "estimator.restarts=true", "estimator.num_slices=2.5"])
+    def test_inexact_number_exit_2(self, tmp_path, override):
+        # none of these is exactly a number of the type its key takes
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps(_base_config(
+            n_list=[8], p_rule={"kind": "c_logn_over_nm", "c": 5.0, "m": 2}, trials=1,
+            out=str(out))))
+        res = self._cli("concentration", "--config", str(cfg_path), "--set", override,
+                        "--jobs", "2")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("params,override", [

@@ -23,10 +23,10 @@ from tensorconc.rng import (
     _fin_int,
     _positions_percoord,
     _positions_skip,
+    _uniforms,
     bernoulli_positions,
     stream_key,
     uniforms_at,
-    uniforms_open_at,
 )
 
 
@@ -141,7 +141,7 @@ class TestHashKernel:
         key = stream_key(SeedSpec(3, 4), LBL_BERNOULLI)
         tops = [_fin_int(int(c) * _GAMMA + key) >> 11 for c in ctr]
         assert np.array_equal(uniforms_at(key, ctr), np.array(tops) * 2.0**-53)
-        assert np.array_equal(uniforms_open_at(key, ctr), (np.array(tops) + 1) * 2.0**-53)
+        assert np.array_equal(_uniforms(key, ctr, True), (np.array(tops) + 1) * 2.0**-53)
 
 
 class TestSparsifyUniform:

@@ -12,6 +12,7 @@ from tensorconc import (
     OffsetTensor,
     PowerIterConfig,
     SeedSpec,
+    ShapeMismatchError,
     SparseTensor,
     TensorShape,
     bernoulli_sample,
@@ -55,7 +56,7 @@ class TestMatrixOpNorm:
 
     def test_matches_jacobi_oracle_n50(self, rng):
         m = rng.standard_normal((50, 50))
-        got = matrix_op_norm(_matrix_tensor(m), PowerIterConfig(max_iterations=3000)).value
+        got = matrix_op_norm(_matrix_tensor(m)).value
         assert got == pytest.approx(jacobi_spectral_norm(m), rel=1e-8)
 
     def test_witness_achieves_value(self, rng):
@@ -70,21 +71,27 @@ class TestMatrixOpNorm:
         cancelled = center(SparseTensor.all_ones(TensorShape(2, 5)), Homogeneous(1.0))
         assert matrix_op_norm(cancelled).value == 0.0
 
-    def test_truncated_lanczos_still_certified(self, rng):
+    def test_truncated_lanczos_still_certified(self, rng, monkeypatch):
         m = rng.standard_normal((30, 30))
-        res = matrix_op_norm(_matrix_tensor(m), PowerIterConfig(max_iterations=2))
+        monkeypatch.setattr(spectral, "_MAX_STEPS", 2)
+        res = matrix_op_norm(_matrix_tensor(m))
         assert res.iterations == 2 and res.converged
         assert res.value >= _svd_norm(m)
 
     def test_above_dense_cap_not_certified(self, rng, monkeypatch):
         t = _matrix_tensor(rng.standard_normal((30, 30)))
-        cfg = PowerIterConfig(max_iterations=3000)
-        dense = matrix_op_norm(t, cfg)
+        dense = matrix_op_norm(t)
         monkeypatch.setattr(spectral, "_DENSE_MAX", 29)  # two sparse products per step
-        sparse = matrix_op_norm(t, cfg)
+        sparse = matrix_op_norm(t)
         assert dense.converged and not sparse.converged
         assert sparse.value <= dense.value
         assert sparse.value == pytest.approx(dense.value, rel=1e-8)
+
+    def test_rejects_wrong_length_start(self):
+        view = unfold(SparseTensor.all_ones(TensorShape(3, 2)), balanced_partition(3, 2))  # 2 x 4
+        assert matrix_op_norm(view, extra_inits=[np.ones(4)]).value == pytest.approx(np.sqrt(8))
+        with pytest.raises(ShapeMismatchError, match=r"\(2,\) != \(4,\)"):
+            matrix_op_norm(view, extra_inits=[np.ones(2)])
 
     def test_rejects_non_matrix_inputs(self):
         t = SparseTensor.all_ones(TensorShape(3, 2))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pickle
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestPartitionType:
 
     def test_json_roundtrip(self):
         p = Partition([[1, 3], [2]])
-        assert Partition.from_json_blocks(p.to_json_blocks()) == p
+        assert Partition(json.loads(json.dumps(p.blocks))) == p
 
     def test_pickle_roundtrip(self):
         p = Partition([[1, 3], [2]])
@@ -82,6 +83,16 @@ class TestPhi:
         n = 3
         for c in itertools.product(range(1, n + 1), repeat=4):
             assert phi_inverse(p, phi(p, c, n), n) == c
+
+    def test_sides_past_int64_rejected(self):
+        n = 2**30  # a three-mode block has n^3 = 2^90 indices
+        part = Partition([[1, 2, 3], [4]])
+        with pytest.raises(ValueError, match="not all below 2"):
+            phi(part, (n, n, n, 1), n)
+        t = SparseTensor(TensorShape(4, n), [[n, n, n, 1]], [1.0])
+        with pytest.raises(ValueError, match="not all below 2"):
+            unfold(t, part).coords
+        assert phi(Partition([[1, 2], [3]]), (n, n, n), n) == (2**60, n)
 
     def test_bijectivity_all_partitions_k_to_5(self):
         n = 3
