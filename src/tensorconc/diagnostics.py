@@ -306,11 +306,9 @@ def discrepancy_check(
     report = DiscrepancyReport(c2=c2, c3=c3)
     need_c2 = 0.0
     need_c3 = 0.0
-    counter = _BoxCounter(t)
-    for fam in fams:
-        fam = tuple(sorted(fam, key=len))
+    fams = [tuple(sorted(fam, key=len)) for fam in fams]
+    for fam, e in zip(fams, _BoxCounter(t).counts(fams).tolist()):
         sizes = tuple(len(s) for s in fam)
-        e = counter.count(fam)
         mu_bar = p
         for s in sizes:
             mu_bar *= s
@@ -379,13 +377,12 @@ def dyadic_profile(ys, delta: float, t: SparseTensor, p: float) -> DyadicProfile
             if members.size:
                 classes[(j, level)] = members
                 alpha[(j, level)] = members.size * 2.0 ** (2 * level) / n
-    counter = _BoxCounter(t)
-    tuples = []
     per_mode = [[lvl for (j, lvl) in classes if j == mode] for mode in range(1, k + 1)]
-    for combo in itertools.product(*per_mode):
-        fam = tuple(classes[(j + 1, combo[j])] for j in range(k))
+    combos = list(itertools.product(*per_mode))
+    fams = [tuple(classes[(j + 1, combo[j])] for j in range(k)) for combo in combos]
+    tuples = []
+    for combo, fam, e in zip(combos, fams, _BoxCounter(t).counts(fams).tolist()):
         sizes = tuple(len(f) for f in fam)
-        e = counter.sum(fam)
         mu_bar = p
         for s_ in sizes:
             mu_bar *= s_

@@ -250,8 +250,8 @@ def matrix_op_norm(
     The norm squared is the top eigenvalue of the Gram matrix G of the
     smaller side, found by ``_lanczos``.  The start is the first vector of
     ``extra_inits`` that is nonzero once mapped onto the rows by the matrix
-    when the rows are the smaller side, else the uniform vector; a vector
-    read whose length is not ``ncols`` raises ``ShapeMismatchError``.
+    when the rows are the smaller side, else the uniform vector; any vector
+    whose length is not ``ncols`` raises ``ShapeMismatchError``.
 
     When the smaller side is at most ``_DENSE_MAX``, G is formed densely and
     ``value`` is a certified upper bound on the norm (see ``_certify``);
@@ -267,11 +267,12 @@ def matrix_op_norm(
         return MatrixNormResult(0.0, _e1(nrows), _e1(ncols), 0, True)
     short = 0 if nrows <= ncols else 1
     r = mat.dims[short]
-    start = np.full(r, r**-0.5)
-    for v in extra_inits:
-        v = np.asarray(v, dtype=np.float64)
+    inits = [np.asarray(v, dtype=np.float64) for v in extra_inits]
+    for v in inits:
         if v.shape != (ncols,):
             raise ShapeMismatchError(f"start vector shape {v.shape} != ({ncols},)")
+    start = np.full(r, r**-0.5)
+    for v in inits:
         q = v if short else _times(mat, v, 1)
         if _norm(q) > 0.0:
             start = q

@@ -14,6 +14,7 @@ grow.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -25,13 +26,14 @@ class Partition:
     """Disjoint nonempty blocks of 1-based mode indices covering [k].
 
     Block order is significant (it fixes the unfolded mode order); members
-    within a block are kept sorted ascending.
+    within a block are kept sorted ascending.  A member must be an integer
+    (``operator.index``): 1.5 or "2" raises ``TypeError``.
     """
 
     __slots__ = ("blocks", "order")
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
-        clean = tuple(tuple(sorted(int(i) for i in b)) for b in blocks)
+        clean = tuple(tuple(sorted(operator.index(i) for i in b)) for b in blocks)
         if not clean or any(len(b) == 0 for b in clean):
             raise ValueError("partition blocks must be nonempty")
         flat = [i for b in clean for i in b]

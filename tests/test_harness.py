@@ -314,7 +314,8 @@ class TestSummarize:
         out = tmp_path / "r.csv"
         cfg = config_from_dict(_base_config(out=str(out)))
         records = run(cfg)
-        rows = list(csv.reader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
         flags = [(True, True), (False, True), (False, False), (True, False)]
         for row, (low, up) in zip(rows[1:], flags):
             aux = json.loads(row[12])

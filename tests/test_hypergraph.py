@@ -273,6 +273,10 @@ class TestFamilySamplerKernel:
     def test_smallest_breaks_ties_by_position(self):
         gen = np.random.default_rng(5)
         u = gen.integers(0, 4, size=(300, 9)).astype(float)  # heavy ties
+        # a third of the rows without ties, a third with one repeated value
+        u[::3] = gen.random((100, 9))
+        u[1::3] = gen.random((100, 9))
+        u[1::3, 4] = u[1::3, 7]
         sizes = gen.integers(1, 10, size=300)
         ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
         assert np.array_equal(hypergraph._smallest(u, sizes), ranks < sizes[:, None])
@@ -297,12 +301,11 @@ class TestBoxCounterPaths:
         bitmap = hypergraph._BoxCounter(t)
         monkeypatch.setattr(hypergraph, "DENSE_GATE", 0)
         sparse = hypergraph._BoxCounter(t)
-        assert bitmap.bits is not None and sparse.bits is None
-        for _ in range(40):
-            subsets = _distinct_subsets(gen, k, n)
-            want = dense_count_edges(dense, subsets)
-            assert bitmap.sum(subsets) == sparse.sum(subsets) == want
-            assert count_edges(t, subsets) == want
+        assert bitmap.fibers is not None and sparse.fibers is None
+        families = [_distinct_subsets(gen, k, n) for _ in range(40)]
+        want = [dense_count_edges(dense, subsets) for subsets in families]
+        assert bitmap.counts(families).tolist() == sparse.counts(families).tolist() == want
+        assert [count_edges(t, subsets) for subsets in families] == want
 
     @pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 5)])
     def test_sparse_path_first_set_above_half(self, k, n, monkeypatch):
@@ -313,23 +316,23 @@ class TestBoxCounterPaths:
         weighted = random_sparse(gen, k, n, values="normal")
         unit_counter = hypergraph._BoxCounter(unit)
         weighted_counter = hypergraph._BoxCounter(weighted)
-        assert unit_counter.bits is None and unit_counter.unit_values
+        assert unit_counter.fibers is None and unit_counter.unit_values
         unit_dense, weighted_dense = unit.to_dense(), weighted.to_dense()
         for size in range(n // 2 + 1, n + 1):
             for _ in range(6):
                 subsets = _distinct_subsets(gen, k, n)
                 subsets[0] = gen.permutation(n)[:size] + 1
-                assert unit_counter.sum(subsets) == dense_count_edges(unit_dense, subsets)
+                assert unit_counter.counts([subsets])[0] == dense_count_edges(unit_dense, subsets)
                 want = weighted_dense[np.ix_(*(s - 1 for s in subsets))].sum()
-                assert weighted_counter.sum(subsets) == pytest.approx(want, rel=0, abs=1e-12)
+                assert weighted_counter.counts([subsets])[0] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_gate_is_inclusive(self):
         coords = np.array([[1, 2], [3, 4]], dtype=np.int32)
         at_gate = SparseTensor(TensorShape(2, 1000), coords, np.ones(2))
         above = SparseTensor(TensorShape(2, 1001), coords, np.ones(2))
         assert at_gate.shape.ncoords == hypergraph.DENSE_GATE
-        assert hypergraph._BoxCounter(at_gate).bits is not None
-        assert hypergraph._BoxCounter(above).bits is None
+        assert hypergraph._BoxCounter(at_gate).fibers is not None
+        assert hypergraph._BoxCounter(above).fibers is None
         subsets = [np.array([1, 3]), np.array([2, 4, 5])]
         assert box_sum(at_gate, subsets) == box_sum(above, subsets) == 2.0
 
@@ -337,12 +340,104 @@ class TestBoxCounterPaths:
         gen = np.random.default_rng(72)
         t = random_sparse(gen, 3, 6, values="int")
         counter = hypergraph._BoxCounter(t)
-        assert counter.bits is None
+        assert counter.fibers is None
         dense = t.to_dense()
-        for _ in range(20):
-            subsets = _distinct_subsets(gen, 3, 6)
-            want = dense[np.ix_(*(s - 1 for s in subsets))].sum()
-            assert counter.sum(subsets) == want
+        families = [_distinct_subsets(gen, 3, 6) for _ in range(20)]
+        want = [dense[np.ix_(*(s - 1 for s in subsets))].sum() for subsets in families]
+        assert counter.counts(families).tolist() == want
+
+
+def _word_edge_tensor(gen, k, n):
+    """A 0/1 tensor dense on the indices around the 64-bit word boundary
+    (and 1, 2, n), sparse elsewhere, with a bool dense copy for the oracle."""
+    pool = np.array(sorted({1, 2, 62, 63, 64, 65, n // 2 + 1, n} & set(range(1, n + 1))))
+    near = np.stack(np.meshgrid(*[pool - 1] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    near = near[gen.random(near.shape[0]) < 0.5]
+    lin = np.unique(np.concatenate([np.ravel_multi_index(tuple(near.T), (n,) * k),
+                                    gen.integers(0, n ** k, size=2000)]))
+    coords = np.stack(np.unravel_index(lin, (n,) * k), axis=1) + 1
+    dense = np.zeros((n,) * k, dtype=bool)
+    dense[tuple(coords.T - 1)] = True
+    return SparseTensor(TensorShape(k, n), coords, np.ones(lin.size)), dense, pool
+
+
+def _word_edge_families(gen, k, n, pool, count):
+    """Families whose largest set sits at each mode in turn, every fourth
+    one with all sizes tied; small sets draw from ``pool``, the largest
+    also from all of [1, n]."""
+    fams = []
+    for f in range(count):
+        small = [gen.choice(pool, size=gen.integers(1, min(3, pool.size) + 1), replace=False)
+                 for _ in range(k)]
+        if f % 4 == 3:
+            size = min(s.size for s in small)
+            fam = [s[:size] for s in small]
+        else:
+            top = f % k
+            extra = gen.choice(np.setdiff1d(np.arange(1, n + 1), small[top]),
+                               size=min(n - small[top].size, int(gen.integers(0, 12))), replace=False)
+            fam = list(small)
+            fam[top] = np.concatenate([small[top], extra])
+            if fam[top].size <= max(s.size for s in small):  # too few members left to lead
+                fam = [s[:1] for s in small]
+                fam[top] = np.concatenate([small[top], extra])
+        fams.append(tuple(np.asarray(s, dtype=np.int64) for s in fam))
+    return fams
+
+
+_COUNT_CASES = [(k, n) for k in (2, 3, 4) for n in (1, 63, 64, 65, 128) if (k, n) != (4, 128)]
+
+
+class TestCounts:
+    """``_BoxCounter.counts`` on the bit-packed path against the dense oracle,
+    on both sides of a 64-bit word boundary."""
+
+    @pytest.mark.parametrize("k,n", _COUNT_CASES)
+    def test_matches_dense_oracle(self, k, n, monkeypatch):
+        monkeypatch.setattr(hypergraph, "DENSE_GATE", max(hypergraph.DENSE_GATE, n ** k))
+        gen = np.random.default_rng(900 + 10 * k + n)
+        t, dense, pool = _word_edge_tensor(gen, k, n)
+        fams = _word_edge_families(gen, k, n, pool, 48)
+        counter = hypergraph._BoxCounter(t)
+        assert counter.fibers is not None
+        want = [dense_count_edges(dense, fam) for fam in fams]
+        got = counter.counts(fams)
+        assert got.dtype == np.float64 and got.tolist() == want
+        assert [counter.counts([fam])[0] for fam in fams] == want
+        # every mode that leads a family has been laid out, and only those
+        leads = {k - 1 - int(np.argmax([s.size for s in fam][::-1])) for fam in fams}
+        assert {j for j in range(k) if counter.fibers[j] is not None} == leads
+
+    @pytest.mark.parametrize("k,n", [(2, 65), (3, 64), (4, 5)])
+    def test_passes_split_families(self, k, n, monkeypatch):
+        gen = np.random.default_rng(950 + k)
+        t, dense, pool = _word_edge_tensor(gen, k, n)
+        fams = _word_edge_families(gen, k, n, pool, 60)
+        fams.append(tuple(np.arange(1, n + 1) for _ in range(k)))  # over any small cap
+        want = [dense_count_edges(dense, fam) for fam in fams[:-1]] + [int(dense.sum())]
+        words = -(-n // 64)
+        for cap in (1, 5, 13):
+            monkeypatch.setattr(hypergraph, "_PASS_WORDS", cap * words)
+            assert hypergraph._BoxCounter(t).counts(fams).tolist() == want
+
+    @pytest.mark.parametrize("k,n", [(2, 128), (3, 65), (4, 9)])
+    def test_bitmap_matches_sparse_path(self, k, n, monkeypatch):
+        gen = np.random.default_rng(970 + k)
+        t, _, pool = _word_edge_tensor(gen, k, n)
+        fams = _word_edge_families(gen, k, n, pool, 200)
+        fams += sample_subset_families(k, n, 200, SeedSpec(971, k))
+        bitmap = hypergraph._BoxCounter(t)
+        monkeypatch.setattr(hypergraph, "DENSE_GATE", 0)
+        sparse = hypergraph._BoxCounter(t)
+        assert bitmap.fibers is not None and sparse.fibers is None
+        assert np.array_equal(bitmap.counts(fams), sparse.counts(fams))
+
+    def test_empty_inputs(self):
+        t = SparseTensor.empty(TensorShape(3, 4))
+        fam = tuple(np.array([1, 2]) for _ in range(3))
+        assert hypergraph._BoxCounter(t).counts([fam]).tolist() == [0.0]
+        t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(975, 0)))
+        assert hypergraph._BoxCounter(t).counts([]).shape == (0,)
 
 
 class TestSubsetValidation:

@@ -92,6 +92,9 @@ class TestMatrixOpNorm:
         assert matrix_op_norm(view, extra_inits=[np.ones(4)]).value == pytest.approx(np.sqrt(8))
         with pytest.raises(ShapeMismatchError, match=r"\(2,\) != \(4,\)"):
             matrix_op_norm(view, extra_inits=[np.ones(2)])
+        # a bad vector after the first usable start is still checked
+        with pytest.raises(ShapeMismatchError, match=r"\(7,\) != \(4,\)"):
+            matrix_op_norm(view, extra_inits=[np.ones(4), np.ones(7)])
 
     def test_rejects_non_matrix_inputs(self):
         t = SparseTensor.all_ones(TensorShape(3, 2))

@@ -39,6 +39,15 @@ class TestPartitionType:
             Partition([[1], [3]])  # gap
         assert Partition([[2, 1], [3]]).blocks == ((1, 2), (3,))
 
+    @pytest.mark.parametrize("member", [1.5, 1.0, "1"])
+    def test_non_integer_member_rejected(self, member):
+        with pytest.raises(TypeError):
+            Partition([[member, 3], [2]])
+
+    def test_numpy_integer_members(self):
+        p = Partition([[np.int64(3), np.int32(1)], [np.uint8(2)]])
+        assert p.blocks == ((1, 3), (2,)) and all(type(i) is int for b in p.blocks for i in b)
+
     def test_json_roundtrip(self):
         p = Partition([[1, 3], [2]])
         assert Partition(json.loads(json.dumps(p.blocks))) == p
