@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .core import (
     linear_index,
     multilinear_form,
 )
-from .hypergraph import _BoxCounter, _validate_families, sample_subset_families
+from .hypergraph import _BoxCounter, _scaled_volume, _validate_families, sample_subset_families
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, hopm_lower
 
@@ -234,18 +234,8 @@ def bounded_degree_check(t: SparseTensor, p: float, c1: float) -> BoundedDegreeR
 
 
 @dataclass(frozen=True)
-class DiscrepancyTrial:
-    sizes: tuple
-    e: float
-    mu_bar: float
-    lam: float
-    case1: bool
-    case2: bool
-
-
-@dataclass
 class DiscrepancyReport:
-    """Per-family evaluation of the two bounded-discrepancy cases.
+    """The two bounded-discrepancy cases evaluated per family, one array row each.
 
     Case 1: e / mu_bar <= exp(1) * c2.
     Case 2: e * log(e / mu_bar) <= c3 * |I_k| * log(n / |I_k|), with the
@@ -258,28 +248,24 @@ class DiscrepancyReport:
 
     c2: float
     c3: float
-    trials: list = field(default_factory=list)
-    violations: int = 0
-    fitted_c2: float = 0.0
-    fitted_c3: float = 0.0
+    sizes: np.ndarray  # (F, k) int64, each row ascending: |I_1| <= ... <= |I_k|
+    e: np.ndarray  # box sums
+    mu_bar: np.ndarray  # p * |I_1| * ... * |I_k|
+    lam: np.ndarray  # e / mu_bar
+    case1: np.ndarray  # bool
+    case2: np.ndarray  # bool
+    violations: int
+    fitted_c2: float
+    fitted_c3: float
 
     @property
     def within(self) -> bool:
         return self.violations == 0
 
 
-def _discrepancy_cases(e: float, mu_bar: float, n: int, top: int, c2: float, c3: float):
-    lam = e / mu_bar if mu_bar > 0 else float("inf")
-    case1 = lam <= math.e * c2
-    if e <= 0.0:
-        return lam, case1, True, 0.0
-    lhs2 = e * math.log(lam) if lam > 0 else float("-inf")
-    if lhs2 <= 0.0:
-        return lam, case1, True, 0.0
-    denom = top * math.log(n / top)
-    if denom <= 0.0:
-        return lam, case1, False, float("inf")
-    return lam, case1, lhs2 <= c3 * denom, lhs2 / denom
+def _logs(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry: unlike ``np.log``, not dispatched by host CPU."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=x.size)
 
 
 def discrepancy_check(
@@ -303,52 +289,49 @@ def discrepancy_check(
         fams = sample_subset_families(k, n, int(families), seed)
     else:
         fams = _validate_families(t.shape, families, "index sets must be nonempty")
-    report = DiscrepancyReport(c2=c2, c3=c3)
-    need_c2 = 0.0
-    need_c3 = 0.0
     fams = [tuple(sorted(fam, key=len)) for fam in fams]
-    for fam, e in zip(fams, _BoxCounter(t).counts(fams).tolist()):
-        sizes = tuple(len(s) for s in fam)
-        mu_bar = p
-        for s in sizes:
-            mu_bar *= s
-        lam, case1, case2, ratio2 = _discrepancy_cases(e, mu_bar, n, sizes[-1], c2, c3)
-        report.trials.append(DiscrepancyTrial(sizes, e, mu_bar, lam, case1, case2))
-        if not (case1 or case2):
-            report.violations += 1
-        if not case2:
-            need_c2 = max(need_c2, lam / math.e)
-        if not case1:
-            need_c3 = max(need_c3, ratio2)
-    report.fitted_c2 = need_c2
-    report.fitted_c3 = need_c3
-    return report
+    sizes, e = _BoxCounter(t).counts(fams)
+    mu_bar = _scaled_volume(p, sizes)
+    lam = e / mu_bar
+    case1 = lam <= math.e * c2
+    # case 2 holds where e * log(lam) <= 0; elsewhere it compares with
+    # |I_k| log(n / |I_k|), which is 0 (case 2 fails) when |I_k| = n
+    case2 = np.ones(e.size, dtype=bool)
+    ratio2 = np.zeros(e.size)
+    rows = np.flatnonzero((e > 0.0) & (lam > 0.0))
+    lhs2 = e[rows] * _logs(lam[rows])
+    rows, lhs2 = rows[lhs2 > 0.0], lhs2[lhs2 > 0.0]
+    top = sizes[rows, -1]
+    denom = top * _logs(n / top)
+    case2[rows] = lhs2 <= c3 * denom
+    ratio2[rows] = np.divide(lhs2, denom, out=np.full(rows.size, np.inf), where=denom > 0.0)
+    return DiscrepancyReport(c2, c3, sizes, e, mu_bar, lam, case1, case2,
+                             int(np.count_nonzero(~(case1 | case2))),
+                             float(np.max(lam[~case2] / math.e, initial=0.0)),
+                             float(np.max(ratio2[~case1], initial=0.0)))
 
 
 @dataclass(frozen=True)
 class DyadicProfile:
-    """Dyadic magnitude classes and their edge-count statistics.
+    """Dyadic magnitude classes and their edge-count statistics, one array row
+    per nonempty class tuple.
 
-    Classes use half-open intervals [2^(s-1) d/sqrt(n), 2^s d/sqrt(n)) with
-    s minimal at boundaries, for s = 1 .. ceil(log2(sqrt(n)/d)); only
-    indices with y_{j,i} >= d/sqrt(n) (the positive-part branch) qualify.
+    Classes use half-open intervals [2^(s-1) d/sqrt(n), 2^s d/sqrt(n)),
+    compared exactly, for s = 1 .. ceil(log2(sqrt(n)/d)), the last one
+    unbounded above; only indices with y_{j,i} >= d/sqrt(n) (the
+    positive-part branch) qualify.
     """
 
     delta: float
     smax: int
     classes: dict  # (mode j 1-based, s) -> int32 array of 1-based indices
     alpha: dict  # (j, s) -> |D_j^s| * 2^(2s) / n
-    tuples: list  # DyadicTuple records over nonempty class combinations
-
-
-@dataclass(frozen=True)
-class DyadicTuple:
-    levels: tuple
-    sizes: tuple
-    e: float
-    mu_bar: float
-    lam: float
-    sigma: float
+    levels: np.ndarray  # (F, k) int64 class tuples s_1 .. s_k
+    sizes: np.ndarray  # (F, k) int64 class sizes
+    e: np.ndarray  # box sums
+    mu_bar: np.ndarray  # p * |D_1| * ... * |D_k|
+    lam: np.ndarray  # e / mu_bar
+    sigma: np.ndarray  # lam * n^(k/2-1) * sqrt(np) * 2^-(s_1 + ... + s_k)
 
 
 def dyadic_profile(ys, delta: float, t: SparseTensor, p: float) -> DyadicProfile:
@@ -361,35 +344,29 @@ def dyadic_profile(ys, delta: float, t: SparseTensor, p: float) -> DyadicProfile
     k, n = t.shape.order, t.shape.dim
     if len(vecs) != k:
         raise ValueError(f"expected {k} vectors")
+    if any(v.shape != (n,) for v in vecs):
+        raise ValueError("vectors must have length n")
     base = delta / math.sqrt(n)
     smax = max(1, math.ceil(math.log2(math.sqrt(n) / delta)))
+    edges = np.ldexp(base, np.arange(smax))  # class s starts at 2^(s-1) * base, exactly
     classes = {}
     alpha = {}
     for j, v in enumerate(vecs, start=1):
         qual = np.flatnonzero(v >= base)
-        if qual.size:
-            s = np.floor(np.log2(v[qual] / base)).astype(np.int64) + 1
-            s = np.clip(s, 1, smax)
-        else:
-            s = np.empty(0, dtype=np.int64)
+        s = np.searchsorted(edges, v[qual], side="right")
         for level in range(1, smax + 1):
             members = (qual[s == level] + 1).astype(np.int32)
             if members.size:
                 classes[(j, level)] = members
                 alpha[(j, level)] = members.size * 2.0 ** (2 * level) / n
     per_mode = [[lvl for (j, lvl) in classes if j == mode] for mode in range(1, k + 1)]
-    combos = list(itertools.product(*per_mode))
-    fams = [tuple(classes[(j + 1, combo[j])] for j in range(k)) for combo in combos]
-    tuples = []
-    for combo, fam, e in zip(combos, fams, _BoxCounter(t).counts(fams).tolist()):
-        sizes = tuple(len(f) for f in fam)
-        mu_bar = p
-        for s_ in sizes:
-            mu_bar *= s_
-        lam = e / mu_bar if mu_bar > 0 else float("inf")
-        sigma = lam * n ** (k / 2.0 - 1.0) * math.sqrt(n * p) * 2.0 ** (-sum(combo))
-        tuples.append(DyadicTuple(tuple(combo), sizes, e, mu_bar, lam, sigma))
-    return DyadicProfile(delta, smax, classes, alpha, tuples)
+    levels = np.array(list(itertools.product(*per_mode)), dtype=np.int64).reshape(-1, k)
+    fams = [tuple(classes[(j, s)] for j, s in enumerate(row, start=1)) for row in levels.tolist()]
+    sizes, e = _BoxCounter(t).counts(fams)
+    mu_bar = _scaled_volume(p, sizes)
+    lam = e / mu_bar
+    sigma = lam * n ** (k / 2.0 - 1.0) * math.sqrt(n * p) * np.ldexp(1.0, -levels.sum(axis=1))
+    return DyadicProfile(delta, smax, classes, alpha, levels, sizes, e, mu_bar, lam, sigma)
 
 
 @dataclass(frozen=True)

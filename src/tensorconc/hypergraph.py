@@ -12,13 +12,13 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .core import DENSE_GATE, SparseTensor, TensorShape, _lex_order
+from .core import SparseTensor, TensorShape, _lex_order
 from .rng import SeedSpec
 
 
@@ -146,6 +146,11 @@ def _bit_rows(rows: int, words: int, bit: np.ndarray) -> np.ndarray:
     return np.packbits(bits.reshape(rows, -1), axis=1, bitorder="little").view("<u8")
 
 
+# Bits of the largest bit-packed layout, n^(k-1) * 64 * ceil(n/64): also the
+# bytes of the bool array ``_bit_rows`` packs it from (n = 256 at k = 3).  It is
+# the most any 0/1 tensor with n^k <= ``core.DENSE_GATE`` needs (n = 2, k = 19).
+_PACKED_BITS = 1 << 24
+
 # Fiber words gathered per pass of the bit-packed kernel.  It keeps each of a
 # pass's arrays near 256 KB; at n = 100, k = 3, counting 5000 sampled families
 # in one pass allocated 43 MB at its peak, against 4.3 MB in passes.
@@ -156,9 +161,10 @@ class _BoxCounter:
     """Reusable box-sum evaluator: pays layout cost once so that many subset
     families can be scored against one tensor cheaply.
 
-    A 0/1 tensor with n^k <= ``DENSE_GATE`` is counted on its fibers packed
-    into uint64 words.  Mode j's layout, built when a family first needs it,
-    has one row of ceil(n/64) words per tuple of the other k-1 indices
+    A 0/1 tensor whose layout takes at most ``_PACKED_BITS`` bits is counted
+    on its fibers packed into uint64 words.  Mode j's layout, built when a
+    family first needs it, has one row of ceil(n/64) words per tuple of the
+    other k-1 indices
     (row-major flat index), whose bit i is the entry with mode-j index i + 1.
     ``counts`` groups families by the mode of their largest set (the last of
     equal sizes).  In passes of at most ``_PASS_WORDS`` gathered words (a
@@ -180,22 +186,26 @@ class _BoxCounter:
         self.values = t.values
         self.unit_values = bool(t.nnz) and bool(np.all(t.values == 1.0))
         self.coords = self.fibers = self.cols = self.starts = None
-        if self.unit_values and t.shape.ncoords <= DENSE_GATE:
+        k, n = t.shape.order, t.shape.dim
+        if self.unit_values and n ** (k - 1) * 64 * -(-n // 64) <= _PACKED_BITS:
             self.coords = t.coords
-            self.fibers = [None] * t.shape.order
+            self.fibers = [None] * k
             return
-        self.cols = [np.ascontiguousarray(t.coords[:, j]) for j in range(t.shape.order)]
-        self.starts = np.searchsorted(self.cols[0], np.arange(1, t.shape.dim + 2))
+        self.cols = [np.ascontiguousarray(t.coords[:, j]) for j in range(k)]
+        self.starts = np.searchsorted(self.cols[0], np.arange(1, n + 2))
 
-    def counts(self, families: Sequence) -> np.ndarray:
-        """Box sum of each family, all already known to be valid
-        (``_validate_families``), as float64."""
+    def counts(self, families: Sequence) -> tuple:
+        """``(sizes, sums)`` of families already known to be valid
+        (``_validate_families``): ``sizes[f, j]`` is |V_j| of family f
+        (int64, F x k) and ``sums[f]`` its box sum (float64)."""
+        k, n = self.shape.order, self.shape.dim
+        sets = list(itertools.chain.from_iterable(families))
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)).reshape(-1, k)
         out = np.zeros(len(families))
         if self.values.size == 0 or not len(families):
-            return out
+            return sizes, out
         if self.fibers is not None:
-            return self._bit_counts(families).astype(np.float64)
-        n = self.shape.dim
+            return sizes, self._bit_counts(sets, sizes).astype(np.float64)
         for f, subsets in enumerate(families):
             lo = self.starts[subsets[0] - 1]
             idx = _runs(lo, self.starts[subsets[0]] - lo)
@@ -206,7 +216,7 @@ class _BoxCounter:
                 out[f] = np.count_nonzero(mask)
             else:
                 out[f] = np.sum(self.values[idx], where=mask)
-        return out
+        return sizes, out
 
     def _layout(self, mode: int) -> np.ndarray:
         if self.fibers[mode] is None:
@@ -223,15 +233,13 @@ class _BoxCounter:
             self.fibers[mode] = _bit_rows(n ** (k - 1), words, bit)
         return self.fibers[mode]
 
-    def _bit_counts(self, families: Sequence) -> np.ndarray:
+    def _bit_counts(self, sets: list, sizes: np.ndarray) -> np.ndarray:
         k, n = self.shape.order, self.shape.dim
-        sets = list(itertools.chain.from_iterable(families))
-        sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-        starts = (np.cumsum(sizes) - sizes).reshape(-1, k)
-        sizes = sizes.reshape(-1, k)
+        flat = sizes.reshape(-1)
+        starts = (np.cumsum(flat) - flat).reshape(sizes.shape)
         members = np.concatenate(sets)
         widest = k - 1 - np.argmax(sizes[:, ::-1], axis=1)
-        out = np.zeros(len(families), dtype=np.int64)
+        out = np.zeros(sizes.shape[0], dtype=np.int64)
         for mode in np.unique(widest).tolist():
             others = [j for j in range(k) if j != mode]
             group = np.flatnonzero(widest == mode)
@@ -268,7 +276,7 @@ def box_sum(t: SparseTensor, subsets: Sequence[np.ndarray]) -> float:
 
     Each V_j is a nonempty set of members of [1, n]; a repeated member
     raises ``ValueError``."""
-    return float(_BoxCounter(t).counts(_validate_families(t.shape, [subsets]))[0])
+    return float(_BoxCounter(t).counts(_validate_families(t.shape, [subsets]))[1][0])
 
 
 def count_edges(t: SparseTensor, subsets: Sequence[np.ndarray]) -> int:
@@ -355,25 +363,32 @@ def sample_subset_families(k: int, n: int, count: int, seed: SeedSpec) -> list:
     return [tuple(sets[t * k:(t + 1) * k]) for t in range(count)]
 
 
+def _scaled_volume(scale: float, sizes: np.ndarray) -> np.ndarray:
+    """scale * |V_1| * ... * |V_k| per row of ``sizes``, multiplied from the left."""
+    out = np.full(sizes.shape[0], scale)
+    for col in sizes.T:
+        out *= col
+    return out
+
+
 @dataclass(frozen=True)
-class MixingTrial:
-    sizes: tuple
-    e: float
-    expected: float
-    ratio: float
-
-
-@dataclass
 class MixingReport:
-    """Discrepancy statistics |e - p * prod|V_i|| / sqrt(prod|V_i|) over families."""
+    """Discrepancy statistics |e - p * prod|V_i|| / sqrt(prod|V_i|), one array
+    row per family."""
 
     k: int
     n: int
     p: float
     c: float
     seed: SeedSpec
-    trials: list = field(default_factory=list)
-    max_ratio: float = 0.0
+    sizes: np.ndarray  # (F, k) int64: |V_1|, ..., |V_k|
+    e: np.ndarray  # box sums
+    expected: np.ndarray  # p * (|V_1| * ... * |V_k|)
+    ratio: np.ndarray
+
+    @property
+    def max_ratio(self) -> float:
+        return float(np.max(self.ratio, initial=0.0))
 
     @property
     def fitted_c(self) -> float:
@@ -384,7 +399,7 @@ class MixingReport:
             {
                 "max_ratio": self.max_ratio,
                 "fitted_C": self.fitted_c,
-                "trials": len(self.trials),
+                "trials": len(self.ratio),
                 "seed": [self.seed.base_seed, self.seed.stream_id],
             },
             sort_keys=True,
@@ -392,39 +407,27 @@ class MixingReport:
 
     def to_csv_rows(self) -> list:
         rows = [["sizes", "e", "expected", "ratio"]]
-        for t in self.trials:
-            rows.append(["x".join(str(s) for s in t.sizes),
-                         format(t.e, ".17g"), format(t.expected, ".17g"),
-                         format(t.ratio, ".17g")])
+        for sizes, *stats in zip(self.sizes.tolist(), self.e.tolist(),
+                                 self.expected.tolist(), self.ratio.tolist()):
+            rows.append(["x".join(map(str, sizes))] + [format(v, ".17g") for v in stats])
         return rows
 
 
-def _mixing_trial(p: float, fam, e: float) -> MixingTrial:
-    sizes = tuple(int(len(s)) for s in fam)
-    vol = 1.0
-    for s in sizes:
-        vol *= s
-    expected = p * vol
-    ratio = abs(e - expected) / math.sqrt(vol)
-    return MixingTrial(sizes, e, expected, ratio)
-
-
-def _singleton_trials(t: SparseTensor, p: float) -> list:
-    """Exact evaluation over all n^k singleton tuples without enumerating them.
+def _singleton_trials(t: SparseTensor, p: float) -> tuple:
+    """Exact evaluation over all n^k singleton tuples without enumerating them,
+    as ``MixingReport`` rows for one or two of them.
 
     A singleton tuple's ratio is |value - p|, which takes one value per
     stored entry value plus p itself whenever an unstored (zero) coordinate
     exists; the maximum over all n^k tuples is therefore exact.
     """
-    trials = []
-    ncoords = t.shape.ncoords
+    e = []
     if t.nnz:
-        i = int(np.argmax(np.abs(t.values - p)))
-        v = float(t.values[i])
-        trials.append(MixingTrial((1,) * t.shape.order, v, p, abs(v - p)))
-    if t.nnz < ncoords:
-        trials.append(MixingTrial((1,) * t.shape.order, 0.0, p, p))
-    return trials
+        e.append(t.values[np.argmax(np.abs(t.values - p))])
+    if t.nnz < t.shape.ncoords:
+        e.append(0.0)
+    e = np.array(e, dtype=np.float64)
+    return np.ones((e.size, t.shape.order), dtype=np.int64), e, np.full(e.size, p), np.abs(e - p)
 
 
 def mixing_check(
@@ -440,39 +443,37 @@ def mixing_check(
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     k, n = t.shape.order, t.shape.dim
-    report = MixingReport(k=k, n=n, p=p, c=p * n ** (k - 1), seed=seed)
+    c = p * n ** (k - 1)
     if families.kind == "singletons":
-        report.trials = _singleton_trials(t, p)
-        report.max_ratio = max((tr.ratio for tr in report.trials), default=0.0)
-        return report
+        return MixingReport(k, n, p, c, seed, *_singleton_trials(t, p))
     if families.kind == "sampled":
         fams = sample_subset_families(k, n, families.count, seed)
     elif families.kind == "explicit":
         fams = _validate_families(t.shape, families.families)
     else:
         raise ValueError(f"unknown family kind {families.kind!r}")
-    counts = _BoxCounter(t).counts(fams).tolist()
-    report.trials = [_mixing_trial(p, fam, e) for fam, e in zip(fams, counts)]
-    report.max_ratio = max((tr.ratio for tr in report.trials), default=0.0)
-    return report
+    sizes, e = _BoxCounter(t).counts(fams)
+    vol = _scaled_volume(1.0, sizes)
+    expected = p * vol
+    return MixingReport(k, n, p, c, seed, sizes, e, expected, np.abs(e - expected) / np.sqrt(vol))
 
 
 @dataclass(frozen=True)
-class MatrixMixingTrial:
-    sizes: tuple
-    e: int
-    expected: float
-    bound: float
-    margin: float
-
-
-@dataclass
 class MatrixMixingReport:
+    """Two-set mixing margins, one array row per pair (V1, V2)."""
+
     n: int
     d: int
     lam: float
-    trials: list
-    max_margin: float
+    sizes: np.ndarray  # (F, 2) int64: |V1|, |V2|
+    e: np.ndarray  # int64 e(V1, V2)
+    expected: np.ndarray  # d |V1| |V2| / n
+    bound: np.ndarray  # lam * sqrt(|V1| |V2| (1 - |V1|/n) (1 - |V2|/n))
+    margin: np.ndarray  # |e - expected| - bound
+
+    @property
+    def max_margin(self) -> float:
+        return float(np.max(self.margin, initial=-np.inf))
 
 
 def matrix_mixing_check(
@@ -505,12 +506,9 @@ def matrix_mixing_check(
         fams = sample_subset_families(2, n, num_pairs, seed)
     else:
         fams = _validate_families(a.shape, pairs)
-    counts = _BoxCounter(a).counts(fams).astype(np.int64).tolist()  # unit entries: exact
-    trials = []
-    for (v1, v2), e in zip(fams, counts):
-        s1, s2 = len(v1), len(v2)
-        expected = d * s1 * s2 / n
-        bound = lam * math.sqrt(s1 * s2 * (1 - s1 / n) * (1 - s2 / n))
-        trials.append(MatrixMixingTrial((s1, s2), e, expected, bound, abs(e - expected) - bound))
-    max_margin = max((t.margin for t in trials), default=float("-inf"))
-    return MatrixMixingReport(n=n, d=d, lam=lam, trials=trials, max_margin=max_margin)
+    sizes, sums = _BoxCounter(a).counts(fams)
+    e = sums.astype(np.int64)  # unit entries: exact
+    s1, s2 = sizes.T
+    expected = d * s1 * s2 / n
+    bound = lam * np.sqrt(s1 * s2 * (1 - s1 / n) * (1 - s2 / n))
+    return MatrixMixingReport(n, d, lam, sizes, e, expected, bound, np.abs(e - expected) - bound)

@@ -231,9 +231,8 @@ def test_criterion_06_expander_mixing():
             single = mixing_check(tprime, p, SubsetFamilies.singletons())
             fit = max(sampled.max_ratio, single.max_ratio) / math.sqrt(c)
             worst_fit = max(worst_fit, fit)
-            for trial in sampled.trials + single.trials:
-                if trial.ratio > fit * math.sqrt(c) + 1e-12:
-                    violations += 1
+            ratios = np.concatenate([sampled.ratio, single.ratio])
+            violations += int(np.count_nonzero(ratios > fit * math.sqrt(c) + 1e-12))
             if tprime.nnz and degree_map(tprime, k - 1).max_degree > cap:
                 degree_ok = False
         fitted[n] = worst_fit

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
-from oracles import brute_heavy_tuples
+from oracles import brute_heavy_tuples, dense_count_edges
 from tensorconc import (
     DenseProbability,
     Homogeneous,
@@ -158,19 +158,70 @@ class TestBoundedDegree:
         assert hits >= 9
 
 
+_DISCREPANCY_ROWS = ("sizes", "e", "mu_bar", "lam", "case1", "case2")
+
+
+def _same_rows(a, b, names):
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
+
+
 class TestDiscrepancy:
     def test_full_tensor_case1(self):
         j = SparseTensor.all_ones(TensorShape(3, 5))
         rep = discrepancy_check(j, 1.0, 1.0, 1.0, 50, SeedSpec(61, 0))
         assert rep.within
-        assert all(t.case1 for t in rep.trials)
-        assert all(t.lam == pytest.approx(1.0) for t in rep.trials)
+        assert rep.case1.shape == (50,) and rep.case1.all()
+        assert rep.lam == pytest.approx(np.ones(50))
 
     def test_empty_tensor_case2(self):
         z = SparseTensor.empty(TensorShape(3, 5))
         rep = discrepancy_check(z, 0.5, 1.5, 1.5, 30, SeedSpec(62, 0))
         assert rep.within
-        assert all(t.case2 for t in rep.trials)
+        assert rep.case2.shape == (30,) and rep.case2.all()
+
+    def test_every_case2_branch(self):
+        # ones on {1,2,3}^3: the families reach e = 0, 0 < lam <= 1, |I_k| = n
+        # (zero denominator), case 1 failing alone, and both cases failing
+        n, p, c2, c3 = 6, 0.25, 1.0, 2.0
+        dense = np.zeros((n,) * 3)
+        dense[:3, :3, :3] = 1.0
+        t = SparseTensor.from_dense(dense)
+        fams = [([4], [5], [6]), ([1, 4, 5, 6], [1], [1]), ([1], [2], list(range(1, n + 1))),
+                ([1], [2], [3]), ([1, 2], [1, 2, 3], [1, 2]), ([1, 2, 3], [2, 3], [6])]
+        rep = discrepancy_check(t, p, c2, c3, fams)
+        need_c2 = need_c3 = 0.0
+        for f, fam in enumerate(fams):
+            fam = sorted(fam, key=len)
+            sizes = [len(s) for s in fam]
+            e = dense_count_edges(dense, [np.array(s) for s in fam])
+            mu_bar = p * sizes[0] * sizes[1] * sizes[2]
+            lam = e / mu_bar
+            case1 = lam <= math.e * c2
+            if e == 0 or e * math.log(lam) <= 0:
+                case2, ratio2 = True, 0.0
+            else:
+                denom = sizes[-1] * math.log(n / sizes[-1])
+                case2 = e * math.log(lam) <= c3 * denom
+                ratio2 = e * math.log(lam) / denom if denom > 0 else math.inf
+            assert rep.sizes[f].tolist() == sizes
+            assert (rep.e[f], rep.mu_bar[f], rep.lam[f]) == (e, mu_bar, lam)
+            assert (rep.case1[f], rep.case2[f]) == (case1, case2)
+            if not case2:
+                need_c2 = max(need_c2, lam / math.e)
+            if not case1:
+                need_c3 = max(need_c3, ratio2)
+        assert rep.e.tolist() == [0.0, 1.0, 3.0, 1.0, 12.0, 0.0]
+        assert rep.lam[1] == 1.0 and rep.sizes[2, -1] == n
+        assert rep.case1.tolist() == [True, True, True, False, False, True]
+        assert rep.case2.tolist() == [True, True, False, True, False, True]
+        assert rep.violations == 1 and isinstance(rep.violations, int)
+        assert rep.fitted_c2 == need_c2 == 4.0 / math.e
+        assert rep.fitted_c3 == need_c3 == 12 * math.log(4.0) / (3 * math.log(2.0))
+        assert type(rep.fitted_c2) is float and type(rep.fitted_c3) is float
+        # with case 1 failing too, |I_k| = n needs c3 = inf, and lam = 1 none
+        full = list(range(1, n + 1))
+        assert discrepancy_check(t, p, 0.3, c3, [fams[2]]).fitted_c3 == math.inf
+        assert discrepancy_check(t, p, 0.3, c3, [([1, 4], [1], full)]).fitted_c3 == 0.0
 
     def test_monte_carlo(self):
         n = 40
@@ -191,7 +242,7 @@ class TestDiscrepancy:
         with pytest.raises(ValueError, match="distinct"):
             discrepancy_check(t, 0.5, 1.0, 1.0, [([1, 1, 2], [1, 2], [1, 2])])
         rep = discrepancy_check(t, 0.5, 1.0, 1.0, [([1, 2], [1, 2], [1, 2])])
-        assert rep.trials[0].mu_bar == 4.0
+        assert rep.mu_bar.tolist() == [4.0]
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_family_count_below_one_rejected(self, count):
@@ -201,9 +252,11 @@ class TestDiscrepancy:
 
     def test_integral_family_count(self):
         t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
-        want = discrepancy_check(t, 0.5, 1.0, 1.0, 5, SeedSpec(2, 0)).trials
+        want = discrepancy_check(t, 0.5, 1.0, 1.0, 5, SeedSpec(2, 0))
+        assert want.e.shape == (5,)
         for count in (np.int64(5), np.int32(5), np.uint8(5)):
-            assert discrepancy_check(t, 0.5, 1.0, 1.0, count, SeedSpec(2, 0)).trials == want
+            got = discrepancy_check(t, 0.5, 1.0, 1.0, count, SeedSpec(2, 0))
+            assert _same_rows(got, want, _DISCREPANCY_ROWS)
         with pytest.raises(ValueError, match="count must be >= 1"):
             discrepancy_check(t, 0.5, 1.0, 1.0, np.int64(0))
 
@@ -237,7 +290,7 @@ class TestDiscrepancy:
         fams = sample_subset_families(3, 30, 300, SeedSpec(65, 1))
         listed = discrepancy_check(t, 0.3, 2.0, 2.0, [[s.tolist() for s in f] for f in fams])
         sampled = discrepancy_check(t, 0.3, 2.0, 2.0, 300, SeedSpec(65, 1))
-        assert listed.trials == sampled.trials
+        assert _same_rows(listed, sampled, _DISCREPANCY_ROWS)
 
 
 class TestDyadicProfile:
@@ -265,7 +318,8 @@ class TestDyadicProfile:
         n = 8
         ys = [np.zeros(n)] * 3
         prof = dyadic_profile(ys, 0.5, SparseTensor.empty(TensorShape(3, n)), 0.2)
-        assert prof.classes == {} and prof.tuples == []
+        assert prof.classes == {}
+        assert prof.levels.shape == prof.sizes.shape == (0, 3) and prof.sigma.shape == (0,)
 
     def test_tuple_statistics_consistent(self, rng):
         from tensorconc import count_edges
@@ -274,14 +328,44 @@ class TestDyadicProfile:
         t = bernoulli_sample(TensorShape(3, n), Homogeneous(p), SeedSpec(65, 0))
         ys = [np.abs(v) / np.linalg.norm(v) for v in rng.standard_normal((3, n))]
         prof = dyadic_profile(ys, 0.5, t, p)
-        assert prof.tuples
-        for rec in prof.tuples:
-            fam = [prof.classes[(j + 1, rec.levels[j])] for j in range(3)]
-            assert rec.e == count_edges(t, fam)
-            mu = p * np.prod([len(f) for f in fam])
-            assert rec.mu_bar == pytest.approx(mu)
-            expect_sigma = rec.lam * n ** 0.5 * math.sqrt(n * p) * 2.0 ** (-sum(rec.levels))
-            assert rec.sigma == pytest.approx(expect_sigma)
+        assert prof.levels.shape[0] > 0
+        for f, levels in enumerate(prof.levels.tolist()):
+            fam = [prof.classes[(j + 1, levels[j])] for j in range(3)]
+            assert prof.sizes[f].tolist() == [len(s) for s in fam]
+            assert prof.e[f] == count_edges(t, fam)
+            mu = p * np.prod([len(s) for s in fam])
+            assert prof.mu_bar[f] == pytest.approx(mu)
+            assert prof.lam[f] == prof.e[f] / prof.mu_bar[f]
+            expect_sigma = prof.lam[f] * n ** 0.5 * math.sqrt(n * p) * 2.0 ** (-sum(levels))
+            assert prof.sigma[f] == pytest.approx(expect_sigma)
+
+    def test_wrong_length_vector_rejected(self):
+        t = SparseTensor.empty(TensorShape(3, 8))
+        for length in (12, 7):
+            ys = [np.full(length, 0.3), np.full(8, 0.3), np.full(8, 0.3)]
+            with pytest.raises(ValueError, match="length n"):
+                dyadic_profile(ys, 0.5, t, 0.2)
+
+    @pytest.mark.parametrize("n,delta", [(64, 0.5), (40, 0.3)])
+    def test_class_edges_exact(self, n, delta):
+        # each edge 2^(s-1) d/sqrt(n) and one ulp either side of it: class s is
+        # [edge_s, edge_{s+1}), decided exactly
+        from fractions import Fraction
+
+        base = delta / math.sqrt(n)
+        smax = math.ceil(math.log2(math.sqrt(n) / delta))
+        edges = [math.ldexp(base, s - 1) for s in range(1, smax + 1)]
+        values = [v for edge in edges for v in (np.nextafter(edge, 0), edge, np.nextafter(edge, 2))]
+        assert len(values) <= n
+        y = np.zeros(n)
+        y[:len(values)] = values
+        prof = dyadic_profile([y, np.ones(n), np.ones(n)], delta, SparseTensor.empty(TensorShape(3, n)), 0.2)
+        got = {int(i): s for (j, s), members in prof.classes.items() if j == 1 for i in members}
+        for i, v in enumerate(values, start=1):
+            want = sum(Fraction(v) >= Fraction(base) * 2 ** (s - 1) for s in range(1, smax + 1))
+            assert got.get(i, 0) == want
+        if n == 64:  # just under 1/2 = 2^3 base lies in class 3
+            assert got[len(values) - 1] == 4 and got[len(values) - 2] == 3
 
     def test_classes_partition_qualifying_indices(self, rng):
         n = 15

@@ -121,7 +121,7 @@ class TestMixingCheck:
         t = adjacency(h)
         rep = mixing_check(t, 0.2, SubsetFamilies.singletons())
         assert 0.0 < rep.max_ratio <= 1.0
-        assert all(tr.sizes == (1, 1, 1) for tr in rep.trials)
+        assert rep.sizes.shape[1] == 3 and np.all(rep.sizes == 1)
 
     def test_singleton_closed_form_matches_enumeration(self):
         h = er_hypergraph(3, 5, 0.3, SeedSpec(33, 0))
@@ -139,7 +139,7 @@ class TestMixingCheck:
         rep = mixing_check(tprime, p, SubsetFamilies.sampled(300), SeedSpec(34, 0))
         assert np.isfinite(rep.max_ratio)
         assert rep.fitted_c == pytest.approx(rep.max_ratio / math.sqrt(c))
-        assert len(rep.trials) == 300
+        assert rep.sizes.shape == (300, 3) and rep.ratio.shape == (300,)
 
     def test_determinism(self):
         h = er_hypergraph(3, 12, 0.2, SeedSpec(35, 1))
@@ -147,15 +147,15 @@ class TestMixingCheck:
         a = mixing_check(t, 0.2, SubsetFamilies.sampled(40), SeedSpec(35, 1))
         b = mixing_check(t, 0.2, SubsetFamilies.sampled(40), SeedSpec(35, 1))
         assert a.to_json_summary() == b.to_json_summary()
-        assert [tr.ratio for tr in a.trials] == [tr.ratio for tr in b.trials]
+        assert np.array_equal(a.ratio, b.ratio)
 
     def test_explicit_product_of_candidates(self):
         t = adjacency(er_hypergraph(2, 6, 0.5, SeedSpec(36, 0)))
         cands = ([np.array([1, 2]), np.array([3])], [np.array([4]), np.array([5, 6])])
         rep = mixing_check(t, 0.5, SubsetFamilies.explicit(itertools.product(*cands)))
-        assert [tr.sizes for tr in rep.trials] == [(2, 1), (2, 2), (1, 1), (1, 2)]
+        assert rep.sizes.tolist() == [[2, 1], [2, 2], [1, 1], [1, 2]]
         want = [count_edges(t, fam) for fam in itertools.product(*cands)]
-        assert [tr.e for tr in rep.trials] == want
+        assert rep.e.tolist() == want
 
     def test_empty_family_list_rejected(self):
         t = adjacency(er_hypergraph(2, 6, 0.5, SeedSpec(36, 0)))
@@ -299,19 +299,19 @@ class TestBoxCounterPaths:
         t = adjacency(er_hypergraph(k, n, 0.5, SeedSpec(71, k)))
         dense = t.to_dense()
         bitmap = hypergraph._BoxCounter(t)
-        monkeypatch.setattr(hypergraph, "DENSE_GATE", 0)
+        monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
         sparse = hypergraph._BoxCounter(t)
         assert bitmap.fibers is not None and sparse.fibers is None
         families = [_distinct_subsets(gen, k, n) for _ in range(40)]
         want = [dense_count_edges(dense, subsets) for subsets in families]
-        assert bitmap.counts(families).tolist() == sparse.counts(families).tolist() == want
+        assert bitmap.counts(families)[1].tolist() == sparse.counts(families)[1].tolist() == want
         assert [count_edges(t, subsets) for subsets in families] == want
 
     @pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 5)])
     def test_sparse_path_first_set_above_half(self, k, n, monkeypatch):
         # |V_1| > n/2, members in any order, up to all of [n]
         gen = np.random.default_rng(73 + k)
-        monkeypatch.setattr(hypergraph, "DENSE_GATE", 0)
+        monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
         unit = adjacency(er_hypergraph(k, n, 0.7, SeedSpec(74, k)))
         weighted = random_sparse(gen, k, n, values="normal")
         unit_counter = hypergraph._BoxCounter(unit)
@@ -322,19 +322,22 @@ class TestBoxCounterPaths:
             for _ in range(6):
                 subsets = _distinct_subsets(gen, k, n)
                 subsets[0] = gen.permutation(n)[:size] + 1
-                assert unit_counter.counts([subsets])[0] == dense_count_edges(unit_dense, subsets)
+                assert unit_counter.counts([subsets])[1][0] == dense_count_edges(unit_dense, subsets)
                 want = weighted_dense[np.ix_(*(s - 1 for s in subsets))].sum()
-                assert weighted_counter.counts([subsets])[0] == pytest.approx(want, rel=0, abs=1e-12)
+                assert weighted_counter.counts([subsets])[1][0] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_gate_is_inclusive(self):
-        coords = np.array([[1, 2], [3, 4]], dtype=np.int32)
-        at_gate = SparseTensor(TensorShape(2, 1000), coords, np.ones(2))
-        above = SparseTensor(TensorShape(2, 1001), coords, np.ones(2))
-        assert at_gate.shape.ncoords == hypergraph.DENSE_GATE
-        assert hypergraph._BoxCounter(at_gate).fibers is not None
-        assert hypergraph._BoxCounter(above).fibers is None
-        subsets = [np.array([1, 3]), np.array([2, 4, 5])]
-        assert box_sum(at_gate, subsets) == box_sum(above, subsets) == 2.0
+        # n^(k-1) * 64 * ceil(n/64) layout bits; k = 19, n = 2 is the largest
+        # 0/1 tensor within core.DENSE_GATE
+        for k, n in [(2, 4096), (3, 256), (19, 2)]:
+            assert n ** (k - 1) * 64 * -(-n // 64) == hypergraph._PACKED_BITS
+            coords = np.array([[1] * k, [2] * k], dtype=np.int32)
+            at_gate = SparseTensor(TensorShape(k, n), coords, np.ones(2))
+            above = SparseTensor(TensorShape(k, n + 1), coords, np.ones(2))
+            assert hypergraph._BoxCounter(at_gate).fibers is not None
+            assert hypergraph._BoxCounter(above).fibers is None
+            subsets = [np.array([1, 2])] * k
+            assert box_sum(at_gate, subsets) == box_sum(above, subsets) == 2.0
 
     def test_weighted_tensor_stays_sparse(self):
         gen = np.random.default_rng(72)
@@ -344,7 +347,7 @@ class TestBoxCounterPaths:
         dense = t.to_dense()
         families = [_distinct_subsets(gen, 3, 6) for _ in range(20)]
         want = [dense[np.ix_(*(s - 1 for s in subsets))].sum() for subsets in families]
-        assert counter.counts(families).tolist() == want
+        assert counter.counts(families)[1].tolist() == want
 
 
 def _word_edge_tensor(gen, k, n):
@@ -394,16 +397,18 @@ class TestCounts:
 
     @pytest.mark.parametrize("k,n", _COUNT_CASES)
     def test_matches_dense_oracle(self, k, n, monkeypatch):
-        monkeypatch.setattr(hypergraph, "DENSE_GATE", max(hypergraph.DENSE_GATE, n ** k))
+        bits = n ** (k - 1) * 64 * -(-n // 64)
+        monkeypatch.setattr(hypergraph, "_PACKED_BITS", max(hypergraph._PACKED_BITS, bits))
         gen = np.random.default_rng(900 + 10 * k + n)
         t, dense, pool = _word_edge_tensor(gen, k, n)
         fams = _word_edge_families(gen, k, n, pool, 48)
         counter = hypergraph._BoxCounter(t)
         assert counter.fibers is not None
         want = [dense_count_edges(dense, fam) for fam in fams]
-        got = counter.counts(fams)
+        sizes, got = counter.counts(fams)
+        assert sizes.dtype == np.int64 and sizes.tolist() == [[s.size for s in fam] for fam in fams]
         assert got.dtype == np.float64 and got.tolist() == want
-        assert [counter.counts([fam])[0] for fam in fams] == want
+        assert [counter.counts([fam])[1][0] for fam in fams] == want
         # every mode that leads a family has been laid out, and only those
         leads = {k - 1 - int(np.argmax([s.size for s in fam][::-1])) for fam in fams}
         assert {j for j in range(k) if counter.fibers[j] is not None} == leads
@@ -418,7 +423,7 @@ class TestCounts:
         words = -(-n // 64)
         for cap in (1, 5, 13):
             monkeypatch.setattr(hypergraph, "_PASS_WORDS", cap * words)
-            assert hypergraph._BoxCounter(t).counts(fams).tolist() == want
+            assert hypergraph._BoxCounter(t).counts(fams)[1].tolist() == want
 
     @pytest.mark.parametrize("k,n", [(2, 128), (3, 65), (4, 9)])
     def test_bitmap_matches_sparse_path(self, k, n, monkeypatch):
@@ -427,17 +432,20 @@ class TestCounts:
         fams = _word_edge_families(gen, k, n, pool, 200)
         fams += sample_subset_families(k, n, 200, SeedSpec(971, k))
         bitmap = hypergraph._BoxCounter(t)
-        monkeypatch.setattr(hypergraph, "DENSE_GATE", 0)
+        monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
         sparse = hypergraph._BoxCounter(t)
         assert bitmap.fibers is not None and sparse.fibers is None
-        assert np.array_equal(bitmap.counts(fams), sparse.counts(fams))
+        for got_bitmap, got_sparse in zip(bitmap.counts(fams), sparse.counts(fams)):
+            assert np.array_equal(got_bitmap, got_sparse)
 
     def test_empty_inputs(self):
         t = SparseTensor.empty(TensorShape(3, 4))
         fam = tuple(np.array([1, 2]) for _ in range(3))
-        assert hypergraph._BoxCounter(t).counts([fam]).tolist() == [0.0]
+        sizes, sums = hypergraph._BoxCounter(t).counts([fam])
+        assert sizes.tolist() == [[2, 2, 2]] and sums.tolist() == [0.0]
         t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(975, 0)))
-        assert hypergraph._BoxCounter(t).counts([]).shape == (0,)
+        sizes, sums = hypergraph._BoxCounter(t).counts([])
+        assert sizes.shape == (0, 3) and sums.shape == (0,)
 
 
 class TestSubsetValidation:
