@@ -69,6 +69,15 @@ class TensorShape:
             )
 
 
+def _integers(a) -> np.ndarray:
+    """``a`` as an array, which must have an integer dtype unless it is empty:
+    1.5 or "2" raises ``TypeError`` rather than being cast to an index."""
+    a = np.asarray(a)
+    if a.size and not np.issubdtype(a.dtype, np.integer):
+        raise TypeError(f"indices must be integers, got dtype {a.dtype}")
+    return a
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -76,7 +85,8 @@ def _fmt(x: float) -> str:
 class SparseTensor:
     """Coordinate-list tensor with canonical (sorted, unique, zero-free) entries.
 
-    Coordinates are 1-based and stored as an int32 array of shape (nnz, k);
+    Coordinates are 1-based integers (any integer dtype, checked against
+    [1, n] before they are stored as an int32 array of shape (nnz, k));
     values are float64.  Construction canonicalizes unless the caller asserts
     the entries are already in canonical order via ``presorted=True``.
     """
@@ -84,7 +94,7 @@ class SparseTensor:
     __slots__ = ("shape", "coords", "values")
 
     def __init__(self, shape: TensorShape, coords, values, *, presorted: bool = False):
-        coords = np.asarray(coords, dtype=np.int32)
+        coords = _integers(coords)
         values = np.asarray(values, dtype=np.float64)
         if coords.size == 0:
             coords = coords.reshape(0, shape.order)
@@ -96,6 +106,7 @@ class SparseTensor:
             raise ValueError("values must be one float per coordinate")
         if coords.size and (coords.min() < 1 or coords.max() > shape.dim):
             raise ValueError(f"coordinates must lie in [1, {shape.dim}]")
+        coords = coords.astype(np.int32, copy=False)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         if not presorted:
@@ -126,7 +137,7 @@ class SparseTensor:
     @classmethod
     def from_entries(cls, shape: TensorShape, entries: Iterable[tuple]) -> "SparseTensor":
         entries = list(entries)
-        coords = np.array([e[0] for e in entries], dtype=np.int32).reshape(len(entries), shape.order)
+        coords = np.array([e[0] for e in entries]).reshape(len(entries), shape.order)
         values = np.array([e[1] for e in entries], dtype=np.float64)
         return cls(shape, coords, values)
 

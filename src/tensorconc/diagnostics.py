@@ -29,7 +29,7 @@ from .core import (
     linear_index,
     multilinear_form,
 )
-from .hypergraph import _BoxCounter, _scaled_volume, _validate_families, sample_subset_families
+from .hypergraph import _box_sums, _draw_families, _runs, _scaled_volume, _validate_families
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, hopm_lower
 
@@ -280,17 +280,19 @@ def discrepancy_check(
 
     ``families`` is either an integer (that many sampled families, sizes
     log-uniform, keyed by seed) or an explicit nonempty list of k-tuples of
-    index sets, each a set of distinct members.  Sets are sorted by size
-    internally so |I_1| <= ... <= |I_k|.
+    index sets, each a set of distinct integers.  Sets are sorted by size
+    internally so |I_1| <= ... <= |I_k|, ties keeping their mode order.
     """
     _check_p(p)
     k, n = t.shape.order, t.shape.dim
     if isinstance(families, numbers.Integral) and not isinstance(families, bool):
-        fams = sample_subset_families(k, n, int(families), seed)
+        sizes, members = _draw_families(k, n, int(families), seed)
     else:
-        fams = _validate_families(t.shape, families, "index sets must be nonempty")
-    fams = [tuple(sorted(fam, key=len)) for fam in fams]
-    sizes, e = _BoxCounter(t).counts(fams)
+        sizes, members = _validate_families(t.shape, families, "index sets must be nonempty")
+    order = np.argsort(sizes, axis=1, kind="stable")  # by size, ties in mode order
+    starts = np.take_along_axis(np.cumsum(sizes).reshape(sizes.shape) - sizes, order, axis=1)
+    sizes = np.take_along_axis(sizes, order, axis=1)
+    e = _box_sums(t, sizes, members[_runs(starts.ravel(), sizes.ravel())])
     mu_bar = _scaled_volume(p, sizes)
     lam = e / mu_bar
     case1 = lam <= math.e * c2
@@ -361,8 +363,9 @@ def dyadic_profile(ys, delta: float, t: SparseTensor, p: float) -> DyadicProfile
                 alpha[(j, level)] = members.size * 2.0 ** (2 * level) / n
     per_mode = [[lvl for (j, lvl) in classes if j == mode] for mode in range(1, k + 1)]
     levels = np.array(list(itertools.product(*per_mode)), dtype=np.int64).reshape(-1, k)
-    fams = [tuple(classes[(j, s)] for j, s in enumerate(row, start=1)) for row in levels.tolist()]
-    sizes, e = _BoxCounter(t).counts(fams)
+    sets = [classes[(j, s)] for row in levels.tolist() for j, s in enumerate(row, start=1)]
+    sizes = np.array([s.size for s in sets], dtype=np.int64).reshape(-1, k)
+    e = _box_sums(t, sizes, np.concatenate([np.empty(0, np.int32)] + sets))
     mu_bar = _scaled_volume(p, sizes)
     lam = e / mu_bar
     sigma = lam * n ** (k / 2.0 - 1.0) * math.sqrt(n * p) * np.ldexp(1.0, -levels.sum(axis=1))

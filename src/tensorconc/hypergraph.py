@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .core import SparseTensor, TensorShape, _lex_order
+from .core import SparseTensor, TensorShape, _integers, _lex_order
 from .rng import SeedSpec
 
 
@@ -32,14 +32,15 @@ class Hypergraph:
             raise ValueError(f"edge size must be >= 2, got {k}")
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        edges = np.asarray(edges, dtype=np.int32)
+        edges = _integers(edges)
         if edges.size == 0:
             edges = edges.reshape(0, k)
         if edges.ndim != 2 or edges.shape[1] != k:
             raise ValueError(f"edges must have shape (m, {k})")
+        if edges.size and (edges.min() < 1 or edges.max() > n):
+            raise ValueError(f"vertices must lie in [1, {n}]")
+        edges = edges.astype(np.int32, copy=False)
         if edges.size:
-            if edges.min() < 1 or edges.max() > n:
-                raise ValueError(f"vertices must lie in [1, {n}]")
             if np.any(np.diff(edges, axis=1) <= 0):
                 raise ValueError("each edge must be a strictly increasing vertex tuple")
         if not presorted and edges.shape[0] > 1:
@@ -100,31 +101,35 @@ def adjacency(h: Hypergraph) -> SparseTensor:
     return SparseTensor(shape, coords, np.ones(coords.shape[0]))
 
 
-def _validate_families(shape: TensorShape, families, empty: str = "subsets must be nonempty") -> list:
-    """Each of one or more families as a tuple of int64 arrays, checked in one
-    vectorized pass: ``shape.order`` nonempty sets of distinct members of [1, n]."""
+def _validate_families(shape: TensorShape, families, empty: str = "subsets must be nonempty") -> tuple:
+    """One or more families as a batch ``(sizes, members)``, checked in one
+    vectorized pass: ``shape.order`` nonempty sets of distinct integers in
+    [1, n] each.  ``sizes`` is F x k int64; ``members`` (int64) holds the sets
+    end to end, family by family and mode by mode."""
     k, n = shape.order, shape.dim
-    fams = []
+    sets = []
     for fam in families:
         if len(fam) != k:
             raise ValueError(f"expected {k} subsets, got {len(fam)}")
-        fams.append(tuple(np.asarray(s, dtype=np.int64) for s in fam))
-    if not fams:
+        sets.extend(map(_integers, fam))
+    if not sets:
         raise ValueError("need at least one family")
-    sets = [s for fam in fams for s in fam]
-    sizes = np.array([s.size for s in sets])
+    if any(s.ndim != 1 for s in sets):
+        raise ValueError("each subset must be a one-dimensional array")
+    sizes = np.array([s.size for s in sets], dtype=np.int64)
     if not sizes.all():
         raise ValueError(empty)
-    members = np.concatenate(sets, axis=None)
+    members = np.concatenate(sets)
     if members.min() < 1 or members.max() > n:
         raise ValueError(f"subset members must lie in [1, {n}]")
+    members = members.astype(np.int64)
     # set number * (n + 1) + member rises strictly iff no set repeats a member
     keys = np.repeat(np.arange(len(sets)) * (n + 1), sizes) + members
     if np.any(keys[1:] <= keys[:-1]):
         keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("subset members must be distinct")
-    return fams
+    return sizes.reshape(-1, k), members
 
 
 def _table(dim: int, subset: np.ndarray) -> np.ndarray:
@@ -157,126 +162,98 @@ _PACKED_BITS = 1 << 24
 _PASS_WORDS = 1 << 15
 
 
-class _BoxCounter:
-    """Reusable box-sum evaluator: pays layout cost once so that many subset
-    families can be scored against one tensor cheaply.
+def _box_sums(t: SparseTensor, sizes: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Box sum (float64) of every family of a valid batch ``(sizes, members)``
+    (``_validate_families``).
 
     A 0/1 tensor whose layout takes at most ``_PACKED_BITS`` bits is counted
-    on its fibers packed into uint64 words.  Mode j's layout, built when a
-    family first needs it, has one row of ceil(n/64) words per tuple of the
-    other k-1 indices
-    (row-major flat index), whose bit i is the entry with mode-j index i + 1.
-    ``counts`` groups families by the mode of their largest set (the last of
-    equal sizes).  In passes of at most ``_PASS_WORDS`` gathered words (a
-    family with more gets a pass to itself), it gathers the rows of every
-    member tuple of the other k-1 sets, ANDs each with its family's packed
-    largest set, and adds the set bits per family: exact integers, with no
-    BLAS.
-
-    Any other tensor keeps its sorted entries, whose rows with mode-1 index v
-    form the run ``starts[v - 1]:starts[v]``.  A box sum gathers the runs of
-    V_1's members with one ``np.repeat``, masks modes 2..k on those rows
-    alone, and counts them (unit values, exact) or sums their values.
+    by ``_packed_counts``.  Any other tensor is counted family by family from
+    its sorted entries, whose rows with mode-1 index v form the run
+    ``starts[v - 1]:starts[v]``: a box sum gathers the runs of V_1's members
+    with one ``np.repeat``, masks modes 2..k on those rows alone, and sums
+    their values.
     """
-
-    __slots__ = ("shape", "coords", "fibers", "cols", "values", "unit_values", "starts")
-
-    def __init__(self, t: SparseTensor):
-        self.shape = t.shape
-        self.values = t.values
-        self.unit_values = bool(t.nnz) and bool(np.all(t.values == 1.0))
-        self.coords = self.fibers = self.cols = self.starts = None
-        k, n = t.shape.order, t.shape.dim
-        if self.unit_values and n ** (k - 1) * 64 * -(-n // 64) <= _PACKED_BITS:
-            self.coords = t.coords
-            self.fibers = [None] * k
-            return
-        self.cols = [np.ascontiguousarray(t.coords[:, j]) for j in range(k)]
-        self.starts = np.searchsorted(self.cols[0], np.arange(1, n + 2))
-
-    def counts(self, families: Sequence) -> tuple:
-        """``(sizes, sums)`` of families already known to be valid
-        (``_validate_families``): ``sizes[f, j]`` is |V_j| of family f
-        (int64, F x k) and ``sums[f]`` its box sum (float64)."""
-        k, n = self.shape.order, self.shape.dim
-        sets = list(itertools.chain.from_iterable(families))
-        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)).reshape(-1, k)
-        out = np.zeros(len(families))
-        if self.values.size == 0 or not len(families):
-            return sizes, out
-        if self.fibers is not None:
-            return sizes, self._bit_counts(sets, sizes).astype(np.float64)
-        for f, subsets in enumerate(families):
-            lo = self.starts[subsets[0] - 1]
-            idx = _runs(lo, self.starts[subsets[0]] - lo)
-            mask = _table(n, subsets[1])[self.cols[1][idx]]
-            for j in range(2, self.shape.order):
-                mask &= _table(n, subsets[j])[self.cols[j][idx]]
-            if self.unit_values:
-                out[f] = np.count_nonzero(mask)
-            else:
-                out[f] = np.sum(self.values[idx], where=mask)
-        return sizes, out
-
-    def _layout(self, mode: int) -> np.ndarray:
-        if self.fibers[mode] is None:
-            k, n = self.shape.order, self.shape.dim
-            words = -(-n // 64)
-            # each entry's row (its other indices, row-major), then its bit in the row
-            bit = np.zeros(self.coords.shape[0], dtype=np.intp)
-            for j in range(k):
-                if j != mode:
-                    bit *= n
-                    bit += self.coords[:, j] - 1
-            bit *= words * 64
-            bit += self.coords[:, mode] - 1
-            self.fibers[mode] = _bit_rows(n ** (k - 1), words, bit)
-        return self.fibers[mode]
-
-    def _bit_counts(self, sets: list, sizes: np.ndarray) -> np.ndarray:
-        k, n = self.shape.order, self.shape.dim
-        flat = sizes.reshape(-1)
-        starts = (np.cumsum(flat) - flat).reshape(sizes.shape)
-        members = np.concatenate(sets)
-        widest = k - 1 - np.argmax(sizes[:, ::-1], axis=1)
-        out = np.zeros(sizes.shape[0], dtype=np.int64)
-        for mode in np.unique(widest).tolist():
-            others = [j for j in range(k) if j != mode]
-            group = np.flatnonzero(widest == mode)
-            tuples = np.prod(sizes[group][:, others], axis=1)
-            ends = np.cumsum(tuples)
-            fibers = self._layout(mode)
-            words = fibers.shape[1]
-            a = 0
-            while a < group.size:
-                first = ends[a] - tuples[a]
-                b = max(a + 1, int(np.searchsorted(ends, first + _PASS_WORDS // words, "right")))
-                fams = group[a:b]
-                # the flat row of every member tuple of the other sets, family by family
-                row, own = np.zeros(fams.size, dtype=np.intp), fams
-                for j in others:
-                    lens = sizes[own, j]
-                    row = np.repeat(row * n, lens) + members[_runs(starts[own, j], lens)]
-                    row -= 1
-                    own = np.repeat(own, lens)
-                lens = sizes[fams, mode]
-                bit = np.repeat(np.arange(fams.size) * (words * 64) - 1, lens)
-                bit += members[_runs(starts[fams, mode], lens)]
-                widest_sets = _bit_rows(fams.size, words, bit)
-                hits = np.bitwise_count(np.take(fibers, row, axis=0)
-                                        & np.repeat(widest_sets, tuples[a:b], axis=0))
-                out[fams] = np.add.reduceat(hits.reshape(-1), (ends[a:b] - tuples[a:b] - first) * words,
-                                            dtype=np.int64)
-                a = b
+    k, n = t.shape.order, t.shape.dim
+    out = np.zeros(sizes.shape[0])
+    if t.nnz == 0 or not out.size:
         return out
+    if n ** (k - 1) * 64 * -(-n // 64) <= _PACKED_BITS and np.all(t.values == 1.0):
+        return _packed_counts(t, sizes, members).astype(np.float64)
+    cols = t.coords.T
+    starts = np.searchsorted(cols[0], np.arange(1, n + 2))
+    sets = np.split(members, np.cumsum(sizes)[:-1])
+    for f in range(out.size):
+        subsets = sets[f * k:(f + 1) * k]
+        lo = starts[subsets[0] - 1]
+        idx = _runs(lo, starts[subsets[0]] - lo)
+        mask = _table(n, subsets[1])[cols[1][idx]]
+        for j in range(2, k):
+            mask &= _table(n, subsets[j])[cols[j][idx]]
+        out[f] = np.sum(t.values[idx], where=mask)
+    return out
+
+
+def _packed_counts(t: SparseTensor, sizes: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Box counts (int64) of a batch against a 0/1 tensor, on its fibers
+    packed into uint64 words.
+
+    Families are grouped by the mode of their largest set (the last of equal
+    sizes).  Each such mode's layout has one row of ceil(n/64) words per
+    tuple of the other k-1 indices (row-major flat index), whose bit i is the
+    entry with that mode's index i + 1.  In passes of at most ``_PASS_WORDS``
+    gathered words (a family with more gets a pass to itself), the rows of
+    every member tuple of the other k-1 sets are gathered, ANDed with their
+    family's packed largest set, and their set bits added per family: exact
+    integers, with no BLAS.
+    """
+    k, n = t.shape.order, t.shape.dim
+    words = -(-n // 64)
+    starts = np.cumsum(sizes).reshape(sizes.shape) - sizes
+    widest = k - 1 - np.argmax(sizes[:, ::-1], axis=1)
+    out = np.zeros(sizes.shape[0], dtype=np.int64)
+    for mode in np.unique(widest).tolist():
+        others = [j for j in range(k) if j != mode]
+        # each entry's row (its other indices, row-major), then its bit in the row
+        bit = np.zeros(t.nnz, dtype=np.intp)
+        for j in others:
+            bit *= n
+            bit += t.coords[:, j] - 1
+        bit *= words * 64
+        bit += t.coords[:, mode] - 1
+        fibers = _bit_rows(n ** (k - 1), words, bit)
+        group = np.flatnonzero(widest == mode)
+        tuples = np.prod(sizes[group][:, others], axis=1)
+        ends = np.cumsum(tuples)
+        a = 0
+        while a < group.size:
+            first = ends[a] - tuples[a]
+            b = max(a + 1, int(np.searchsorted(ends, first + _PASS_WORDS // words, "right")))
+            fams = group[a:b]
+            # the flat row of every member tuple of the other sets, family by family
+            row, own = np.zeros(fams.size, dtype=np.intp), fams
+            for j in others:
+                lens = sizes[own, j]
+                row = np.repeat(row * n, lens) + members[_runs(starts[own, j], lens)]
+                row -= 1
+                own = np.repeat(own, lens)
+            lens = sizes[fams, mode]
+            bit = np.repeat(np.arange(fams.size) * (words * 64) - 1, lens)
+            bit += members[_runs(starts[fams, mode], lens)]
+            widest_sets = _bit_rows(fams.size, words, bit)
+            hits = np.bitwise_count(np.take(fibers, row, axis=0)
+                                    & np.repeat(widest_sets, tuples[a:b], axis=0))
+            out[fams] = np.add.reduceat(hits.reshape(-1), (ends[a:b] - tuples[a:b] - first) * words,
+                                        dtype=np.int64)
+            a = b
+    return out
 
 
 def box_sum(t: SparseTensor, subsets: Sequence[np.ndarray]) -> float:
     """Sum of entry values over the box V_1 x ... x V_k.
 
-    Each V_j is a nonempty set of members of [1, n]; a repeated member
-    raises ``ValueError``."""
-    return float(_BoxCounter(t).counts(_validate_families(t.shape, [subsets]))[1][0])
+    Each V_j is a nonempty set of distinct integers in [1, n]; a repeated
+    member raises ``ValueError``, a non-integer one ``TypeError``."""
+    return float(_box_sums(t, *_validate_families(t.shape, [subsets]))[0])
 
 
 def count_edges(t: SparseTensor, subsets: Sequence[np.ndarray]) -> int:
@@ -317,7 +294,7 @@ class SubsetFamilies:
 
     @classmethod
     def explicit(cls, families) -> "SubsetFamilies":
-        fams = tuple(tuple(np.asarray(s, dtype=np.int64) for s in fam) for fam in families)
+        fams = tuple(tuple(map(_integers, fam)) for fam in families)
         return cls(kind="explicit", families=fams)
 
 
@@ -338,8 +315,9 @@ def _smallest(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return below | tied
 
 
-def sample_subset_families(k: int, n: int, count: int, seed: SeedSpec) -> list:
-    """``count`` tuples of k subsets of [1, n]; deterministic under seed.
+def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
+    """``count`` tuples of k subsets of [1, n] as a batch ``(sizes, members)``
+    (see ``_validate_families``); deterministic under seed.
 
     Set j of family t has a log-uniform size and holds the members whose
     uniforms at counters ``(t * k + j) * n + [0, n)`` rank below that size,
@@ -353,13 +331,19 @@ def sample_subset_families(k: int, n: int, count: int, seed: SeedSpec) -> list:
     u = rng.uniform_block(size_key, 0, count * k)
     sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
     rows = max(1, _MEMBER_CHUNK // n)
-    sets = []
+    members = []
     for lo in range(0, count * k, rows):
         hi = min(count * k, lo + rows)
         draws = rng.uniform_block(member_key, lo * n, (hi - lo) * n).reshape(hi - lo, n)
-        members = (np.flatnonzero(_smallest(draws, sizes[lo:hi])) % n).astype(np.int32) + 1
-        ends = np.cumsum(sizes[lo:hi]).tolist()
-        sets.extend(members[a:b] for a, b in zip([0] + ends[:-1], ends))
+        members.append((np.flatnonzero(_smallest(draws, sizes[lo:hi])) % n).astype(np.int32) + 1)
+    return sizes.reshape(count, k), np.concatenate(members)
+
+
+def sample_subset_families(k: int, n: int, count: int, seed: SeedSpec) -> list:
+    """``count`` tuples of k subsets of [1, n], each an ascending int32 array:
+    the batch of ``_draw_families`` split into its sets."""
+    sizes, members = _draw_families(k, n, count, seed)
+    sets = np.split(members, np.cumsum(sizes)[:-1])
     return [tuple(sets[t * k:(t + 1) * k]) for t in range(count)]
 
 
@@ -447,12 +431,12 @@ def mixing_check(
     if families.kind == "singletons":
         return MixingReport(k, n, p, c, seed, *_singleton_trials(t, p))
     if families.kind == "sampled":
-        fams = sample_subset_families(k, n, families.count, seed)
+        sizes, members = _draw_families(k, n, families.count, seed)
     elif families.kind == "explicit":
-        fams = _validate_families(t.shape, families.families)
+        sizes, members = _validate_families(t.shape, families.families)
     else:
         raise ValueError(f"unknown family kind {families.kind!r}")
-    sizes, e = _BoxCounter(t).counts(fams)
+    e = _box_sums(t, sizes, members)
     vol = _scaled_volume(1.0, sizes)
     expected = p * vol
     return MixingReport(k, n, p, c, seed, sizes, e, expected, np.abs(e - expected) / np.sqrt(vol))
@@ -503,11 +487,10 @@ def matrix_mixing_check(
     a = adjacency(g)
     lam = matrix_op_norm(OffsetTensor(a, -d / n), PowerIterConfig(seed=seed)).value
     if pairs is None:
-        fams = sample_subset_families(2, n, num_pairs, seed)
+        sizes, members = _draw_families(2, n, num_pairs, seed)
     else:
-        fams = _validate_families(a.shape, pairs)
-    sizes, sums = _BoxCounter(a).counts(fams)
-    e = sums.astype(np.int64)  # unit entries: exact
+        sizes, members = _validate_families(a.shape, pairs)
+    e = _box_sums(a, sizes, members).astype(np.int64)  # unit entries: exact
     s1, s2 = sizes.T
     expected = d * s1 * s2 / n
     bound = lam * np.sqrt(s1 * s2 * (1 - s1 / n) * (1 - s2 / n))

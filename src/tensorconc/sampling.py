@@ -27,6 +27,8 @@ from .core import (
 from .hypergraph import Hypergraph
 from .rng import SeedSpec
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def bernoulli_sample(shape: TensorShape, model: ProbabilityModel, seed: SeedSpec) -> SparseTensor:
     """Sample an order-k tensor with independent Bernoulli entries.
@@ -78,27 +80,26 @@ def er_hypergraph(k: int, n: int, p: float, seed: SeedSpec) -> Hypergraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
     key = rng.stream_key(seed, rng.LBL_HYPEREDGE)
-    total = comb(n, k)
-    ranks = rng.bernoulli_positions(total, p, key)
-    edges = np.empty((len(ranks), k), dtype=np.int32)
-    for row, r in enumerate(ranks):
-        edges[row] = _unrank_combination(int(r), n, k)
-    return Hypergraph(k, n, edges, presorted=True)
+    ranks = rng.bernoulli_positions(comb(n, k), p, key)
+    return Hypergraph(k, n, _unrank_subsets(ranks, n, k), presorted=True)
 
 
-def _unrank_combination(rank: int, n: int, k: int) -> list:
-    """Lexicographic unranking of k-subsets of [1, n]."""
-    out = []
-    v = 1
-    r = rank
-    for j in range(1, k + 1):
-        while True:
-            block = comb(n - v, k - j)
-            if block <= r:
-                r -= block
-                v += 1
-            else:
-                break
-        out.append(v)
-        v += 1
+def _unrank_subsets(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The k-subsets of [1, n] at the given lexicographic ranks, as int32 rows.
+
+    Member j follows member v (0 before the first).  The subsets that put it
+    at u pass over tail[v] - tail[u - 1] smaller ones, tail[u] = C(n - u, k - j),
+    so it is the first u with tail[u] < tail[v] - r for the rank r left.  Each
+    tail is at most C(n, k) < 2^63; the u < j that no member reaches hold the
+    int64 maximum.
+    """
+    r = np.array(ranks, dtype=np.int64)
+    out = np.empty((r.size, k), dtype=np.int32)
+    v = np.zeros(r.size, dtype=np.intp)
+    for j in range(k):
+        tail = np.array([comb(n - u, k - j) if u >= j else _INT64_MAX for u in range(n + 1)],
+                        dtype=np.int64)
+        m = np.searchsorted(-tail, r - tail[v], side="right")
+        r -= tail[v] - tail[m - 1]
+        out[:, j] = v = m
     return out

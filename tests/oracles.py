@@ -6,6 +6,7 @@ library under test.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -44,6 +45,19 @@ def dense_count_edges(t: np.ndarray, subsets) -> int:
         if t[tuple(v - 1 for v in tup)] == 1:
             count += 1
     return count
+
+
+def unrank_combination(rank: int, n: int, k: int) -> list:
+    """The k-subset of [1, n] at a lexicographic rank, one member at a time."""
+    out = []
+    v = 1
+    for j in range(1, k + 1):
+        while math.comb(n - v, k - j) <= rank:
+            rank -= math.comb(n - v, k - j)
+            v += 1
+        out.append(v)
+        v += 1
+    return out
 
 
 def brute_heavy_tuples(ys, n: int, p: float) -> set:

@@ -61,6 +61,30 @@ class TestShapesAndConstruction:
         with pytest.raises(ValueError):
             SparseTensor(sh, [[1, 4]], [1.0])
 
+    def test_non_integer_coordinate_rejected(self):
+        sh = TensorShape(2, 3)
+        for coords in ([[1.7, 2]], [["1", 2]], np.array([[1.0, 2.0]])):
+            with pytest.raises(TypeError, match="integers"):
+                SparseTensor(sh, coords, [1.0])
+        with pytest.raises(TypeError, match="integers"):
+            SparseTensor.from_entries(sh, [((1.5, 2), 1.0)])
+
+    def test_coordinates_range_checked_before_narrowing(self):
+        # 2^32 + 1 would wrap to 1 in int32
+        sh = TensorShape(2, 3)
+        for coords in (np.array([[2**32 + 1, 2]]), np.array([[2**32 + 1, 2]], dtype=np.uint64)):
+            with pytest.raises(ValueError, match=r"lie in \[1, 3\]"):
+                SparseTensor(sh, coords, [1.0])
+
+    def test_any_integer_dtype_accepted(self):
+        sh = TensorShape(2, 3)
+        want = SparseTensor(sh, [[1, 2], [3, 1]], [1.0, 2.0])
+        for dtype in (np.uint8, np.int16, np.int64, np.uint64):
+            t = SparseTensor(sh, np.array([[3, 1], [1, 2]], dtype=dtype), [2.0, 1.0])
+            assert t.coords.dtype == np.int32 and t == want
+        assert SparseTensor.from_entries(sh, [((3, 1), 2.0), ((1, 2), 1.0)]) == want
+        assert SparseTensor(sh, np.empty((0, 2)), np.empty(0)).nnz == 0
+
     def test_immutability(self):
         t = SparseTensor.all_ones(TensorShape(2, 2))
         with pytest.raises(AttributeError):

@@ -223,6 +223,39 @@ class TestDiscrepancy:
         assert discrepancy_check(t, p, 0.3, c3, [fams[2]]).fitted_c3 == math.inf
         assert discrepancy_check(t, p, 0.3, c3, [([1, 4], [1], full)]).fitted_c3 == 0.0
 
+    @pytest.mark.parametrize("packed", [True, False])
+    @pytest.mark.parametrize("k,n", [(3, 7), (4, 5)])
+    def test_sets_counted_in_size_order(self, k, n, packed, monkeypatch):
+        # a non-symmetric tensor tells modes apart: each family's sets must be
+        # counted in size order, ties in the order given
+        from tensorconc import hypergraph, sample_subset_families
+
+        if not packed:
+            monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
+        p = 0.4
+        t = bernoulli_sample(TensorShape(k, n), Homogeneous(p), SeedSpec(66, k))
+        dense = t.to_dense()
+        gen = np.random.default_rng(67 + k)
+        fams = []
+        for f in range(60):
+            sizes = gen.integers(1, n + 1, size=k)
+            if f % 2:
+                sizes[gen.permutation(k)[:2]] = sizes[0]  # a tie
+            fams.append(tuple(gen.permutation(n)[:s] + 1 for s in sizes))
+        sampled = sample_subset_families(k, n, 60, SeedSpec(68, k))
+        for given, rep in [(fams, discrepancy_check(t, p, 2.0, 2.0, fams)),
+                           (sampled, discrepancy_check(t, p, 2.0, 2.0, 60, SeedSpec(68, k)))]:
+            for f, fam in enumerate(given):
+                fam = sorted(fam, key=len)
+                assert rep.sizes[f].tolist() == [len(s) for s in fam]
+                assert rep.e[f] == dense_count_edges(dense, fam)
+        assert len({tuple(sorted(map(len, fam))) != tuple(map(len, fam)) for fam in fams}) == 2
+
+    def test_non_integer_members_rejected(self):
+        t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
+        with pytest.raises(TypeError, match="integers"):
+            discrepancy_check(t, 0.5, 1.0, 1.0, [[[1.7], [2.2], [3.9]]])
+
     def test_monte_carlo(self):
         n = 40
         p = 5 * math.log(n) / n

@@ -45,6 +45,10 @@ CASES = {
     "diag-n100": {"command": "diagnostics", "m": 1, "n_list": [100],
                   "p_rule": {"kind": "c_logn_over_nm", "c": 5.0, "m": 1},
                   "params": {"families": 100}},
+    # the expander's mixing check on the bit-packed path at n = 120
+    "expander-n120": {"command": "expander", "n_list": [120], "trials": 1,
+                      "p_rule": {"kind": "c_over_nm", "c": 40.0, "m": 2},
+                      "params": {"mixing_families": 2000}, "estimator": {"restarts": 2}},
 }
 DIGESTS = {
     "concentration": ("635c1f6ce99f32ded79637abd2c9a0808e156f45ae16131f38e71150f8a4243c",
@@ -71,6 +75,8 @@ DIGESTS = {
                   "23c090a34a797b31b6b3f6eba0183c06e6963250fb45c1bd78598065c0224315"),
     "diag-n100": ("b99b4769daac951eef7fe25c4c314145a4084bc63545613d586d47b1d95c4cf6",
                   "012f152fc03c9df12358a9d476704a793359df8591ffd98a288ab9d7c89ab626"),
+    "expander-n120": ("11ce74b4a30a847e15a97a74394acbc6c98d1515fd1b4d6393e6d0dab398750e",
+                      "a1fe27fb5a39e6a8ed2882f4f4bd61271a4d2bbbe4c1512b8b1b08a391812ce7"),
 }
 
 

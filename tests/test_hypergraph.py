@@ -28,6 +28,19 @@ from tensorconc import (
 from tensorconc import hypergraph, rng
 
 
+class TestHypergraph:
+    def test_non_integer_vertex_rejected(self):
+        for edges in ([[1.5, 2, 3]], [["1", 2, 3]], np.array([[1.0, 2.0, 3.0]])):
+            with pytest.raises(TypeError, match="integers"):
+                Hypergraph(3, 5, edges)
+
+    def test_vertices_range_checked_before_narrowing(self):
+        with pytest.raises(ValueError, match=r"lie in \[1, 5\]"):
+            Hypergraph(3, 5, np.array([[2**32 + 1, 2, 3]]))
+        h = Hypergraph(3, 5, np.array([[3, 4, 5], [1, 2, 3]], dtype=np.uint16))
+        assert h.edges.dtype == np.int32 and h.edges.tolist() == [[1, 2, 3], [3, 4, 5]]
+
+
 class TestAdjacency:
     def test_empty(self):
         h = Hypergraph(3, 5, np.empty((0, 3)))
@@ -281,10 +294,40 @@ class TestFamilySamplerKernel:
         ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
         assert np.array_equal(hypergraph._smallest(u, sizes), ranks < sizes[:, None])
 
+    @pytest.mark.parametrize("k,n", [(2, 1), (3, 100), (4, 7)])
+    def test_sampler_splits_the_drawn_batch(self, k, n):
+        seed = SeedSpec(980, k)
+        sizes, members = hypergraph._draw_families(k, n, 300, seed)
+        fams = sample_subset_families(k, n, 300, seed)
+        assert sizes.dtype == np.int64 and sizes.shape == (300, k)
+        assert members.dtype == np.int32
+        assert [[s.size for s in fam] for fam in fams] == sizes.tolist()
+        assert all(s.dtype == np.int32 for fam in fams for s in fam)
+        assert np.array_equal(np.concatenate([s for fam in fams for s in fam]), members)
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_rejected(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
             sample_subset_families(3, 10, count, SeedSpec(1, 0))
+
+
+def _box_sums(t, families):
+    """``hypergraph._box_sums`` of explicit families, batched by ``_validate_families``."""
+    return hypergraph._box_sums(t, *hypergraph._validate_families(t.shape, families))
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """The family count of each call to ``hypergraph._packed_counts``."""
+    calls = []
+    real = hypergraph._packed_counts
+
+    def spy(t, sizes, members):
+        calls.append(sizes.shape[0])
+        return real(t, sizes, members)
+
+    monkeypatch.setattr(hypergraph, "_packed_counts", spy)
+    return calls
 
 
 def _distinct_subsets(gen, k, n):
@@ -293,40 +336,41 @@ def _distinct_subsets(gen, k, n):
 
 
 class TestBoxCounterPaths:
+    """Which of ``_box_sums``'s two paths counts a tensor, and that both agree."""
+
     @pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 5)])
-    def test_bitmap_sparse_and_dense_oracle_agree(self, k, n, monkeypatch):
+    def test_bitmap_sparse_and_dense_oracle_agree(self, k, n, monkeypatch, packed_calls):
         gen = np.random.default_rng(70 + k)
         t = adjacency(er_hypergraph(k, n, 0.5, SeedSpec(71, k)))
         dense = t.to_dense()
-        bitmap = hypergraph._BoxCounter(t)
-        monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
-        sparse = hypergraph._BoxCounter(t)
-        assert bitmap.fibers is not None and sparse.fibers is None
         families = [_distinct_subsets(gen, k, n) for _ in range(40)]
         want = [dense_count_edges(dense, subsets) for subsets in families]
-        assert bitmap.counts(families)[1].tolist() == sparse.counts(families)[1].tolist() == want
+        bitmap = _box_sums(t, families)
+        assert packed_calls == [40]
+        monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
+        sparse = _box_sums(t, families)
+        assert packed_calls == [40]
+        assert bitmap.tolist() == sparse.tolist() == want
         assert [count_edges(t, subsets) for subsets in families] == want
 
     @pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 5)])
-    def test_sparse_path_first_set_above_half(self, k, n, monkeypatch):
+    def test_sparse_path_first_set_above_half(self, k, n, monkeypatch, packed_calls):
         # |V_1| > n/2, members in any order, up to all of [n]
         gen = np.random.default_rng(73 + k)
         monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
         unit = adjacency(er_hypergraph(k, n, 0.7, SeedSpec(74, k)))
         weighted = random_sparse(gen, k, n, values="normal")
-        unit_counter = hypergraph._BoxCounter(unit)
-        weighted_counter = hypergraph._BoxCounter(weighted)
-        assert unit_counter.fibers is None and unit_counter.unit_values
         unit_dense, weighted_dense = unit.to_dense(), weighted.to_dense()
         for size in range(n // 2 + 1, n + 1):
             for _ in range(6):
                 subsets = _distinct_subsets(gen, k, n)
                 subsets[0] = gen.permutation(n)[:size] + 1
-                assert unit_counter.counts([subsets])[1][0] == dense_count_edges(unit_dense, subsets)
+                assert _box_sums(unit, [subsets])[0] == dense_count_edges(unit_dense, subsets)
                 want = weighted_dense[np.ix_(*(s - 1 for s in subsets))].sum()
-                assert weighted_counter.counts([subsets])[1][0] == pytest.approx(want, rel=0, abs=1e-12)
+                assert _box_sums(weighted, [subsets])[0] == pytest.approx(want, rel=0, abs=1e-12)
+        assert packed_calls == []
 
-    def test_gate_is_inclusive(self):
+    def test_gate_is_inclusive(self, packed_calls):
         # n^(k-1) * 64 * ceil(n/64) layout bits; k = 19, n = 2 is the largest
         # 0/1 tensor within core.DENSE_GATE
         for k, n in [(2, 4096), (3, 256), (19, 2)]:
@@ -334,20 +378,21 @@ class TestBoxCounterPaths:
             coords = np.array([[1] * k, [2] * k], dtype=np.int32)
             at_gate = SparseTensor(TensorShape(k, n), coords, np.ones(2))
             above = SparseTensor(TensorShape(k, n + 1), coords, np.ones(2))
-            assert hypergraph._BoxCounter(at_gate).fibers is not None
-            assert hypergraph._BoxCounter(above).fibers is None
             subsets = [np.array([1, 2])] * k
-            assert box_sum(at_gate, subsets) == box_sum(above, subsets) == 2.0
+            assert box_sum(at_gate, subsets) == 2.0
+            assert packed_calls == [1]
+            assert box_sum(above, subsets) == 2.0
+            assert packed_calls == [1]
+            packed_calls.clear()
 
-    def test_weighted_tensor_stays_sparse(self):
+    def test_weighted_tensor_stays_sparse(self, packed_calls):
         gen = np.random.default_rng(72)
         t = random_sparse(gen, 3, 6, values="int")
-        counter = hypergraph._BoxCounter(t)
-        assert counter.fibers is None
         dense = t.to_dense()
         families = [_distinct_subsets(gen, 3, 6) for _ in range(20)]
         want = [dense[np.ix_(*(s - 1 for s in subsets))].sum() for subsets in families]
-        assert counter.counts(families)[1].tolist() == want
+        assert _box_sums(t, families).tolist() == want
+        assert packed_calls == []
 
 
 def _word_edge_tensor(gen, k, n):
@@ -392,26 +437,35 @@ _COUNT_CASES = [(k, n) for k in (2, 3, 4) for n in (1, 63, 64, 65, 128) if (k, n
 
 
 class TestCounts:
-    """``_BoxCounter.counts`` on the bit-packed path against the dense oracle,
-    on both sides of a 64-bit word boundary."""
+    """``_box_sums`` on the bit-packed path against the dense oracle, on both
+    sides of a 64-bit word boundary."""
 
     @pytest.mark.parametrize("k,n", _COUNT_CASES)
-    def test_matches_dense_oracle(self, k, n, monkeypatch):
+    def test_matches_dense_oracle(self, k, n, monkeypatch, packed_calls):
         bits = n ** (k - 1) * 64 * -(-n // 64)
         monkeypatch.setattr(hypergraph, "_PACKED_BITS", max(hypergraph._PACKED_BITS, bits))
+        layouts = []
+        real_bit_rows = hypergraph._bit_rows
+
+        def bit_rows(rows, words, bit):
+            layouts.append(rows == n ** (k - 1))  # no pass here packs that many families
+            return real_bit_rows(rows, words, bit)
+
+        monkeypatch.setattr(hypergraph, "_bit_rows", bit_rows)
         gen = np.random.default_rng(900 + 10 * k + n)
         t, dense, pool = _word_edge_tensor(gen, k, n)
         fams = _word_edge_families(gen, k, n, pool, 48)
-        counter = hypergraph._BoxCounter(t)
-        assert counter.fibers is not None
         want = [dense_count_edges(dense, fam) for fam in fams]
-        sizes, got = counter.counts(fams)
+        sizes, members = hypergraph._validate_families(t.shape, fams)
         assert sizes.dtype == np.int64 and sizes.tolist() == [[s.size for s in fam] for fam in fams]
+        assert members.tolist() == [int(v) for fam in fams for s in fam for v in s]
+        got = hypergraph._box_sums(t, sizes, members)
+        assert packed_calls == [48]
         assert got.dtype == np.float64 and got.tolist() == want
-        assert [counter.counts([fam])[1][0] for fam in fams] == want
-        # every mode that leads a family has been laid out, and only those
+        # one layout per mode that leads a family, and only those
         leads = {k - 1 - int(np.argmax([s.size for s in fam][::-1])) for fam in fams}
-        assert {j for j in range(k) if counter.fibers[j] is not None} == leads
+        assert sum(layouts) == len(leads)
+        assert [_box_sums(t, [fam])[0] for fam in fams] == want
 
     @pytest.mark.parametrize("k,n", [(2, 65), (3, 64), (4, 5)])
     def test_passes_split_families(self, k, n, monkeypatch):
@@ -423,29 +477,26 @@ class TestCounts:
         words = -(-n // 64)
         for cap in (1, 5, 13):
             monkeypatch.setattr(hypergraph, "_PASS_WORDS", cap * words)
-            assert hypergraph._BoxCounter(t).counts(fams)[1].tolist() == want
+            assert _box_sums(t, fams).tolist() == want
 
     @pytest.mark.parametrize("k,n", [(2, 128), (3, 65), (4, 9)])
-    def test_bitmap_matches_sparse_path(self, k, n, monkeypatch):
+    def test_bitmap_matches_sparse_path(self, k, n, monkeypatch, packed_calls):
         gen = np.random.default_rng(970 + k)
         t, _, pool = _word_edge_tensor(gen, k, n)
         fams = _word_edge_families(gen, k, n, pool, 200)
         fams += sample_subset_families(k, n, 200, SeedSpec(971, k))
-        bitmap = hypergraph._BoxCounter(t)
+        bitmap = _box_sums(t, fams)
         monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
-        sparse = hypergraph._BoxCounter(t)
-        assert bitmap.fibers is not None and sparse.fibers is None
-        for got_bitmap, got_sparse in zip(bitmap.counts(fams), sparse.counts(fams)):
-            assert np.array_equal(got_bitmap, got_sparse)
+        sparse = _box_sums(t, fams)
+        assert packed_calls == [400]
+        assert np.array_equal(bitmap, sparse)
 
     def test_empty_inputs(self):
         t = SparseTensor.empty(TensorShape(3, 4))
         fam = tuple(np.array([1, 2]) for _ in range(3))
-        sizes, sums = hypergraph._BoxCounter(t).counts([fam])
-        assert sizes.tolist() == [[2, 2, 2]] and sums.tolist() == [0.0]
+        assert _box_sums(t, [fam]).tolist() == [0.0]
         t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(975, 0)))
-        sizes, sums = hypergraph._BoxCounter(t).counts([])
-        assert sizes.shape == (0, 3) and sums.shape == (0,)
+        assert hypergraph._box_sums(t, np.zeros((0, 3), dtype=np.int64), np.zeros(0)).shape == (0,)
 
 
 class TestSubsetValidation:
@@ -467,10 +518,29 @@ class TestSubsetValidation:
             ((np.array([1]), np.array([], dtype=int), np.array([3])), "nonempty"),
             ((np.array([1]), np.array([7]), np.array([3])), r"lie in \[1, 6\]"),
             ((np.array([0]), np.array([2]), np.array([3])), r"lie in \[1, 6\]"),
+            ((np.array([1]), np.array(2), np.array([3])), "one-dimensional"),
+            ((np.array([1]), np.array([2]), np.array([[3, 4]])), "one-dimensional"),
         ]
         for bad, msg in cases:
             with pytest.raises(ValueError, match=msg):
                 mixing_check(t, 0.5, SubsetFamilies.explicit([ok, ok, bad, ok]))
+
+    def test_non_integer_members_rejected(self):
+        t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(76, 0)))
+        for bad in ([1.5, 2], ["1", 2], np.array([1.0])):
+            with pytest.raises(TypeError, match="integers"):
+                box_sum(t, [bad, [3], [4]])
+            with pytest.raises(TypeError, match="integers"):
+                SubsetFamilies.explicit([[bad, [3], [4]]])
+        with pytest.raises(TypeError, match="integers"):
+            matrix_mixing_check(Hypergraph(2, 4, [[1, 2]]), d=1, pairs=[([1.5], [2])])
+        # any integer dtype is a member; a set of each agrees with plain lists
+        want = box_sum(t, [[1, 2], [3], [4, 5]])
+        sets = [np.array([1, 2], dtype=np.uint8), np.array([3], dtype=np.int16),
+                np.array([4, 5], dtype=np.uint64)]
+        assert box_sum(t, sets) == want
+        with pytest.raises(ValueError, match=r"lie in \[1, 6\]"):
+            box_sum(t, [np.array([2**32 + 1]), [3], [4]])
 
     def test_matrix_mixing_pairs_validated(self):
         g = Hypergraph(2, 4, [[1, 2], [3, 4]])

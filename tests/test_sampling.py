@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
+
+from oracles import unrank_combination
 
 from tensorconc import (
     DenseProbability,
@@ -16,6 +19,7 @@ from tensorconc import (
     er_hypergraph,
     sparsify_uniform,
 )
+from tensorconc.sampling import _unrank_subsets
 from tensorconc.rng import (
     _GAMMA,
     _MASK64,
@@ -187,6 +191,28 @@ class TestErdosRenyi:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             er_hypergraph(4, 3, 0.5, SeedSpec(0, 0))
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (12, 7), (9, 9), (20, 4), (5, 1)])
+    def test_unranks_every_subset_in_order(self, n, k):
+        ranks = np.arange(math.comb(n, k), dtype=np.uint64)
+        want = list(itertools.combinations(range(1, n + 1), k))
+        got = _unrank_subsets(ranks, n, k)
+        assert got.dtype == np.int32 and got.tolist() == [list(c) for c in want]
+        if k >= 2:
+            assert er_hypergraph(k, n, 1.0, SeedSpec(0, 0)).edges.tolist() == got.tolist()
+
+    def test_unranks_near_int64_limit(self):
+        # C(66, 33) is 0.78 * 2^63: the largest tails sit just below the limit
+        n, k = 66, 33
+        total = math.comb(n, k)
+        ranks = [0, 1, total // 2, total - 2, total - 1]
+        got = _unrank_subsets(np.array(ranks, dtype=np.uint64), n, k)
+        assert got.tolist() == [unrank_combination(r, n, k) for r in ranks]
+        gen = np.random.default_rng(56)
+        for n, k in [(40, 35), (120, 3)]:
+            ranks = np.unique(gen.integers(0, math.comb(n, k), size=500, dtype=np.uint64))
+            got = _unrank_subsets(ranks, n, k)
+            assert got.tolist() == [unrank_combination(int(r), n, k) for r in ranks]
 
     def test_binomial_count(self):
         mean = math.comb(30, 3) * 0.01
