@@ -569,13 +569,13 @@ def linear_index(coords: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _coords_from_linear(lin: np.ndarray, order: int, dim: int) -> np.ndarray:
-    """Invert the row-major linear index back to 1-based coordinates."""
-    n = np.uint64(dim)
+    """Invert the row-major linear index (below 2^63) back to 1-based
+    coordinates."""
     out = np.empty((lin.shape[0], order), dtype=np.int32)
-    rem = lin.astype(np.uint64)
+    rem = lin.astype(np.int64)
     for j in range(order - 1, -1, -1):
-        out[:, j] = (rem % n).astype(np.int32) + 1
-        rem = rem // n
+        np.divmod(rem, dim, out=(rem, out[:, j]))
+    out += 1
     return out
 
 

@@ -384,11 +384,13 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
 def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
     """Execute every (n, trial) cell, write the CSV and a JSON summary.
 
-    Output is a pure function of the config: with ``jobs > 1`` trials run
-    in up to ``jobs`` spawned worker processes, never more than there are
-    trials or usable CPUs (see ``_run_in_processes``), but records are emitted in (n, trial) order.  A script that calls this
-    with ``jobs > 1`` needs an ``if __name__ == "__main__":`` guard, since
-    each spawned worker imports the script's main module.
+    Output is a pure function of the config: with ``jobs > 1`` the calling
+    process and ``jobs - 1`` spawned workers take the trials from one shared
+    counter, never more processes than there are trials or usable CPUs (see
+    ``_run_in_processes``), but records are emitted in (n, trial) order.  A
+    script that calls this with ``jobs > 1`` needs an
+    ``if __name__ == "__main__":`` guard, since each spawned worker imports
+    the script's main module.
     """
     cfg.validate()
     tasks = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
@@ -397,7 +399,6 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
         records = _run_in_processes(cfg, tasks, workers)
     else:
         records = [_run_trial(cfg, n, trial) for n, trial in tasks]
-    records.sort(key=lambda r: (r.n, r.trial))
     path = out or cfg.out
     with open(path, "w", encoding="ascii", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -413,7 +414,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: a worker past that count only adds its
-    start-up cost (about half a second of imports)."""
+    start-up cost (about 0.3 s of imports)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -423,34 +424,73 @@ def _usable_cpus() -> int:
 # Each worker process runs one trial at a time, so it gets one BLAS thread.
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
+# A spawned worker's task counter, set by the pool's initializer: a
+# synchronized value cannot be pickled into a submitted call.
+_counter = None
+
+
+def _share_counter(counter) -> None:
+    global _counter
+    _counter = counter
+
+
+def _claim_trials(cfg: ExperimentConfig, tasks: list, counter=None) -> list:
+    """``(index, record)`` of each task this process claims from ``counter``
+    (the worker's shared one by default), one at a time, until it passes
+    the end.  A trial that raises first moves the counter to the end, so the
+    other processes stop after their current trial."""
+    counter = _counter if counter is None else counter
+    done = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(tasks):
+            return done
+        try:
+            done.append((index, _run_trial(cfg, *tasks[index])))
+        except BaseException:
+            counter.value = len(tasks)
+            raise
+
 
 def _run_in_processes(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
-    """Run ``_run_trial`` over ``tasks`` in ``workers`` spawned processes.
+    """Run ``_run_trial`` over ``tasks`` in the caller and ``workers - 1``
+    spawned processes, each claiming the next unstarted task from one
+    shared counter; the records come back in task order.
 
+    The caller starts at once, while each worker spends about 0.3 s booting.
     BLAS reads its thread count from the environment when numpy loads, so
     ``_WORKER_ENV`` is set while the pool spawns its workers (one per
-    submit, up to ``workers``) and restored afterwards.  A trial that
-    raises re-raises here; a worker that dies raises ``BrokenProcessPool``.
-    Either way the trials not yet started are cancelled.
+    submit) and restored afterwards; the caller keeps its own BLAS threads.
+    A trial that raises, here or in a worker, re-raises here once the other
+    processes have finished their current trial; a worker that dies raises
+    ``BrokenProcessPool``.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+    ctx = multiprocessing.get_context("spawn")
+    counter = ctx.Value("q", 0)
+    pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx,
+                               initializer=_share_counter, initargs=(counter,))
     try:
         saved = {name: os.environ.get(name) for name in _WORKER_ENV}
         os.environ.update(_WORKER_ENV)
         try:
-            futures = [pool.submit(_run_trial, cfg, n, trial) for n, trial in tasks]
+            futures = [pool.submit(_claim_trials, cfg, tasks) for _ in range(workers - 1)]
         finally:
             for name, value in saved.items():
                 if value is None:
                     os.environ.pop(name, None)
                 else:
                     os.environ[name] = value
-        return [f.result() for f in futures]
+        done = _claim_trials(cfg, tasks, counter)
+        for f in futures:
+            done += f.result()
     finally:
         pool.shutdown(cancel_futures=True)
+    return [record for _, record in sorted(done, key=operator.itemgetter(0))]
 
 
 def summarize(csv_path: str) -> dict:

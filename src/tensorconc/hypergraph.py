@@ -144,16 +144,26 @@ def _runs(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def _bit_rows(rows: int, words: int, bit: np.ndarray) -> np.ndarray:
-    """``rows`` x ``words`` uint64 words with the flat bits ``bit`` set: bit
-    ``b % 64`` of word ``b // 64``, counting words row by row."""
-    bits = np.zeros(rows * words * 64, dtype=bool)
-    bits[bit] = True
-    return np.packbits(bits.reshape(rows, -1), axis=1, bitorder="little").view("<u8")
+    """``rows`` x ``words`` uint64 words with the distinct flat bits ``bit``
+    set: bit ``b % 64`` of word ``b // 64``, counting words row by row.
+
+    Distinct bits are set by adding them, since no two of them carry into
+    each other, and ``np.add.at`` adds fast; ``_BIT_CHUNK`` bits at a time
+    bound its temporaries.
+    """
+    out = np.zeros(rows * words, dtype=np.uint64)
+    for lo in range(0, bit.size, _BIT_CHUNK):
+        part = bit[lo:lo + _BIT_CHUNK]
+        np.add.at(out, part >> 6, np.left_shift(np.uint64(1), (part & 63).astype(np.uint64)))
+    return out.reshape(rows, words)
 
 
-# Bits of the largest bit-packed layout, n^(k-1) * 64 * ceil(n/64): also the
-# bytes of the bool array ``_bit_rows`` packs it from (n = 256 at k = 3).  It is
-# the most any 0/1 tensor with n^k <= ``core.DENSE_GATE`` needs (n = 2, k = 19).
+# Bits set per step of ``_bit_rows``: 256 KB of uint64 masks.
+_BIT_CHUNK = 1 << 15
+
+# Bits of the largest bit-packed layout, n^(k-1) * 64 * ceil(n/64) (n = 256 at
+# k = 3): 2 MB of words.  It is the most any 0/1 tensor with
+# n^k <= ``core.DENSE_GATE`` needs (n = 2, k = 19).
 _PACKED_BITS = 1 << 24
 
 # Fiber words gathered per pass of the bit-packed kernel.  It keeps each of a
@@ -214,7 +224,7 @@ def _packed_counts(t: SparseTensor, sizes: np.ndarray, members: np.ndarray) -> n
     for mode in np.unique(widest).tolist():
         others = [j for j in range(k) if j != mode]
         # each entry's row (its other indices, row-major), then its bit in the row
-        bit = np.zeros(t.nnz, dtype=np.intp)
+        bit = np.zeros(t.nnz, dtype=np.int32)  # below _PACKED_BITS
         for j in others:
             bit *= n
             bit += t.coords[:, j] - 1

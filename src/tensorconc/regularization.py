@@ -54,7 +54,9 @@ def degree_map(t: SparseTensor, m: int) -> DegreeMap:
     # entries are lexicographically sorted, so equal prefixes are contiguous
     new = np.empty(t.nnz, dtype=bool)
     new[0] = True
-    new[1:] = np.any(pref[1:] != pref[:-1], axis=1)
+    new[1:] = pref[1:, 0] != pref[:-1, 0]
+    for j in range(1, plen):
+        new[1:] |= pref[1:, j] != pref[:-1, j]
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, t.nnz)).astype(np.int64)
     return DegreeMap(plen, np.ascontiguousarray(pref[starts]), counts)

@@ -42,15 +42,15 @@ def bernoulli_sample(shape: TensorShape, model: ProbabilityModel, seed: SeedSpec
     key = rng.stream_key(seed, rng.LBL_BERNOULLI)
     if isinstance(model, Homogeneous):
         positions = rng.bernoulli_positions(shape.ncoords, model.p, key)
-        coords = _coords_from_linear(positions, shape.order, shape.dim)
-        return SparseTensor(shape, coords, np.ones(len(positions)), presorted=True)
-    if not isinstance(model, DenseProbability):
+    elif not isinstance(model, DenseProbability):
         raise TypeError(f"unsupported probability model: {type(model).__name__}")
-    if model.shape != shape:
+    elif model.shape != shape:
         raise ValueError(f"model shape {model.shape} mismatches {shape}")
-    positions = rng._positions_percoord(shape.ncoords, model.table.reshape(-1), key)
+    else:
+        positions = rng._positions_percoord(shape.ncoords, model.table.reshape(-1), key)
     coords = _coords_from_linear(positions, shape.order, shape.dim)
-    return SparseTensor(shape, coords, np.ones(len(positions)), presorted=True)
+    del positions  # freed before the values are allocated
+    return SparseTensor(shape, coords, np.ones(len(coords)), presorted=True)
 
 
 def sparsify_uniform(t: SparseTensor, p: float, seed: SeedSpec) -> SparseTensor:
@@ -79,8 +79,12 @@ def er_hypergraph(k: int, n: int, p: float, seed: SeedSpec) -> Hypergraph:
         raise ValueError(f"k = {k} exceeds vertex count n = {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
+    edges = comb(n, k)
+    if edges >= 1 << 63:
+        raise ValueError(f"C({n}, {k}) = {edges} k-subsets of [{n}]: "
+                         "the edge space must be below the 2^63 limit")
     key = rng.stream_key(seed, rng.LBL_HYPEREDGE)
-    ranks = rng.bernoulli_positions(comb(n, k), p, key)
+    ranks = rng.bernoulli_positions(edges, p, key)
     return Hypergraph(k, n, _unrank_subsets(ranks, n, k), presorted=True)
 
 

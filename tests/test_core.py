@@ -85,6 +85,17 @@ class TestShapesAndConstruction:
         assert SparseTensor.from_entries(sh, [((3, 1), 2.0), ((1, 2), 1.0)]) == want
         assert SparseTensor(sh, np.empty((0, 2)), np.empty(0)).nnz == 0
 
+    def test_unranking_exact_below_2_63(self):
+        # n^3 = (2^21 - 1)^3 is just below 2^63: positions near both ends
+        from tensorconc.core import _coords_from_linear, linear_index
+
+        n = 2**21 - 1
+        lin = [0, 1, n, n**2 - 1, n**3 // 2, n**3 - n - 1, n**3 - 1]
+        got = _coords_from_linear(np.array(lin, dtype=np.uint64), 3, n)
+        want = [[r // n**2 + 1, r // n % n + 1, r % n + 1] for r in lin]
+        assert got.dtype == np.int32 and got.tolist() == want
+        assert linear_index(got, n).tolist() == lin
+
     def test_immutability(self):
         t = SparseTensor.all_ones(TensorShape(2, 2))
         with pytest.raises(AttributeError):

@@ -260,17 +260,46 @@ class TestWorkers:
             print(type(exc).__name__, exc)
     """)
 
-    def _error(self, cfg, jobs, die=False, params=None):
-        script = self.SCRIPT.format(cfg=cfg, jobs=jobs, die=die, params=params or {})
+    # Wraps _run_trial in the caller alone (spawned workers import the
+    # unwrapped one) and records the pool's size.
+    SHARED = textwrap.dedent("""
+        import concurrent.futures, os, time
+        from tensorconc import harness
+
+        os.sched_getaffinity = lambda pid: set(range(4))
+        calls, sizes, inner = [], [], harness._run_trial
+
+        def caller_trial(cfg, n, trial):
+            calls.append((n, trial))
+            time.sleep({delay})
+            return inner(cfg, n, trial)
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        harness._run_trial = caller_trial
+        concurrent.futures.ProcessPoolExecutor = Pool
+        harness.run(harness.config_from_dict({cfg!r}), jobs={jobs})
+        print(len(calls), sizes)
+    """)
+
+    def _python(self, script):
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+        # the task counter's semaphore is released on every path
+        assert "resource_tracker" not in res.stderr, res.stderr
         return res.stdout.strip()
+
+    def _error(self, cfg, jobs, die=False, params=None):
+        return self._python(self.SCRIPT.format(cfg=cfg, jobs=jobs, die=die, params=params or {}))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_trial_error_propagates(self, tmp_path, jobs):
         # a zero family count set past the load-time check raises inside the
-        # trial (SubsetFamilies.sampled), so inside a worker at jobs=2
+        # trial (SubsetFamilies.sampled), in the caller or the worker at jobs=2
         cfg = _base_config(command="expander", n_list=[8], out=str(tmp_path / "r.csv"))
         error = self._error(cfg, jobs, params={"mixing_families": 0})
         assert error.startswith("ValueError") and "count must be >= 1" in error
@@ -278,6 +307,17 @@ class TestWorkers:
     def test_worker_death_raises(self, tmp_path):
         cfg = _base_config(out=str(tmp_path / "r.csv"))
         assert self._error(cfg, 2, die=True).startswith("BrokenProcessPool")
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_caller_and_workers_share_one_counter(self, tmp_path, jobs):
+        # the caller sleeps 1 s before each of its trials, so the workers,
+        # once booted, take the rest of the 8
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run(config_from_dict(_base_config(trials=4)), jobs=1, out=str(a))
+        cfg = _base_config(trials=4, out=str(b))
+        calls, sizes = self._python(self.SHARED.format(cfg=cfg, jobs=jobs, delay=1.0)).split(" ", 1)
+        assert _masked(a) == _masked(b)
+        assert 1 <= int(calls) < 8 and sizes == f"[{jobs - 1}]"
 
     def test_environment_restored(self, tmp_path):
         before = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}

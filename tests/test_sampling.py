@@ -192,6 +192,12 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             er_hypergraph(4, 3, 0.5, SeedSpec(0, 0))
 
+    def test_edge_space_limit(self):
+        # C(70, 34) = 109069992321755544170 is past 2^63
+        with pytest.raises(ValueError, match=r"C\(70, 34\) = 109069992321755544170 "
+                                             r"k-subsets .* 2\^63"):
+            er_hypergraph(34, 70, 1e-25, SeedSpec(1, 0))
+
     @pytest.mark.parametrize("n,k", [(6, 3), (12, 7), (9, 9), (20, 4), (5, 1)])
     def test_unranks_every_subset_in_order(self, n, k):
         ranks = np.arange(math.comb(n, k), dtype=np.uint64)
