@@ -22,6 +22,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence, Union
@@ -330,15 +331,14 @@ class VectorTuple:
 
     @classmethod
     def basis(cls, order: int, dim: int, indices: Sequence[int]) -> "VectorTuple":
-        """Standard basis vectors e_{i} (1-based indices), one per mode."""
-        vecs = []
-        for i in indices:
-            e = np.zeros(dim)
-            e[i - 1] = 1.0
-            vecs.append(e)
-        if len(vecs) != order:
+        """Standard basis vectors e_{i}, one per mode: 1-based integer
+        (``operator.index``) indices in [1, dim]."""
+        indices = [operator.index(i) for i in indices]
+        if len(indices) != order:
             raise ValueError("one index per mode required")
-        return cls(vecs)
+        if any(not 1 <= i <= dim for i in indices):
+            raise ValueError(f"basis indices {indices} out of range [1, {dim}]")
+        return cls([np.eye(1, dim, i - 1)[0] for i in indices])
 
     @classmethod
     def uniform(cls, order: int, dim: int) -> "VectorTuple":

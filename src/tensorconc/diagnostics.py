@@ -24,6 +24,7 @@ from .core import (
     TensorLike,
     VectorTuple,
     _dot,
+    _integers,
     _lex_order,
     as_offset,
     linear_index,
@@ -125,7 +126,7 @@ class TupleSplit:
         return self.heavy_coords.shape[0]
 
     def is_heavy(self, coord) -> bool:
-        coord = np.asarray(coord, dtype=np.int32)
+        coord = _integers(coord)
         if self.heavy_coords.size == 0:
             return False
         return bool(np.any(np.all(self.heavy_coords == coord, axis=1)))

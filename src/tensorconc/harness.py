@@ -470,6 +470,8 @@ def _run_in_processes(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # a config that cannot be pickled for the workers stops the sweep before its first trial
+    multiprocessing.reduction.ForkingPickler.dumps(cfg)
     ctx = multiprocessing.get_context("spawn")
     counter = ctx.Value("q", 0)
     pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseTensor
+from .core import SparseTensor, _integers
 from .hypergraph import Hypergraph, adjacency
 
 
@@ -32,7 +32,7 @@ class DegreeMap:
         return int(self.counts.max()) if self.counts.size else 0
 
     def degree(self, prefix) -> int:
-        prefix = np.asarray(prefix, dtype=np.int32)
+        prefix = _integers(prefix)
         if self.prefixes.size == 0:
             return 0
         idx = np.flatnonzero(np.all(self.prefixes == prefix, axis=1))

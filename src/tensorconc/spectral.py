@@ -31,9 +31,7 @@ from . import rng
 from .core import (
     OffsetTensor,
     ShapeMismatchError,
-    SparseTensor,
     TensorLike,
-    TensorShape,
     VectorTuple,
     _Contraction,
     _dot,
@@ -79,18 +77,25 @@ class PowerIterConfig:
             raise ValueError("restarts must be >= 1")
 
 
-def _as_matrix(m) -> tuple:
+def _as_matrix(m) -> _Contraction:
     """The one route to a matrix, from an arity-2 unfolding or an order-2
-    tensor: (source tensor, ``_Contraction`` of entries sorted by (row, col))."""
+    tensor: a ``_Contraction`` of its entries sorted by (row, col)."""
     if isinstance(m, UnfoldedView):
         if m.arity != 2:
             raise ValueError(f"matrix operations need an arity-2 unfolding, got {m.arity}")
         coords, values = m.canonical_entries()
-        return m.source, _Contraction(coords, values, m.background, m.dims)
+        return _Contraction(coords, values, m.background, m.dims)
     m = as_offset(m)
     if m.shape.order != 2:
         raise ValueError(f"matrix operations need an order-2 tensor, got order {m.shape.order}")
-    return m, _Contraction.of(m)
+    return _Contraction.of(m)
+
+
+def _is_zero(mat: _Contraction) -> bool:
+    """``OffsetTensor.is_exactly_zero`` of a matrix's entries."""
+    if mat.background == 0.0:
+        return len(mat.values) == 0
+    return len(mat.values) == math.prod(mat.dims) and bool(np.all(mat.values == -mat.background))
 
 
 def _times(mat: _Contraction, v: np.ndarray, mode: int) -> np.ndarray:
@@ -240,6 +245,27 @@ def _lanczos(op, start: np.ndarray, seed: SeedSpec) -> tuple:
     return theta, vec / _norm(vec), steps
 
 
+def _top_pair(mat: _Contraction, short: int, start: np.ndarray, seed: SeedSpec) -> tuple:
+    """``_lanczos`` from ``start`` on the Gram matrix G of ``mat`` on its
+    0-based mode ``short``: G formed densely up to ``_DENSE_MAX``, two sparse
+    products above.  Returns the top Ritz value, its unit Ritz vector, the
+    step count and (G, its forming error), or None above the cap."""
+    if mat.dims[short] > _DENSE_MAX:
+        return (*_lanczos(lambda q: _times(mat, _times(mat, q, short), 1 - short), start, seed), None)
+    g, form_err = _gram(mat, short)
+    return (*_lanczos(lambda q: np.einsum("ij,j->i", g, q), start, seed), (g, form_err))
+
+
+def _singular_pair(mat: _Contraction, short: int, vec: np.ndarray) -> tuple:
+    """(left, right) singular pair of ``mat`` from a unit vector ``vec`` on
+    its 0-based mode ``short``: the other side is ``vec`` mapped through the
+    matrix and normalized (e_1 if that is zero)."""
+    other = _times(mat, vec, short)
+    norm = _norm(other)
+    other = other / norm if norm > 0.0 else _e1(other.shape[0])
+    return (other, vec) if short else (vec, other)
+
+
 def matrix_op_norm(
     m,
     config: PowerIterConfig = PowerIterConfig(),
@@ -248,7 +274,7 @@ def matrix_op_norm(
     """Operator norm of an order-2 tensor or an arity-2 UnfoldedView.
 
     The norm squared is the top eigenvalue of the Gram matrix G of the
-    smaller side, found by ``_lanczos``.  The start is the first vector of
+    smaller side, found by ``_top_pair``.  The start is the first vector of
     ``extra_inits`` that is nonzero once mapped onto the rows by the matrix
     when the rows are the smaller side, else the uniform vector; any vector
     whose length is not ``ncols`` raises ``ShapeMismatchError``.
@@ -259,11 +285,12 @@ def matrix_op_norm(
     products, ``value`` is the square root of the top Ritz value, a lower
     estimate of the norm, and ``converged`` is False.  ``left``/``right``
     are the computed top singular pair and ``iterations`` counts Lanczos
-    steps.
+    steps.  Only this function certifies: solves that need only the
+    singular vectors call ``_top_pair`` themselves.
     """
-    source, mat = _as_matrix(m)
+    mat = _as_matrix(m)
     nrows, ncols = mat.dims
-    if source.is_exactly_zero():
+    if _is_zero(mat):
         return MatrixNormResult(0.0, _e1(nrows), _e1(ncols), 0, True)
     short = 0 if nrows <= ncols else 1
     r = mat.dims[short]
@@ -277,19 +304,11 @@ def matrix_op_norm(
         if _norm(q) > 0.0:
             start = q
             break
-    if r <= _DENSE_MAX:
-        g, form_err = _gram(mat, short)
-        theta, vec, steps = _lanczos(lambda q: np.einsum("ij,j->i", g, q), start, config.seed)
-        value, certified = _certify(g, theta, form_err), True
-    else:
-        theta, vec, steps = _lanczos(
-            lambda q: _times(mat, _times(mat, q, short), 1 - short), start, config.seed)
-        value, certified = math.sqrt(max(theta, 0.0)), False
-    other = _times(mat, vec, short)
-    norm = _norm(other)
-    other = other / norm if norm > 0.0 else _e1(other.shape[0])
-    left, right = (other, vec) if short else (vec, other)
-    return MatrixNormResult(value, left, right, steps, certified)
+    theta, vec, steps, gram = _top_pair(mat, short, start, config.seed)
+    value = math.sqrt(max(theta, 0.0)) if gram is None else _certify(gram[0], theta, gram[1])
+    # the long-side vector comes after the certificate, the step that needs the most memory
+    left, right = _singular_pair(mat, short, vec)
+    return MatrixNormResult(value, left, right, steps, gram is not None)
 
 
 def _gram(mat: _Contraction, short: int) -> tuple:
@@ -384,8 +403,9 @@ class HopmResult:
     converged: bool
 
 
-def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> Optional[list]:
-    """Start vectors from the dominant singular pair of the {1 | 2..k} unfolding.
+def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> list:
+    """Start vectors from the uncertified top singular pair of the
+    {1 | 2..k} unfolding (``_top_pair`` from the uniform start).
 
     The left vector seeds mode 1; the right vector (length n^(k-1)) is peeled
     one mode at a time: the top right singular vector of its n-column
@@ -393,11 +413,9 @@ def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> Optiona
     mode, mirroring the digit order of the unfolding map.
     """
     k, n = t.shape.order, t.shape.dim
-    res = matrix_op_norm(unfold(t, balanced_partition(k, k - 1)), config)
-    if res.value == 0.0:
-        return None
-    xs = [res.left]
-    v = res.right
+    unf = _as_matrix(unfold(t, balanced_partition(k, k - 1)))
+    left, v = _singular_pair(unf, 0, _top_pair(unf, 0, np.full(n, n**-0.5), config.seed)[1])
+    xs = [left]
     for _ in range(k - 2):
         mat = v.reshape(-1, n)
         _, x, _ = _lanczos(lambda x: np.einsum("ij,i->j", mat, np.einsum("ij,j->i", mat, x)),
@@ -426,10 +444,7 @@ def hopm_lower(
     if t.is_exactly_zero():
         return HopmResult(0.0, VectorTuple.basis(k, n, [1] * k), 0, True)
     key = rng.stream_key(config.seed, rng.LBL_HOPM_INIT)
-    starts = [[np.full(n, n**-0.5) for _ in range(k)]]
-    folded = _fold_unfolding_witness(t, config)
-    if folded is not None:
-        starts.append(folded)
+    starts = [[np.full(n, n**-0.5) for _ in range(k)], _fold_unfolding_witness(t, config)]
     for x in extra_inits:
         starts.append(list(_vectors_of(x, k, n)))
     for r in range(config.restarts):
@@ -441,31 +456,24 @@ def hopm_lower(
             xs.append(v / nv if nv > 0 else np.full(n, n**-0.5))
         starts.append(xs)
     contraction = _Contraction.of(t)
-    best_val = -1.0
-    best_xs = None
-    best_conv = False
+    best_val, best_xs, best_conv = -1.0, None, False
     total_iter = 0
     for xs in starts:
         xs = [x.copy() for x in xs]
         factors = [contraction.factor(j, x) for j, x in enumerate(xs)]
         prev = -np.inf
         hits = 0
-        obj = 0.0
         converged = False
-        for sweep in range(1, _MAX_STEPS + 1):
+        for _ in range(_MAX_STEPS):
             total_iter += 1
-            dead = False
             for j in range(k):
                 v = contraction.all_but_one(factors, j)
-                nv = _norm(v)
-                if nv == 0.0:
-                    dead = True
+                obj = _norm(v)
+                if obj == 0.0:
                     break
-                xs[j] = v / nv
+                xs[j] = v / obj
                 factors[j] = contraction.factor(j, xs[j])
-                obj = nv
-            if dead:
-                obj = abs(contraction.form(factors))
+            if obj == 0.0:  # the form is 0 whatever the vector on mode j
                 converged = True
                 break
             if prev > -np.inf and abs(obj - prev) <= _HOPM_TOL * max(obj, 1e-300):
@@ -478,9 +486,7 @@ def hopm_lower(
             prev = obj
         val = abs(contraction.form(factors))
         if val > best_val:
-            best_val = val
-            best_xs = xs
-            best_conv = converged
+            best_val, best_xs, best_conv = val, xs, converged
     return HopmResult(best_val, VectorTuple(best_xs), total_iter, best_conv)
 
 
@@ -501,48 +507,37 @@ def slice_lower(
 
     The all-ones assignment (1, ..., 1) is always evaluated first; the
     remaining assignments are keyed random.  Each slice is ranked by the
-    form value |u^T S v| achieved at the singular pair that
-    ``matrix_op_norm`` returns for it, not by that call's ``value`` (an
-    upper bound on the dense path); the best achieved value is a valid
-    spectral-norm lower bound since it is a form value at unit vectors.
+    form value |u^T S v| achieved at the uncertified singular pair that
+    ``_top_pair`` finds for it (e_1, e_1 for an exactly-zero slice); the
+    best achieved value is a valid spectral-norm lower bound since it is a
+    form value at unit vectors.  ``converged`` is False when a slice was
+    solved above ``_DENSE_MAX``.
     """
     t = as_offset(t)
     k, n = t.shape.order, t.shape.dim
     if k < 3:
         raise ValueError(f"slice bound needs order >= 3, got {k}")
-    slice_shape = TensorShape(2, n)
     assignments = [np.ones(k - 2, dtype=np.int64)]
     if num_slices > 1:
         key = rng.stream_key(seed, rng.LBL_SLICE)
         u = rng.uniform_block(key, 0, (num_slices - 1) * (k - 2))
         extra = np.minimum(n, (u * n).astype(np.int64) + 1).reshape(num_slices - 1, k - 2)
         assignments.extend(list(extra))
-    seen = set()
-    best_val = -1.0
-    best = None
-    converged = True
-    for a in assignments:
-        tup = tuple(int(x) for x in a)
-        if tup in seen:
-            continue
-        seen.add(tup)
+    best_val, best, converged = -1.0, None, True
+    for tup in dict.fromkeys(tuple(int(x) for x in a) for a in assignments):
         mask = np.all(t.sparse.coords[:, 2:] == np.asarray(tup, dtype=np.int32), axis=1)
-        # a subset of canonical entries stays canonical
-        piece = OffsetTensor(SparseTensor(slice_shape, t.sparse.coords[mask][:, :2],
-                                          t.sparse.values[mask], presorted=True), t.background)
-        res = matrix_op_norm(piece, config)
-        converged = converged and res.converged
-        achieved = abs(multilinear_form(piece, [res.left, res.right]))
+        # a subset of canonical entries stays sorted by (row, col)
+        mat = _Contraction(t.sparse.coords[mask][:, :2], t.sparse.values[mask], t.background, (n, n))
+        if _is_zero(mat):
+            pair = (_e1(n), _e1(n))
+        else:
+            pair = _singular_pair(mat, 0, _top_pair(mat, 0, np.full(n, n**-0.5), config.seed)[1])
+            converged = converged and n <= _DENSE_MAX
+        achieved = abs(mat.form([mat.factor(j, x) for j, x in enumerate(pair)]))
         if achieved > best_val:
-            best_val = achieved
-            best = (res, tup)
-    res, tup = best
-    vecs = [res.left, res.right]
-    for j, idx in enumerate(tup):
-        e = np.zeros(n)
-        e[idx - 1] = 1.0
-        vecs.append(e)
-    return SliceResult(best_val, VectorTuple(vecs), converged)
+            best_val, best = achieved, (pair, tup)
+    pair, tup = best
+    return SliceResult(best_val, VectorTuple([*pair, *VectorTuple.basis(k - 2, n, tup)]), converged)
 
 
 def kron_lift(xs: Sequence[np.ndarray], modes: Sequence[int]) -> np.ndarray:
@@ -598,14 +593,13 @@ def spectral_sandwich(
         wit = VectorTuple.basis(k, t.shape.dim, [1] * k)
         return SpectralEstimate(0.0, 0.0, wit, part, 0, 0.0,
                                 0.0 if k >= 3 else None, None, True, True)
-    iterations = 0
     slice_res = None
     extra = []
     if k >= 3:
         slice_res = slice_lower(t, num_slices=num_slices, seed=config.seed, config=config)
         extra.append(slice_res.witness)
     hopm = hopm_lower(t, config, extra_inits=extra)
-    iterations += hopm.iterations
+    iterations = hopm.iterations
     if slice_res is not None and slice_res.value > hopm.value:
         lower, witness, lower_conv = slice_res.value, slice_res.witness, slice_res.converged
     else:

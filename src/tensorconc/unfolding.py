@@ -90,8 +90,8 @@ def multiway_partition(k: int, m: int) -> Partition:
 
 
 def phi(partition: Partition, coord: Sequence[int], n: int) -> tuple:
-    """Map one 1-based coordinate through the unfolding bijection."""
-    coord = tuple(int(i) for i in coord)
+    """Map one 1-based integer coordinate through the unfolding bijection."""
+    coord = tuple(operator.index(i) for i in coord)
     if len(coord) != partition.order:
         raise ValueError(f"coordinate length {len(coord)} != order {partition.order}")
     if any(not 1 <= i <= n for i in coord):
@@ -101,7 +101,7 @@ def phi(partition: Partition, coord: Sequence[int], n: int) -> tuple:
 
 def phi_inverse(partition: Partition, unfolded: Sequence[int], n: int) -> tuple:
     """Invert ``phi``: decode each unfolded index back into its block's digits."""
-    unfolded = tuple(int(m) for m in unfolded)
+    unfolded = tuple(operator.index(m) for m in unfolded)
     if len(unfolded) != partition.arity:
         raise ValueError(f"expected {partition.arity} indices, got {len(unfolded)}")
     coord = [0] * partition.order

@@ -2,7 +2,7 @@
 
 Everything here works on dense numpy arrays with plain nested loops (or an
 independent classical algorithm), deliberately sharing no code path with the
-library under test.
+library under test, except the reference compositions at the end.
 """
 
 import itertools
@@ -167,3 +167,65 @@ def dense_expander(t: np.ndarray, p: float) -> np.ndarray:
             for perm in itertools.permutations(idx):
                 out[perm] += upper[idx]
     return out
+
+
+# Reference compositions of public calls: the slice bound and the HOPM seed
+# as they were built before the solver and its certificate were split, kept
+# to check that the split moved no bit.  Unlike the oracles above, these
+# reuse the library, through ``matrix_op_norm`` and ``multilinear_form``.
+
+
+def reference_slice_lower(t, num_slices, seed, config):
+    """Each slice as an ``OffsetTensor``, its pair from ``matrix_op_norm``
+    (a certified solve), ranked by ``multilinear_form``."""
+    from tensorconc import (OffsetTensor, SparseTensor, TensorShape, VectorTuple, matrix_op_norm,
+                            multilinear_form, rng)
+    from tensorconc.core import as_offset
+    from tensorconc.spectral import SliceResult
+
+    t = as_offset(t)
+    k, n = t.shape.order, t.shape.dim
+    assignments = [np.ones(k - 2, dtype=np.int64)]
+    if num_slices > 1:
+        u = rng.uniform_block(rng.stream_key(seed, rng.LBL_SLICE), 0, (num_slices - 1) * (k - 2))
+        assignments.extend(np.minimum(n, (u * n).astype(np.int64) + 1).reshape(num_slices - 1, k - 2))
+    best_val, best, converged, seen = -1.0, None, True, set()
+    for a in assignments:
+        tup = tuple(int(x) for x in a)
+        if tup in seen:
+            continue
+        seen.add(tup)
+        mask = np.all(t.sparse.coords[:, 2:] == np.asarray(tup, dtype=np.int32), axis=1)
+        piece = OffsetTensor(SparseTensor(TensorShape(2, n), t.sparse.coords[mask][:, :2],
+                                          t.sparse.values[mask], presorted=True), t.background)
+        res = matrix_op_norm(piece, config)
+        converged = converged and res.converged
+        achieved = abs(multilinear_form(piece, [res.left, res.right]))
+        if achieved > best_val:
+            best_val, best = achieved, (res, tup)
+    res, tup = best
+    vecs = [res.left, res.right]
+    for idx in tup:
+        e = np.zeros(n)
+        e[idx - 1] = 1.0
+        vecs.append(e)
+    return SliceResult(best_val, VectorTuple(vecs), converged)
+
+
+def reference_fold_witness(t, config):
+    """The HOPM seed from the left and right vectors of ``matrix_op_norm``
+    on the {1 | 2..k} unfolding, the right one peeled mode by mode."""
+    from tensorconc import balanced_partition, matrix_op_norm, spectral, unfold
+
+    k, n = t.shape.order, t.shape.dim
+    res = matrix_op_norm(unfold(t, balanced_partition(k, k - 1)), config)
+    xs, v = [res.left], res.right
+    for _ in range(k - 2):
+        mat = v.reshape(-1, n)
+        _, x, _ = spectral._lanczos(lambda x: np.einsum("ij,i->j", mat, np.einsum("ij,j->i", mat, x)),
+                                    np.full(n, n**-0.5), config.seed)
+        xs.append(x)
+        v = np.einsum("ij,j->i", mat, x)
+    nv = spectral._norm(v)
+    xs.append(v / nv if nv > 0 else np.full(n, n**-0.5))
+    return xs

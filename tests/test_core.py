@@ -346,6 +346,25 @@ class TestVectorTuple:
         with pytest.raises(ValueError):
             VectorTuple([np.array([np.nan, 1.0])])
 
+    def test_basis(self):
+        xs = VectorTuple.basis(3, 4, [1, np.int64(4), 2])
+        assert [v.tolist() for v in xs] == [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]]
+
+    @pytest.mark.parametrize("indices", [[0, 1, 2], [1, 5, 2], [-1, 1, 1]])
+    def test_basis_index_out_of_range(self, indices):
+        # index 0 would wrap to the last entry
+        with pytest.raises(ValueError, match="out of range"):
+            VectorTuple.basis(3, 4, indices)
+
+    @pytest.mark.parametrize("indices", [[1.5, 1, 1], ["2", 1, 1], [np.float64(1.0), 1, 1]])
+    def test_basis_non_integer_index(self, indices):
+        with pytest.raises(TypeError):
+            VectorTuple.basis(3, 4, indices)
+
+    def test_basis_index_count(self):
+        with pytest.raises(ValueError, match="one index per mode"):
+            VectorTuple.basis(3, 4, [1, 1])
+
 
 class TestSerialization:
     def test_header_and_roundtrip(self, rng):

@@ -85,6 +85,14 @@ class TestSplitTuples:
         assert split.is_heavy((1, 1, 1))
         assert not split.is_heavy((1, 1, 2))
 
+    def test_is_heavy_needs_integers(self):
+        e1 = np.eye(1, 5)[0]
+        split = split_tuples([e1, e1, e1], 5, 0.5)
+        assert split.is_heavy(np.ones(3, dtype=np.int64))
+        # 1.9 would truncate to the heavy (1, 1, 1)
+        with pytest.raises(TypeError, match="integers"):
+            split.is_heavy((1.9, 1.2, 1.0))
+
     def test_matches_bruteforce(self, rng):
         n, k = 8, 3
         for _ in range(10):

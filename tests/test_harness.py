@@ -261,7 +261,8 @@ class TestWorkers:
     """)
 
     # Wraps _run_trial in the caller alone (spawned workers import the
-    # unwrapped one) and records the pool's size.
+    # unwrapped one) and records the pool's size; a raised error is printed
+    # before the caller's trial count.
     SHARED = textwrap.dedent("""
         import concurrent.futures, os, time
         from tensorconc import harness
@@ -281,7 +282,12 @@ class TestWorkers:
 
         harness._run_trial = caller_trial
         concurrent.futures.ProcessPoolExecutor = Pool
-        harness.run(harness.config_from_dict({cfg!r}), jobs={jobs})
+        cfg = harness.config_from_dict({cfg!r})
+        cfg.params.update({params})  # after the load-time check
+        try:
+            harness.run(cfg, jobs={jobs})
+        except Exception as exc:
+            print(type(exc).__name__, end=" ")
         print(len(calls), sizes)
     """)
 
@@ -315,9 +321,17 @@ class TestWorkers:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(config_from_dict(_base_config(trials=4)), jobs=1, out=str(a))
         cfg = _base_config(trials=4, out=str(b))
-        calls, sizes = self._python(self.SHARED.format(cfg=cfg, jobs=jobs, delay=1.0)).split(" ", 1)
+        out = self._python(self.SHARED.format(cfg=cfg, jobs=jobs, delay=1.0, params="{}"))
+        calls, sizes = out.split(" ", 1)
         assert _masked(a) == _masked(b)
         assert 1 <= int(calls) < 8 and sizes == f"[{jobs - 1}]"
+
+    def test_unpicklable_config_raises_before_any_trial(self, tmp_path):
+        # a lambda cannot be pickled for the workers: the sweep stops before
+        # the caller runs any of the 8 trials, and no pool is started
+        cfg = _base_config(trials=4, out=str(tmp_path / "r.csv"))
+        script = self.SHARED.format(cfg=cfg, jobs=2, delay=0.0, params='{"f": lambda: 0}')
+        assert self._python(script) == "PicklingError 0 []"
 
     def test_environment_restored(self, tmp_path):
         before = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}

@@ -38,6 +38,17 @@ class TestDegreeMap:
         assert dm.degree((1, 1)) == 0
         assert dm.max_degree == 1
 
+    @pytest.mark.parametrize("prefix", [(1.7, 2.2), (2.0, 3.0), ("2", "3")])
+    def test_non_integer_prefix_rejected(self, prefix):
+        # 1.7 would truncate and report the degree of (1, 2)
+        t = SparseTensor(TensorShape(3, 5), [[1, 2, 4], [2, 3, 4]], [1.0, 1.0])
+        with pytest.raises(TypeError, match="integers"):
+            degree_map(t, 1).degree(prefix)
+
+    def test_numpy_integer_prefix(self):
+        t = SparseTensor(TensorShape(3, 5), [[2, 3, 4]], [1.0])
+        assert degree_map(t, 1).degree(np.array([2, 3], dtype=np.uint8)) == 1
+
     def test_matches_bruteforce(self, rng):
         t = random_sparse(rng, 3, 6, values="binary")
         dm = degree_map(t, 1)

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
-from oracles import grid_rank1_max_2x2x2, jacobi_spectral_norm
+from oracles import (
+    grid_rank1_max_2x2x2,
+    jacobi_spectral_norm,
+    reference_fold_witness,
+    reference_slice_lower,
+)
 from tensorconc import (
     Homogeneous,
     OffsetTensor,
@@ -26,6 +31,7 @@ from tensorconc import (
     spectral_sandwich,
     unfold,
 )
+from tensorconc.harness import _run_trial, config_from_dict
 from tensorconc.spectral import kron_lift
 from tensorconc.unfolding import Partition, UnfoldedView, balanced_partition, multiway_partition
 
@@ -140,7 +146,7 @@ class TestMatrixProductsMatchScipy:
         for m in cases:
             csr, csc = self._scipy(m)
             b = m.background
-            _, mat = spectral._as_matrix(m)
+            mat = spectral._as_matrix(m)
             v, u = rng.standard_normal(csr.shape[1]), rng.standard_normal(csr.shape[0])
             want_mv, want_rmv = csr @ v, csc @ u
             if b != 0.0:
@@ -155,7 +161,7 @@ class TestMatrixProductsMatchScipy:
         for m in cases:
             csr, csc = self._scipy(m)
             b = m.background
-            _, mat = spectral._as_matrix(m)
+            mat = spectral._as_matrix(m)
             for short in (0, 1):
                 s, st = (csr, csc) if short == 0 else (csc, csr)
                 r, big = s.shape
@@ -402,3 +408,112 @@ class TestSandwich:
         t = SparseTensor.all_ones(TensorShape(3, 2))
         with pytest.raises(ValueError):
             spectral_sandwich(t, 3)
+
+
+def _certify_calls(monkeypatch) -> list:
+    """Record the Gram side of every ``_certify`` call from now on."""
+    calls, real = [], spectral._certify
+
+    def spy(g, theta, form_err):
+        calls.append(g.shape[0])
+        return real(g, theta, form_err)
+
+    monkeypatch.setattr(spectral, "_certify", spy)
+    return calls
+
+
+def _centered(k, n, p, seed):
+    return center(bernoulli_sample(TensorShape(k, n), Homogeneous(p), seed), Homogeneous(p))
+
+
+class TestCertificateOnlyForReportedValues:
+    # upper always; the chain's value too when m < k/2.  Slices and the HOPM
+    # seed use only vectors and are not certified.
+    @pytest.mark.parametrize("k, n, m, want", [(3, 12, 2, 1), (3, 12, 1, 2), (4, 6, 1, 2),
+                                               (4, 6, 2, 1), (4, 6, 3, 1)])
+    def test_sandwich(self, monkeypatch, k, n, m, want):
+        w = _centered(k, n, 0.3, SeedSpec(9, k))
+        calls = _certify_calls(monkeypatch)
+        spectral_sandwich(w, m, PowerIterConfig(restarts=2, seed=SeedSpec(9, 0)))
+        assert len(calls) == want
+
+    def test_conc_k3_trial(self, monkeypatch):
+        cfg = config_from_dict({
+            "command": "concentration", "k": 3, "m": 2, "n_list": [120], "trials": 1,
+            "p_rule": {"kind": "c_logn_over_nm", "c": 5.0, "m": 2}, "estimator": {"restarts": 6}})
+        calls = _certify_calls(monkeypatch)
+        _run_trial(cfg, 120, 0)
+        assert calls == [120]
+
+    def test_partition_override_trial(self, monkeypatch):
+        cfg = config_from_dict({
+            "command": "concentration", "k": 3, "m": 2, "n_list": [8], "trials": 1,
+            "p_rule": {"kind": "fixed", "p": 0.3}, "partition": [[1, 3], [2]]})
+        calls = _certify_calls(monkeypatch)
+        assert "partition_upper" in _run_trial(cfg, 8, 0).aux
+        assert calls == [8, 8]
+
+
+def _empty_slices_tensor() -> SparseTensor:
+    # background 0; nothing on mode-3 index 1 (the first pin) nor 2
+    coords = [[1, 2, 3], [2, 1, 3], [4, 4, 5], [3, 1, 6], [6, 6, 6]]
+    return SparseTensor(TensorShape(3, 6), coords, [1.0, -2.0, 0.5, 3.0, -1.0])
+
+
+_REFERENCE_INPUTS = {
+    "centered-k3": lambda: _centered(3, 20, 0.2, SeedSpec(11, 3)),
+    "centered-k4": lambda: _centered(4, 8, 0.2, SeedSpec(11, 4)),
+    "empty-slices": _empty_slices_tensor,
+}
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                                    for x, y in zip(a, b))
+
+
+class TestUncertifiedPairsMatchReference:
+    """Slices and the HOPM seed take their pairs from ``_top_pair`` without a
+    certificate; they must equal the certified ``matrix_op_norm`` pairs of
+    the reference construction bit for bit."""
+
+    CFG = PowerIterConfig(restarts=3, seed=SeedSpec(3, 1))
+
+    def _check(self, w, num_slices):
+        sl = slice_lower(w, num_slices=num_slices, seed=self.CFG.seed, config=self.CFG)
+        ref = reference_slice_lower(w, num_slices, self.CFG.seed, self.CFG)
+        assert sl.value.hex() == ref.value.hex() and sl.converged == ref.converged
+        assert _same_bits(sl.witness, ref.witness)
+        seed = spectral._fold_unfolding_witness(w, self.CFG)
+        assert _same_bits(seed, reference_fold_witness(w, self.CFG))
+        return sl
+
+    def _hopm_with_reference_seed(self, monkeypatch, w, extra):
+        got = hopm_lower(w, self.CFG, extra_inits=extra)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "_fold_unfolding_witness", reference_fold_witness)
+            want = hopm_lower(w, self.CFG, extra_inits=extra)
+        assert (got.value.hex(), got.iterations, got.converged) == (
+            want.value.hex(), want.iterations, want.converged)
+        assert _same_bits(got.witness, want.witness)
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_INPUTS))
+    @pytest.mark.parametrize("num_slices", [1, 5])
+    def test_dense_path(self, monkeypatch, name, num_slices):
+        w = _REFERENCE_INPUTS[name]()
+        sl = self._check(w, num_slices)
+        assert sl.converged
+        self._hopm_with_reference_seed(monkeypatch, w, [sl.witness])
+
+    def test_all_slices_empty(self):
+        sl = self._check(_empty_slices_tensor(), 1)
+        assert sl.value == 0.0 and all(v[0] == 1.0 for v in sl.witness)
+
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_INPUTS))
+    def test_sparse_product_path(self, monkeypatch, name):
+        # every slice and unfolding is past the cap: two sparse products per step
+        monkeypatch.setattr(spectral, "_DENSE_MAX", 5)
+        w = _REFERENCE_INPUTS[name]()
+        sl = self._check(w, 4)
+        assert not sl.converged
+        self._hopm_with_reference_seed(monkeypatch, w, [sl.witness])

@@ -79,6 +79,22 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(p, (0, 1), 3)
 
+    @pytest.mark.parametrize("coord", [(1.5, 2, 3), ("2", 2, 3), (np.float64(1.0), 2, 3)])
+    def test_non_integer_coordinate_rejected(self, coord):
+        # 1.5 would truncate to the image of (1, 2, 3), "2" would parse
+        with pytest.raises(TypeError):
+            phi(Partition([[1], [2, 3]]), coord, 4)
+
+    @pytest.mark.parametrize("unfolded", [(1.9, 7), (1, "7")])
+    def test_non_integer_unfolded_index_rejected(self, unfolded):
+        with pytest.raises(TypeError):
+            phi_inverse(Partition([[1], [2, 3]]), unfolded, 4)
+
+    def test_numpy_integer_indices(self):
+        p = Partition([[1], [2, 3]])
+        assert phi(p, np.array([1, 2, 3]), 4) == (1, 10)
+        assert phi_inverse(p, (np.int32(1), np.uint8(10)), 4) == (1, 2, 3)
+
     def test_inverse_trivial(self):
         p = Partition([[1, 2], [3]])
         assert phi_inverse(p, (1, 1), 2) == (1, 1, 1)
