@@ -558,6 +558,11 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(rows.T[::-1])
 
 
+def _runs(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices ``lo[r] + [0, lens[r])`` of every run r, laid end to end."""
+    return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
 def linear_index(coords: np.ndarray, dim: int) -> np.ndarray:
     """Row-major 0-based uint64 linear index of each row of 1-based ``coords``
     over [dim]^columns; wraps modulo 2^64 past that."""

@@ -26,11 +26,12 @@ from .core import (
     _dot,
     _integers,
     _lex_order,
+    _runs,
     as_offset,
     linear_index,
     multilinear_form,
 )
-from .hypergraph import _box_sums, _draw_families, _runs, _scaled_volume, _validate_families
+from .hypergraph import _box_sums, _draw_families, _scaled_volume, _validate_families
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, hopm_lower
 
@@ -127,8 +128,8 @@ class TupleSplit:
 
     def is_heavy(self, coord) -> bool:
         coord = _integers(coord)
-        if self.heavy_coords.size == 0:
-            return False
+        if coord.shape != self.heavy_coords.shape[1:]:
+            raise ValueError(f"coord must have shape {self.heavy_coords.shape[1:]}")
         return bool(np.any(np.all(self.heavy_coords == coord, axis=1)))
 
 
@@ -399,15 +400,7 @@ def kl_bernoulli(theta: ProbabilityModel, theta_prime: ProbabilityModel,
     """
     if not 0.0 <= a < b <= 1.0:
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-    pt = _model_table(theta)
-    qt = _model_table(theta_prime)
-    if pt.size != qt.size:
-        if pt.size == 1:
-            pt = np.full_like(qt, pt[0])
-        elif qt.size == 1:
-            qt = np.full_like(pt, qt[0])
-        else:
-            raise ValueError("probability tables have incompatible shapes")
+    pt, qt = np.broadcast_arrays(_model_table(theta), _model_table(theta_prime))
     lo = min(pt.min(), qt.min())
     hi = max(pt.max(), qt.max())
     if lo < a - 1e-15 or hi > b + 1e-15:

@@ -18,37 +18,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .core import SparseTensor, TensorShape, _integers, _lex_order
+from .core import SparseTensor, TensorShape, _integers, _runs
 from .rng import SeedSpec
 
 
 class Hypergraph:
-    """Vertex set [1, n] plus a sorted set of strictly increasing k-tuples."""
+    """Vertex set [1, n] plus a sorted set of strictly increasing k-tuples,
+    validated as the support of a 0/1 ``SparseTensor`` of order k."""
 
     __slots__ = ("k", "n", "edges")
 
     def __init__(self, k: int, n: int, edges, *, presorted: bool = False):
-        if k < 2:
-            raise ValueError(f"edge size must be >= 2, got {k}")
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
-        edges = _integers(edges)
-        if edges.size == 0:
-            edges = edges.reshape(0, k)
-        if edges.ndim != 2 or edges.shape[1] != k:
-            raise ValueError(f"edges must have shape (m, {k})")
-        if edges.size and (edges.min() < 1 or edges.max() > n):
-            raise ValueError(f"vertices must lie in [1, {n}]")
-        edges = edges.astype(np.int32, copy=False)
-        if edges.size:
-            if np.any(np.diff(edges, axis=1) <= 0):
-                raise ValueError("each edge must be a strictly increasing vertex tuple")
-        if not presorted and edges.shape[0] > 1:
-            edges = edges[_lex_order(edges)]
-            if np.any(np.all(edges[1:] == edges[:-1], axis=1)):
-                raise ValueError("duplicate edge")
-        edges = np.ascontiguousarray(edges)
-        edges.flags.writeable = False
+        edges = SparseTensor(TensorShape(k, n), edges, np.ones(np.shape(edges)[:1]),
+                             presorted=presorted).coords
+        if np.any(np.diff(edges, axis=1) <= 0):
+            raise ValueError("each edge must be a strictly increasing vertex tuple")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
@@ -136,11 +120,6 @@ def _table(dim: int, subset: np.ndarray) -> np.ndarray:
     table = np.zeros(dim + 1, dtype=bool)
     table[subset] = True
     return table
-
-
-def _runs(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Indices ``lo[r] + [0, lens[r])`` of every run r, laid end to end."""
-    return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
 def _bit_rows(rows: int, words: int, bit: np.ndarray) -> np.ndarray:

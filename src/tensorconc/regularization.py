@@ -9,7 +9,6 @@ threshold are kept.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,8 +32,8 @@ class DegreeMap:
 
     def degree(self, prefix) -> int:
         prefix = _integers(prefix)
-        if self.prefixes.size == 0:
-            return 0
+        if prefix.shape != (self.prefix_order,):
+            raise ValueError(f"prefix must have shape ({self.prefix_order},)")
         idx = np.flatnonzero(np.all(self.prefixes == prefix, axis=1))
         return int(self.counts[idx[0]]) if idx.size else 0
 
@@ -123,30 +122,25 @@ def removed_count_check(result: RegularizationResult, n: int, p: float) -> Remov
     return RemovedCountCheck(count, bound, count <= bound)
 
 
-def _validate_symmetric_adjacency(t: SparseTensor) -> None:
-    """Unit values on distinct-index coordinates in complete orbits: as the
-    coordinates are unique, that is nnz == (distinct sorted rows) * k!."""
-    if np.any(t.values != 1.0):
-        raise ValueError("adjacency tensor has a value other than 1")
-    srt = np.sort(t.coords, axis=1)
-    if np.any(srt[:, :-1] == srt[:, 1:]):
-        raise ValueError("adjacency tensor has an entry with repeated indices")
-    if np.unique(srt, axis=0).shape[0] * math.factorial(t.shape.order) != t.nnz:
-        raise ValueError("input tensor is not symmetric: incomplete permutation orbit")
-
-
 def expander_construct(t: SparseTensor, p: float) -> SparseTensor:
     """Bounded-degree regularization of a symmetric 0/1 adjacency tensor.
 
-    1. keep only strictly increasing coordinates, one per edge;
+    1. keep only strictly increasing coordinates, one per edge (the input,
+       unit-valued with no repeated index, must equal their ``adjacency``);
     2. ``regularize`` them with m = k-1: every edge whose first vertex lies
        in more than 2 * n^(k-1) * p kept edges is dropped (ties kept);
     3. ``adjacency`` of the surviving edges, i.e. the sum over all index
        permutations.
     """
     k, n = t.shape.order, t.shape.dim
-    _validate_symmetric_adjacency(t)
+    if np.any(t.values != 1.0):
+        raise ValueError("adjacency tensor has a value other than 1")
+    if np.any(np.diff(np.sort(t.coords, axis=1), axis=1) == 0):
+        raise ValueError("adjacency tensor has an entry with repeated indices")
     increasing = np.all(np.diff(t.coords, axis=1) > 0, axis=1)
     upper = SparseTensor(t.shape, t.coords[increasing], t.values[increasing], presorted=True)
+    symmetric = adjacency(Hypergraph(k, n, upper.coords, presorted=True))
+    if not np.array_equal(symmetric.coords, t.coords):
+        raise ValueError("input tensor is not symmetric: incomplete permutation orbit")
     kept = regularize(upper, k - 1, p).regularized
     return adjacency(Hypergraph(k, n, kept.coords, presorted=True))

@@ -35,12 +35,13 @@ from .core import (
     VectorTuple,
     _Contraction,
     _dot,
+    _runs,
     _vectors_of,
     as_offset,
     multilinear_form,
 )
 from .rng import SeedSpec
-from .unfolding import Partition, UnfoldedView, balanced_partition, multiway_partition, unfold
+from .unfolding import Partition, UnfoldedView, balanced_partition, unfold
 
 SANDWICH_SLACK = 1e-8
 
@@ -337,7 +338,7 @@ def _gram(mat: _Contraction, short: int) -> tuple:
     for lo in range(0, len(vals), step):
         e = slice(lo, lo + step)
         c = counts[e]
-        right = np.repeat(start[e] + c - np.cumsum(c), c) + np.arange(c.sum())
+        right = _runs(start[e], c)
         np.add.at(g.reshape(-1), np.repeat(idx[e] * r, c) + idx[right],
                   np.repeat(vals[e], c) * vals[right])
     b = mat.background
@@ -443,18 +444,15 @@ def hopm_lower(
     k, n = t.shape.order, t.shape.dim
     if t.is_exactly_zero():
         return HopmResult(0.0, VectorTuple.basis(k, n, [1] * k), 0, True)
-    key = rng.stream_key(config.seed, rng.LBL_HOPM_INIT)
     starts = [[np.full(n, n**-0.5) for _ in range(k)], _fold_unfolding_witness(t, config)]
     for x in extra_inits:
         starts.append(list(_vectors_of(x, k, n)))
-    for r in range(config.restarts):
-        xs = []
-        for j in range(k):
-            u = rng.uniform_block(key, (r * k + j) * n, n)
-            v = 2.0 * u - 1.0
-            nv = _norm(v)
-            xs.append(v / nv if nv > 0 else np.full(n, n**-0.5))
-        starts.append(xs)
+    # restart r's mode-j vector is drawn at counters (r * k + j) * n + [0, n)
+    key = rng.stream_key(config.seed, rng.LBL_HOPM_INIT)
+    u = rng.uniform_block(key, 0, config.restarts * k * n).reshape(config.restarts, k, n)
+    for vs in 2.0 * u - 1.0:
+        norms = [_norm(v) for v in vs]
+        starts.append([v / nv if nv > 0 else np.full(n, n**-0.5) for v, nv in zip(vs, norms)])
     contraction = _Contraction.of(t)
     best_val, best_xs, best_conv = -1.0, None, False
     total_iter = 0
@@ -569,6 +567,12 @@ class SpectralEstimate:
             )
 
 
+def _chain_partition(k: int, m: int) -> Partition:
+    """``balanced_partition(k, k - s m)``, the first s in [1, ceil(k/m)) minimizing |2sm - k|."""
+    s = min(range(1, -(-k // m)), key=lambda s: abs(2 * s * m - k))
+    return balanced_partition(k, k - s * m)
+
+
 def spectral_sandwich(
     t: TensorLike,
     m: int,
@@ -579,10 +583,9 @@ def spectral_sandwich(
     {1..k-m | k-m+1..k} unfolding upper bound.
 
     For m < k/2 the multiway chain is recorded as a diagnostic upper bound:
-    the unfolding by the coarsened two-block partition that merges the
-    consecutive size-m blocks on either side of their most balanced split,
-    the first s minimizing |2 (|B_1| + ... + |B_s|) - k| (so {1 | 2,3} for
-    k = 3, m = 1).
+    the unfolding by ``_chain_partition(k, m)``, the two-block partition
+    ``balanced_partition(k, k - s m)`` that splits the consecutive size-m
+    blocks at their most balanced point (so {1 | 2,3} for k = 3, m = 1).
     """
     t = as_offset(t)
     k = t.shape.order
@@ -609,12 +612,7 @@ def spectral_sandwich(
     iterations += upper_res.iterations
     chain = None
     if 2 * m < k:
-        pi2 = multiway_partition(k, m)
-        # most balanced two-group split of the multiway blocks, first on ties
-        split = min(range(1, pi2.arity),
-                    key=lambda s: abs(2 * sum(map(len, pi2.blocks[:s])) - k))
-        coarse = Partition([sum(pi2.blocks[:split], ()), sum(pi2.blocks[split:], ())])
-        chain_res = matrix_op_norm(unfold(t, coarse), config)
+        chain_res = matrix_op_norm(unfold(t, _chain_partition(k, m)), config)
         iterations += chain_res.iterations
         chain = chain_res.value
     check = abs(multilinear_form(t, witness))

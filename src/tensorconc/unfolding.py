@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetTensor, TensorLike, _frobenius_sq, _lex_order, as_offset
+from .core import OffsetTensor, TensorLike, _frobenius_sq, _lex_order, as_offset, linear_index
 
 
 class Partition:
@@ -121,9 +121,8 @@ def phi_array(partition: Partition, coords: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"unfolded sides {partition.dims(n)} are not all below 2^63")
     out = np.empty((coords.shape[0], partition.arity), dtype=np.int64)
     for j, block in enumerate(partition.blocks):
-        cols = coords[:, [r - 1 for r in block]].astype(np.uint64) - np.uint64(1)
-        strides = np.uint64(n) ** np.arange(len(block), dtype=np.uint64)
-        out[:, j] = (cols * strides).sum(axis=1).astype(np.int64) + 1
+        # the first block member is the least significant digit
+        out[:, j] = linear_index(coords[:, [r - 1 for r in reversed(block)]], n).astype(np.int64) + 1
     return out
 
 

@@ -229,3 +229,40 @@ def reference_fold_witness(t, config):
     nv = spectral._norm(v)
     xs.append(v / nv if nv > 0 else np.full(n, n**-0.5))
     return xs
+
+
+# Reference forms of code that now reuses a shared helper, kept to check that
+# the reuse moved no bit and no accept/reject decision.
+
+
+def reference_phi_array(partition, coords, n):
+    """The unfolding map by an explicit strides loop: block member r's digit
+    weighs n^pos(r), in uint64."""
+    out = np.empty((coords.shape[0], partition.arity), dtype=np.int64)
+    for j, block in enumerate(partition.blocks):
+        cols = coords[:, [r - 1 for r in block]].astype(np.uint64) - np.uint64(1)
+        strides = np.uint64(n) ** np.arange(len(block), dtype=np.uint64)
+        out[:, j] = (cols * strides).sum(axis=1).astype(np.int64) + 1
+    return out
+
+
+def reference_chain_partition(k, m):
+    """The m < k/2 chain's two-block partition as the multiway blocks merged
+    on either side of their most balanced split, the first on ties."""
+    from tensorconc import Partition, multiway_partition
+
+    pi2 = multiway_partition(k, m)
+    split = min(range(1, pi2.arity), key=lambda s: abs(2 * sum(map(len, pi2.blocks[:s])) - k))
+    return Partition([sum(pi2.blocks[:split], ()), sum(pi2.blocks[split:], ())])
+
+
+def reference_validate_symmetric_adjacency(t):
+    """Unit values on distinct-index coordinates in complete orbits: as the
+    coordinates are unique, that is nnz == (distinct sorted rows) * k!."""
+    if np.any(t.values != 1.0):
+        raise ValueError("adjacency tensor has a value other than 1")
+    srt = np.sort(t.coords, axis=1)
+    if np.any(srt[:, :-1] == srt[:, 1:]):
+        raise ValueError("adjacency tensor has an entry with repeated indices")
+    if np.unique(srt, axis=0).shape[0] * math.factorial(t.shape.order) != t.nnz:
+        raise ValueError("input tensor is not symmetric: incomplete permutation orbit")

@@ -25,6 +25,8 @@ CASES = {
     "concentration": {"command": "concentration"},
     "chain-k3-m1": {"command": "concentration", "m": 1},
     "chain-k5-m2": {"command": "concentration", "k": 5, "n_list": [4]},
+    # the chain's {1,2 | 3,4} split: the first with s = 2 multiway blocks on the left
+    "chain-k4-m1": {"command": "concentration", "k": 4, "m": 1, "n_list": [6]},
     "k2": {"command": "concentration", "k": 2, "m": 1, "n_list": [10]},
     "partition": {"command": "concentration", "partition": [[1, 3], [2]]},
     "regularize": {"command": "regularize", "k": 4, "n_list": [6],
@@ -57,6 +59,8 @@ DIGESTS = {
                     "17a33ee4bafd45734730e03ca5d2e187e0195d344bc102b671aa35d5462658a2"),
     "chain-k5-m2": ("4a3891a1e1ecc7e65ac88be8e9720a40d6c852931ea68f36696d803a0f4c5522",
                     "e6dc48fd12ac4d11b5aa2a3f0793040b27f3df04043eae743b6f730831d928c1"),
+    "chain-k4-m1": ("a49f5cbea3fbb61c09325fae4757fc8e39c08313b84ec5726639195dc186ae53",
+                    "b80f6a38bdf1f1f63eb483ea9057eefa0cf112929ad7be47648c90d598957525"),
     "k2": ("3addbc9a5365d5b6098f168e87d8d958e1e825923e1dd74a0a5e2fb2715a8226",
            "157a32bba8ce3be12d7d496ee79315a228c8c50c9b071e1e66b2fd65c487c4d1"),
     "partition": ("13c2eb262b66271899dfcaa5700369cd85bcb39c4f777a7b8e33e6a8b9d2b962",

@@ -40,6 +40,41 @@ class TestHypergraph:
         h = Hypergraph(3, 5, np.array([[3, 4, 5], [1, 2, 3]], dtype=np.uint16))
         assert h.edges.dtype == np.int32 and h.edges.tolist() == [[1, 2, 3], [3, 4, 5]]
 
+    @pytest.mark.parametrize("edges,want", [
+        ([[2, 4, 5], [1, 2, 3], [1, 3, 5]], [[1, 2, 3], [1, 3, 5], [2, 4, 5]]),  # unsorted
+        (np.array([[3, 4, 5], [1, 2, 3]], dtype=np.uint16), [[1, 2, 3], [3, 4, 5]]),
+        (np.array([[1, 2, 5]], dtype=np.int64), [[1, 2, 5]]),
+        ([], np.empty((0, 3))),
+        (np.empty((0, 3), dtype=np.int8), np.empty((0, 3))),
+    ])
+    def test_edges_bytes(self, edges, want):
+        h = Hypergraph(3, 5, edges)
+        want = np.asarray(want, dtype=np.int32).reshape(-1, 3)
+        assert h.edges.dtype == np.int32 and h.edges.shape == want.shape
+        assert h.edges.tobytes() == want.tobytes()
+        assert h.edges.flags.c_contiguous and not h.edges.flags.writeable
+
+    @pytest.mark.parametrize("k,n,edges,error", [
+        (3, 5, [[1, 2, 3], [2, 3, 4], [1, 2, 3]], ValueError),  # duplicate
+        (3, 5, [[2, 3, 4], [1, 2, 3], [2, 3, 4]], ValueError),  # duplicate, unsorted
+        (3, 5, [[1, 3, 2]], ValueError),  # not increasing
+        (3, 5, [[1, 1, 2]], ValueError),  # repeated vertex
+        (3, 5, [[0, 1, 2]], ValueError),  # below range
+        (3, 5, [[1, 2, 6]], ValueError),  # above range
+        (3, 5, [[1, 2]], ValueError),  # wrong width
+        (3, 5, [1, 2, 3], ValueError),  # not 2-d
+        (3, 5, np.array([[1, 2, 3]], dtype=np.float32), TypeError),
+        (1, 5, [[1]], ValueError),  # edge size
+        (3, 0, [], ValueError),  # vertex count
+    ])
+    def test_error_types(self, k, n, edges, error):
+        with pytest.raises(error):
+            Hypergraph(k, n, edges)
+
+    def test_presorted_edges_kept_in_given_order(self):
+        edges = np.array([[1, 2, 3], [2, 3, 4]], dtype=np.int32)
+        assert Hypergraph(3, 4, edges, presorted=True).edges.tobytes() == edges.tobytes()
+
 
 class TestAdjacency:
     def test_empty(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
-from oracles import dense_degree_counts, dense_expander
+from oracles import dense_degree_counts, dense_expander, reference_validate_symmetric_adjacency
 from tensorconc import (
     Homogeneous,
     SeedSpec,
@@ -44,6 +44,17 @@ class TestDegreeMap:
         t = SparseTensor(TensorShape(3, 5), [[1, 2, 4], [2, 3, 4]], [1.0, 1.0])
         with pytest.raises(TypeError, match="integers"):
             degree_map(t, 1).degree(prefix)
+
+    @pytest.mark.parametrize("prefix", [(2,), (2, 3, 4), [[2, 3]], [[2, 2], [2, 3]], 2])
+    def test_wrong_shape_prefix_rejected(self, prefix):
+        # by broadcasting, (2,) read as the degree of (2, 2) and [[2, 3]] as (2, 3)
+        t = SparseTensor(TensorShape(3, 5), [[2, 2, 1], [2, 3, 1], [2, 3, 4]], np.ones(3))
+        dm = degree_map(t, 1)
+        assert (dm.degree((2, 2)), dm.degree((2, 3))) == (1, 2)
+        with pytest.raises(ValueError, match="shape"):
+            dm.degree(prefix)
+        with pytest.raises(ValueError, match="shape"):
+            degree_map(SparseTensor.empty(TensorShape(3, 5)), 1).degree(prefix)
 
     def test_numpy_integer_prefix(self):
         t = SparseTensor(TensorShape(3, 5), [[2, 3, 4]], [1.0])
@@ -227,6 +238,35 @@ class TestExpanderConstruct:
         out = expander_construct(adj, p)
         assert np.array_equal(out.to_dense(), dense_expander(adj.to_dense(), p))
         assert (0 < out.nnz < adj.nnz) if removes else out == adj
+
+    @staticmethod
+    def _outcome(check, t):
+        try:
+            check(t)
+        except Exception as exc:  # the type and message are compared
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("k,n,q", [(2, 9, 0.4), (3, 8, 0.3), (4, 7, 0.2)])
+    def test_accepts_and_rejects_as_orbit_count_reference(self, k, n, q, rng):
+        for seed in range(4):
+            adj = adjacency(er_hypergraph(k, n, q, SeedSpec(16, seed)))
+            rows, vals = adj.coords, adj.values
+            fresh = np.array([1, 1, *range(2, k)])  # a repeated index: in no edge's orbit
+            cases = {
+                "valid": adj,
+                "orbit member dropped": SparseTensor(adj.shape, np.delete(rows, rng.integers(adj.nnz), 0),
+                                                     np.ones(adj.nnz - 1)),
+                "repeated index added": SparseTensor(adj.shape, np.vstack([rows, fresh]),
+                                                     np.ones(adj.nnz + 1)),
+                "value set to 2": SparseTensor(adj.shape, rows, np.where(
+                    np.arange(adj.nnz) == rng.integers(adj.nnz), 2.0, vals)),
+            }
+            for name, t in cases.items():
+                want = self._outcome(reference_validate_symmetric_adjacency, t)
+                assert (want is None) == (name == "valid"), name
+                got = self._outcome(lambda x: expander_construct(x, 0.5), t)
+                assert got == want, (k, seed, name)
 
     def test_rejects_non_unit_values(self):
         h = er_hypergraph(3, 8, 0.5, SeedSpec(11, 0))

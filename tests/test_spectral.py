@@ -9,6 +9,7 @@ from conftest import random_sparse
 from oracles import (
     grid_rank1_max_2x2x2,
     jacobi_spectral_norm,
+    reference_chain_partition,
     reference_fold_witness,
     reference_slice_lower,
 )
@@ -378,6 +379,19 @@ class TestSandwich:
             est = spectral_sandwich(w, 1, cfg)
             first = matrix_op_norm(unfold(w, Partition([[1], [2, 3]])), cfg).value
             assert est.chain_upper == first, n
+
+    def test_chain_partition_matches_merged_multiway(self):
+        for k in range(3, 15):
+            for m in range(1, (k + 1) // 2):
+                assert spectral._chain_partition(k, m) == reference_chain_partition(k, m), (k, m)
+
+    def test_chain_k4_m1_splits_in_the_middle(self):
+        # {1}{2}{3}{4} splits after the second block, not the first
+        cfg = PowerIterConfig(restarts=2, seed=SeedSpec(8, 0))
+        w = _centered(4, 5, 0.3, SeedSpec(8, 0))
+        assert spectral._chain_partition(4, 1) == Partition([[1, 2], [3, 4]])
+        est = spectral_sandwich(w, 1, cfg)
+        assert est.chain_upper == matrix_op_norm(unfold(w, Partition([[1, 2], [3, 4]])), cfg).value
 
     def test_upper_bounds_both_partitions_dominate_lower(self):
         t = bernoulli_sample(TensorShape(4, 6), Homogeneous(0.2), SeedSpec(7, 1))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sparse
-from oracles import set_partitions
+from oracles import reference_phi_array, set_partitions
 from tensorconc import (
     Homogeneous,
     Partition,
@@ -23,6 +23,7 @@ from tensorconc import (
     matrix_op_norm,
     multiway_partition,
     phi,
+    phi_array,
     phi_inverse,
     unfold,
 )
@@ -130,6 +131,23 @@ class TestPhi:
                     assert all(1 <= u[j] <= n ** len(part.blocks[j]) for j in range(part.arity))
                     seen.add(u)
                 assert len(seen) == n**k
+
+    def test_phi_array_matches_strides_reference(self, rng):
+        # random partitions of [k], k <= 6, blocks shuffled so that most are
+        # not contiguous, on random coordinates (none, one or many rows)
+        for _ in range(300):
+            k, n = int(rng.integers(2, 7)), int(rng.integers(1, 9))
+            cuts = np.sort(rng.choice(np.arange(1, k), size=int(rng.integers(0, k)), replace=False))
+            part = Partition(np.split(rng.permutation(np.arange(1, k + 1)), cuts))
+            coords = rng.integers(1, n + 1, size=(int(rng.integers(0, 20)), k), dtype=np.int32)
+            got = phi_array(part, coords, n)
+            want = reference_phi_array(part, coords, n)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want), part
+        big = Partition([[3, 1], [2]])
+        coords = np.array([[2**20, 5, 2**20 - 1], [1, 1, 1]], dtype=np.int64)
+        assert np.array_equal(phi_array(big, coords, 2**20),
+                              reference_phi_array(big, coords, 2**20))
 
 
 class TestBalancedAndMultiway:
