@@ -54,5 +54,5 @@ from tensorconc import Hypergraph
 
 edges = list(itertools.combinations(range(1, 13), 2))
 g = Hypergraph(2, 12, edges)
-mm = matrix_mixing_check(g, d=11, num_pairs=100, seed=seed)
+mm = matrix_mixing_check(g, d=11, families=100, seed=seed)
 print(f"K_12 mixing: lambda = {mm.lam:.4f}, max margin {mm.max_margin:.2e} (<= 0)")

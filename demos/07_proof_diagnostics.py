@@ -48,7 +48,7 @@ print(f"heavy tuples: {split.heavy_count} of {n**3}, threshold {split.threshold:
 
 w = center(bernoulli_sample(TensorShape(3, n), Homogeneous(p), SeedSpec(77, 0)),
            Homogeneous(p))
-light = light_contribution_check(w, ys, n, p, c=6.0)
+light = light_contribution_check(w, ys, p, c=6.0)
 print(f"light-tuple contribution ratio |sum|/sqrt(np) = {light.ratio:.3f} (c = 6)")
 
 # Dyadic classes partition the large-coordinate indices by magnitude.

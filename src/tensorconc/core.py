@@ -38,8 +38,8 @@ class TensorError(Exception):
     """Base class for tensor contract violations."""
 
 
-class ShapeMismatchError(TensorError):
-    pass
+class ShapeMismatchError(TensorError, ValueError):
+    """An operand's shape does not fit; caught as a ``ValueError`` too."""
 
 
 class DenseGateError(TensorError):
@@ -271,7 +271,7 @@ class DenseProbability:
             raise ValueError("probability table must be cubical of order >= 2")
         shape = TensorShape(table.ndim, table.shape[0])
         shape.require_dense_gate("dense probability table")
-        if table.size and (table.min() < 0.0 or table.max() > 1.0):
+        if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails both
             raise ValueError("probabilities must lie in [0, 1]")
         table = np.ascontiguousarray(table)
         table.flags.writeable = False
@@ -345,15 +345,15 @@ class VectorTuple:
         return cls([np.full(dim, dim**-0.5) for _ in range(order)])
 
 
-def _vectors_of(xs, order: int, dim: int) -> tuple:
+def _vectors_of(xs, order: int | None, dim: int) -> tuple:
     vecs = tuple(xs) if not isinstance(xs, VectorTuple) else xs.vectors
-    if len(vecs) != order:
+    if order is not None and len(vecs) != order:
         raise ShapeMismatchError(f"expected {order} vectors, got {len(vecs)}")
     out = []
     for v in vecs:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (dim,):
-            raise ShapeMismatchError(f"vector length {v.shape} != mode dimension {dim}")
+            raise ShapeMismatchError(f"vectors must have length n = {dim}, got shape {v.shape}")
         out.append(v)
     return tuple(out)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +21,16 @@ from .core import (
     ProbabilityModel,
     SparseTensor,
     TensorLike,
-    VectorTuple,
     _dot,
     _integers,
     _lex_order,
     _runs,
+    _vectors_of,
     as_offset,
     linear_index,
     multilinear_form,
 )
-from .hypergraph import _box_sums, _draw_families, _scaled_volume, _validate_families
+from .hypergraph import _box_sums, _family_batch, _scaled_volume
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, hopm_lower
 
@@ -133,51 +132,51 @@ class TupleSplit:
         return bool(np.any(np.all(self.heavy_coords == coord, axis=1)))
 
 
-def split_tuples(ys, n: int, p: float) -> TupleSplit:
-    """Enumerate heavy tuples by per-mode magnitude pruning.
+def _kept(prods: np.ndarray, y: np.ndarray, rest: float, threshold: float) -> np.ndarray:
+    """Per frontier row, how many entries of ``y`` (descending |y|, NaNs last)
+    precede its first with abs(prod * y) * rest <= threshold; all, if none
+    does (a NaN never does).  The test is monotone in |prod| and in |y|, so
+    the largest |prod| bounds every cut and bisection finds each one."""
+    finite = int(np.count_nonzero(~np.isnan(y)))
+    cut = np.abs(np.max(np.abs(prods), initial=0.0) * y[:finite]) * rest <= threshold
+    bound = int(np.argmax(cut)) if cut.any() else finite
+    kept = np.zeros(prods.shape[0], dtype=np.intp)
+    for step in reversed([1 << b for b in range(bound.bit_length())]):
+        nxt = kept + step
+        ok = (nxt <= bound) & ~(np.abs(prods * y[np.minimum(nxt, bound) - 1]) * rest <= threshold)
+        kept = np.where(ok, nxt, kept)
+    return np.where(kept == finite, y.shape[0], kept)
 
-    Modes are scanned in descending |y| order; a branch is pruned as soon as
-    the running |product| times the remaining modes' maxima cannot exceed
-    the threshold.  Cost is output-sensitive.
+
+def split_tuples(ys, n: int, p: float) -> TupleSplit:
+    """Enumerate heavy tuples by per-mode magnitude pruning, one frontier per mode.
+
+    The frontier holds each index prefix whose |product| times the remaining
+    modes' maxima exceeds the threshold, extended by the next mode's entries
+    in descending |y| order up to the first that fails.  Only kept entries
+    are multiplied out, so time and memory follow the output.
     """
     _check_p(p)
-    vecs = list(ys.vectors) if isinstance(ys, VectorTuple) else [np.asarray(v, float) for v in ys]
+    vecs = _vectors_of(ys, None, n)
     k = len(vecs)
-    for v in vecs:
-        if v.shape != (n,):
-            raise ValueError("vectors must have length n")
     threshold = math.sqrt(n * p) / n
     orders = [np.argsort(-np.abs(v), kind="stable") for v in vecs]
-    sorted_abs = [np.abs(v)[o] for v, o in zip(vecs, orders)]
     suffix_max = np.ones(k + 1)
     for j in range(k - 1, -1, -1):
-        mx = sorted_abs[j][0] if n else 0.0
-        suffix_max[j] = suffix_max[j + 1] * mx
-    heavy = []
-    prods = []
-
-    def descend(j: int, idx: list, prod: float):
-        if abs(prod) * suffix_max[j] <= threshold:
-            return
-        if j == k:
-            heavy.append([orders[jj][ii] + 1 for jj, ii in enumerate(idx)])
-            prods.append(prod)
-            return
-        for pos in range(n):
-            new = prod * vecs[j][orders[j][pos]]
-            if abs(new) * suffix_max[j + 1] <= threshold:
-                break  # scanned in descending |y|: later positions only smaller
-            descend(j + 1, idx + [pos], new)
-
-    descend(0, [], 1.0)
-    heavy_coords = np.array(heavy, dtype=np.int32).reshape(len(heavy), k)
-    heavy_products = np.array(prods, dtype=np.float64)
-    if len(heavy) > 1:
+        suffix_max[j] = suffix_max[j + 1] * abs(vecs[j][orders[j][0]])
+    live = int(not suffix_max[0] <= threshold)  # the empty prefix, if it can grow heavy
+    idx, heavy_products = np.zeros((live, 0), dtype=np.intp), np.ones(live)
+    for j in range(k):
+        y = vecs[j][orders[j]]
+        kept = _kept(heavy_products, y, suffix_max[j + 1], threshold)
+        rows, pos = np.repeat(np.arange(kept.shape[0]), kept), _runs(np.zeros_like(kept), kept)
+        idx = np.column_stack([idx[rows], orders[j][pos]])
+        heavy_products = heavy_products[rows] * y[pos]
+    heavy_coords = (idx + 1).astype(np.int32)
+    if heavy_coords.shape[0] > 1:
         order = _lex_order(heavy_coords)
         heavy_coords, heavy_products = heavy_coords[order], heavy_products[order]
-    total = 1.0
-    for v in vecs:
-        total *= float(v.sum())
+    total = math.prod(float(v.sum()) for v in vecs)
     heavy_sum = float(heavy_products.sum())
     return TupleSplit(threshold, heavy_coords, heavy_products, total - heavy_sum, heavy_sum)
 
@@ -191,27 +190,24 @@ class LightContributionRecord:
     heavy_count: int
 
 
-def light_contribution_check(
-    w: TensorLike, ys, n: int, p: float, c: float
-) -> LightContributionRecord:
+def light_contribution_check(w: TensorLike, ys, p: float, c: float) -> LightContributionRecord:
     """|sum over light tuples of prod(y) * w| / sqrt(np), versus constant c.
 
     The light sum is the full form value minus the explicitly enumerated
     heavy part, so the tensor is never densified.
     """
     w = as_offset(w)
+    n = w.shape.dim
+    ys = _vectors_of(ys, w.shape.order, n)
     split = split_tuples(ys, n, p)
     total = multilinear_form(w, ys)
     heavy_part = 0.0
     if split.heavy_count:
         vals = np.full(split.heavy_count, w.background)
         if w.nnz:
-            heavy_lin = linear_index(split.heavy_coords, n)
-            tensor_lin = w.sparse.linear_indices()
-            pos = np.searchsorted(tensor_lin, heavy_lin)
-            pos = np.minimum(pos, len(tensor_lin) - 1)
-            hit = tensor_lin[pos] == heavy_lin
-            vals[hit] += w.sparse.values[pos[hit]]
+            _, ih, iw = np.intersect1d(linear_index(split.heavy_coords, n), w.sparse.linear_indices(),
+                                       assume_unique=True, return_indices=True)
+            vals[ih] += w.sparse.values[iw]
         heavy_part = _dot(split.heavy_products, vals)
     light_sum = total - heavy_part
     ratio = abs(light_sum) / math.sqrt(n * p)
@@ -286,11 +282,8 @@ def discrepancy_check(
     internally so |I_1| <= ... <= |I_k|, ties keeping their mode order.
     """
     _check_p(p)
-    k, n = t.shape.order, t.shape.dim
-    if isinstance(families, numbers.Integral) and not isinstance(families, bool):
-        sizes, members = _draw_families(k, n, int(families), seed)
-    else:
-        sizes, members = _validate_families(t.shape, families, "index sets must be nonempty")
+    n = t.shape.dim
+    sizes, members = _family_batch(t.shape, families, seed, "index sets must be nonempty")
     order = np.argsort(sizes, axis=1, kind="stable")  # by size, ties in mode order
     starts = np.take_along_axis(np.cumsum(sizes).reshape(sizes.shape) - sizes, order, axis=1)
     sizes = np.take_along_axis(sizes, order, axis=1)
@@ -344,12 +337,8 @@ def dyadic_profile(ys, delta: float, t: SparseTensor, p: float) -> DyadicProfile
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     _check_p(p)
-    vecs = list(ys.vectors) if isinstance(ys, VectorTuple) else [np.asarray(v, float) for v in ys]
     k, n = t.shape.order, t.shape.dim
-    if len(vecs) != k:
-        raise ValueError(f"expected {k} vectors")
-    if any(v.shape != (n,) for v in vecs):
-        raise ValueError("vectors must have length n")
+    vecs = _vectors_of(ys, k, n)
     base = delta / math.sqrt(n)
     smax = max(1, math.ceil(math.log2(math.sqrt(n) / delta)))
     edges = np.ldexp(base, np.arange(smax))  # class s starts at 2^(s-1) * base, exactly

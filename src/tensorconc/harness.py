@@ -26,7 +26,7 @@ from .hypergraph import SubsetFamilies, adjacency, mixing_check
 from .regularization import degree_map, expander_construct, regularize, removed_count_check
 from .rng import SeedSpec
 from .sampling import bernoulli_sample, er_hypergraph, sparsify_uniform
-from .spectral import PowerIterConfig, matrix_op_norm, spectral_sandwich
+from .spectral import SANDWICH_SLACK, PowerIterConfig, matrix_op_norm, spectral_sandwich
 from .unfolding import Partition, unfold
 
 CSV_HEADER = [
@@ -527,7 +527,7 @@ def summarize(csv_path: str) -> dict:
             raise CsvFormatError(f"unparsable row {row!r}: {exc}") from exc
         if not isinstance(aux, dict):
             raise CsvFormatError(f"aux is not a JSON object in row {row!r}")
-        if lower > upper + 1e-8:
+        if lower > upper + SANDWICH_SLACK:
             violations += 1
         if aux.get("lower_converged") is False:
             nonconverged_lower += 1

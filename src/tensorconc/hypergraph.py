@@ -12,14 +12,17 @@ import io
 import itertools
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .core import SparseTensor, TensorShape, _integers, _runs
+from .core import OffsetTensor, SparseTensor, TensorShape, _integers, _runs
 from .rng import SeedSpec
+from .spectral import PowerIterConfig, matrix_op_norm
 
 
 class Hypergraph:
@@ -273,6 +276,7 @@ class SubsetFamilies:
 
     @classmethod
     def sampled(cls, count: int) -> "SubsetFamilies":
+        count = operator.index(count)
         if count < 1:
             raise ValueError("count must be >= 1")
         return cls(kind="sampled", count=count)
@@ -326,6 +330,15 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
         draws = rng.uniform_block(member_key, lo * n, (hi - lo) * n).reshape(hi - lo, n)
         members.append((np.flatnonzero(_smallest(draws, sizes[lo:hi])) % n).astype(np.int32) + 1)
     return sizes.reshape(count, k), np.concatenate(members)
+
+
+def _family_batch(shape: TensorShape, families, seed: SeedSpec,
+                  empty: str = "subsets must be nonempty") -> tuple:
+    """A batch ``(sizes, members)`` from a count, drawn under seed by
+    ``_draw_families``, or from a list, checked by ``_validate_families``."""
+    if isinstance(families, numbers.Integral) and not isinstance(families, bool):
+        return _draw_families(shape.order, shape.dim, int(families), seed)
+    return _validate_families(shape, families, empty)
 
 
 def sample_subset_families(k: int, n: int, count: int, seed: SeedSpec) -> list:
@@ -419,12 +432,10 @@ def mixing_check(
     c = p * n ** (k - 1)
     if families.kind == "singletons":
         return MixingReport(k, n, p, c, seed, *_singleton_trials(t, p))
-    if families.kind == "sampled":
-        sizes, members = _draw_families(k, n, families.count, seed)
-    elif families.kind == "explicit":
-        sizes, members = _validate_families(t.shape, families.families)
-    else:
+    if families.kind not in ("sampled", "explicit"):
         raise ValueError(f"unknown family kind {families.kind!r}")
+    chosen = families.count if families.kind == "sampled" else families.families
+    sizes, members = _family_batch(t.shape, chosen, seed)
     e = _box_sums(t, sizes, members)
     vol = _scaled_volume(1.0, sizes)
     expected = p * vol
@@ -452,11 +463,11 @@ class MatrixMixingReport:
 def matrix_mixing_check(
     g: Hypergraph,
     d: int,
-    num_pairs: int = 200,
+    families=200,
     seed: SeedSpec = SeedSpec(),
-    pairs: Optional[list] = None,
 ) -> MatrixMixingReport:
-    """Classical two-set mixing check for a (nominally d-regular) graph.
+    """Classical two-set mixing check for a (nominally d-regular) graph, over
+    ``families`` pairs (V1, V2): a count drawn under seed, or a list.
 
     lam is the operator norm of A - (d/n) * J from ``matrix_op_norm``: a
     certified upper bound for n up to its dense cap, a Lanczos estimate from
@@ -467,18 +478,12 @@ def matrix_mixing_check(
     margin: the check "margin <= 0" is then conservative, and a margin > 0
     is a real violation.
     """
-    from .core import OffsetTensor
-    from .spectral import PowerIterConfig, matrix_op_norm
-
     if g.k != 2:
         raise ValueError(f"matrix mixing check needs a 2-uniform graph, got k = {g.k}")
     n = g.n
     a = adjacency(g)
     lam = matrix_op_norm(OffsetTensor(a, -d / n), PowerIterConfig(seed=seed)).value
-    if pairs is None:
-        sizes, members = _draw_families(2, n, num_pairs, seed)
-    else:
-        sizes, members = _validate_families(a.shape, pairs)
+    sizes, members = _family_batch(a.shape, families, seed)
     e = _box_sums(a, sizes, members).astype(np.int64)  # unit entries: exact
     s1, s2 = sizes.T
     expected = d * s1 * s2 / n

@@ -20,6 +20,7 @@ hash; the uniform is ``u = h * 2^-53`` exactly.  So a Bernoulli(p) keep test
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -50,16 +51,17 @@ _RAMP.flags.writeable = False
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Seed pair: a base seed plus a stream id (typically the trial index)."""
+    """Seed pair of integers in [0, 2^64): a base seed plus a stream id (typically the trial index)."""
 
     base_seed: int = 0
     stream_id: int = 0
 
     def __post_init__(self):
         for name in ("base_seed", "stream_id"):
-            v = getattr(self, name)
-            if not (0 <= int(v) < 1 << 64):
+            v = operator.index(getattr(self, name))
+            if not 0 <= v < 1 << 64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v}")
+            object.__setattr__(self, name, v)
 
 
 def _fin_int(z: int) -> int:

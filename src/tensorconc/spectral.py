@@ -515,6 +515,8 @@ def slice_lower(
     k, n = t.shape.order, t.shape.dim
     if k < 3:
         raise ValueError(f"slice bound needs order >= 3, got {k}")
+    if num_slices < 1:
+        raise ValueError(f"num_slices must be >= 1, got {num_slices}")
     assignments = [np.ones(k - 2, dtype=np.int64)]
     if num_slices > 1:
         key = rng.stream_key(seed, rng.LBL_SLICE)

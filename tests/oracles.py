@@ -266,3 +266,71 @@ def reference_validate_symmetric_adjacency(t):
         raise ValueError("adjacency tensor has an entry with repeated indices")
     if np.unique(srt, axis=0).shape[0] * math.factorial(t.shape.order) != t.nnz:
         raise ValueError("input tensor is not symmetric: incomplete permutation orbit")
+
+
+# The heavy-tuple search and the heavy lookup as they were before the
+# vectorized frontier and the ``intersect1d`` lookup, kept to check that the
+# change moved no bit.
+
+
+def reference_split_tuples(ys, n, p):
+    """Heavy tuples by depth-first search, one Python call per tree node:
+    positions scanned in descending |y| order, each branch cut at its first
+    pruned position.  Returns ``TupleSplit``'s fields after the threshold."""
+    from tensorconc.core import _lex_order
+
+    vecs = [np.asarray(v, float) for v in ys]
+    k = len(vecs)
+    threshold = math.sqrt(n * p) / n
+    orders = [np.argsort(-np.abs(v), kind="stable") for v in vecs]
+    suffix_max = np.ones(k + 1)
+    for j in range(k - 1, -1, -1):
+        suffix_max[j] = suffix_max[j + 1] * np.abs(vecs[j])[orders[j]][0]
+    heavy, prods = [], []
+
+    def descend(j, idx, prod):
+        if abs(prod) * suffix_max[j] <= threshold:
+            return
+        if j == k:
+            heavy.append([orders[jj][ii] + 1 for jj, ii in enumerate(idx)])
+            prods.append(prod)
+            return
+        for pos in range(n):
+            new = prod * vecs[j][orders[j][pos]]
+            if abs(new) * suffix_max[j + 1] <= threshold:
+                break
+            descend(j + 1, idx + [pos], new)
+
+    descend(0, [], 1.0)
+    coords = np.array(heavy, dtype=np.int32).reshape(len(heavy), k)
+    products = np.array(prods, dtype=np.float64)
+    if len(heavy) > 1:
+        order = _lex_order(coords)
+        coords, products = coords[order], products[order]
+    total = 1.0
+    for v in vecs:
+        total *= float(v.sum())
+    heavy_sum = float(products.sum())
+    return coords, products, total - heavy_sum, heavy_sum
+
+
+def reference_light_sum(w, ys, p):
+    """The light-tuple sum with the tensor's value at each heavy tuple found
+    by ``searchsorted`` on its sorted linear indices, a clamp and a hit mask."""
+    from tensorconc import multilinear_form
+    from tensorconc.core import _dot, as_offset, linear_index
+
+    w = as_offset(w)
+    n = w.shape.dim
+    coords, products, _, _ = reference_split_tuples(ys, n, p)
+    heavy_part = 0.0
+    if coords.shape[0]:
+        vals = np.full(coords.shape[0], w.background)
+        if w.nnz:
+            heavy_lin = linear_index(coords, n)
+            tensor_lin = w.sparse.linear_indices()
+            pos = np.minimum(np.searchsorted(tensor_lin, heavy_lin), len(tensor_lin) - 1)
+            hit = tensor_lin[pos] == heavy_lin
+            vals[hit] += w.sparse.values[pos[hit]]
+        heavy_part = _dot(products, vals)
+    return multilinear_form(w, ys) - heavy_part, coords.shape[0]

@@ -318,6 +318,12 @@ class TestCenter:
         w = center(t, DenseProbability(table))
         assert np.allclose(w.materialize(), t.to_dense() - table)
 
+    def test_dense_model_nan_rejected(self):
+        table = np.full((4, 4, 4), 0.5)
+        table[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            DenseProbability(table)
+
     def test_dense_model_gate(self):
         with pytest.raises(DenseGateError):
             DenseProbability(np.broadcast_to(0.0, (200, 200, 200, 200)))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -210,7 +211,7 @@ class TestMixingCheck:
         with pytest.raises(ValueError, match="at least one family"):
             mixing_check(t, 0.5, SubsetFamilies.explicit([]))
         with pytest.raises(ValueError, match="at least one family"):
-            matrix_mixing_check(Hypergraph(2, 6, [[1, 2], [3, 4]]), d=1, pairs=[])
+            matrix_mixing_check(Hypergraph(2, 6, [[1, 2], [3, 4]]), d=1, families=[])
 
     def test_rng_labels_distinct(self):
         labels = {v for name, v in vars(rng).items() if name.startswith("LBL_")}
@@ -244,7 +245,7 @@ class TestMatrixMixing:
     def test_complete_graph(self):
         n = 8
         g = self._complete_graph(n)
-        rep = matrix_mixing_check(g, d=n - 1, num_pairs=60, seed=SeedSpec(41, 0))
+        rep = matrix_mixing_check(g, d=n - 1, families=60, seed=SeedSpec(41, 0))
         assert rep.lam == pytest.approx(1.0, abs=1e-6)
         assert rep.max_margin <= 1e-6
 
@@ -255,7 +256,7 @@ class TestMatrixMixing:
                    for r in range(1, n + 1)
                    for s in itertools.combinations(range(1, n + 1), r)]
         pairs = [(a, b) for a in subsets for b in subsets]
-        rep = matrix_mixing_check(g, d=1, pairs=pairs)
+        rep = matrix_mixing_check(g, d=1, families=pairs)
         assert rep.max_margin <= 1e-6
 
     def test_circulant_regular_graph(self):
@@ -267,13 +268,62 @@ class TestMatrixMixing:
                 w = (v - 1 + o) % n + 1
                 edges.add(tuple(sorted((v, w))))
         g = Hypergraph(2, n, sorted(edges))
-        rep = matrix_mixing_check(g, d=4, num_pairs=300, seed=SeedSpec(42, 0))
+        rep = matrix_mixing_check(g, d=4, families=300, seed=SeedSpec(42, 0))
         assert rep.max_margin <= 1e-6
 
     def test_requires_two_uniform(self):
         h = Hypergraph(3, 5, [[1, 2, 3]])
         with pytest.raises(ValueError):
             matrix_mixing_check(h, d=2)
+
+    def test_reports_unchanged(self):
+        # recorded with the separate num_pairs= and pairs= parameters
+        assert _matrix_mixing_digests(
+            lambda g, d, fams, seed: matrix_mixing_check(g, d, families=fams, seed=seed)
+        ) == MATRIX_MIXING_DIGESTS
+
+    def test_positional_count(self):
+        g = er_hypergraph(2, 30, 0.2, SeedSpec(7, 0))
+        want = matrix_mixing_check(g, 6, families=40, seed=SeedSpec(7, 1))
+        got = matrix_mixing_check(g, 6, np.int64(40), SeedSpec(7, 1))
+        for name in ("lam", "sizes", "e", "expected", "bound", "margin"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+MATRIX_MIXING_DIGESTS = ["1a80cdc0aa2fcd19", "6ae55dba4229495e", "d871b7ff57a18a24",
+                         "e70addb4f9aa24eb", "a6682f249eb4a015"]
+
+
+def _matrix_mixing_cases():
+    """(graph, d, families, seed): sampled counts and explicit pair lists."""
+    n, offs = 20, (1, 2)
+    circulant = Hypergraph(2, n, sorted({tuple(sorted((v, (v - 1 + o) % n + 1)))
+                                         for v in range(1, n + 1) for o in offs}))
+    complete = Hypergraph(2, 8, list(itertools.combinations(range(1, 9), 2)))
+    er = er_hypergraph(2, 40, 0.15, SeedSpec(7, 0))
+    matching = Hypergraph(2, 6, [[1, 2], [3, 4], [5, 6]])
+    small = [np.array(s) for r in (1, 2) for s in itertools.combinations(range(1, 7), r)]
+    return [
+        (circulant, 4, 50, SeedSpec(42, 0)),
+        (complete, 7, 30, SeedSpec(41, 0)),
+        (er, 6, 200, SeedSpec(7, 1)),
+        (er, 6, sample_subset_families(2, 40, 25, SeedSpec(8, 0))
+         + [([1], [2]), (list(range(1, 41)), [3, 5])], SeedSpec(8, 1)),
+        (matching, 1, [(a, b) for a in small for b in small], SeedSpec()),
+    ]
+
+
+def _matrix_mixing_digests(check) -> list:
+    """sha256 (first 16 hex digits) of each case's report from
+    ``check(g, d, families, seed)``."""
+    out = []
+    for g, d, fams, seed in _matrix_mixing_cases():
+        rep = check(g, d, fams, seed)
+        h = hashlib.sha256(float(rep.lam).hex().encode())
+        for name in ("sizes", "e", "expected", "bound", "margin"):
+            h.update(getattr(rep, name).tobytes())
+        out.append(h.hexdigest()[:16])
+    return out
 
 
 def _replay_families(k, n, count, seed, which):
@@ -344,6 +394,13 @@ class TestFamilySamplerKernel:
     def test_count_below_one_rejected(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
             sample_subset_families(3, 10, count, SeedSpec(1, 0))
+
+    def test_sampled_count_read_as_integer(self):
+        for bad in (2.5, "3", 3.0):
+            with pytest.raises(TypeError):
+                SubsetFamilies.sampled(bad)
+        spec = SubsetFamilies.sampled(np.int64(3))
+        assert spec == SubsetFamilies.sampled(3) and type(spec.count) is int
 
 
 def _box_sums(t, families):
@@ -568,7 +625,7 @@ class TestSubsetValidation:
             with pytest.raises(TypeError, match="integers"):
                 SubsetFamilies.explicit([[bad, [3], [4]]])
         with pytest.raises(TypeError, match="integers"):
-            matrix_mixing_check(Hypergraph(2, 4, [[1, 2]]), d=1, pairs=[([1.5], [2])])
+            matrix_mixing_check(Hypergraph(2, 4, [[1, 2]]), d=1, families=[([1.5], [2])])
         # any integer dtype is a member; a set of each agrees with plain lists
         want = box_sum(t, [[1, 2], [3], [4, 5]])
         sets = [np.array([1, 2], dtype=np.uint8), np.array([3], dtype=np.int16),
@@ -580,4 +637,4 @@ class TestSubsetValidation:
     def test_matrix_mixing_pairs_validated(self):
         g = Hypergraph(2, 4, [[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="distinct"):
-            matrix_mixing_check(g, d=1, pairs=[(np.array([1, 2]), np.array([3, 3]))])
+            matrix_mixing_check(g, d=1, families=[(np.array([1, 2]), np.array([3, 3]))])

@@ -116,6 +116,30 @@ class TestBernoulliSample:
         assert np.array_equal(t.linear_indices(), np.flatnonzero(u < table.reshape(-1)))
 
 
+class TestSeedSpec:
+    def test_non_integers_rejected(self):
+        for bad in ((1.5, 0), ("3", 0), (0, 2.0)):
+            with pytest.raises(TypeError):
+                SeedSpec(*bad)
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        want = stream_key(SeedSpec(5, 2), LBL_BERNOULLI)
+        for seed in (SeedSpec(np.int64(5), 2), SeedSpec(5, np.int32(2)),
+                     SeedSpec(np.uint64(5), np.uint8(2))):
+            assert type(seed.base_seed) is int and type(seed.stream_id) is int
+            assert seed == SeedSpec(5, 2)
+            assert stream_key(seed, LBL_BERNOULLI) == want
+        big = SeedSpec(np.uint64(2**64 - 1), 0)
+        assert stream_key(big, LBL_BERNOULLI) == stream_key(SeedSpec(2**64 - 1, 0), LBL_BERNOULLI)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            SeedSpec(bad, 0)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            SeedSpec(0, bad)
+
+
 class TestHashKernel:
     # 0.3 * 2^53 is not an integer, so the threshold is rounded up
     P_VALUES = [2.0**-53, 0.5, 1.0 - 2.0**-53, 0.3]

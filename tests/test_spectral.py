@@ -325,6 +325,11 @@ class TestSliceLower:
         with pytest.raises(ValueError):
             slice_lower(SparseTensor.empty(TensorShape(2, 3)))
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_slice_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="num_slices must be >= 1"):
+            slice_lower(SparseTensor.all_ones(TensorShape(3, 3)), num_slices=count)
+
     def test_slice_below_hopm_on_random_instances(self):
         cfg = PowerIterConfig(restarts=8, seed=SeedSpec(0, 0))
         violations = 0
