@@ -22,6 +22,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import io
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -48,12 +49,15 @@ class DenseGateError(TensorError):
 
 @dataclass(frozen=True)
 class TensorShape:
-    """Order k >= 2 and shared mode dimension n >= 1."""
+    """Order k >= 2 and shared mode dimension n >= 1: integers, read by
+    ``operator.index`` (2.5 raises ``TypeError``) and stored as Python ints."""
 
     order: int
     dim: int
 
     def __post_init__(self):
+        for name in ("order", "dim"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.order < 2:
             raise ValueError(f"tensor order must be >= 2, got {self.order}")
         if not 1 <= self.dim < 2**31:
@@ -89,7 +93,9 @@ class SparseTensor:
     Coordinates are 1-based integers (any integer dtype, checked against
     [1, n] before they are stored as an int32 array of shape (nnz, k));
     values are float64.  Construction canonicalizes unless the caller asserts
-    the entries are already in canonical order via ``presorted=True``.
+    the entries are already in canonical order via ``presorted=True``.  With
+    ``presorted=True``, int32 coords and float64 values are handed over, not
+    copied: they become read-only, and the caller's arrays with them.
     """
 
     __slots__ = ("shape", "coords", "values")
@@ -221,11 +227,7 @@ class OffsetTensor:
 
     def is_exactly_zero(self) -> bool:
         """True when every materialized entry is exactly 0 (checked sparsely)."""
-        if self.background == 0.0:
-            return self.nnz == 0
-        return self.nnz == self.shape.ncoords and bool(
-            np.all(self.sparse.values == -self.background)
-        )
+        return _all_zero(self.sparse.values, self.background, self.shape.ncoords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OffsetTensor):
@@ -244,6 +246,13 @@ class OffsetTensor:
 TensorLike = Union[SparseTensor, OffsetTensor]
 
 
+def _all_zero(values: np.ndarray, background: float, size: int) -> bool:
+    """True when all ``size`` entries, ``values`` stored over ``background``, are exactly 0."""
+    if background == 0.0:
+        return len(values) == 0
+    return len(values) == size and bool(np.all(values == -background))
+
+
 def as_offset(t: TensorLike) -> OffsetTensor:
     return t if isinstance(t, OffsetTensor) else OffsetTensor(t, 0.0)
 
@@ -260,7 +269,7 @@ class Homogeneous:
 
 
 class DenseProbability:
-    """Entrywise probability table, gated to n^k <= 10^6."""
+    """Entrywise probability table, gated to n^k <= 10^6; the table is copied."""
 
     __slots__ = ("table", "shape")
 
@@ -273,7 +282,7 @@ class DenseProbability:
         shape.require_dense_gate("dense probability table")
         if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails both
             raise ValueError("probabilities must lie in [0, 1]")
-        table = np.ascontiguousarray(table)
+        table = np.array(table, order="C")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "shape", shape)
@@ -286,12 +295,12 @@ ProbabilityModel = Union[Homogeneous, DenseProbability]
 
 
 class VectorTuple:
-    """k real vectors of length n, one per tensor mode."""
+    """k real vectors of length n, one per tensor mode, copied."""
 
     __slots__ = ("vectors",)
 
     def __init__(self, vectors: Sequence[np.ndarray]):
-        vecs = tuple(np.ascontiguousarray(v, dtype=np.float64) for v in vectors)
+        vecs = tuple(np.array(v, dtype=np.float64) for v in vectors)
         if len(vecs) < 1:
             raise ValueError("need at least one vector")
         dim = vecs[0].shape
@@ -439,6 +448,10 @@ class _Contraction:
     def of(cls, t: OffsetTensor) -> "_Contraction":
         return cls(t.sparse.coords, t.sparse.values, t.background, (t.shape.dim,) * t.shape.order)
 
+    def is_zero(self) -> bool:
+        """True when every entry is exactly 0 (``OffsetTensor.is_exactly_zero``)."""
+        return _all_zero(self.values, self.background, math.prod(self.dims))
+
     def factor(self, j: int, v: np.ndarray) -> tuple:
         """(v at the 0-based mode ``j`` index of each entry, sum of v)."""
         return v[self.index[j]], float(v.sum()) if self.background != 0.0 else 0.0
@@ -541,15 +554,12 @@ def center(t: SparseTensor, model: ProbabilityModel) -> OffsetTensor:
 
 
 def rank1(xs) -> np.ndarray:
-    """Dense outer product x_1 (x) ... (x) x_k, gated to n^k <= 10^6."""
-    vecs = [np.asarray(v, dtype=np.float64) for v in (xs.vectors if isinstance(xs, VectorTuple) else xs)]
+    """Dense outer product x_1 (x) ... (x) x_k of equal-length vectors, gated to n^k <= 10^6."""
+    vecs = list(xs)
     if len(vecs) < 2:
         raise ValueError("rank-1 tensor needs at least two vectors")
-    dim = vecs[0].shape[0]
-    TensorShape(len(vecs), dim).require_dense_gate("rank-1 materialization")
-    for v in vecs:
-        if v.shape != (dim,):
-            raise ShapeMismatchError("all vectors must share one length")
+    vecs = _vectors_of(vecs, None, np.shape(vecs[0])[0])
+    TensorShape(len(vecs), len(vecs[0])).require_dense_gate("rank-1 materialization")
     return reduce(np.multiply.outer, vecs)
 
 

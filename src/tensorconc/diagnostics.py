@@ -94,13 +94,8 @@ def net_supremum_check(
     net = lattice_net(n, delta)
     y = net.points
     dense = t.materialize()
-    if k == 2:
-        sup = float(np.abs(y @ dense @ y.T).max()) if net.size else 0.0
-    else:
-        sup = 0.0
-        for a in range(net.size):
-            m = np.tensordot(y[a], dense, axes=(0, 0))
-            sup = max(sup, float(np.abs(y @ m @ y.T).max()))
+    mats = [dense] if k == 2 else (np.tensordot(x, dense, axes=(0, 0)) for x in y)
+    sup = max(float(np.abs(y @ m @ y.T).max()) for m in mats) if net.size else 0.0
     bound = (1.0 - delta) ** (-k) * sup
     lower = hopm_lower(t, config).value
     return NetSupremumRecord(sup, bound, lower, lower <= bound + 1e-8, bound - lower)
@@ -158,6 +153,8 @@ def split_tuples(ys, n: int, p: float) -> TupleSplit:
     """
     _check_p(p)
     vecs = _vectors_of(ys, None, n)
+    if not vecs or n < 1:
+        raise ValueError(f"need at least one vector of length n >= 1, got {len(vecs)} of n = {n}")
     k = len(vecs)
     threshold = math.sqrt(n * p) / n
     orders = [np.argsort(-np.abs(v), kind="stable") for v in vecs]
@@ -283,7 +280,7 @@ def discrepancy_check(
     """
     _check_p(p)
     n = t.shape.dim
-    sizes, members = _family_batch(t.shape, families, seed, "index sets must be nonempty")
+    sizes, members = _family_batch(t.shape, families, seed)
     order = np.argsort(sizes, axis=1, kind="stable")  # by size, ties in mode order
     starts = np.take_along_axis(np.cumsum(sizes).reshape(sizes.shape) - sizes, order, axis=1)
     sizes = np.take_along_axis(sizes, order, axis=1)

@@ -29,12 +29,6 @@ from .sampling import bernoulli_sample, er_hypergraph, sparsify_uniform
 from .spectral import SANDWICH_SLACK, PowerIterConfig, matrix_op_norm, spectral_sandwich
 from .unfolding import Partition, unfold
 
-CSV_HEADER = [
-    "command", "k", "n", "p", "m", "trial", "seed", "lower", "upper",
-    "sqrt_nmp", "ratio_lower", "ratio_upper", "aux", "wall_ms",
-]
-
-
 class ConfigError(Exception):
     """Invalid experiment configuration (CLI exit code 2)."""
 
@@ -104,10 +98,9 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)  # typed and completed from _PARAMS
 
     def __post_init__(self):
+        # every check runs here, so an invalid config is never built
         object.__setattr__(self, "params",
                            _read_table("params", _PARAMS.get(self.command, {}), self.params))
-
-    def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
         if self.k < 2:
@@ -120,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError(f"n^k = {self.n_list[-1]}^{self.k} is not below 2^63")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 <= self.base_seed < 2**64:
+            raise ConfigError(f"base_seed must be in [0, 2^64), got {self.base_seed}")
         if not 1 <= self.m <= self.k - 1:
             raise ConfigError(f"m must be in [1, {self.k - 1}], got {self.m}")
         for n in self.n_list:
@@ -178,7 +173,6 @@ def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig
         raise ConfigError(f"bad config value: {exc}") from exc
     if data:
         raise ConfigError(f"unknown config keys: {sorted(data)}")
-    cfg.validate()
     return cfg
 
 
@@ -237,13 +231,20 @@ class ResultRecord:
     wall_ms: float
 
     def csv_row(self) -> list:
-        return [
-            self.command, str(self.k), str(self.n), _fmt(self.p), str(self.m),
-            str(self.trial), self.seed, _fmt(self.lower), _fmt(self.upper),
-            _fmt(self.sqrt_nmp), _fmt(self.ratio_lower), _fmt(self.ratio_upper),
-            json.dumps(self.aux, sort_keys=True, separators=(",", ":")),
-            _fmt(self.wall_ms),
-        ]
+        """Fields as text: floats by ``_fmt``, ``aux`` as compact sorted JSON, the rest by ``str``."""
+        row = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float):
+                row.append(_fmt(value))
+            elif isinstance(value, dict):
+                row.append(json.dumps(value, sort_keys=True, separators=(",", ":")))
+            else:
+                row.append(str(value))
+        return row
+
+
+CSV_HEADER = [f.name for f in fields(ResultRecord)]
 
 
 def _concentration(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
@@ -392,7 +393,6 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
     ``if __name__ == "__main__":`` guard, since each spawned worker imports
     the script's main module.
     """
-    cfg.validate()
     tasks = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
@@ -513,16 +513,15 @@ def summarize(csv_path: str) -> dict:
     per_n: dict = {}
     violations = 0
     nonconverged_lower = nonconverged_upper = 0
-    max_ratio_upper = 0.0
-    min_ratio_lower = float("inf")
     for row in body:
         if len(row) != len(CSV_HEADER):
             raise CsvFormatError(f"row has {len(row)} fields, expected {len(CSV_HEADER)}")
+        rec = dict(zip(CSV_HEADER, row))
         try:
-            n = int(row[2])
-            lower, upper = float(row[7]), float(row[8])
-            ratio_lower, ratio_upper = float(row[10]), float(row[11])
-            aux = json.loads(row[12])
+            n = int(rec["n"])
+            lower, upper = float(rec["lower"]), float(rec["upper"])
+            ratio_lower, ratio_upper = float(rec["ratio_lower"]), float(rec["ratio_upper"])
+            aux = json.loads(rec["aux"])
         except ValueError as exc:
             raise CsvFormatError(f"unparsable row {row!r}: {exc}") from exc
         if not isinstance(aux, dict):
@@ -536,8 +535,6 @@ def summarize(csv_path: str) -> dict:
         bucket = per_n.setdefault(n, {"ratio_lower": [], "ratio_upper": []})
         bucket["ratio_lower"].append(ratio_lower)
         bucket["ratio_upper"].append(ratio_upper)
-        max_ratio_upper = max(max_ratio_upper, ratio_upper)
-        min_ratio_lower = min(min_ratio_lower, ratio_lower)
     out = {
         "rows": len(body),
         "violations": violations,
@@ -556,7 +553,7 @@ def summarize(csv_path: str) -> dict:
         }
     if body:
         out["fitted"] = {
-            "max_ratio_upper": max_ratio_upper,
-            "min_ratio_lower": min_ratio_lower,
+            "max_ratio_upper": max(max(b["ratio_upper"]) for b in per_n.values()),
+            "min_ratio_lower": min(min(b["ratio_lower"]) for b in per_n.values()),
         }
     return out

@@ -32,12 +32,12 @@ class Hypergraph:
     __slots__ = ("k", "n", "edges")
 
     def __init__(self, k: int, n: int, edges, *, presorted: bool = False):
-        edges = SparseTensor(TensorShape(k, n), edges, np.ones(np.shape(edges)[:1]),
-                             presorted=presorted).coords
+        shape = TensorShape(k, n)
+        edges = SparseTensor(shape, edges, np.ones(np.shape(edges)[:1]), presorted=presorted).coords
         if np.any(np.diff(edges, axis=1) <= 0):
             raise ValueError("each edge must be a strictly increasing vertex tuple")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", shape.order)
+        object.__setattr__(self, "n", shape.dim)
         object.__setattr__(self, "edges", edges)
 
     def __setattr__(self, name, value):
@@ -88,7 +88,7 @@ def adjacency(h: Hypergraph) -> SparseTensor:
     return SparseTensor(shape, coords, np.ones(coords.shape[0]))
 
 
-def _validate_families(shape: TensorShape, families, empty: str = "subsets must be nonempty") -> tuple:
+def _validate_families(shape: TensorShape, families) -> tuple:
     """One or more families as a batch ``(sizes, members)``, checked in one
     vectorized pass: ``shape.order`` nonempty sets of distinct integers in
     [1, n] each.  ``sizes`` is F x k int64; ``members`` (int64) holds the sets
@@ -105,7 +105,7 @@ def _validate_families(shape: TensorShape, families, empty: str = "subsets must 
         raise ValueError("each subset must be a one-dimensional array")
     sizes = np.array([s.size for s in sets], dtype=np.int64)
     if not sizes.all():
-        raise ValueError(empty)
+        raise ValueError("index sets must be nonempty")
     members = np.concatenate(sets)
     if members.min() < 1 or members.max() > n:
         raise ValueError(f"subset members must lie in [1, {n}]")
@@ -317,6 +317,7 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     ascending, as int32.  All sets are drawn as one run of counters,
     ``_MEMBER_CHUNK`` counters at a time.
     """
+    k, n, count = map(operator.index, (k, n, count))
     if count < 1:
         raise ValueError("count must be >= 1")
     size_key = rng.stream_key(seed, rng.LBL_SUBSET_SIZE)
@@ -332,13 +333,12 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     return sizes.reshape(count, k), np.concatenate(members)
 
 
-def _family_batch(shape: TensorShape, families, seed: SeedSpec,
-                  empty: str = "subsets must be nonempty") -> tuple:
+def _family_batch(shape: TensorShape, families, seed: SeedSpec) -> tuple:
     """A batch ``(sizes, members)`` from a count, drawn under seed by
     ``_draw_families``, or from a list, checked by ``_validate_families``."""
     if isinstance(families, numbers.Integral) and not isinstance(families, bool):
-        return _draw_families(shape.order, shape.dim, int(families), seed)
-    return _validate_families(shape, families, empty)
+        return _draw_families(shape.order, shape.dim, families, seed)
+    return _validate_families(shape, families)
 
 
 def sample_subset_families(k: int, n: int, count: int, seed: SeedSpec) -> list:

@@ -21,6 +21,7 @@ A matrix is an order-2 ``core._Contraction`` of its entries sorted by
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
@@ -30,7 +31,6 @@ import numpy as np
 from . import rng
 from .core import (
     OffsetTensor,
-    ShapeMismatchError,
     TensorLike,
     VectorTuple,
     _Contraction,
@@ -74,6 +74,7 @@ class PowerIterConfig:
     seed: SeedSpec = SeedSpec()
 
     def __post_init__(self):
+        object.__setattr__(self, "restarts", operator.index(self.restarts))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -90,13 +91,6 @@ def _as_matrix(m) -> _Contraction:
     if m.shape.order != 2:
         raise ValueError(f"matrix operations need an order-2 tensor, got order {m.shape.order}")
     return _Contraction.of(m)
-
-
-def _is_zero(mat: _Contraction) -> bool:
-    """``OffsetTensor.is_exactly_zero`` of a matrix's entries."""
-    if mat.background == 0.0:
-        return len(mat.values) == 0
-    return len(mat.values) == math.prod(mat.dims) and bool(np.all(mat.values == -mat.background))
 
 
 def _times(mat: _Contraction, v: np.ndarray, mode: int) -> np.ndarray:
@@ -291,16 +285,12 @@ def matrix_op_norm(
     """
     mat = _as_matrix(m)
     nrows, ncols = mat.dims
-    if _is_zero(mat):
+    if mat.is_zero():
         return MatrixNormResult(0.0, _e1(nrows), _e1(ncols), 0, True)
     short = 0 if nrows <= ncols else 1
     r = mat.dims[short]
-    inits = [np.asarray(v, dtype=np.float64) for v in extra_inits]
-    for v in inits:
-        if v.shape != (ncols,):
-            raise ShapeMismatchError(f"start vector shape {v.shape} != ({ncols},)")
     start = np.full(r, r**-0.5)
-    for v in inits:
+    for v in _vectors_of(extra_inits, None, ncols):
         q = v if short else _times(mat, v, 1)
         if _norm(q) > 0.0:
             start = q
@@ -528,7 +518,7 @@ def slice_lower(
         mask = np.all(t.sparse.coords[:, 2:] == np.asarray(tup, dtype=np.int32), axis=1)
         # a subset of canonical entries stays sorted by (row, col)
         mat = _Contraction(t.sparse.coords[mask][:, :2], t.sparse.values[mask], t.background, (n, n))
-        if _is_zero(mat):
+        if mat.is_zero():
             pair = (_e1(n), _e1(n))
         else:
             pair = _singular_pair(mat, 0, _top_pair(mat, 0, np.full(n, n**-0.5), config.seed)[1])
@@ -591,8 +581,6 @@ def spectral_sandwich(
     """
     t = as_offset(t)
     k = t.shape.order
-    if not 1 <= m <= k - 1:
-        raise ValueError(f"m must be in [1, {k - 1}], got {m}")
     part = balanced_partition(k, m)
     if t.is_exactly_zero():
         wit = VectorTuple.basis(k, t.shape.dim, [1] * k)

@@ -127,14 +127,15 @@ def phi_array(partition: Partition, coords: np.ndarray, n: int) -> np.ndarray:
 
 
 class UnfoldedView:
-    """Lazy unfolding of an OffsetTensor through a partition.
+    """Unfolding of an OffsetTensor through a partition.
 
     Entry values and the background are untouched; only coordinates are
-    remapped, and the remap is computed on first use.  ``canonical_entries``
-    re-sorts into the unfolded lexicographic order.
+    remapped.  ``coords`` holds the unfolded coordinates in the source entry
+    order (1-based, int64); ``canonical_entries`` re-sorts them into the
+    unfolded lexicographic order.
     """
 
-    __slots__ = ("source", "partition", "dims", "_coords")
+    __slots__ = ("source", "partition", "dims", "coords")
 
     def __init__(self, source: OffsetTensor, partition: Partition):
         if partition.order != source.shape.order:
@@ -145,7 +146,9 @@ class UnfoldedView:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "dims", partition.dims(source.shape.dim))
-        object.__setattr__(self, "_coords", None)
+        coords = phi_array(partition, source.sparse.coords, source.shape.dim)
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnfoldedView is immutable")
@@ -161,15 +164,6 @@ class UnfoldedView:
     @property
     def values(self) -> np.ndarray:
         return self.source.sparse.values
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Unfolded coordinates in the source entry order (1-based, int64)."""
-        if self._coords is None:
-            mapped = phi_array(self.partition, self.source.sparse.coords, self.source.shape.dim)
-            mapped.flags.writeable = False
-            object.__setattr__(self, "_coords", mapped)
-        return self._coords
 
     @property
     def nnz(self) -> int:

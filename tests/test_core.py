@@ -43,6 +43,19 @@ class TestShapesAndConstruction:
         with pytest.raises(ValueError):
             TensorShape(2, 2**31)
 
+    @pytest.mark.parametrize("dim", [np.int16(200), np.int32(2000), np.uint64(300)])
+    def test_numpy_integer_sizes_stored_as_ints(self, dim):
+        sh = TensorShape(np.int64(3), dim)
+        assert type(sh.order) is int and type(sh.dim) is int
+        assert sh.ncoords == int(dim) ** 3
+        with pytest.raises(DenseGateError):
+            SparseTensor.all_ones(sh)
+
+    @pytest.mark.parametrize("order,dim", [(3, 2.5), (2.0, 4), (3, np.float64(4))])
+    def test_non_integer_sizes_rejected(self, order, dim):
+        with pytest.raises(TypeError):
+            TensorShape(order, dim)
+
     def test_canonical_sorting_and_zero_drop(self):
         sh = TensorShape(2, 3)
         t = SparseTensor(sh, [[3, 1], [1, 2], [2, 2]], [1.0, 2.0, 0.0])
@@ -102,6 +115,14 @@ class TestShapesAndConstruction:
             t.values = None
         with pytest.raises(ValueError):
             t.values[0] = 5.0
+
+    def test_presorted_arrays_handed_over(self):
+        coords, values = np.array([[1, 2], [2, 1]], dtype=np.int32), np.array([1.0, 2.0])
+        SparseTensor(TensorShape(2, 2), coords, values)
+        assert coords.flags.writeable and values.flags.writeable  # canonicalizing copies
+        t = SparseTensor(TensorShape(2, 2), coords, values, presorted=True)
+        assert np.shares_memory(t.coords, coords) and np.shares_memory(t.values, values)
+        assert not coords.flags.writeable and not values.flags.writeable
 
     def test_dense_gate(self):
         big = OffsetTensor(SparseTensor.empty(TensorShape(4, 200)), 1.0)
@@ -328,6 +349,12 @@ class TestCenter:
         with pytest.raises(DenseGateError):
             DenseProbability(np.broadcast_to(0.0, (200, 200, 200, 200)))
 
+    def test_dense_model_copies_table(self):
+        table = np.full((3, 3), 0.5)
+        model = DenseProbability(table)
+        table[0, 0] = 0.25
+        assert model.table[0, 0] == 0.5 and not model.table.flags.writeable
+
 
 class TestRank1:
     def test_basis_outer(self):
@@ -342,6 +369,10 @@ class TestRank1:
         out = rank1([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
         assert np.array_equal(out, [[3.0, 4.0], [6.0, 8.0]])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ShapeMismatchError, match=r"length n = 2, got shape \(3,\)"):
+            rank1([np.ones(2), np.ones(3)])
+
 
 class TestVectorTuple:
     def test_unit_flag(self):
@@ -351,6 +382,12 @@ class TestVectorTuple:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             VectorTuple([np.array([np.nan, 1.0])])
+
+    def test_callers_arrays_copied(self):
+        a = np.ones(3)
+        xs = VectorTuple([a, a])
+        a[0] = 2.0
+        assert xs[0][0] == xs[1][0] == 1.0 and not xs[0].flags.writeable
 
     def test_basis(self):
         xs = VectorTuple.basis(3, 4, [1, np.int64(4), 2])

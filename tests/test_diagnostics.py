@@ -71,6 +71,11 @@ class TestNetSupremum:
 
 
 class TestSplitTuples:
+    @pytest.mark.parametrize("ys,n", [([], 4), ([np.ones(0)], 0)])
+    def test_degenerate_input_rejected(self, ys, n):
+        with pytest.raises(ValueError, match="at least one vector of length n >= 1"):
+            split_tuples(ys, n, 0.5)
+
     def test_uniform_vectors_all_light(self):
         n, k = 4, 3
         ys = VectorTuple.uniform(k, n)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -67,6 +68,12 @@ class TestConfig:
     def test_p_rule_keys_exact(self, rule, match):
         with pytest.raises(ConfigError, match=match):
             config_from_dict(_base_config(p_rule=rule))
+
+    def test_invalid_config_cannot_be_built(self):
+        cfg = config_from_dict(_base_config())
+        for over in ({"trials": 0}, {"base_seed": -1}, {"m": 3}):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(cfg, **over)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -478,6 +485,7 @@ class TestCli:
         ({"n_list": [0, 5]}, "n_list entries must lie in"),
         ({"k": 4, "n_list": [100000]}, "not below 2^63"),
         ({"command": "expander", "n_list": [2]}, "n = 2 < k = 3"),
+        ({"base_seed": 2**64}, "base_seed must be in [0, 2^64)"),
     ])
     def test_bad_sizes_exit_2(self, tmp_path, over, match):
         cfg_path = tmp_path / "c.json"

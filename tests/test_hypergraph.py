@@ -72,6 +72,11 @@ class TestHypergraph:
         with pytest.raises(error):
             Hypergraph(k, n, edges)
 
+    def test_numpy_integer_sizes_stored_as_ints(self):
+        h = Hypergraph(np.int64(3), np.int16(5), [[1, 2, 3]])
+        assert type(h.k) is int and type(h.n) is int
+        assert h == Hypergraph(3, 5, [[1, 2, 3]])
+
     def test_presorted_edges_kept_in_given_order(self):
         edges = np.array([[1, 2, 3], [2, 3, 4]], dtype=np.int32)
         assert Hypergraph(3, 4, edges, presorted=True).edges.tobytes() == edges.tobytes()
@@ -394,6 +399,14 @@ class TestFamilySamplerKernel:
     def test_count_below_one_rejected(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
             sample_subset_families(3, 10, count, SeedSpec(1, 0))
+
+    def test_sampler_sizes_read_as_integers(self):
+        for k, n, count in ((3, 5, 2.5), (3, 5.0, 2), (3.0, 5, 2)):
+            with pytest.raises(TypeError):
+                sample_subset_families(k, n, count, SeedSpec(1, 0))
+        got = sample_subset_families(np.int64(3), np.int16(5), np.int32(2), SeedSpec(1, 0))
+        want = sample_subset_families(3, 5, 2, SeedSpec(1, 0))
+        assert all(np.array_equal(a, b) for fa, fb in zip(got, want) for a, b in zip(fa, fb))
 
     def test_sampled_count_read_as_integer(self):
         for bad in (2.5, "3", 3.0):

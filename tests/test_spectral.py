@@ -97,10 +97,10 @@ class TestMatrixOpNorm:
     def test_rejects_wrong_length_start(self):
         view = unfold(SparseTensor.all_ones(TensorShape(3, 2)), balanced_partition(3, 2))  # 2 x 4
         assert matrix_op_norm(view, extra_inits=[np.ones(4)]).value == pytest.approx(np.sqrt(8))
-        with pytest.raises(ShapeMismatchError, match=r"\(2,\) != \(4,\)"):
+        with pytest.raises(ShapeMismatchError, match=r"length n = 4, got shape \(2,\)"):
             matrix_op_norm(view, extra_inits=[np.ones(2)])
         # a bad vector after the first usable start is still checked
-        with pytest.raises(ShapeMismatchError, match=r"\(7,\) != \(4,\)"):
+        with pytest.raises(ShapeMismatchError, match=r"length n = 4, got shape \(7,\)"):
             matrix_op_norm(view, extra_inits=[np.ones(4), np.ones(7)])
 
     def test_rejects_non_matrix_inputs(self):
@@ -274,6 +274,13 @@ class TestCertifiedUpper:
 
 
 class TestHopm:
+    def test_restarts_read_as_integer(self):
+        for bad in (2.5, "3", np.float64(2.0)):
+            with pytest.raises(TypeError):
+                PowerIterConfig(restarts=bad)
+        cfg = PowerIterConfig(restarts=np.int64(3))
+        assert type(cfg.restarts) is int and cfg == PowerIterConfig(restarts=3)
+
     def test_rank1_tensor(self):
         u = np.array([2.0, 0.0])
         v = np.array([0.0, 3.0])
