@@ -13,8 +13,10 @@ never a silent fallback.
 
 Contractions against vectors have one implementation, ``_Contraction``:
 ``multilinear_form``, ``contract_all_but_one``, higher-order power iteration
-(one layout for all its sweeps) and the spectral module's matrix products
-(an order-2 layout of any shape) all run on it.
+(one layout for all its sweeps, with one column per start in a lockstep
+batch) and the spectral module's matrix products (an order-2 layout of any
+shape) all run on it.  A tensor whose values are all 1.0 skips multiplying
+by them.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -433,16 +435,19 @@ class _Contraction:
     iteration) refreshes only that factor.  Both contractions multiply the
     values by the factors in ascending mode order and add b * prod sum(x_j),
     also in mode order; ``all_but_one`` sums each output entry in entry
-    order.  Vectors are trusted to be float64 of length ``dims[j]``.
+    order.  When every value is exactly 1.0 (``unit``) the product starts
+    from the first factor instead, the same bits since 1.0 * x == x.
+    Vectors are trusted to be float64 of length ``dims[j]``.
     """
 
-    __slots__ = ("index", "values", "background", "dims")
+    __slots__ = ("index", "values", "background", "dims", "unit")
 
     def __init__(self, coords: np.ndarray, values: np.ndarray, background: float, dims: tuple):
         self.index = tuple(coords[:, j].astype(np.intp) - 1 for j in range(len(dims)))
         self.values = values
         self.background = background
         self.dims = dims
+        self.unit = bool(np.all(values == 1.0))
 
     @classmethod
     def of(cls, t: OffsetTensor) -> "_Contraction":
@@ -453,13 +458,29 @@ class _Contraction:
         return _all_zero(self.values, self.background, math.prod(self.dims))
 
     def factor(self, j: int, v: np.ndarray) -> tuple:
-        """(v at the 0-based mode ``j`` index of each entry, sum of v)."""
-        return v[self.index[j]], float(v.sum()) if self.background != 0.0 else 0.0
+        """(v at the 0-based mode ``j`` index of each entry, sum of v).  An
+        (n, A) ``v`` holds A vectors as columns: its factor is (nnz, A), and
+        each column is summed as one vector."""
+        if self.background == 0.0:
+            total = 0.0
+        else:
+            total = float(v.sum()) if v.ndim == 1 else np.ascontiguousarray(v.T).sum(axis=1)
+        return np.take(v, self.index[j], axis=0), total
 
     def _product(self, factors) -> np.ndarray:
-        prod = self.values.copy()
-        for gathered, _ in factors:
-            prod *= gathered
+        """The values times the gathered factors in mode order; the values
+        are skipped when ``unit``."""
+        gathered = [g for g, _ in factors]
+        if self.unit and gathered:
+            prod, rest = gathered[0], gathered[1:]
+        else:
+            prod, rest = self.values, gathered
+            if gathered and gathered[0].ndim == 2:
+                prod = prod[:, None]
+        if rest:
+            prod = prod * rest[0]
+            for g in rest[1:]:
+                prod *= g
         return prod
 
     def _background_term(self, factors) -> float:
@@ -478,15 +499,19 @@ class _Contraction:
             total += self._background_term(factors)
         return total
 
-    def all_but_one(self, factors, free: int) -> np.ndarray:
+    def all_but_one(self, factors, free: int, bins: np.ndarray | None = None) -> np.ndarray:
         """Contraction with every mode's factor but the 0-based mode ``free``
-        (``factors[free]`` is not read), summed by ``bincount``."""
+        (``factors[free]`` is not read), summed by ``bincount``.  Factors of
+        A columns give an (n, A) result and need ``bins``, the flat bins
+        index * A + s of the entries' products (``spectral.hopm_lower``)."""
         others = [f for j, f in enumerate(factors) if j != free]
+        shape = (self.dims[free], *others[0][0].shape[1:])
         if len(self.values):
-            out = np.bincount(self.index[free], weights=self._product(others),
-                              minlength=self.dims[free])
+            out = np.bincount(self.index[free] if bins is None else bins,
+                              weights=self._product(others).ravel(),
+                              minlength=math.prod(shape)).reshape(shape)
         else:
-            out = np.zeros(self.dims[free])
+            out = np.zeros(shape)
         if self.background != 0.0:
             out = out + self._background_term(others)
         return out

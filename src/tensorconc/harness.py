@@ -66,7 +66,9 @@ class PRule:
         if set(d) != {"kind", *table}:
             raise ConfigError(f"{kind} p_rule takes exactly {sorted(table)}, "
                               f"got {sorted(set(d) - {'kind'})}")
-        return cls(kind, **{key: _number(d[key], t, f"p_rule.{key}") for key, t in table.items()})
+        # m, the one int, is an exponent: a negative one would make p(n) grow
+        return cls(kind, **{key: _number(d[key], t, f"p_rule.{key}", 0 if t is int else None)
+                            for key, t in table.items()})
 
 
 # p_rule kind -> the numbers it takes, all required
@@ -118,7 +120,10 @@ class ExperimentConfig:
         if not 1 <= self.m <= self.k - 1:
             raise ConfigError(f"m must be in [1, {self.k - 1}], got {self.m}")
         for n in self.n_list:
-            p = self.p_rule.value(n)
+            try:
+                p = self.p_rule.value(n)
+            except OverflowError:  # n^m past the float range
+                raise ConfigError(f"p_rule gives no float p at n={n}") from None
             if not 0.0 < p <= 1.0:
                 raise ConfigError(f"p_rule gives p={p} outside (0, 1] at n={n}")
         if self.command == "expander" and self.m != self.k - 1:

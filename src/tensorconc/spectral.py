@@ -4,7 +4,8 @@ The tensor spectral norm is NP-hard to compute exactly for k >= 3, so the
 contract here is a certified bracket:
 
   * lower bounds are achieved multilinear-form values, found by alternating
-    rank-1 maximization (higher-order power iteration) and by slice matrices
+    rank-1 maximization (higher-order power iteration, all starts advanced
+    in lockstep with each start's own arithmetic) and by slice matrices
     with basis vectors pinned on modes 3..k;
   * upper bounds are operator norms of matrix unfoldings.  Every matrix
     eigen-solve here is one Lanczos routine that makes no BLAS call.  When
@@ -53,6 +54,14 @@ _DENSE_MAX = 4096
 # Most products _gram adds per pass: a memory cap, and small enough that a
 # pass's arrays (512 KB each) stay in cache, which made dense inputs 2x faster.
 _PAIR_CHUNK = 1 << 16
+
+# Most entry-by-start products a lockstep HOPM batch holds: a batch takes
+# as many starts as keep nnz * starts within it, so memory does not grow
+# with the number of starts.
+_HOPM_BATCH = 1 << 16
+
+# Longest row that np.einsum sums in one pass (its buffer size).
+_EINSUM_ROW = 8192
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -418,6 +427,102 @@ def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> list:
     return xs
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``_norm`` of each row of the C-contiguous 2-d ``a``, bit for bit.
+    einsum sums each row in one pass, as ``_dot`` sums a vector, only up to
+    its ``_EINSUM_ROW``-element buffer, so longer rows go one at a time."""
+    if a.shape[1] <= _EINSUM_ROW:
+        return np.sqrt(np.einsum("ij,ij->i", a, a))
+    return np.array([_norm(r) for r in a])
+
+
+def _finish(c: _Contraction, xs: list, sweeps: int, converged: bool) -> tuple:
+    """A start's result: (|form| at its vectors, vectors, sweeps, converged)."""
+    return abs(c.form([c.factor(j, x) for j, x in enumerate(xs)])), xs, sweeps, converged
+
+
+def _hopm_alone(c: _Contraction, xs: list, sweep: int, prev: float, hits: int) -> tuple:
+    """One start run by itself from sweep ``sweep``, with the stopping
+    state it has reached (``prev`` is NaN before its first sweep):
+    ``_finish``'s tuple."""
+    factors = [c.factor(j, x) for j, x in enumerate(xs)]
+    for sweep in range(sweep, _MAX_STEPS + 1):
+        for j in range(len(xs)):
+            v = c.all_but_one(factors, j)
+            obj = _norm(v)
+            if obj == 0.0:  # the form is 0 whatever the vector on mode j
+                return _finish(c, xs, sweep, True)
+            xs[j] = v / obj
+            factors[j] = c.factor(j, xs[j])
+        if abs(obj - prev) <= _HOPM_TOL * max(obj, 1e-300):
+            hits += 1
+            if hits >= 2:
+                return _finish(c, xs, sweep, True)
+        else:
+            hits = 0
+        prev = obj
+    return _finish(c, xs, _MAX_STEPS, False)
+
+
+def _hopm_lockstep(c: _Contraction, starts: list) -> list:
+    """HOPM from every start at once: ``_finish``'s tuple for each start,
+    in order.
+
+    Mode j's vectors are an (n, A) array, one column per active start, and
+    their factor is the (nnz, A) gather of its rows.  ``bincount`` adds the
+    product into the flat bins index_j * A + s, so neighbouring entries
+    never share a bin and each bin adds its entries in entry order: every
+    start gets the arithmetic of ``_Contraction.all_but_one`` on its own
+    vectors, bit for bit.  A start that stops leaves the batch; the last one
+    goes on by itself (``_hopm_alone``), which costs less than a batch of one.
+    """
+    k = len(c.dims)
+    done = [None] * len(starts)
+    ids = np.arange(len(starts))
+    xs = [np.stack([x[j] for x in starts], axis=1) for j in range(k)]
+    prev = np.full(len(starts), np.nan)  # no value yet: no comparison holds
+    hits = np.zeros(len(starts), dtype=np.int64)
+
+    def leave(rows: np.ndarray, sweeps: int, converged: bool) -> bool:
+        """Record the starts in ``rows`` and drop them; False when none is left."""
+        nonlocal ids, xs, prev, hits, factors
+        for s in np.flatnonzero(rows):
+            done[ids[s]] = _finish(c, [x[:, s].copy() for x in xs], sweeps, converged)
+        keep = ~rows
+        ids, prev, hits, xs = ids[keep], prev[keep], hits[keep], [x[:, keep] for x in xs]
+        factors = None
+        return len(ids) > 0
+
+    factors = None  # the factors and flat bins are laid out again when the batch changes
+    for sweep in range(1, _MAX_STEPS + 1):
+        if len(ids) == 1:
+            done[ids[0]] = _hopm_alone(c, [x[:, 0].copy() for x in xs], sweep,
+                                       float(prev[0]), int(hits[0]))
+            return done
+        for j in range(k):
+            if factors is None:
+                factors = [c.factor(i, x) for i, x in enumerate(xs)]
+                a = len(ids)
+                bins = [(np.arange(a)[:, None] + ix * a).T.ravel() for ix in c.index]
+            v = c.all_but_one(factors, j, bins[j])
+            obj = _row_norms(np.ascontiguousarray(v.T))
+            if not obj.all():  # the form is 0 whatever the vector on mode j
+                zero = obj == 0.0
+                if not leave(zero, sweep, True):
+                    return done
+                v, obj = v[:, ~zero], obj[~zero]
+            xs[j] = v / obj
+            if factors is not None:
+                factors[j] = c.factor(j, xs[j])
+        hits = np.where(np.abs(obj - prev) <= _HOPM_TOL * np.maximum(obj, 1e-300), hits + 1, 0)
+        prev = obj
+        stop = hits >= 2
+        if stop.any() and not leave(stop, sweep, True):
+            return done
+    leave(np.ones(len(ids), dtype=bool), _MAX_STEPS, False)
+    return done
+
+
 def hopm_lower(
     t: TensorLike,
     config: PowerIterConfig = PowerIterConfig(),
@@ -427,8 +532,14 @@ def hopm_lower(
     on the spectral norm because the returned value is the achieved form
     value at the (unit) witness vectors.
 
-    Starts: a uniform start, the unfolding-seeded start, ``config.restarts``
-    keyed random starts, and any ``extra_inits``.
+    Starts, in this order: a uniform start, the unfolding-seeded start, the
+    ``extra_inits``, then ``config.restarts`` keyed random starts.  The best
+    value wins and a tie goes to the earlier start, so the order is part of
+    the result.  A start stops after two sweeps in a row that each move its
+    value by at most ``_HOPM_TOL`` (relative), when a contraction is exactly
+    0, or after ``_MAX_STEPS`` sweeps.  The starts advance in lockstep
+    (``_hopm_lockstep``), in batches of max(1, ``_HOPM_BATCH`` // nnz), each
+    with the arithmetic of a run of its own.
     """
     t = as_offset(t)
     k, n = t.shape.order, t.shape.dim
@@ -444,38 +555,11 @@ def hopm_lower(
         norms = [_norm(v) for v in vs]
         starts.append([v / nv if nv > 0 else np.full(n, n**-0.5) for v, nv in zip(vs, norms)])
     contraction = _Contraction.of(t)
-    best_val, best_xs, best_conv = -1.0, None, False
-    total_iter = 0
-    for xs in starts:
-        xs = [x.copy() for x in xs]
-        factors = [contraction.factor(j, x) for j, x in enumerate(xs)]
-        prev = -np.inf
-        hits = 0
-        converged = False
-        for _ in range(_MAX_STEPS):
-            total_iter += 1
-            for j in range(k):
-                v = contraction.all_but_one(factors, j)
-                obj = _norm(v)
-                if obj == 0.0:
-                    break
-                xs[j] = v / obj
-                factors[j] = contraction.factor(j, xs[j])
-            if obj == 0.0:  # the form is 0 whatever the vector on mode j
-                converged = True
-                break
-            if prev > -np.inf and abs(obj - prev) <= _HOPM_TOL * max(obj, 1e-300):
-                hits += 1
-                if hits >= 2:
-                    converged = True
-                    break
-            else:
-                hits = 0
-            prev = obj
-        val = abs(contraction.form(factors))
-        if val > best_val:
-            best_val, best_xs, best_conv = val, xs, converged
-    return HopmResult(best_val, VectorTuple(best_xs), total_iter, best_conv)
+    size = max(1, _HOPM_BATCH // max(1, t.nnz))
+    runs = [r for lo in range(0, len(starts), size)
+            for r in _hopm_lockstep(contraction, starts[lo:lo + size])]
+    val, xs, _, converged = max(runs, key=lambda r: r[0])
+    return HopmResult(val, VectorTuple(xs), sum(r[2] for r in runs), converged)
 
 
 @dataclass

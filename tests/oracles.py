@@ -334,3 +334,56 @@ def reference_light_sum(w, ys, p):
             vals[hit] += w.sparse.values[pos[hit]]
         heavy_part = _dot(products, vals)
     return multilinear_form(w, ys) - heavy_part, coords.shape[0]
+
+
+def reference_hopm_lower(t, config, extra_inits=()):
+    """HOPM one start at a time, each start's sweeps on 1-d vectors through
+    ``_Contraction.all_but_one``: the loop the lockstep batch replaced."""
+    from tensorconc import VectorTuple, rng, spectral
+    from tensorconc.core import _Contraction, _vectors_of, as_offset
+
+    t = as_offset(t)
+    k, n = t.shape.order, t.shape.dim
+    if t.is_exactly_zero():
+        return spectral.HopmResult(0.0, VectorTuple.basis(k, n, [1] * k), 0, True)
+    starts = [[np.full(n, n**-0.5) for _ in range(k)], spectral._fold_unfolding_witness(t, config)]
+    for x in extra_inits:
+        starts.append(list(_vectors_of(x, k, n)))
+    key = rng.stream_key(config.seed, rng.LBL_HOPM_INIT)
+    u = rng.uniform_block(key, 0, config.restarts * k * n).reshape(config.restarts, k, n)
+    for vs in 2.0 * u - 1.0:
+        norms = [spectral._norm(v) for v in vs]
+        starts.append([v / nv if nv > 0 else np.full(n, n**-0.5) for v, nv in zip(vs, norms)])
+    contraction = _Contraction.of(t)
+    best_val, best_xs, best_conv = -1.0, None, False
+    total_iter = 0
+    for xs in starts:
+        xs = [x.copy() for x in xs]
+        factors = [contraction.factor(j, x) for j, x in enumerate(xs)]
+        prev = -np.inf
+        hits = 0
+        converged = False
+        for _ in range(spectral._MAX_STEPS):
+            total_iter += 1
+            for j in range(k):
+                v = contraction.all_but_one(factors, j)
+                obj = spectral._norm(v)
+                if obj == 0.0:
+                    break
+                xs[j] = v / obj
+                factors[j] = contraction.factor(j, xs[j])
+            if obj == 0.0:  # the form is 0 whatever the vector on mode j
+                converged = True
+                break
+            if prev > -np.inf and abs(obj - prev) <= spectral._HOPM_TOL * max(obj, 1e-300):
+                hits += 1
+                if hits >= 2:
+                    converged = True
+                    break
+            else:
+                hits = 0
+            prev = obj
+        val = abs(contraction.form(factors))
+        if val > best_val:
+            best_val, best_xs, best_conv = val, xs, converged
+    return spectral.HopmResult(best_val, VectorTuple(best_xs), total_iter, best_conv)

@@ -486,6 +486,8 @@ class TestCli:
         ({"k": 4, "n_list": [100000]}, "not below 2^63"),
         ({"command": "expander", "n_list": [2]}, "n = 2 < k = 3"),
         ({"base_seed": 2**64}, "base_seed must be in [0, 2^64)"),
+        ({"p_rule": {"kind": "c_over_nm", "c": 1.0, "m": 400}}, "no float p at n=8"),
+        ({"p_rule": {"kind": "c_over_nm", "c": 1e308, "m": -400}}, "p_rule.m must be an int >= 0"),
     ])
     def test_bad_sizes_exit_2(self, tmp_path, over, match):
         cfg_path = tmp_path / "c.json"

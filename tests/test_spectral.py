@@ -11,6 +11,7 @@ from oracles import (
     jacobi_spectral_norm,
     reference_chain_partition,
     reference_fold_witness,
+    reference_hopm_lower,
     reference_slice_lower,
 )
 from tensorconc import (
@@ -32,6 +33,7 @@ from tensorconc import (
     spectral_sandwich,
     unfold,
 )
+from tensorconc.core import _Contraction
 from tensorconc.harness import _run_trial, config_from_dict
 from tensorconc.spectral import kron_lift
 from tensorconc.unfolding import Partition, UnfoldedView, balanced_partition, multiway_partition
@@ -543,3 +545,143 @@ class TestUncertifiedPairsMatchReference:
         sl = self._check(w, 4)
         assert not sl.converged
         self._hopm_with_reference_seed(monkeypatch, w, [sl.witness])
+
+
+def _lockstep_input(k, n, values, background, seed):
+    """A random tensor with a nonzero entry at (1, ..., 1): 0/1 or weighted
+    values, with the given background."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n,) * k) < 0.3, 1.0, 0.0)
+    if values == "weighted":
+        dense *= rng.standard_normal(dense.shape)
+    dense[(0,) * k] = 1.0
+    return OffsetTensor(SparseTensor.from_dense(dense), background)
+
+
+def _zero_exit_starts(k, n):
+    """Starts whose contraction is exactly 0: at mode 1 of the first sweep
+    (the last mode's vector is 0), and for k >= 3 at mode 2, where the
+    squares of a nonzero contraction of size 1e-300 underflow."""
+    e1 = np.eye(1, n)[0]
+    starts = [[np.ones(n)] * (k - 1) + [np.zeros(n)]]
+    if k >= 3:
+        tiny = 1e-300 ** (1.0 / (k - 2))
+        starts.append([np.ones(n), 1e200 * e1] + [tiny * e1] * (k - 2))
+    return starts
+
+
+class TestHopmLockstep:
+    """The lockstep batch gives every start the arithmetic of a run of its
+    own: value, witness bits, sweeps and convergence equal the one-start-at-
+    a-time loop of ``reference_hopm_lower``."""
+
+    INPUTS = {
+        "k2-binary": (2, 30, "binary", 0.0),
+        "k2-weighted-bg": (2, 30, "weighted", 0.3),
+        "k3-binary-centered": (3, 12, "binary", -0.05),
+        "k3-weighted": (3, 10, "weighted", 0.0),
+        "k4-binary": (4, 6, "binary", 0.0),
+        "k4-weighted-bg": (4, 6, "weighted", -0.1),
+    }
+    # scenario -> module constant overrides, given the tensor's nnz and the
+    # most sweeps a start takes uncapped
+    SCENARIOS = {
+        "one-batch": lambda nnz, most: {},
+        "cap-hit": lambda nnz, most: {"_MAX_STEPS": most - 1},
+        "batches-of-two": lambda nnz, most: {"_HOPM_BATCH": 2 * nnz + 1},
+        "batches-of-one": lambda nnz, most: {"_HOPM_BATCH": 1},
+        "rows-one-by-one": lambda nnz, most: {"_EINSUM_ROW": 3},
+    }
+
+    @staticmethod
+    def _spied(monkeypatch, t, cfg, extra):
+        """hopm_lower, each start's run, each batch sweep's width and the
+        sweep at which each start went on by itself."""
+        widths, runs, alone = [], [], []
+        row_norms, lockstep, by_itself = (spectral._row_norms, spectral._hopm_lockstep,
+                                          spectral._hopm_alone)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "_row_norms", lambda a: widths.append(len(a)) or row_norms(a))
+            mp.setattr(spectral, "_hopm_lockstep",
+                       lambda c, starts: runs.extend(lockstep(c, starts)) or runs[-len(starts):])
+            mp.setattr(spectral, "_hopm_alone",
+                       lambda c, xs, sweep, *state: alone.append(sweep) or by_itself(c, xs, sweep, *state))
+            return hopm_lower(t, cfg, extra_inits=extra), runs, widths, alone
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert (got.value.hex(), got.iterations, got.converged) == (
+            want.value.hex(), want.iterations, want.converged)
+        assert _same_bits(got.witness, want.witness)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_matches_reference(self, monkeypatch, name, scenario):
+        k, n, values, background = self.INPUTS[name]
+        t = _lockstep_input(k, n, values, background, seed=len(name))
+        cfg = PowerIterConfig(restarts=5, seed=SeedSpec(7, k))
+        extra = _zero_exit_starts(k, n)
+        _, runs, _, _ = self._spied(monkeypatch, t, cfg, extra)
+        for attr, value in self.SCENARIOS[scenario](t.nnz, max(r[2] for r in runs)).items():
+            monkeypatch.setattr(spectral, attr, value)
+        got, runs, widths, alone = self._spied(monkeypatch, t, cfg, extra)
+        self._assert_same(got, reference_hopm_lower(t, cfg, extra_inits=extra))
+        # the zero exits stop in the first sweep
+        assert [r[2:] for r in runs[2:2 + len(extra)]] == [(1, True)] * len(extra)
+        if scenario == "one-batch":
+            assert max(widths) == len(runs) == 2 + len(extra) + cfg.restarts
+        if scenario == "cap-hit":
+            assert {r[3] for r in runs} == {True, False}
+        if scenario == "batches-of-two":
+            # a zero exit in the first sweep leaves its partner alone mid-sweep
+            assert max(widths) == 2 and min(widths) == 1
+        if scenario == "batches-of-one":
+            assert widths == [] and alone == [1] * len(runs)
+
+    def test_centered_bernoulli(self, monkeypatch):
+        # the starts stop at different sweeps, and the last goes on by itself
+        cfg = PowerIterConfig(restarts=6, seed=SeedSpec(1, 2))
+        t = _centered(3, 40, 0.05, SeedSpec(1, 2))
+        extra = [slice_lower(t, seed=cfg.seed, config=cfg).witness]
+        got, _, widths, alone = self._spied(monkeypatch, t, cfg, extra)
+        self._assert_same(got, reference_hopm_lower(t, cfg, extra_inits=extra))
+        assert max(widths) == 9 and min(widths) == 2 and len(alone) == 1 and alone[0] > 1
+
+    @pytest.mark.parametrize("n", [1, 7, 120, 8192, 8193, 20000])
+    def test_row_reductions_match_one_vector(self, n):
+        # the lockstep's norms and sums of one start per row must equal
+        # those of the start's own vector on every SIMD dispatch target
+        a = np.random.default_rng(n).standard_normal((5, n)) * np.array([[1e-3], [1], [1e5], [7], [1]])
+        assert spectral._row_norms(a).tobytes() == np.array([spectral._norm(r) for r in a]).tobytes()
+        c = _Contraction(np.ones((1, 2), dtype=np.int64), np.ones(1), 0.5, (n, n))
+        sums = c.factor(0, np.ascontiguousarray(a.T))[1]
+        assert sums.tobytes() == np.array([c.factor(0, r)[1] for r in a]).tobytes()
+
+
+class TestUnitValueProduct:
+    """Unit values skip the multiply by 1.0: every contraction equals the
+    general product bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("background", [0.0, -0.25])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_same_bits_as_general_product(self, k, background):
+        rng = np.random.default_rng(k)
+        t = OffsetTensor(random_sparse(rng, k, 5, values="binary"), background)
+        unit = _Contraction.of(t)
+        general = _Contraction.of(t)
+        general.unit = False
+        assert unit.unit
+        xs = [rng.standard_normal(5) for _ in range(k)]
+        for x in xs:
+            x[rng.random(5) < 0.4] = -0.0
+        fu = [unit.factor(j, x) for j, x in enumerate(xs)]
+        fg = [general.factor(j, x) for j, x in enumerate(xs)]
+        assert unit.form(fu).hex() == general.form(fg).hex()
+        for j in range(k):
+            assert unit.all_but_one(fu, j).tobytes() == general.all_but_one(fg, j).tobytes()
+        cols = np.stack(xs[:2], axis=1)  # a lockstep factor, one start per column
+        two = [unit.factor(0, cols)] * 2
+        assert unit._product(two).tobytes() == general._product(two).tobytes()
+
+    def test_weighted_values_are_not_unit(self):
+        assert not _Contraction.of(OffsetTensor(SparseTensor.from_dense(np.diag([1.0, 2.0])))).unit
