@@ -30,7 +30,7 @@ from .core import (
     linear_index,
     multilinear_form,
 )
-from .hypergraph import _box_sums, _family_batch, _scaled_volume
+from .hypergraph import _box_sums, _family_batch, _packed_batch, _scaled_volume
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, hopm_lower
 
@@ -280,11 +280,11 @@ def discrepancy_check(
     """
     _check_p(p)
     n = t.shape.dim
-    sizes, members = _family_batch(t.shape, families, seed)
+    sizes, starts, members, masks = _family_batch(t.shape, families, seed)
     order = np.argsort(sizes, axis=1, kind="stable")  # by size, ties in mode order
-    starts = np.take_along_axis(np.cumsum(sizes).reshape(sizes.shape) - sizes, order, axis=1)
-    sizes = np.take_along_axis(sizes, order, axis=1)
-    e = _box_sums(t, sizes, members[_runs(starts.ravel(), sizes.ravel())])
+    sizes, starts = (np.take_along_axis(a, order, axis=1) for a in (sizes, starts))
+    masks = np.take_along_axis(masks, order[:, :, None], axis=1)
+    e = _box_sums(t, sizes, starts, members, masks)
     mu_bar = _scaled_volume(p, sizes)
     lam = e / mu_bar
     case1 = lam <= math.e * c2
@@ -353,7 +353,7 @@ def dyadic_profile(ys, delta: float, t: SparseTensor, p: float) -> DyadicProfile
     levels = np.array(list(itertools.product(*per_mode)), dtype=np.int64).reshape(-1, k)
     sets = [classes[(j, s)] for row in levels.tolist() for j, s in enumerate(row, start=1)]
     sizes = np.array([s.size for s in sets], dtype=np.int64).reshape(-1, k)
-    e = _box_sums(t, sizes, np.concatenate([np.empty(0, np.int32)] + sets))
+    e = _box_sums(t, *_packed_batch(n, sizes, np.concatenate([np.empty(0, np.int32)] + sets)))
     mu_bar = _scaled_volume(p, sizes)
     lam = e / mu_bar
     sigma = lam * n ** (k / 2.0 - 1.0) * math.sqrt(n * p) * np.ldexp(1.0, -levels.sum(axis=1))

@@ -39,36 +39,38 @@ class CsvFormatError(Exception):
 
 @dataclass(frozen=True)
 class PRule:
-    """Sparsity rule p(n): c*log(n)/n^m, c/n^m, or a fixed constant."""
+    """Sparsity rule p(n): c*log(n)/n^m, c/n^m, or a fixed constant.  Its
+    kind and the numbers that kind takes are checked on construction."""
 
     kind: str
     c: float = 0.0
     m: int = 0
     p: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in _P_RULES:
+            raise ConfigError(f"unknown p_rule kind {self.kind!r}")
+        # m, the one int, is an exponent: a negative one would make p(n) grow
+        for key, t in _P_RULES[self.kind].items():
+            object.__setattr__(self, key, _number(getattr(self, key), t, f"p_rule.{key}",
+                                                  0 if t is int else None))
+
     def value(self, n: int) -> float:
         if self.kind == "c_logn_over_nm":
             return self.c * math.log(n) / n**self.m
         if self.kind == "c_over_nm":
             return self.c / n**self.m
-        if self.kind == "fixed":
-            return self.p
-        raise ConfigError(f"unknown p_rule kind {self.kind!r}")
+        return self.p
 
     @classmethod
     def from_dict(cls, d: dict) -> "PRule":
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigError(f"p_rule must be an object with a 'kind', got {d!r}")
-        kind = d["kind"]
-        if kind not in _P_RULES:
-            raise ConfigError(f"unknown p_rule kind {kind!r}")
-        table = _P_RULES[kind]
-        if set(d) != {"kind", *table}:
-            raise ConfigError(f"{kind} p_rule takes exactly {sorted(table)}, "
+        table = _P_RULES.get(d["kind"])
+        if table is not None and set(d) != {"kind", *table}:
+            raise ConfigError(f"{d['kind']} p_rule takes exactly {sorted(table)}, "
                               f"got {sorted(set(d) - {'kind'})}")
-        # m, the one int, is an exponent: a negative one would make p(n) grow
-        return cls(kind, **{key: _number(d[key], t, f"p_rule.{key}", 0 if t is int else None)
-                            for key, t in table.items()})
+        return cls(**d)
 
 
 # p_rule kind -> the numbers it takes, all required

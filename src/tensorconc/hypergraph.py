@@ -89,10 +89,9 @@ def adjacency(h: Hypergraph) -> SparseTensor:
 
 
 def _validate_families(shape: TensorShape, families) -> tuple:
-    """One or more families as a batch ``(sizes, members)``, checked in one
+    """One or more families as a batch (``_packed_batch``), checked in one
     vectorized pass: ``shape.order`` nonempty sets of distinct integers in
-    [1, n] each.  ``sizes`` is F x k int64; ``members`` (int64) holds the sets
-    end to end, family by family and mode by mode."""
+    [1, n] each.  ``members`` is int64, in the order the sets list them."""
     k, n = shape.order, shape.dim
     sets = []
     for fam in families:
@@ -109,14 +108,27 @@ def _validate_families(shape: TensorShape, families) -> tuple:
     members = np.concatenate(sets)
     if members.min() < 1 or members.max() > n:
         raise ValueError(f"subset members must lie in [1, {n}]")
-    members = members.astype(np.int64)
-    # set number * (n + 1) + member rises strictly iff no set repeats a member
-    keys = np.repeat(np.arange(len(sets)) * (n + 1), sizes) + members
-    if np.any(keys[1:] <= keys[:-1]):
-        keys.sort()
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("subset members must be distinct")
-    return sizes.reshape(-1, k), members
+    batch = _packed_batch(n, sizes.reshape(-1, k), members.astype(np.int64))
+    # a repeated member carries into (or out of) a word, so its set's mask
+    # keeps fewer bits than the set has members
+    if np.any(np.bitwise_count(batch[3]).sum(axis=2) != batch[0]):
+        raise ValueError("subset members must be distinct")
+    return batch
+
+
+def _packed_batch(n: int, sizes: np.ndarray, members: np.ndarray) -> tuple:
+    """The batch ``(sizes, starts, members, masks)`` of the F x k sets of
+    [1, n] that ``members`` holds end to end, family by family and mode by
+    mode, with ``sizes`` (F x k int64) members each.  ``starts`` (F x k
+    int64) is each set's offset into ``members``; ``masks`` (F x k x
+    ceil(n/64) uint64) packs each set's members as ``_bit_rows`` does, bit i
+    of word w for member 64 w + i + 1."""
+    words = -(-n // 64)
+    flat = sizes.ravel()
+    starts = np.cumsum(flat) - flat
+    bit = np.repeat(np.arange(flat.size) * (words * 64) - 1, flat) + members
+    masks = _bit_rows(flat.size, words, bit).reshape(*sizes.shape, words)
+    return sizes, starts.reshape(sizes.shape), members, masks
 
 
 def _table(dim: int, subset: np.ndarray) -> np.ndarray:
@@ -154,30 +166,30 @@ _PACKED_BITS = 1 << 24
 _PASS_WORDS = 1 << 15
 
 
-def _box_sums(t: SparseTensor, sizes: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Box sum (float64) of every family of a valid batch ``(sizes, members)``
-    (``_validate_families``).
+def _box_sums(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, members: np.ndarray,
+              masks: np.ndarray) -> np.ndarray:
+    """Box sum (float64) of every family of a valid batch ``(sizes, starts,
+    members, masks)`` (``_packed_batch``).
 
     A 0/1 tensor whose layout takes at most ``_PACKED_BITS`` bits is counted
     by ``_packed_counts``.  Any other tensor is counted family by family from
     its sorted entries, whose rows with mode-1 index v form the run
-    ``starts[v - 1]:starts[v]``: a box sum gathers the runs of V_1's members
-    with one ``np.repeat``, masks modes 2..k on those rows alone, and sums
-    their values.
+    ``first[v - 1]:first[v]``: a box sum reads each set at its start, gathers
+    the runs of V_1's members with one ``np.repeat``, masks modes 2..k on
+    those rows alone, and sums their values.
     """
     k, n = t.shape.order, t.shape.dim
     out = np.zeros(sizes.shape[0])
     if t.nnz == 0 or not out.size:
         return out
     if n ** (k - 1) * 64 * -(-n // 64) <= _PACKED_BITS and np.all(t.values == 1.0):
-        return _packed_counts(t, sizes, members).astype(np.float64)
+        return _packed_counts(t, sizes, starts, members, masks).astype(np.float64)
     cols = t.coords.T
-    starts = np.searchsorted(cols[0], np.arange(1, n + 2))
-    sets = np.split(members, np.cumsum(sizes)[:-1])
+    first = np.searchsorted(cols[0], np.arange(1, n + 2))
     for f in range(out.size):
-        subsets = sets[f * k:(f + 1) * k]
-        lo = starts[subsets[0] - 1]
-        idx = _runs(lo, starts[subsets[0]] - lo)
+        subsets = [members[a:a + size] for a, size in zip(starts[f].tolist(), sizes[f].tolist())]
+        lo = first[subsets[0] - 1]
+        idx = _runs(lo, first[subsets[0]] - lo)
         mask = _table(n, subsets[1])[cols[1][idx]]
         for j in range(2, k):
             mask &= _table(n, subsets[j])[cols[j][idx]]
@@ -185,7 +197,8 @@ def _box_sums(t: SparseTensor, sizes: np.ndarray, members: np.ndarray) -> np.nda
     return out
 
 
-def _packed_counts(t: SparseTensor, sizes: np.ndarray, members: np.ndarray) -> np.ndarray:
+def _packed_counts(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, members: np.ndarray,
+                   masks: np.ndarray) -> np.ndarray:
     """Box counts (int64) of a batch against a 0/1 tensor, on its fibers
     packed into uint64 words.
 
@@ -195,12 +208,11 @@ def _packed_counts(t: SparseTensor, sizes: np.ndarray, members: np.ndarray) -> n
     entry with that mode's index i + 1.  In passes of at most ``_PASS_WORDS``
     gathered words (a family with more gets a pass to itself), the rows of
     every member tuple of the other k-1 sets are gathered, ANDed with their
-    family's packed largest set, and their set bits added per family: exact
-    integers, with no BLAS.
+    family's largest set as the batch packed it (``masks``), and their set
+    bits added per family: exact integers, with no BLAS.
     """
     k, n = t.shape.order, t.shape.dim
-    words = -(-n // 64)
-    starts = np.cumsum(sizes).reshape(sizes.shape) - sizes
+    words = masks.shape[2]
     widest = k - 1 - np.argmax(sizes[:, ::-1], axis=1)
     out = np.zeros(sizes.shape[0], dtype=np.int64)
     for mode in np.unique(widest).tolist():
@@ -221,21 +233,18 @@ def _packed_counts(t: SparseTensor, sizes: np.ndarray, members: np.ndarray) -> n
             first = ends[a] - tuples[a]
             b = max(a + 1, int(np.searchsorted(ends, first + _PASS_WORDS // words, "right")))
             fams = group[a:b]
-            # the flat row of every member tuple of the other sets, family by family
+            # the flat row of every member tuple of the other sets, family by
+            # family; ``own`` is each partial tuple's family
             row, own = np.zeros(fams.size, dtype=np.intp), fams
             for j in others:
+                if j != others[0]:
+                    own = np.repeat(own, lens)
                 lens = sizes[own, j]
-                row = np.repeat(row * n, lens) + members[_runs(starts[own, j], lens)]
-                row -= 1
-                own = np.repeat(own, lens)
-            lens = sizes[fams, mode]
-            bit = np.repeat(np.arange(fams.size) * (words * 64) - 1, lens)
-            bit += members[_runs(starts[fams, mode], lens)]
-            widest_sets = _bit_rows(fams.size, words, bit)
-            hits = np.bitwise_count(np.take(fibers, row, axis=0)
-                                    & np.repeat(widest_sets, tuples[a:b], axis=0))
-            out[fams] = np.add.reduceat(hits.reshape(-1), (ends[a:b] - tuples[a:b] - first) * words,
-                                        dtype=np.int64)
+                row = np.repeat(row * n - 1, lens) + members[_runs(starts[own, j], lens)]
+            hits = np.take(fibers, row, axis=0)
+            hits &= np.repeat(masks[fams, mode], tuples[a:b], axis=0)
+            out[fams] = np.add.reduceat(np.bitwise_count(hits).reshape(-1),
+                                        (ends[a:b] - tuples[a:b] - first) * words, dtype=np.int64)
             a = b
     return out
 
@@ -294,28 +303,36 @@ class SubsetFamilies:
 _MEMBER_CHUNK = 1 << 16  # member counters drawn and ranked at a time
 
 
-def _smallest(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _smallest(u: np.ndarray, sizes: np.ndarray, fine: Optional[np.ndarray] = None) -> np.ndarray:
     """Mask of the ``sizes[r]`` smallest entries of each row ``u[r]``; ties
-    go to the earlier position, as a stable argsort ranks them."""
+    go to the earlier position, as a stable argsort ranks them.  Given
+    ``fine``, ``u`` is a coarsening of it that keeps its order, and the
+    ranks are those of ``fine``: a row whose cut ``u`` ties is ranked again
+    on ``fine``."""
     cut = np.take_along_axis(np.sort(u, axis=1), sizes[:, None] - 1, axis=1)
-    below = u < cut
-    tied = u == cut
-    # only rows with more than one value at the cut need their ties ranked
-    many = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
-    if many.size:
-        room = sizes[many, None] - np.count_nonzero(below[many], axis=1, keepdims=True)
-        tied[many] &= np.cumsum(tied[many], axis=1) <= room
-    return below | tied
+    keep = u <= cut
+    # a row keeps at least its size, and more only where values tie at its cut
+    if np.count_nonzero(keep) > sizes.sum():
+        many = np.flatnonzero(np.count_nonzero(keep, axis=1) > sizes)
+        if fine is not None:
+            keep[many] = _smallest(fine[many], sizes[many])
+        else:
+            below = u[many] < cut[many]
+            tied = keep[many] & ~below
+            room = sizes[many, None] - np.count_nonzero(below, axis=1, keepdims=True)
+            keep[many] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    return keep
 
 
 def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
-    """``count`` tuples of k subsets of [1, n] as a batch ``(sizes, members)``
-    (see ``_validate_families``); deterministic under seed.
+    """``count`` tuples of k subsets of [1, n] as a batch ``(sizes, starts,
+    members, masks)`` (see ``_packed_batch``); deterministic under seed.
 
     Set j of family t has a log-uniform size and holds the members whose
-    uniforms at counters ``(t * k + j) * n + [0, n)`` rank below that size,
-    ascending, as int32.  All sets are drawn as one run of counters,
-    ``_MEMBER_CHUNK`` counters at a time.
+    hashes at counters ``(t * k + j) * n + [0, n)`` rank below that size,
+    ascending, as int32; the same keep-row is packed into its mask.  All
+    sets are drawn as one run of counters, ``_MEMBER_CHUNK`` counters at a
+    time.
     """
     k, n, count = map(operator.index, (k, n, count))
     if count < 1:
@@ -326,16 +343,28 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
     rows = max(1, _MEMBER_CHUNK // n)
     members = []
+    # little-endian bytes of each set's words; packbits leaves the pad bits 0
+    masks = np.zeros((count * k, -(-n // 64) * 8), dtype=np.uint8)
     for lo in range(0, count * k, rows):
         hi = min(count * k, lo + rows)
-        draws = rng.uniform_block(member_key, lo * n, (hi - lo) * n).reshape(hi - lo, n)
-        members.append((np.flatnonzero(_smallest(draws, sizes[lo:hi])) % n).astype(np.int32) + 1)
-    return sizes.reshape(count, k), np.concatenate(members)
+        h = rng.hash_block(member_key, lo * n, (hi - lo) * n).reshape(hi - lo, n)
+        # ranked on the top 32 of the 53 bits first: np.sort on uint32 takes
+        # half the time, and a tie at a row's cut (about n / 2^32 a row) is
+        # ranked again on all 53
+        keep = _smallest((h >> np.uint64(21)).astype(np.uint32), sizes[lo:hi], h)
+        # row r keeps sizes[r] flat indices r * n + member - 1
+        members.append((np.flatnonzero(keep) - np.repeat(np.arange(hi - lo) * n - 1, sizes[lo:hi]))
+                       .astype(np.int32))
+        masks[lo:hi, :(n + 7) // 8] = np.packbits(keep, axis=1, bitorder="little")
+    starts = np.cumsum(sizes) - sizes
+    return (sizes.reshape(count, k), starts.reshape(count, k), np.concatenate(members),
+            masks.view("<u8").astype(np.uint64, copy=False).reshape(count, k, -1))
 
 
 def _family_batch(shape: TensorShape, families, seed: SeedSpec) -> tuple:
-    """A batch ``(sizes, members)`` from a count, drawn under seed by
-    ``_draw_families``, or from a list, checked by ``_validate_families``."""
+    """A batch ``(sizes, starts, members, masks)`` from a count, drawn under
+    seed by ``_draw_families``, or from a list, checked by
+    ``_validate_families``."""
     if isinstance(families, numbers.Integral) and not isinstance(families, bool):
         return _draw_families(shape.order, shape.dim, families, seed)
     return _validate_families(shape, families)
@@ -344,8 +373,8 @@ def _family_batch(shape: TensorShape, families, seed: SeedSpec) -> tuple:
 def sample_subset_families(k: int, n: int, count: int, seed: SeedSpec) -> list:
     """``count`` tuples of k subsets of [1, n], each an ascending int32 array:
     the batch of ``_draw_families`` split into its sets."""
-    sizes, members = _draw_families(k, n, count, seed)
-    sets = np.split(members, np.cumsum(sizes)[:-1])
+    _, starts, members, _ = _draw_families(k, n, count, seed)
+    sets = np.split(members, starts.ravel()[1:])
     return [tuple(sets[t * k:(t + 1) * k]) for t in range(count)]
 
 
@@ -435,8 +464,8 @@ def mixing_check(
     if families.kind not in ("sampled", "explicit"):
         raise ValueError(f"unknown family kind {families.kind!r}")
     chosen = families.count if families.kind == "sampled" else families.families
-    sizes, members = _family_batch(t.shape, chosen, seed)
-    e = _box_sums(t, sizes, members)
+    sizes, *rest = _family_batch(t.shape, chosen, seed)
+    e = _box_sums(t, sizes, *rest)
     vol = _scaled_volume(1.0, sizes)
     expected = p * vol
     return MixingReport(k, n, p, c, seed, sizes, e, expected, np.abs(e - expected) / np.sqrt(vol))
@@ -483,8 +512,8 @@ def matrix_mixing_check(
     n = g.n
     a = adjacency(g)
     lam = matrix_op_norm(OffsetTensor(a, -d / n), PowerIterConfig(seed=seed)).value
-    sizes, members = _family_batch(a.shape, families, seed)
-    e = _box_sums(a, sizes, members).astype(np.int64)  # unit entries: exact
+    sizes, *rest = _family_batch(a.shape, families, seed)
+    e = _box_sums(a, sizes, *rest).astype(np.int64)  # unit entries: exact
     s1, s2 = sizes.T
     expected = d * s1 * s2 / n
     bound = lam * np.sqrt(s1 * s2 * (1 - s1 / n) * (1 - s2 / n))

@@ -14,7 +14,8 @@ uint64 buffers.  For a contiguous run of counters it adds the block's offset
 precomputed ``i * GAMMA`` ramp.  It yields the top 53 bits ``h`` of each
 hash; the uniform is ``u = h * 2^-53`` exactly.  So a Bernoulli(p) keep test
 ``u < p`` is the exact integer test ``h < ceil(p * 2^53)``, which is how
-``_positions_percoord`` runs it, with no float temporary.
+``_positions_percoord`` runs it, with no float temporary, and ranking on
+``h`` is ranking on ``u``, which is why ``hash_block`` hands out ``h``.
 """
 
 from __future__ import annotations
@@ -132,6 +133,15 @@ def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
 
 def uniform_block(key: int, start: int, count: int) -> np.ndarray:
     return _uniforms(key, range(start, start + count), False)
+
+
+def hash_block(key: int, start: int, count: int) -> np.ndarray:
+    """The 53-bit hashes (uint64) behind ``uniform_block(key, start, count)``,
+    which is exactly these times 2^-53: ranking on them is ranking on it."""
+    out = np.empty(count, dtype=np.uint64)
+    for lo, h in _hash53(key, range(start, start + count)):
+        out[lo:lo + len(h)] = h
+    return out
 
 
 def bernoulli_positions(total: int, p: float, key: int) -> np.ndarray:

@@ -69,6 +69,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             config_from_dict(_base_config(p_rule=rule))
 
+    def test_p_rule_built_in_code_is_checked(self):
+        with pytest.raises(ConfigError, match=r"p_rule\.m must be an int >= 0"):
+            harness.ExperimentConfig(command="concentration", k=3, n_list=(8,), m=2, trials=1,
+                                     base_seed=0, p_rule=harness.PRule("c_over_nm", 1e308, -400))
+        with pytest.raises(ConfigError, match=r"p_rule\.m must be an int >= 0, got 2\.5"):
+            harness.PRule("c_over_nm", 1.0, 2.5)
+        with pytest.raises(ConfigError, match="unknown p_rule kind"):
+            harness.PRule("nope")
+        rule = harness.PRule("c_over_nm", 3, np.int64(2))
+        assert (type(rule.c), type(rule.m)) == (float, int) and rule.value(10) == 0.03
+
     def test_invalid_config_cannot_be_built(self):
         cfg = config_from_dict(_base_config())
         for over in ({"trials": 0}, {"base_seed": -1}, {"m": 3}):

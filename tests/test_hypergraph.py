@@ -382,12 +382,32 @@ class TestFamilySamplerKernel:
         u[1::3, 4] = u[1::3, 7]
         sizes = gen.integers(1, 10, size=300)
         ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
-        assert np.array_equal(hypergraph._smallest(u, sizes), ranks < sizes[:, None])
+        # the cut on the repeated value, keeping its first copy or both
+        sizes[1::3] = ranks[1::3, 4] + 1 + np.arange(100) % 2
+        # as floats, and as the draw's 53-bit hashes: same order, same ties
+        for rows in (u, (u * 2.0**53).astype(np.uint64)):
+            keep = hypergraph._smallest(rows, sizes)
+            assert np.array_equal(keep, ranks < sizes[:, None])
+            assert keep[1::3, 4].all() and np.array_equal(keep[1::3, 7], np.arange(100) % 2 == 1)
+
+    def test_coarse_ties_ranked_on_all_bits(self):
+        # the draw ranks its 53-bit hashes on their top 32 bits: where two of
+        # those tie at a row's cut, the low 21 bits decide, then the position
+        gen = np.random.default_rng(6)
+        h = gen.integers(0, 2**53, size=(200, 9), dtype=np.uint64)
+        h[:, 7] = (h[:, 4] & ~np.uint64(2**21 - 1)) | gen.integers(0, 2**21, 200, dtype=np.uint64)
+        h[::4, 7] = h[::4, 4]  # a tie in all 53 bits
+        ranks = np.argsort(np.argsort(h, axis=1, kind="stable"), axis=1, kind="stable")
+        # the cut on the pair, keeping its smaller or both
+        sizes = np.minimum(ranks[:, 4], ranks[:, 7]) + 1 + np.arange(200) % 2
+        top = (h >> np.uint64(21)).astype(np.uint32)
+        assert np.array_equal(np.count_nonzero(top <= top[:, 4:5], axis=1) == sizes, np.arange(200) % 2 == 1)
+        assert np.array_equal(hypergraph._smallest(top, sizes, h), ranks < sizes[:, None])
 
     @pytest.mark.parametrize("k,n", [(2, 1), (3, 100), (4, 7)])
     def test_sampler_splits_the_drawn_batch(self, k, n):
         seed = SeedSpec(980, k)
-        sizes, members = hypergraph._draw_families(k, n, 300, seed)
+        sizes, _, members, _ = hypergraph._draw_families(k, n, 300, seed)
         fams = sample_subset_families(k, n, 300, seed)
         assert sizes.dtype == np.int64 and sizes.shape == (300, k)
         assert members.dtype == np.int32
@@ -416,6 +436,69 @@ class TestFamilySamplerKernel:
         assert spec == SubsetFamilies.sampled(3) and type(spec.count) is int
 
 
+def _word_packed(n, sets):
+    """Each set's bits as ceil(n/64) uint64 words, by Python integer: bit i
+    of word w for member 64 w + i + 1."""
+    words = -(-n // 64)
+    out = np.zeros((len(sets), words), dtype=np.uint64)
+    for r, s in enumerate(sets):
+        value = sum(1 << (int(v) - 1) for v in s)
+        out[r] = [(value >> (64 * w)) & (2**64 - 1) for w in range(words)]
+    return out
+
+
+def _check_batch(n, fams, batch):
+    """The batch invariants: sizes, starts, members read at their starts,
+    and masks packed as ``_bit_rows`` packs the members, pad bits zero."""
+    sizes, starts, members, masks = batch
+    sets = [np.asarray(s) for fam in fams for s in fam]
+    words = -(-n // 64)
+    assert sizes.dtype == starts.dtype == np.int64 and masks.dtype == np.uint64
+    assert sizes.tolist() == [[len(s) for s in fam] for fam in fams]
+    assert starts.ravel().tolist() == np.cumsum([0] + [s.size for s in sets])[:-1].tolist()
+    assert masks.shape == sizes.shape + (words,)
+    for a, s in zip(starts.ravel().tolist(), sets):
+        assert np.array_equal(members[a:a + s.size], s)
+    bits = np.concatenate([r * words * 64 + s.astype(np.int64) - 1 for r, s in enumerate(sets)])
+    flat = masks.reshape(-1, words)
+    assert np.array_equal(flat, hypergraph._bit_rows(len(sets), words, bits))
+    assert np.array_equal(flat, _word_packed(n, sets))
+    if n % 64:
+        assert not np.any(flat[:, -1] >> np.uint64(n % 64))
+
+
+class TestFamilyBatch:
+    """The batch ``(sizes, starts, members, masks)`` as drawn and as checked."""
+
+    @pytest.mark.parametrize("k,n", [(2, 1), (3, 63), (3, 64), (3, 65), (3, 128), (4, 7)])
+    def test_drawn_batch(self, k, n):
+        # 1200 sets span more than one chunk of draws at every n above 54
+        count = 1200 // k
+        seed = SeedSpec(990, n)
+        batch = hypergraph._draw_families(k, n, count, seed)
+        fams = sample_subset_families(k, n, count, seed)
+        assert batch[2].dtype == np.int32
+        _check_batch(n, fams, batch)
+
+    @pytest.mark.parametrize("k,n", [(2, 1), (3, 63), (3, 64), (3, 65), (3, 128), (4, 7)])
+    def test_explicit_batch_keeps_member_order(self, k, n):
+        gen = np.random.default_rng(995 + n)
+        fams = [tuple(gen.permutation(n)[:gen.integers(1, n + 1)] + 1 for _ in range(k))
+                for _ in range(40)]
+        fams.append(tuple(np.arange(n, 0, -1) for _ in range(k)))
+        batch = hypergraph._validate_families(TensorShape(k, n), fams)
+        assert batch[2].dtype == np.int64
+        _check_batch(n, fams, batch)
+
+    @pytest.mark.parametrize("repeated", [[64, 64], [1, 64, 64], [63, 64, 63], [130, 65, 130],
+                                          [2, 1, 2, 3]])
+    def test_repeat_at_a_word_edge_rejected(self, repeated):
+        ok = (np.array([1, 64, 65, 128, 129, 130]), np.array([2]), np.array([3]))
+        assert hypergraph._validate_families(TensorShape(3, 130), [ok])[0].tolist() == [[6, 1, 1]]
+        with pytest.raises(ValueError, match="distinct"):
+            hypergraph._validate_families(TensorShape(3, 130), [ok, (ok[0], repeated, ok[2])])
+
+
 def _box_sums(t, families):
     """``hypergraph._box_sums`` of explicit families, batched by ``_validate_families``."""
     return hypergraph._box_sums(t, *hypergraph._validate_families(t.shape, families))
@@ -427,9 +510,9 @@ def packed_calls(monkeypatch):
     calls = []
     real = hypergraph._packed_counts
 
-    def spy(t, sizes, members):
+    def spy(t, sizes, *rest):
         calls.append(sizes.shape[0])
-        return real(t, sizes, members)
+        return real(t, sizes, *rest)
 
     monkeypatch.setattr(hypergraph, "_packed_counts", spy)
     return calls
@@ -553,7 +636,7 @@ class TestCounts:
         real_bit_rows = hypergraph._bit_rows
 
         def bit_rows(rows, words, bit):
-            layouts.append(rows == n ** (k - 1))  # no pass here packs that many families
+            layouts.append(rows == n ** (k - 1))  # no batch here packs that many sets
             return real_bit_rows(rows, words, bit)
 
         monkeypatch.setattr(hypergraph, "_bit_rows", bit_rows)
@@ -561,10 +644,10 @@ class TestCounts:
         t, dense, pool = _word_edge_tensor(gen, k, n)
         fams = _word_edge_families(gen, k, n, pool, 48)
         want = [dense_count_edges(dense, fam) for fam in fams]
-        sizes, members = hypergraph._validate_families(t.shape, fams)
+        sizes, starts, members, masks = hypergraph._validate_families(t.shape, fams)
         assert sizes.dtype == np.int64 and sizes.tolist() == [[s.size for s in fam] for fam in fams]
         assert members.tolist() == [int(v) for fam in fams for s in fam for v in s]
-        got = hypergraph._box_sums(t, sizes, members)
+        got = hypergraph._box_sums(t, sizes, starts, members, masks)
         assert packed_calls == [48]
         assert got.dtype == np.float64 and got.tolist() == want
         # one layout per mode that leads a family, and only those
@@ -601,7 +684,9 @@ class TestCounts:
         fam = tuple(np.array([1, 2]) for _ in range(3))
         assert _box_sums(t, [fam]).tolist() == [0.0]
         t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(975, 0)))
-        assert hypergraph._box_sums(t, np.zeros((0, 3), dtype=np.int64), np.zeros(0)).shape == (0,)
+        none = np.zeros((0, 3), dtype=np.int64)
+        masks = np.zeros((0, 3, 1), dtype=np.uint64)
+        assert hypergraph._box_sums(t, none, none, np.zeros(0), masks).shape == (0,)
 
 
 class TestSubsetValidation:

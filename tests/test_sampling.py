@@ -27,9 +27,12 @@ from tensorconc.rng import (
     _fin_int,
     _positions_percoord,
     _positions_skip,
+    LBL_SUBSET_MEMBERS,
     _uniforms,
     bernoulli_positions,
+    hash_block,
     stream_key,
+    uniform_block,
     uniforms_at,
 )
 
@@ -170,6 +173,16 @@ class TestHashKernel:
         tops = [_fin_int(int(c) * _GAMMA + key) >> 11 for c in ctr]
         assert np.array_equal(uniforms_at(key, ctr), np.array(tops) * 2.0**-53)
         assert np.array_equal(_uniforms(key, ctr, True), (np.array(tops) + 1) * 2.0**-53)
+
+
+    @pytest.mark.parametrize("start,count", [(5, 3), (2**16 - 7, 20), (3 * 2**16 + 11, 2**17 + 5)])
+    def test_hash_block_is_the_uniforms_numerator(self, start, count):
+        key = stream_key(SeedSpec(12, count), LBL_SUBSET_MEMBERS)
+        h = hash_block(key, start, count)
+        assert h.dtype == np.uint64 and h.shape == (count,) and int(h.max()) < 2**53
+        assert (h * 2.0**-53).tobytes() == uniform_block(key, start, count).tobytes()
+        for i in (0, count - 1):
+            assert int(h[i]) == _fin_int((start + i) * _GAMMA + key) >> 11
 
 
 class TestSparsifyUniform:
