@@ -34,7 +34,7 @@ after = degree_map(reg.regularized, m)
 print(f"regularized: removed {reg.removed_count} prefixes, "
       f"max degree now {after.max_degree}")
 
-chk = removed_count_check(reg, n, p)
+chk = removed_count_check(reg, p)
 print(f"removed-count bound 1/(n^(2m-k) p) = {chk.bound:.1f}: within = {chk.within}")
 
 cfg = PowerIterConfig(restarts=6, seed=SeedSpec(55, 0))

@@ -270,6 +270,11 @@ class Homogeneous:
             raise ValueError(f"probability must be in [0, 1], got {self.p}")
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+
+
 class DenseProbability:
     """Entrywise probability table, gated to n^k <= 10^6; the table is copied."""
 

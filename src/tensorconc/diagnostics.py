@@ -21,6 +21,7 @@ from .core import (
     ProbabilityModel,
     SparseTensor,
     TensorLike,
+    _check_p,
     _dot,
     _integers,
     _lex_order,
@@ -33,11 +34,6 @@ from .core import (
 from .hypergraph import _box_sums, _family_batch, _packed_batch, _scaled_volume
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, hopm_lower
-
-
-def _check_p(p: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .hypergraph import SubsetFamilies, adjacency, mixing_check
 from .regularization import degree_map, expander_construct, regularize, removed_count_check
 from .rng import SeedSpec
 from .sampling import bernoulli_sample, er_hypergraph, sparsify_uniform
-from .spectral import SANDWICH_SLACK, PowerIterConfig, matrix_op_norm, spectral_sandwich
+from .spectral import NUM_SLICES, SANDWICH_SLACK, PowerIterConfig, matrix_op_norm, spectral_sandwich
 from .unfolding import Partition, unfold
 
 class ConfigError(Exception):
@@ -35,6 +35,20 @@ class ConfigError(Exception):
 
 class CsvFormatError(Exception):
     """Malformed results CSV (CLI exit code 3)."""
+
+
+def _number(raw, kind: type, name: str, least: int | None = None):
+    """``raw`` as an ``int`` (a JSON integer) or a ``float`` (any JSON number),
+    at least ``least`` if given: no bool, no rounding, no string parsing."""
+    try:  # operator.index takes integers alone
+        value = (operator.index if kind is int else float)(raw)
+        ok = not isinstance(raw, bool) and value == raw and (least is None or value >= least)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        want = "a number" if kind is float else "an int" if least is None else f"an int >= {least}"
+        raise ConfigError(f"{name} must be {want}, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,8 +94,13 @@ _P_RULES = {"c_logn_over_nm": {"c": float, "m": int}, "c_over_nm": {"c": float, 
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    restarts: int = 16
-    num_slices: int = 4
+    restarts: int = PowerIterConfig.restarts
+    num_slices: int = NUM_SLICES
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _number(getattr(self, f.name), int,
+                                                     f"estimator.{f.name}", 1))
 
     def power_config(self, seed: SeedSpec) -> PowerIterConfig:
         return PowerIterConfig(restarts=self.restarts, seed=seed)
@@ -103,6 +122,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every check runs here, so an invalid config is never built
+        for name in ("k", "m", "trials", "base_seed"):
+            object.__setattr__(self, name, _number(getattr(self, name), int, name))
+        object.__setattr__(self, "n_list", tuple(_number(n, int, "n_list entry")
+                                                 for n in self.n_list))
         object.__setattr__(self, "params",
                            _read_table("params", _PARAMS.get(self.command, {}), self.params))
         if self.command not in COMMANDS:
@@ -163,12 +186,12 @@ def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig
     try:
         cfg = ExperimentConfig(
             command=cmd,
-            k=_number(data.pop("k"), int, "k"),
-            n_list=tuple(_number(n, int, "n_list entry") for n in data.pop("n_list")),
+            k=data.pop("k"),
+            n_list=data.pop("n_list"),
             p_rule=PRule.from_dict(data.pop("p_rule")),
-            m=_number(data.pop("m"), int, "m"),
-            trials=_number(data.pop("trials"), int, "trials"),
-            base_seed=_number(data.pop("base_seed", 0), int, "base_seed"),
+            m=data.pop("m"),
+            trials=data.pop("trials"),
+            base_seed=data.pop("base_seed", 0),
             estimator=est,
             out=str(data.pop("out", "results.csv")),
             partition=part,
@@ -269,7 +292,7 @@ def _regularize(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
         "max_prefix_degree": degree_map(reg.regularized, cfg.m).max_degree,
     }
     if reg.in_guarantee_regime:
-        chk = removed_count_check(reg, n, p)
+        chk = removed_count_check(reg, p)
         aux["removed_bound"] = chk.bound
         aux["removed_within"] = chk.within
     return center(reg.regularized, Homogeneous(p)), aux
@@ -280,7 +303,7 @@ def _expander(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
     tprime = expander_construct(adjacency(h), p)
     aux = {
         "edges": h.num_edges,
-        "max_first_mode_degree": degree_map(tprime, cfg.k - 1).max_degree if tprime.nnz else 0,
+        "max_first_mode_degree": degree_map(tprime, cfg.k - 1).max_degree,
         "degree_bound": 2.0 * math.factorial(cfg.k) * n ** (cfg.k - 1) * p,
     }
     if 0 < p < 1:
@@ -331,20 +354,6 @@ _PARAMS = {
                     "families": (int, 1000)},
 }
 _ESTIMATOR = {f.name: (int, f.default) for f in fields(EstimatorSettings)}
-
-
-def _number(raw, kind: type, name: str, least: int | None = None):
-    """``raw`` as an ``int`` (a JSON integer) or a ``float`` (any JSON number),
-    at least ``least`` if given: no bool, no rounding, no string parsing."""
-    try:  # operator.index takes integers alone
-        value = (operator.index if kind is int else float)(raw)
-        ok = not isinstance(raw, bool) and value == raw and (least is None or value >= least)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        want = "a number" if kind is float else "an int" if least is None else f"an int >= {least}"
-        raise ConfigError(f"{name} must be {want}, got {raw!r}")
-    return value
 
 
 def _read_table(section: str, table: dict, raw) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseTensor, _integers
+from .core import SparseTensor, _check_p, _integers
 from .hypergraph import Hypergraph, adjacency
 
 
@@ -85,8 +85,7 @@ def regularize(t: SparseTensor, m: int, p: float) -> RegularizationResult:
     k, n = t.shape.order, t.shape.dim
     if not 1 <= m <= k - 1:
         raise ValueError(f"m must be in [1, {k - 1}], got {m}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    _check_p(p)
     in_regime = 2 * m >= k
     if not in_regime:
         warnings.warn(
@@ -111,11 +110,11 @@ class RemovedCountCheck:
     within: bool
 
 
-def removed_count_check(result: RegularizationResult, n: int, p: float) -> RemovedCountCheck:
+def removed_count_check(result: RegularizationResult, p: float) -> RemovedCountCheck:
     """Compare |removed prefixes| against 1 / (n^(2m-k) * p)."""
     m = result.m
-    k = result.regularized.shape.order
-    if not (2 * m >= k and m <= k - 1):
+    k, n = result.regularized.shape.order, result.regularized.shape.dim
+    if not result.in_guarantee_regime:
         raise ValueError(f"removed-count bound needs k/2 <= m <= k-1, got m={m}, k={k}")
     bound = 1.0 / (n ** (2 * m - k) * p)
     count = result.removed_count

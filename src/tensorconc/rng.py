@@ -116,32 +116,27 @@ def _hash53(key: int, counters) -> Iterator[tuple]:
         yield lo, h
 
 
-def _uniforms(key: int, counters, open_left: bool) -> np.ndarray:
-    """(h + open_left) * 2^-53 per counter: in [0, 1), or in (0, 1]."""
-    out = np.empty(len(counters), dtype=np.float64)
+def _hashes(key: int, counters) -> np.ndarray:
+    """``_hash53`` of every counter, as one uint64 array."""
+    out = np.empty(len(counters), dtype=np.uint64)
     for lo, h in _hash53(key, counters):
-        if open_left:
-            h += np.uint64(1)
-        np.multiply(h, 2.0**-53, out=out[lo:lo + len(h)])
+        out[lo:lo + len(h)] = h
     return out
 
 
 def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) at the given uint64 counters."""
-    return _uniforms(key, np.ravel(counters), False).reshape(np.shape(counters))
+    return (_hashes(key, np.ravel(counters)) * 2.0**-53).reshape(np.shape(counters))
 
 
 def uniform_block(key: int, start: int, count: int) -> np.ndarray:
-    return _uniforms(key, range(start, start + count), False)
+    return hash_block(key, start, count) * 2.0**-53
 
 
 def hash_block(key: int, start: int, count: int) -> np.ndarray:
     """The 53-bit hashes (uint64) behind ``uniform_block(key, start, count)``,
     which is exactly these times 2^-53: ranking on them is ranking on it."""
-    out = np.empty(count, dtype=np.uint64)
-    for lo, h in _hash53(key, range(start, start + count)):
-        out[lo:lo + len(h)] = h
-    return out
+    return _hashes(key, range(start, start + count))
 
 
 def bernoulli_positions(total: int, p: float, key: int) -> np.ndarray:
@@ -189,7 +184,7 @@ def _positions_skip(total: int, p: float, key: int) -> np.ndarray:
     pos = -1
     drawn = 0
     while pos < total:
-        u = _uniforms(key, range(drawn, drawn + block), True)
+        u = (hash_block(key, drawn, block) + np.uint64(1)) * 2.0**-53  # in (0, 1]
         steps = np.floor(np.log(u) / log1mp).astype(np.int64) + 1
         positions = pos + np.cumsum(steps)
         out.append(positions[positions < total].astype(np.uint64))

@@ -77,8 +77,6 @@ def er_hypergraph(k: int, n: int, p: float, seed: SeedSpec) -> Hypergraph:
     repeated-vertex tuples never occur."""
     if k > n:
         raise ValueError(f"k = {k} exceeds vertex count n = {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
     edges = comb(n, k)
     if edges >= 1 << 63:
         raise ValueError(f"C({n}, {k}) = {edges} k-subsets of [{n}]: "

@@ -45,6 +45,7 @@ from .rng import SeedSpec
 from .unfolding import Partition, UnfoldedView, balanced_partition, unfold
 
 SANDWICH_SLACK = 1e-8
+NUM_SLICES = 4
 
 # Largest smaller side whose r x r Gram matrix is formed densely and
 # certified; at 4096 the Gram matrix, its shifted copy and the Cholesky
@@ -214,16 +215,22 @@ def _lanczos(op, start: np.ndarray, seed: SeedSpec) -> tuple:
     """
     dim = start.shape[0]
     limit = min(dim, _MAX_STEPS)
-    basis = np.empty((min(limit, 64), dim))
+    # rows that are never written are never committed
+    basis = np.empty((limit, dim))
     basis[0] = start / _norm(start)
     alphas, betas = [], []
     first, scale = 0, 0.0  # first: index of the current run's first vector
-    for j in range(limit):
+
+    def orthogonalized(w: np.ndarray) -> np.ndarray:
         q = basis[:j + 1]
-        w = op(basis[j])
-        alphas.append(_dot(basis[j], w))
         for _ in range(2):
             w = w - np.einsum("ij,i->j", q, np.einsum("ij,j->i", q, w))
+        return w
+
+    for j in range(limit):
+        w = op(basis[j])
+        alphas.append(_dot(basis[j], w))
+        w = orthogonalized(w)
         beta = _norm(w)
         scale = max(scale, abs(alphas[-1]) + beta)
         if j + 1 == limit:
@@ -232,16 +239,13 @@ def _lanczos(op, start: np.ndarray, seed: SeedSpec) -> tuple:
             if first:
                 break
             first, beta = j + 1, 0.0
-            w = 2.0 * rng.uniform_block(rng.stream_key(seed, rng.LBL_POWER_INIT), 0, dim) - 1.0
-            for _ in range(2):
-                w = w - np.einsum("ij,i->j", q, np.einsum("ij,j->i", q, w))
+            key = rng.stream_key(seed, rng.LBL_POWER_INIT)
+            w = orthogonalized(2.0 * rng.uniform_block(key, 0, dim) - 1.0)
         elif (j + 1 - first) % _CHECK_EVERY == 0:
             theta, s = _tridiagonal_top(alphas[first:], betas[first:])
             if beta * abs(s[-1]) <= _LANCZOS_TOL * theta:
                 break
         betas.append(beta)
-        if j + 1 == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis)])[:limit]
         basis[j + 1] = w / _norm(w)
     steps = len(alphas)
     theta, s = _tridiagonal_top(alphas, betas[:steps - 1])
@@ -571,7 +575,7 @@ class SliceResult:
 
 def slice_lower(
     t: TensorLike,
-    num_slices: int = 4,
+    num_slices: int = NUM_SLICES,
     seed: SeedSpec = SeedSpec(),
     config: PowerIterConfig = PowerIterConfig(),
 ) -> SliceResult:
@@ -589,6 +593,7 @@ def slice_lower(
     k, n = t.shape.order, t.shape.dim
     if k < 3:
         raise ValueError(f"slice bound needs order >= 3, got {k}")
+    num_slices = operator.index(num_slices)
     if num_slices < 1:
         raise ValueError(f"num_slices must be >= 1, got {num_slices}")
     assignments = [np.ones(k - 2, dtype=np.int64)]
@@ -653,7 +658,7 @@ def spectral_sandwich(
     t: TensorLike,
     m: int,
     config: PowerIterConfig = PowerIterConfig(),
-    num_slices: int = 4,
+    num_slices: int = NUM_SLICES,
 ) -> SpectralEstimate:
     """Bracket the spectral norm: achieved-form lower bound and balanced
     {1..k-m | k-m+1..k} unfolding upper bound.

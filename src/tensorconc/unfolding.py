@@ -80,13 +80,7 @@ def multiway_partition(k: int, m: int) -> Partition:
     """floor(k/m) consecutive blocks of size m plus a residual block of size k mod m."""
     if not (1 <= m and 2 * m < k):
         raise ValueError(f"m must satisfy 1 <= m < k/2, got m={m}, k={k}")
-    blocks = []
-    start = 1
-    while start <= k:
-        stop = min(start + m - 1, k)
-        blocks.append(range(start, stop + 1))
-        start = stop + 1
-    return Partition(blocks)
+    return Partition([range(s, min(s + m, k + 1)) for s in range(1, k + 1, m)])
 
 
 def phi(partition: Partition, coord: Sequence[int], n: int) -> tuple:

@@ -430,6 +430,20 @@ class TestSerialization:
         assert again.sparse == t
         assert dumps_tensor(again) == dumps_tensor(t)
 
+    @pytest.mark.parametrize("text,match", [
+        ("", "empty tensor serialization"),
+        ("\n  \n", "empty tensor serialization"),
+        ("2 3 1\n1 2 1.0\n", "malformed header"),
+        ("2 3 1 0 0\n1 2 1.0\n", "malformed header"),
+        ("2 3 2 0\n1 2 1.0\n", "expected 2 entries, found 1"),
+        ("2 3 0 0\n1 2 1.0\n", "expected 0 entries, found 1"),
+        ("2 3 1 0\n1 2\n", "malformed entry line"),
+        ("2 3 1 0\n1 2 3 1.0\n", "malformed entry line"),
+    ])
+    def test_malformed_text_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            loads_tensor(text)
+
     def test_entry_list_order_irrelevant(self, rng):
         sh = TensorShape(2, 4)
         entries = [((1, 2), 1.5), ((3, 1), -2.0), ((2, 2), 4.0)]

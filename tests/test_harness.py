@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tensorconc import ConfigError, harness, load_config, run, summarize
-from tensorconc.harness import CSV_HEADER, config_from_dict
+from tensorconc.harness import CSV_HEADER, EstimatorSettings, config_from_dict
 
 
 def _base_config(**over):
@@ -82,9 +82,19 @@ class TestConfig:
 
     def test_invalid_config_cannot_be_built(self):
         cfg = config_from_dict(_base_config())
-        for over in ({"trials": 0}, {"base_seed": -1}, {"m": 3}):
+        for over in ({"trials": 0}, {"base_seed": -1}, {"m": 3}, {"trials": 2.5}, {"k": 3.0},
+                     {"n_list": (8.5,)}, {"base_seed": 1.5}, {"m": True}):
             with pytest.raises(ConfigError):
                 dataclasses.replace(cfg, **over)
+
+    @pytest.mark.parametrize("over,match", [
+        ({"restarts": 0}, "estimator.restarts must be an int >= 1, got 0"),
+        ({"num_slices": 2.5}, "estimator.num_slices must be an int >= 1, got 2.5"),
+        ({"restarts": True}, "estimator.restarts must be an int >= 1, got True"),
+    ])
+    def test_estimator_settings_read_on_construction(self, over, match):
+        with pytest.raises(ConfigError, match=match):
+            EstimatorSettings(**over)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -409,6 +419,36 @@ class TestSummarize:
         run(cfg)
         summary = json.loads((tmp_path / "r.csv.summary.json").read_text())
         assert summary["nonconverged_lower"] == summary["nonconverged_upper"] == 0
+
+    @pytest.mark.parametrize("edit,expect", [
+        ({}, 0),
+        ({"lower": "2.000000005"}, 0),  # above upper by less than SANDWICH_SLACK
+        ({"lower": "2.00000002"}, 1),
+        ({"wall_ms": None}, f"row has {len(CSV_HEADER) - 1} fields, expected {len(CSV_HEADER)}"),
+        ({"n": "8.0"}, "unparsable row"),
+        ({"upper": "two"}, "unparsable row"),
+        ({"aux": "{"}, "unparsable row"),
+        ({"aux": "[1]"}, "aux is not a JSON object"),
+    ])
+    def test_body_rows(self, tmp_path, edit, expect):
+        from tensorconc.harness import CsvFormatError
+
+        good = {"command": "concentration", "k": "3", "n": "8", "p": "0.2", "m": "2",
+                "trial": "0", "seed": "5:0", "lower": "1.5", "upper": "2", "sqrt_nmp": "1",
+                "ratio_lower": "1.5", "ratio_upper": "2", "aux": "{}", "wall_ms": "1"}
+        row = {**good, **edit}
+        path = tmp_path / "r.csv"
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            writer.writerow([good[name] for name in CSV_HEADER])
+            writer.writerow([row[name] for name in CSV_HEADER if row[name] is not None])
+        if isinstance(expect, int):
+            summary = summarize(str(path))
+            assert (summary["rows"], summary["violations"]) == (2, expect)
+        else:
+            with pytest.raises(CsvFormatError, match=expect):
+                summarize(str(path))
 
     def test_malformed_header(self, tmp_path):
         from tensorconc.harness import CsvFormatError

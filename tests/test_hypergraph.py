@@ -105,6 +105,16 @@ class TestAdjacency:
         h = er_hypergraph(3, 9, 0.4, SeedSpec(22, 0))
         assert loads_hypergraph(dumps_hypergraph(h)) == h
 
+    @pytest.mark.parametrize("text,match", [
+        ("", "empty hypergraph serialization"),
+        (" \n\n", "empty hypergraph serialization"),
+        ("3 5 2\n1 2 3\n", "expected 2 edges, found 1"),
+        ("3 5 0\n1 2 3\n", "expected 0 edges, found 1"),
+    ])
+    def test_malformed_text_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            loads_hypergraph(text)
+
 
 class TestCountEdges:
     def test_falling_factorial_on_distinct_pattern(self):

@@ -166,14 +166,14 @@ class TestRemovedCountCheck:
     def test_empty_within(self, rng):
         t = bernoulli_sample(TensorShape(4, 5), Homogeneous(0.2), SeedSpec(4, 0))
         res = regularize(t, 2, 0.2)
-        chk = removed_count_check(res, 5, 0.2)
+        chk = removed_count_check(res, 0.2)
         assert chk.within or chk.count > 0
 
     def test_bound_formula(self):
         # k=4, m=2 -> 2m-k = 0, bound = 1/p
         t = SparseTensor.empty(TensorShape(4, 25))
         res = regularize(t, 2, 3 / 625)
-        chk = removed_count_check(res, 25, 3 / 625)
+        chk = removed_count_check(res, 3 / 625)
         assert chk.bound == pytest.approx(625 / 3)
         assert chk.within
 

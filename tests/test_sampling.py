@@ -28,7 +28,7 @@ from tensorconc.rng import (
     _positions_percoord,
     _positions_skip,
     LBL_SUBSET_MEMBERS,
-    _uniforms,
+    _hashes,
     bernoulli_positions,
     hash_block,
     stream_key,
@@ -172,7 +172,7 @@ class TestHashKernel:
         key = stream_key(SeedSpec(3, 4), LBL_BERNOULLI)
         tops = [_fin_int(int(c) * _GAMMA + key) >> 11 for c in ctr]
         assert np.array_equal(uniforms_at(key, ctr), np.array(tops) * 2.0**-53)
-        assert np.array_equal(_uniforms(key, ctr, True), (np.array(tops) + 1) * 2.0**-53)
+        assert np.array_equal((_hashes(key, ctr) + 1) * 2.0**-53, (np.array(tops) + 1) * 2.0**-53)
 
 
     @pytest.mark.parametrize("start,count", [(5, 3), (2**16 - 7, 20), (3 * 2**16 + 11, 2**17 + 5)])

@@ -339,6 +339,11 @@ class TestSliceLower:
         with pytest.raises(ValueError, match="num_slices must be >= 1"):
             slice_lower(SparseTensor.all_ones(TensorShape(3, 3)), num_slices=count)
 
+    @pytest.mark.parametrize("count", [2.5, 1.0, "4"])
+    def test_slice_count_read_as_integer(self, count):
+        with pytest.raises(TypeError):
+            slice_lower(SparseTensor.all_ones(TensorShape(3, 3)), num_slices=count)
+
     def test_slice_below_hopm_on_random_instances(self):
         cfg = PowerIterConfig(restarts=8, seed=SeedSpec(0, 0))
         violations = 0
