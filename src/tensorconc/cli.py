@@ -26,9 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a (dotted) config key")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run trials in N spawned worker processes (at most one per "
-                            "usable CPU), each with one BLAS thread; the output bytes do "
-                            "not depend on N or on OPENBLAS_NUM_THREADS")
+                       help="run trials in the calling process plus N-1 spawned workers, "
+                            "never more processes than trials or usable CPUs; each worker "
+                            "has one BLAS thread, the caller keeps its own; the output "
+                            "bytes do not depend on N or on OPENBLAS_NUM_THREADS")
         p.add_argument("--out", default=None, help="output path override")
     return parser
 

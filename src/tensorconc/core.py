@@ -89,7 +89,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class SparseTensor:
+class _Frozen:
+    """Immutable once built: ``__init__`` sets each slot with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class SparseTensor(_Frozen):
     """Coordinate-list tensor with canonical (sorted, unique, zero-free) entries.
 
     Coordinates are 1-based integers (any integer dtype, checked against
@@ -135,9 +144,6 @@ class SparseTensor:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseTensor is immutable")
 
     @classmethod
     def empty(cls, shape: TensorShape) -> "SparseTensor":
@@ -200,7 +206,7 @@ class SparseTensor:
         return f"SparseTensor(k={self.shape.order}, n={self.shape.dim}, nnz={self.nnz})"
 
 
-class OffsetTensor:
+class OffsetTensor(_Frozen):
     """``sparse + background * J``: a sparse tensor over a constant offset."""
 
     __slots__ = ("sparse", "background")
@@ -211,9 +217,6 @@ class OffsetTensor:
             raise ValueError("background must be finite")
         object.__setattr__(self, "sparse", sparse)
         object.__setattr__(self, "background", background)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OffsetTensor is immutable")
 
     @property
     def shape(self) -> TensorShape:
@@ -266,8 +269,12 @@ class Homogeneous:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.p}")
+        _check_probability(self.p)
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {p}")
 
 
 def _check_p(p: float) -> None:
@@ -275,7 +282,7 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be in (0, 1], got {p}")
 
 
-class DenseProbability:
+class DenseProbability(_Frozen):
     """Entrywise probability table, gated to n^k <= 10^6; the table is copied."""
 
     __slots__ = ("table", "shape")
@@ -294,14 +301,11 @@ class DenseProbability:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "shape", shape)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseProbability is immutable")
-
 
 ProbabilityModel = Union[Homogeneous, DenseProbability]
 
 
-class VectorTuple:
+class VectorTuple(_Frozen):
     """k real vectors of length n, one per tensor mode, copied."""
 
     __slots__ = ("vectors",)
@@ -319,9 +323,6 @@ class VectorTuple:
         for v in vecs:
             v.flags.writeable = False
         object.__setattr__(self, "vectors", vecs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorTuple is immutable")
 
     def __iter__(self):
         return iter(self.vectors)
@@ -606,10 +607,11 @@ def _runs(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
 def linear_index(coords: np.ndarray, dim: int) -> np.ndarray:
     """Row-major 0-based uint64 linear index of each row of 1-based ``coords``
     over [dim]^columns; wraps modulo 2^64 past that."""
-    base = np.uint64(dim)
     lin = np.zeros(coords.shape[0], dtype=np.uint64)
-    for j in range(coords.shape[1]):
-        lin = lin * base + (coords[:, j].astype(np.uint64) - np.uint64(1))
+    for j in range(coords.shape[1]):  # in place: one column's temporary at a time
+        lin *= np.uint64(dim)
+        lin += coords[:, j].astype(np.uint64)
+        lin -= np.uint64(1)
     return lin
 
 

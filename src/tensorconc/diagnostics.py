@@ -90,8 +90,9 @@ def net_supremum_check(
     net = lattice_net(n, delta)
     y = net.points
     dense = t.materialize()
-    mats = [dense] if k == 2 else (np.tensordot(x, dense, axes=(0, 0)) for x in y)
-    sup = max(float(np.abs(y @ m @ y.T).max()) for m in mats) if net.size else 0.0
+    mats = [dense] if k == 2 else (np.einsum("a,abc->bc", x, dense) for x in y)
+    sup = max(float(np.abs(np.einsum("ia,ab,jb->ij", y, m, y)).max())
+              for m in mats) if net.size else 0.0
     bound = (1.0 - delta) ** (-k) * sup
     lower = hopm_lower(t, config).value
     return NetSupremumRecord(sup, bound, lower, lower <= bound + 1e-8, bound - lower)
@@ -279,7 +280,8 @@ def discrepancy_check(
     sizes, starts, members, masks = _family_batch(t.shape, families, seed)
     order = np.argsort(sizes, axis=1, kind="stable")  # by size, ties in mode order
     sizes, starts = (np.take_along_axis(a, order, axis=1) for a in (sizes, starts))
-    masks = np.take_along_axis(masks, order[:, :, None], axis=1)
+    if masks is not None:
+        masks = np.take_along_axis(masks, order[:, :, None], axis=1)
     e = _box_sums(t, sizes, starts, members, masks)
     mu_bar = _scaled_volume(p, sizes)
     lam = e / mu_bar

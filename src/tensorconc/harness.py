@@ -126,8 +126,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, _number(getattr(self, name), int, name))
         object.__setattr__(self, "n_list", tuple(_number(n, int, "n_list entry")
                                                  for n in self.n_list))
-        object.__setattr__(self, "params",
-                           _read_table("params", _PARAMS.get(self.command, {}), self.params))
+        table = _PARAMS.get(self.command, {})
+        raw = _section("params", table, self.params)
+        object.__setattr__(self, "params", {
+            key: _number(raw.get(key, default), kind, f"params.{key}", 1 if kind is int else None)
+            for key, (kind, default) in table.items()})
         if self.command not in COMMANDS:
             raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
         if self.k < 2:
@@ -176,7 +179,8 @@ def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig
         cmd = command
     if cmd is None:
         raise ConfigError("no command given")
-    est = EstimatorSettings(**_read_table("estimator", _ESTIMATOR, data.pop("estimator", {})))
+    est = EstimatorSettings(**_section("estimator", [f.name for f in fields(EstimatorSettings)],
+                                       data.pop("estimator", {})))
     part = data.pop("partition", None)
     if part is not None:
         try:
@@ -346,26 +350,22 @@ _TRIALS = {
 }
 COMMANDS = tuple(_TRIALS)
 
-# Typed tables of config sections, {key: (type, default)}; every int in them is a count.
-# command -> its params
+# command -> its params, {key: (type, default)}; every int in them is a count
 _PARAMS = {
     "expander": {"mixing_families": (int, 500)},
     "diagnostics": {"c1": (float, 3.0), "c2": (float, 20.0), "c3": (float, 20.0),
                     "families": (int, 1000)},
 }
-_ESTIMATOR = {f.name: (int, f.default) for f in fields(EstimatorSettings)}
 
 
-def _read_table(section: str, table: dict, raw) -> dict:
-    """The config object ``raw`` typed by ``table`` and completed with its defaults."""
+def _section(section: str, known, raw) -> dict:
+    """The config object ``raw``, whose keys must all be ``known``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} must be an object, got {raw!r}")
-    unknown = sorted(set(raw) - set(table))
+    unknown = sorted(set(raw) - set(known))
     if unknown:
-        raise ConfigError(f"unknown {section} keys: {unknown}; known: {sorted(table)}")
-    return {key: _number(raw.get(key, default), kind, f"{section}.{key}",
-                         1 if kind is int else None)
-            for key, (kind, default) in table.items()}
+        raise ConfigError(f"unknown {section} keys: {unknown}; known: {sorted(known)}")
+    return raw
 
 
 def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:

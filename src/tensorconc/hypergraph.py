@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .core import OffsetTensor, SparseTensor, TensorShape, _integers, _runs
+from .core import OffsetTensor, SparseTensor, TensorShape, _Frozen, _integers, _runs, linear_index
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, matrix_op_norm
 
 
-class Hypergraph:
+class Hypergraph(_Frozen):
     """Vertex set [1, n] plus a sorted set of strictly increasing k-tuples,
     validated as the support of a 0/1 ``SparseTensor`` of order k."""
 
@@ -39,9 +39,6 @@ class Hypergraph:
         object.__setattr__(self, "k", shape.order)
         object.__setattr__(self, "n", shape.dim)
         object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypergraph is immutable")
 
     @property
     def num_edges(self) -> int:
@@ -91,7 +88,8 @@ def adjacency(h: Hypergraph) -> SparseTensor:
 def _validate_families(shape: TensorShape, families) -> tuple:
     """One or more families as a batch (``_packed_batch``), checked in one
     vectorized pass: ``shape.order`` nonempty sets of distinct integers in
-    [1, n] each.  ``members`` is int64, in the order the sets list them."""
+    [1, n] each.  ``members`` is int64, in the order the sets list them;
+    a repeated member shows as equal neighbours once each set is sorted."""
     k, n = shape.order, shape.dim
     sets = []
     for fam in families:
@@ -105,15 +103,12 @@ def _validate_families(shape: TensorShape, families) -> tuple:
     sizes = np.array([s.size for s in sets], dtype=np.int64)
     if not sizes.all():
         raise ValueError("index sets must be nonempty")
-    members = np.concatenate(sets)
+    members = np.concatenate(sets).astype(np.int64)
     if members.min() < 1 or members.max() > n:
         raise ValueError(f"subset members must lie in [1, {n}]")
-    batch = _packed_batch(n, sizes.reshape(-1, k), members.astype(np.int64))
-    # a repeated member carries into (or out of) a word, so its set's mask
-    # keeps fewer bits than the set has members
-    if np.any(np.bitwise_count(batch[3]).sum(axis=2) != batch[0]):
+    if np.any(np.diff(np.sort(np.repeat(np.arange(sizes.size) * (n + 1), sizes) + members)) == 0):
         raise ValueError("subset members must be distinct")
-    return batch
+    return _packed_batch(n, sizes.reshape(-1, k), members)
 
 
 def _packed_batch(n: int, sizes: np.ndarray, members: np.ndarray) -> tuple:
@@ -121,13 +116,14 @@ def _packed_batch(n: int, sizes: np.ndarray, members: np.ndarray) -> tuple:
     [1, n] that ``members`` holds end to end, family by family and mode by
     mode, with ``sizes`` (F x k int64) members each.  ``starts`` (F x k
     int64) is each set's offset into ``members``; ``masks`` (F x k x
-    ceil(n/64) uint64) packs each set's members as ``_bit_rows`` does, bit i
-    of word w for member 64 w + i + 1."""
-    words = -(-n // 64)
+    ceil(n/64) uint64, or None where ``_packed_words`` is 0) packs each
+    set's members as ``_bit_rows`` does, bit i of word w for member 64 w + i + 1."""
+    words = _packed_words(sizes.shape[1], n)
     flat = sizes.ravel()
     starts = np.cumsum(flat) - flat
     bit = np.repeat(np.arange(flat.size) * (words * 64) - 1, flat) + members
-    masks = _bit_rows(flat.size, words, bit).reshape(*sizes.shape, words)
+    bits = np.split(bit, range(_BIT_CHUNK, bit.size, _BIT_CHUNK))
+    masks = _bit_rows(flat.size, words, bits).reshape(*sizes.shape, words) if words else None
     return sizes, starts.reshape(sizes.shape), members, masks
 
 
@@ -137,22 +133,21 @@ def _table(dim: int, subset: np.ndarray) -> np.ndarray:
     return table
 
 
-def _bit_rows(rows: int, words: int, bit: np.ndarray) -> np.ndarray:
-    """``rows`` x ``words`` uint64 words with the distinct flat bits ``bit``
-    set: bit ``b % 64`` of word ``b // 64``, counting words row by row.
+def _bit_rows(rows: int, words: int, bits) -> np.ndarray:
+    """``rows`` x ``words`` uint64 words with the distinct flat bits of the
+    arrays ``bits`` set: bit ``b % 64`` of word ``b // 64``, words row by row.
 
     Distinct bits are set by adding them, since no two of them carry into
-    each other, and ``np.add.at`` adds fast; ``_BIT_CHUNK`` bits at a time
-    bound its temporaries.
+    each other, and ``np.add.at`` adds fast; callers pass at most
+    ``_BIT_CHUNK`` bits an array, which bounds its temporaries.
     """
     out = np.zeros(rows * words, dtype=np.uint64)
-    for lo in range(0, bit.size, _BIT_CHUNK):
-        part = bit[lo:lo + _BIT_CHUNK]
+    for part in bits:
         np.add.at(out, part >> 6, np.left_shift(np.uint64(1), (part & 63).astype(np.uint64)))
     return out.reshape(rows, words)
 
 
-# Bits set per step of ``_bit_rows``: 256 KB of uint64 masks.
+# Bits per array passed to ``_bit_rows``: 256 KB of uint64 masks.
 _BIT_CHUNK = 1 << 15
 
 # Bits of the largest bit-packed layout, n^(k-1) * 64 * ceil(n/64) (n = 256 at
@@ -166,23 +161,30 @@ _PACKED_BITS = 1 << 24
 _PASS_WORDS = 1 << 15
 
 
+def _packed_words(k: int, n: int) -> int:
+    """Words per row, ceil(n/64), of the bit-packed layout of an order-k
+    tensor over [n]; 0 where the layout takes more than ``_PACKED_BITS`` bits."""
+    words = -(-n // 64)
+    return words if n ** (k - 1) * 64 * words <= _PACKED_BITS else 0
+
+
 def _box_sums(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, members: np.ndarray,
-              masks: np.ndarray) -> np.ndarray:
+              masks: Optional[np.ndarray]) -> np.ndarray:
     """Box sum (float64) of every family of a valid batch ``(sizes, starts,
     members, masks)`` (``_packed_batch``).
 
-    A 0/1 tensor whose layout takes at most ``_PACKED_BITS`` bits is counted
-    by ``_packed_counts``.  Any other tensor is counted family by family from
-    its sorted entries, whose rows with mode-1 index v form the run
-    ``first[v - 1]:first[v]``: a box sum reads each set at its start, gathers
-    the runs of V_1's members with one ``np.repeat``, masks modes 2..k on
-    those rows alone, and sums their values.
+    A 0/1 tensor whose batch has ``masks`` (its layout fits, see
+    ``_packed_words``) is counted by ``_packed_counts``.  Any other tensor is
+    counted family by family from its sorted entries, whose rows with mode-1
+    index v form the run ``first[v - 1]:first[v]``: a box sum reads each set
+    at its start, gathers the runs of V_1's members with one ``np.repeat``,
+    masks modes 2..k on those rows alone, and sums their values.
     """
     k, n = t.shape.order, t.shape.dim
     out = np.zeros(sizes.shape[0])
     if t.nnz == 0 or not out.size:
         return out
-    if n ** (k - 1) * 64 * -(-n // 64) <= _PACKED_BITS and np.all(t.values == 1.0):
+    if masks is not None and np.all(t.values == 1.0):
         return _packed_counts(t, sizes, starts, members, masks).astype(np.float64)
     cols = t.coords.T
     first = np.searchsorted(cols[0], np.arange(1, n + 2))
@@ -217,14 +219,10 @@ def _packed_counts(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, membe
     out = np.zeros(sizes.shape[0], dtype=np.int64)
     for mode in np.unique(widest).tolist():
         others = [j for j in range(k) if j != mode]
-        # each entry's row (its other indices, row-major), then its bit in the row
-        bit = np.zeros(t.nnz, dtype=np.int32)  # below _PACKED_BITS
-        for j in others:
-            bit *= n
-            bit += t.coords[:, j] - 1
-        bit *= words * 64
-        bit += t.coords[:, mode] - 1
-        fibers = _bit_rows(n ** (k - 1), words, bit)
+        # each entry's row (its other indices, row-major), then its bit in it, by chunks
+        fibers = _bit_rows(n ** (k - 1), words, (
+            linear_index(c[:, others], n).view(np.int64) * (words * 64) + c[:, mode] - 1
+            for c in np.split(t.coords, range(_BIT_CHUNK, t.nnz, _BIT_CHUNK))))
         group = np.flatnonzero(widest == mode)
         tuples = np.prod(sizes[group][:, others], axis=1)
         ends = np.cumsum(tuples)
@@ -330,7 +328,8 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
 
     Set j of family t has a log-uniform size and holds the members whose
     hashes at counters ``(t * k + j) * n + [0, n)`` rank below that size,
-    ascending, as int32; the same keep-row is packed into its mask.  All
+    ascending, as int32; the same keep-row is packed into its mask where
+    the bit-packed layout fits (``masks`` is None elsewhere).  All
     sets are drawn as one run of counters, ``_MEMBER_CHUNK`` counters at a
     time.
     """
@@ -343,8 +342,9 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
     rows = max(1, _MEMBER_CHUNK // n)
     members = []
+    words = _packed_words(k, n)
     # little-endian bytes of each set's words; packbits leaves the pad bits 0
-    masks = np.zeros((count * k, -(-n // 64) * 8), dtype=np.uint8)
+    masks = np.zeros((count * k, words * 8), dtype=np.uint8)
     for lo in range(0, count * k, rows):
         hi = min(count * k, lo + rows)
         h = rng.hash_block(member_key, lo * n, (hi - lo) * n).reshape(hi - lo, n)
@@ -355,10 +355,11 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
         # row r keeps sizes[r] flat indices r * n + member - 1
         members.append((np.flatnonzero(keep) - np.repeat(np.arange(hi - lo) * n - 1, sizes[lo:hi]))
                        .astype(np.int32))
-        masks[lo:hi, :(n + 7) // 8] = np.packbits(keep, axis=1, bitorder="little")
+        if words:
+            masks[lo:hi, :(n + 7) // 8] = np.packbits(keep, axis=1, bitorder="little")
     starts = np.cumsum(sizes) - sizes
     return (sizes.reshape(count, k), starts.reshape(count, k), np.concatenate(members),
-            masks.view("<u8").astype(np.uint64, copy=False).reshape(count, k, -1))
+            masks.view("<u8").astype(np.uint64, copy=False).reshape(count, k, words) if words else None)
 
 
 def _family_batch(shape: TensorShape, families, seed: SeedSpec) -> tuple:

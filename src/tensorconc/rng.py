@@ -27,6 +27,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .core import _check_probability
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -149,8 +151,7 @@ def bernoulli_positions(total: int, p: float, key: int) -> np.ndarray:
     distributionally identical but not byte-identical; the choice depends
     only on ``total``, never on p or the seed.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
+    _check_probability(p)
     if total < 0 or total >= 1 << 63:
         raise ValueError(f"coordinate space size out of range: {total}")
     if total == 0 or p == 0.0:

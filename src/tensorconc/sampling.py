@@ -22,6 +22,7 @@ from .core import (
     ProbabilityModel,
     SparseTensor,
     TensorShape,
+    _check_probability,
     _coords_from_linear,
 )
 from .hypergraph import Hypergraph
@@ -59,8 +60,7 @@ def sparsify_uniform(t: SparseTensor, p: float, seed: SeedSpec) -> SparseTensor:
     The keep decision is keyed by the entry's coordinate, so it does not
     depend on the entry's position in the list.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
+    _check_probability(p)
     if t.nnz == 0 or p == 1.0:
         return t
     if p == 0.0:

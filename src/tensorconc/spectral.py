@@ -220,6 +220,7 @@ def _lanczos(op, start: np.ndarray, seed: SeedSpec) -> tuple:
     basis[0] = start / _norm(start)
     alphas, betas = [], []
     first, scale = 0, 0.0  # first: index of the current run's first vector
+    top = None  # the passing test's Ritz pair, when it ends the first run
 
     def orthogonalized(w: np.ndarray) -> np.ndarray:
         q = basis[:j + 1]
@@ -244,11 +245,12 @@ def _lanczos(op, start: np.ndarray, seed: SeedSpec) -> tuple:
         elif (j + 1 - first) % _CHECK_EVERY == 0:
             theta, s = _tridiagonal_top(alphas[first:], betas[first:])
             if beta * abs(s[-1]) <= _LANCZOS_TOL * theta:
+                top = None if first else (theta, s)
                 break
         betas.append(beta)
-        basis[j + 1] = w / _norm(w)
+        basis[j + 1] = w / (beta or _norm(w))  # beta is 0 only after a restart
     steps = len(alphas)
-    theta, s = _tridiagonal_top(alphas, betas[:steps - 1])
+    theta, s = top or _tridiagonal_top(alphas, betas)
     vec = np.einsum("ij,i->j", basis[:steps], s)
     return theta, vec / _norm(vec), steps
 
@@ -671,10 +673,6 @@ def spectral_sandwich(
     t = as_offset(t)
     k = t.shape.order
     part = balanced_partition(k, m)
-    if t.is_exactly_zero():
-        wit = VectorTuple.basis(k, t.shape.dim, [1] * k)
-        return SpectralEstimate(0.0, 0.0, wit, part, 0, 0.0,
-                                0.0 if k >= 3 else None, None, True, True)
     slice_res = None
     extra = []
     if k >= 3:

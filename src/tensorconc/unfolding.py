@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetTensor, TensorLike, _frobenius_sq, _lex_order, as_offset, linear_index
+from .core import OffsetTensor, TensorLike, _Frozen, _frobenius_sq, _lex_order, as_offset, linear_index
 
 
-class Partition:
+class Partition(_Frozen):
     """Disjoint nonempty blocks of 1-based mode indices covering [k].
 
     Block order is significant (it fixes the unfolded mode order); members
@@ -42,9 +42,6 @@ class Partition:
             raise ValueError(f"blocks must partition [1..k], got {clean}")
         object.__setattr__(self, "blocks", clean)
         object.__setattr__(self, "order", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     def __reduce__(self):
         # rebuild through __init__: the default unpickling sets attributes
@@ -120,7 +117,7 @@ def phi_array(partition: Partition, coords: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-class UnfoldedView:
+class UnfoldedView(_Frozen):
     """Unfolding of an OffsetTensor through a partition.
 
     Entry values and the background are untouched; only coordinates are
@@ -143,9 +140,6 @@ class UnfoldedView:
         coords = phi_array(partition, source.sparse.coords, source.shape.dim)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnfoldedView is immutable")
 
     @property
     def arity(self) -> int:

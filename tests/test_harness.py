@@ -111,6 +111,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown estimator keys"):
             config_from_dict(_base_config(estimator=bad))
 
+    @pytest.mark.parametrize("raw, match", [
+        ([1], "estimator must be an object"), (4, "estimator must be an object"),
+        ({"restarts": 2, "seed": 1}, r"unknown estimator keys: \['seed'\]"),
+        ({"restarts": 0}, "estimator.restarts must be an int >= 1, got 0"),
+        ({"num_slices": "2"}, "estimator.num_slices must be an int >= 1, got '2'"),
+    ])
+    def test_estimator_section_messages(self, raw, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(_base_config(estimator=raw))
+
+    def test_estimator_counts_read_once(self, monkeypatch):
+        # the section is checked as an object with known keys; the settings
+        # read each count and fill the defaults themselves
+        names, real = [], harness._number
+
+        def spy(raw, kind, name, least=None):
+            names.append(name)
+            return real(raw, kind, name, least)
+
+        monkeypatch.setattr(harness, "_number", spy)
+        cfg = config_from_dict(_base_config(estimator={"num_slices": 2}))
+        assert names.count("estimator.num_slices") == names.count("estimator.restarts") == 1
+        assert cfg.estimator == EstimatorSettings(num_slices=2)
+        assert cfg.estimator.restarts == EstimatorSettings().restarts
+
     @pytest.mark.parametrize("key", ["restarts", "num_slices"])
     def test_estimator_counts_at_least_1(self, key):
         with pytest.raises(ConfigError, match=f"estimator.{key} must be an int >= 1, got 0"):
@@ -477,6 +502,16 @@ class TestCli:
         res = self._cli("summarize", "--config", str(sum_cfg))
         assert res.returncode == 0
         assert json.loads(res.stdout)["rows"] == 1
+
+    def test_jobs_help_names_the_caller(self):
+        # the caller runs trials beside N - 1 spawned workers and keeps its
+        # own BLAS threads
+        from tensorconc.cli import _build_parser
+
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        jobs = next(a for a in sub.choices["concentration"]._actions if a.dest == "jobs")
+        assert "calling process plus N-1 spawned workers" in jobs.help
+        assert "caller keeps its own" in jobs.help
 
     def test_config_error_exit_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from tensorconc import (
     sample_subset_families,
 )
 from tensorconc import hypergraph, rng
+from tensorconc.diagnostics import discrepancy_check
 
 
 class TestHypergraph:
@@ -471,7 +473,7 @@ def _check_batch(n, fams, batch):
         assert np.array_equal(members[a:a + s.size], s)
     bits = np.concatenate([r * words * 64 + s.astype(np.int64) - 1 for r, s in enumerate(sets)])
     flat = masks.reshape(-1, words)
-    assert np.array_equal(flat, hypergraph._bit_rows(len(sets), words, bits))
+    assert np.array_equal(flat, hypergraph._bit_rows(len(sets), words, [bits]))
     assert np.array_equal(flat, _word_packed(n, sets))
     if n % 64:
         assert not np.any(flat[:, -1] >> np.uint64(n % 64))
@@ -507,6 +509,54 @@ class TestFamilyBatch:
         assert hypergraph._validate_families(TensorShape(3, 130), [ok])[0].tolist() == [[6, 1, 1]]
         with pytest.raises(ValueError, match="distinct"):
             hypergraph._validate_families(TensorShape(3, 130), [ok, (ok[0], repeated, ok[2])])
+
+    @pytest.mark.parametrize("repeated", [[64, 64], [1, 64, 64], [63, 64, 63], [130, 65, 130],
+                                          [2, 1, 2, 3]])
+    def test_repeat_rejected_without_masks(self, repeated, monkeypatch):
+        # above the packed gate the batch has no masks; the same sort finds the repeat
+        monkeypatch.setattr(hypergraph, "_PACKED_BITS", 0)
+        ok = (np.array([1, 64, 65, 128, 129, 130]), np.array([2]), np.array([3]))
+        assert hypergraph._validate_families(TensorShape(3, 130), [ok])[3] is None
+        with pytest.raises(ValueError, match="distinct"):
+            hypergraph._validate_families(TensorShape(3, 130), [ok, (ok[0], repeated, ok[2])])
+
+    def test_no_masks_where_the_packed_layout_does_not_fit(self):
+        # at n = 10^6 a set's mask takes 125 KB: 200 pairs of 5-member sets
+        # would pack 48 MB that the entry path, which counts this shape,
+        # never reads
+        n = 10**6
+        coords = np.array([[1, 2], [2, 1], [7, 999_999], [999_999, 7], [500_000, 3]])
+        t = SparseTensor(TensorShape(2, n), coords, np.ones(len(coords)))
+        gen = np.random.default_rng(12)
+        pool = np.array([1, 2, 3, 7, 500_000, 999_999])
+        fams = [tuple(np.concatenate([gen.choice(pool, 2, replace=False),
+                                      gen.choice(np.arange(8, 499_999), 3, replace=False)])
+                      for _ in range(2)) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = mixing_check(t, 0.5, SubsetFamilies.explicit(fams))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the entry path's own index over [1, n + 1] takes 16 MB
+        assert peak < 24 * 2**20
+        want = [sum(int(a in set(v1.tolist()) and b in set(v2.tolist())) for a, b in coords.tolist())
+                for v1, v2 in fams]
+        assert report.e.tolist() == want
+        assert hypergraph._validate_families(t.shape, fams)[3] is None
+
+    def test_drawn_families_without_masks_counted(self):
+        # a drawn batch above the packed gate carries no masks; ordering its
+        # sets by size still works, and counts as the same families listed
+        n = 5000
+        t = adjacency(er_hypergraph(2, n, 0.01, SeedSpec(3, 3)))
+        assert hypergraph._draw_families(2, n, 30, SeedSpec(4))[3] is None
+        drawn = discrepancy_check(t, 0.01, 2.0, 2.0, 30, SeedSpec(4))
+        listed = discrepancy_check(t, 0.01, 2.0, 2.0, sample_subset_families(2, n, 30, SeedSpec(4)))
+        assert drawn.e.tolist() == listed.e.tolist()
+        assert drawn.sizes.tolist() == listed.sizes.tolist()
 
 
 def _box_sums(t, families):

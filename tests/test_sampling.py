@@ -216,6 +216,21 @@ class TestSparsifyUniform:
         assert np.all((sub == 0) | (sub == full))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda p: Homogeneous(p),
+    lambda p: bernoulli_positions(10, p, 1),
+    lambda p: sparsify_uniform(SparseTensor.all_ones(TensorShape(2, 3)), p, SeedSpec()),
+    lambda p: er_hypergraph(3, 6, p, SeedSpec()),
+], ids=["Homogeneous", "bernoulli_positions", "sparsify_uniform", "er_hypergraph"])
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, -math.inf])
+def test_probability_rule_shared(entry, p):
+    # one [0, 1] rule and one message at every entry point; 0 and 1 pass
+    with pytest.raises(ValueError, match=r"^probability must be in \[0, 1\], got "):
+        entry(p)
+    entry(0.0)
+    entry(1.0)
+
+
 class TestErdosRenyi:
     def test_p_zero(self):
         assert er_hypergraph(3, 10, 0.0, SeedSpec(0, 0)).num_edges == 0

@@ -373,6 +373,25 @@ class TestSandwich:
         est = spectral_sandwich(w, 1)
         assert (est.lower, est.upper) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kind", ["empty", "cancelled"])
+    def test_exactly_zero_tensor_takes_the_general_path(self, k, m, n, kind):
+        # the callees' own zero answers, with the chain recorded as 0.0
+        # wherever 2m < k, as for any nonzero tensor
+        shape = TensorShape(k, n)
+        t = (SparseTensor.empty(shape) if kind == "empty"
+             else center(SparseTensor.all_ones(shape), Homogeneous(1.0)))
+        est = spectral_sandwich(t, m)
+        assert (est.lower, est.upper, est.hopm_value) == (0.0, 0.0, 0.0)
+        assert est.slice_value == (0.0 if k >= 3 else None)
+        assert est.chain_upper == (0.0 if 2 * m < k else None)
+        assert est.iterations_used == 0
+        assert est.lower_converged and est.upper_converged
+        assert est.upper_partition == balanced_partition(k, m)
+        basis = np.eye(1, n)[0]
+        assert all(np.array_equal(x, basis) for x in est.lower_witness)
+
     def test_centered_bernoulli_consistent(self):
         t = bernoulli_sample(TensorShape(3, 40), Homogeneous(0.2), SeedSpec(5, 0))
         w = center(t, Homogeneous(0.2))
@@ -690,3 +709,64 @@ class TestUnitValueProduct:
 
     def test_weighted_values_are_not_unit(self):
         assert not _Contraction.of(OffsetTensor(SparseTensor.from_dense(np.diag([1.0, 2.0])))).unit
+
+
+class TestLanczos:
+    """``_lanczos`` returns the top pair of the tridiagonal matrix of its
+    whole run, bisected once."""
+
+    @staticmethod
+    def _run(monkeypatch, diag, start):
+        """The result, the recorded ``_tridiagonal_top`` arguments and the
+        basis vectors the operator was applied to."""
+        calls, basis, real = [], [], spectral._tridiagonal_top
+
+        def spy(d, e):
+            calls.append((list(d), list(e)))
+            return real(d, e)
+
+        def op(q):
+            basis.append(q.copy())
+            return diag * q
+
+        monkeypatch.setattr(spectral, "_tridiagonal_top", spy)
+        return spectral._lanczos(op, start, SeedSpec(4, 0)), calls, np.array(basis)
+
+    @staticmethod
+    def _check_fresh(result, calls, basis):
+        theta, vec, steps = result
+        d, e = calls[-1]
+        assert (len(d), len(e), len(basis)) == (steps, steps - 1, steps)
+        want, s = spectral._tridiagonal_top(d, e)
+        assert theta == want
+        ritz = np.einsum("ij,i->j", basis, s)
+        assert np.array_equal(vec, ritz / spectral._norm(ritz))
+
+    def test_converged_first_run_bisected_once(self, monkeypatch):
+        diag = np.linspace(0.0, 1.0, 200)
+        diag[17] = 10.0
+        result, calls, basis = self._run(monkeypatch, diag, np.ones(200))
+        assert result[2] < 200
+        assert [len(d) for d, _ in calls].count(result[2]) == 1
+        self._check_fresh(result, calls, basis)
+        assert result[0] == pytest.approx(10.0, rel=1e-12)
+
+    def test_restart_ended_by_convergence(self, monkeypatch):
+        # e_1 spans an invariant space: the first run breaks down at once,
+        # and the second converges on the rest of the spectrum
+        diag = np.concatenate([[1.0], np.linspace(0.0, 2.0, 199)])
+        diag[60] = 5.0
+        start = np.eye(1, 200)[0]
+        result, calls, basis = self._run(monkeypatch, diag, start)
+        self._check_fresh(result, calls, basis)
+        assert calls[-1][1][0] == 0.0  # the restart's zero coupling
+        assert result[0] == pytest.approx(5.0, rel=1e-12)
+
+    def test_restart_ended_by_breakdown(self, monkeypatch):
+        diag = np.concatenate([[3.0, 2.0], np.ones(18)])
+        start = np.zeros(20)
+        start[:2] = 1.0
+        result, calls, basis = self._run(monkeypatch, diag, start)
+        self._check_fresh(result, calls, basis)
+        assert 0.0 in calls[-1][1]
+        assert result[0] == pytest.approx(3.0, rel=1e-12)
