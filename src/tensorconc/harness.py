@@ -26,8 +26,8 @@ from .hypergraph import SubsetFamilies, adjacency, mixing_check
 from .regularization import degree_map, expander_construct, regularize, removed_count_check
 from .rng import SeedSpec
 from .sampling import bernoulli_sample, er_hypergraph, sparsify_uniform
-from .spectral import NUM_SLICES, SANDWICH_SLACK, PowerIterConfig, matrix_op_norm, spectral_sandwich
-from .unfolding import Partition, unfold
+from .spectral import NUM_SLICES, SANDWICH_SLACK, PowerIterConfig, spectral_sandwich
+from .unfolding import Partition
 
 class ConfigError(Exception):
     """Invalid experiment configuration (CLI exit code 2)."""
@@ -117,7 +117,7 @@ class ExperimentConfig:
     base_seed: int
     estimator: EstimatorSettings = EstimatorSettings()
     out: str = "results.csv"
-    partition: object = None  # optional Partition override for the upper bound
+    partition: object = None  # optional upper candidate: a Partition or its blocks
     params: dict = field(default_factory=dict)  # typed and completed from _PARAMS
 
     def __post_init__(self):
@@ -163,6 +163,12 @@ class ExperimentConfig:
             raise ConfigError(f"sparsify lists all n^k entries; n = {max(self.n_list)} is "
                               f"above the dense gate n^k <= {DENSE_GATE}")
         if self.partition is not None:
+            if not isinstance(self.partition, Partition):
+                try:
+                    object.__setattr__(self, "partition", Partition(
+                        [[_number(i, int, "partition entry") for i in b] for b in self.partition]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad partition: {exc}") from exc
             if self.partition.order != self.k:
                 raise ConfigError(
                     f"partition covers [{self.partition.order}] but k = {self.k}")
@@ -181,12 +187,6 @@ def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig
         raise ConfigError("no command given")
     est = EstimatorSettings(**_section("estimator", [f.name for f in fields(EstimatorSettings)],
                                        data.pop("estimator", {})))
-    part = data.pop("partition", None)
-    if part is not None:
-        try:
-            part = Partition([[_number(i, int, "partition entry") for i in b] for b in part])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad partition: {exc}") from exc
     try:
         cfg = ExperimentConfig(
             command=cmd,
@@ -198,7 +198,7 @@ def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig
             base_seed=data.pop("base_seed", 0),
             estimator=est,
             out=str(data.pop("out", "results.csv")),
-            partition=part,
+            partition=data.pop("partition", None),
             params=data.pop("params", {}),
         )
     except KeyError as exc:
@@ -375,17 +375,11 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
     w, aux = _TRIALS[cfg.command](cfg, n, p, seed)
     lower = upper = 0.0
     if w is not None:
-        pconf = cfg.estimator.power_config(seed)
-        est = spectral_sandwich(w, cfg.m, pconf, num_slices=cfg.estimator.num_slices)
+        est = spectral_sandwich(w, cfg.m, cfg.estimator.power_config(seed),
+                                num_slices=cfg.estimator.num_slices, partition=cfg.partition)
         lower, upper = est.lower, est.upper
-        aux.update(hopm=est.hopm_value, lower_converged=est.lower_converged,
+        aux.update(est.bounds, lower_converged=est.lower_converged,
                    upper_converged=est.upper_converged)
-        if est.slice_value is not None:
-            aux["slice"] = est.slice_value
-        if est.chain_upper is not None:
-            aux["chain_upper"] = est.chain_upper
-        if cfg.partition is not None and cfg.partition != est.upper_partition:
-            aux["partition_upper"] = matrix_op_norm(unfold(w, cfg.partition), pconf).value
     sqrt_nmp = math.sqrt(n**cfg.m * p)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ResultRecord(

@@ -127,12 +127,6 @@ def _packed_batch(n: int, sizes: np.ndarray, members: np.ndarray) -> tuple:
     return sizes, starts.reshape(sizes.shape), members, masks
 
 
-def _table(dim: int, subset: np.ndarray) -> np.ndarray:
-    table = np.zeros(dim + 1, dtype=bool)
-    table[subset] = True
-    return table
-
-
 def _bit_rows(rows: int, words: int, bits) -> np.ndarray:
     """``rows`` x ``words`` uint64 words with the distinct flat bits of the
     arrays ``bits`` set: bit ``b % 64`` of word ``b // 64``, words row by row.
@@ -175,27 +169,40 @@ def _box_sums(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, members: n
 
     A 0/1 tensor whose batch has ``masks`` (its layout fits, see
     ``_packed_words``) is counted by ``_packed_counts``.  Any other tensor is
-    counted family by family from its sorted entries, whose rows with mode-1
-    index v form the run ``first[v - 1]:first[v]``: a box sum reads each set
-    at its start, gathers the runs of V_1's members with one ``np.repeat``,
-    masks modes 2..k on those rows alone, and sums their values.
+    counted family by family from its sorted entries, in work sized by the
+    members and the rows the families read, never by n: the runs of the
+    distinct first-set members, whose modes 2..k indices are ranked among
+    the values those rows hold.  A box sum marks the ranks of V_2..V_k in
+    turn, keeps the rows of V_1's runs whose ranks are all marked, and sums
+    their values in the order V_1 lists its members.
     """
-    k, n = t.shape.order, t.shape.dim
+    k = t.shape.order
     out = np.zeros(sizes.shape[0])
     if t.nnz == 0 or not out.size:
         return out
     if masks is not None and np.all(t.values == 1.0):
         return _packed_counts(t, sizes, starts, members, masks).astype(np.float64)
     cols = t.coords.T
-    first = np.searchsorted(cols[0], np.arange(1, n + 2))
-    for f in range(out.size):
-        subsets = [members[a:a + size] for a, size in zip(starts[f].tolist(), sizes[f].tolist())]
-        lo = first[subsets[0] - 1]
-        idx = _runs(lo, first[subsets[0]] - lo)
-        mask = _table(n, subsets[1])[cols[1][idx]]
-        for j in range(2, k):
-            mask &= _table(n, subsets[j])[cols[j][idx]]
-        out[f] = np.sum(t.values[idx], where=mask)
+    firsts = np.unique(members[_runs(starts[:, 0], sizes[:, 0])])
+    lo = np.searchsorted(cols[0], firsts)
+    lens = np.searchsorted(cols[0], firsts, "right") - lo
+    rows, at = _runs(lo, lens), np.cumsum(lens) - lens
+    held, row_ranks = np.unique(cols[1:, rows], return_inverse=True)
+    row_ranks = row_ranks.reshape(k - 1, rows.size)
+    r = np.searchsorted(held, members)
+    # the appended 0 equals no member (all are >= 1): a value no row holds ranks held.size
+    rank = np.where(np.append(held, 0)[r] == members, r, held.size)
+    marked = np.zeros(held.size + 1, dtype=bool)
+    for f, (begin, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        i = np.searchsorted(firsts, members[begin[0]:begin[0] + size[0]])
+        pos = _runs(at[i], lens[i])  # V_1's runs, as positions in rows
+        mask = True
+        for j in range(1, k):
+            ranks = rank[begin[j]:begin[j] + size[j]]
+            marked[ranks] = True
+            mask = mask & marked[row_ranks[j - 1][pos]]
+            marked[ranks] = False
+        out[f] = np.sum(t.values[rows[pos]], where=mask)
     return out
 
 

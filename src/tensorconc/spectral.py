@@ -630,16 +630,15 @@ def kron_lift(xs: Sequence[np.ndarray], modes: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class SpectralEstimate:
-    """Certified bracket around an (intractable) tensor spectral norm."""
+    """Certified bracket around an (intractable) tensor spectral norm, with
+    each candidate's value in ``bounds`` by name (see ``spectral_sandwich``)."""
 
     lower: float
     upper: float
     lower_witness: VectorTuple
     upper_partition: Partition
     iterations_used: int
-    hopm_value: float
-    slice_value: Optional[float]
-    chain_upper: Optional[float]
+    bounds: dict
     lower_converged: bool
     upper_converged: bool
 
@@ -661,49 +660,47 @@ def spectral_sandwich(
     m: int,
     config: PowerIterConfig = PowerIterConfig(),
     num_slices: int = NUM_SLICES,
+    partition: Optional[Partition] = None,
 ) -> SpectralEstimate:
-    """Bracket the spectral norm: achieved-form lower bound and balanced
-    {1..k-m | k-m+1..k} unfolding upper bound.
+    """Bracket the spectral norm by the best of its candidates.
 
-    For m < k/2 the multiway chain is recorded as a diagnostic upper bound:
-    the unfolding by ``_chain_partition(k, m)``, the two-block partition
-    ``balanced_partition(k, k - s m)`` that splits the consecutive size-m
-    blocks at their most balanced point (so {1 | 2,3} for k = 3, m = 1).
+    Lower candidates: ``hopm`` and, for k >= 3, ``slice``, whose witness
+    also seeds HOPM; ``lower`` is the largest, a tie going to HOPM.  Upper
+    candidates are unfolding norms: ``balanced_upper`` (by
+    ``balanced_partition(k, m)``, from the lift of the lower witness),
+    ``chain_upper`` for m < k/2 (by ``_chain_partition(k, m)``: {1 | 2,3}
+    for k = 3, m = 1) and ``partition_upper`` (by the two-block
+    ``partition``, unless it is the balanced one).  ``upper`` is the least
+    certified candidate, or the least of all with ``upper_converged`` False
+    when none is certified; a tie goes to the earlier one.  ``bounds`` maps
+    each candidate to its value, ``balanced_upper`` only when another wins.
     """
     t = as_offset(t)
     k = t.shape.order
     part = balanced_partition(k, m)
-    slice_res = None
-    extra = []
+    slices = {}
     if k >= 3:
-        slice_res = slice_lower(t, num_slices=num_slices, seed=config.seed, config=config)
-        extra.append(slice_res.witness)
-    hopm = hopm_lower(t, config, extra_inits=extra)
-    iterations = hopm.iterations
-    if slice_res is not None and slice_res.value > hopm.value:
-        lower, witness, lower_conv = slice_res.value, slice_res.witness, slice_res.converged
-    else:
-        lower, witness, lower_conv = hopm.value, hopm.witness, hopm.converged
-    lift = kron_lift(list(witness), part.blocks[1])
-    upper_res = matrix_op_norm(unfold(t, part), config, extra_inits=[lift])
-    iterations += upper_res.iterations
-    chain = None
+        slices["slice"] = slice_lower(t, num_slices=num_slices, seed=config.seed, config=config)
+    hopm = hopm_lower(t, config, extra_inits=[r.witness for r in slices.values()])
+    lowers = {"hopm": hopm, **slices}
+    best = max(lowers.values(), key=lambda r: r.value)
+    lift = kron_lift(list(best.witness), part.blocks[1])
+    parts = {"balanced_upper": part}
     if 2 * m < k:
-        chain_res = matrix_op_norm(unfold(t, _chain_partition(k, m)), config)
-        iterations += chain_res.iterations
-        chain = chain_res.value
-    check = abs(multilinear_form(t, witness))
-    if lower > 0 and abs(check - lower) > 1e-8 * max(lower, 1.0):
-        raise AssertionError(f"witness does not reproduce lower bound: {check} vs {lower}")
+        parts["chain_upper"] = _chain_partition(k, m)
+    if partition is not None and partition != part:
+        parts["partition_upper"] = partition
+    uppers = {key: matrix_op_norm(unfold(t, p), config,
+                                  extra_inits=[lift] if key == "balanced_upper" else ())
+              for key, p in parts.items()}
+    name = min(uppers, key=lambda key: (not uppers[key].converged, uppers[key].value))
+    check = abs(multilinear_form(t, best.witness))
+    if best.value > 0 and abs(check - best.value) > 1e-8 * max(best.value, 1.0):
+        raise AssertionError(f"witness does not reproduce lower bound: {check} vs {best.value}")
+    bounds = {key: r.value for key, r in {**lowers, **uppers}.items()
+              if not key == name == "balanced_upper"}
     return SpectralEstimate(
-        lower=lower,
-        upper=upper_res.value,
-        lower_witness=witness,
-        upper_partition=part,
-        iterations_used=iterations,
-        hopm_value=hopm.value,
-        slice_value=None if slice_res is None else slice_res.value,
-        chain_upper=chain,
-        lower_converged=lower_conv,
-        upper_converged=upper_res.converged,
-    )
+        lower=best.value, upper=uppers[name].value, lower_witness=best.witness,
+        upper_partition=parts[name], bounds=bounds,
+        iterations_used=hopm.iterations + sum(r.iterations for r in uppers.values()),
+        lower_converged=best.converged, upper_converged=uppers[name].converged)

@@ -55,20 +55,20 @@ CASES = {
 DIGESTS = {
     "concentration": ("635c1f6ce99f32ded79637abd2c9a0808e156f45ae16131f38e71150f8a4243c",
                       "06cb040dae4f38486fa68dffaa75385257e8fda61eb27eb48792bf44d13e6028"),
-    "chain-k3-m1": ("112a81f416bd8da580bdb0e9e3fa2fca021b5c5e05b4da04f4042482a4b19b6b",
-                    "17a33ee4bafd45734730e03ca5d2e187e0195d344bc102b671aa35d5462658a2"),
-    "chain-k5-m2": ("4a3891a1e1ecc7e65ac88be8e9720a40d6c852931ea68f36696d803a0f4c5522",
-                    "e6dc48fd12ac4d11b5aa2a3f0793040b27f3df04043eae743b6f730831d928c1"),
-    "chain-k4-m1": ("a49f5cbea3fbb61c09325fae4757fc8e39c08313b84ec5726639195dc186ae53",
-                    "b80f6a38bdf1f1f63eb483ea9057eefa0cf112929ad7be47648c90d598957525"),
+    "chain-k3-m1": ("60aceb2a6c1edf87e08a85460ab7acb85542bd19850462c55b5c5389727994be",
+                    "4158e1af117afb1205db325cb9d4e55d4c09210986923ce2a645f5f0a9ac0028"),
+    "chain-k5-m2": ("a303ed7283cfafd397a6ec502f71d30215bf5e952125a51055c33e08d5c9f5f5",
+                    "a4b1ace3bb4475b68aa35c8f46ffaf34cc5adf9ecb59a275595c96f7a61cfed7"),
+    "chain-k4-m1": ("0fd4e532cf7f44e079fa29ff63cb0518685068567386878093840ed7774fc89e",
+                    "f6ae75185dc53d596be0f22721021eb1690a77e84959313461440a6cf1517d71"),
     "k2": ("3addbc9a5365d5b6098f168e87d8d958e1e825923e1dd74a0a5e2fb2715a8226",
            "157a32bba8ce3be12d7d496ee79315a228c8c50c9b071e1e66b2fd65c487c4d1"),
-    "partition": ("13c2eb262b66271899dfcaa5700369cd85bcb39c4f777a7b8e33e6a8b9d2b962",
-                  "06cb040dae4f38486fa68dffaa75385257e8fda61eb27eb48792bf44d13e6028"),
+    "partition": ("1481ad2150ccd5ac9d69f99a976943e2b9e92b15ac65b3c4154737ce0c1708a8",
+                  "83e21cb3f7ba4e12b7af23414e130429cf947e2abc14fa75265c38b85078ef24"),
     "regularize": ("c9473588fa67ad5cdcb6875aae25038372453a820d7ab400ada24e3d7f51f3b3",
                    "24eb9030b17fb9ab88719d7ee0a35ee6e42b6a93daf6149563604b47bc2c1b3f"),
-    "regularize-chain": ("08f35d98935dfd5076ee4dc6c215732031624b62354e21631bb7844e0932908b",
-                         "5da21f09bbed75d13648dcf0cebbaed2cc6f70670f82792ddac2eff99bba85ff"),
+    "regularize-chain": ("a780571cfcbf38934952f3bc3c684a8007c5fd87513cf8cbc94446b01ea306b1",
+                         "4954bbef35e9058b0aba26b17d8c5093223245426834fa293b694376d409b060"),
     "expander": ("2724b8aeed7b0b1ebcae866763e4ead81119f6ce1c432051e85da498eaa8fbe0",
                  "4e96b1595d058b8e6af670cc0a8760b3524865a60fbd121044a69073af40cd70"),
     "sparsify": ("c2cf0453cabb9c73baa15d4c869cdc009b093aac413eefc136fb5515fb014d6e",

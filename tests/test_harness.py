@@ -11,6 +11,7 @@ import pytest
 
 from tensorconc import ConfigError, harness, load_config, run, summarize
 from tensorconc.harness import CSV_HEADER, EstimatorSettings, config_from_dict
+from tensorconc.unfolding import Partition
 
 
 def _base_config(**over):
@@ -86,6 +87,23 @@ class TestConfig:
                      {"n_list": (8.5,)}, {"base_seed": 1.5}, {"m": True}):
             with pytest.raises(ConfigError):
                 dataclasses.replace(cfg, **over)
+
+    def test_partition_built_in_code_is_read(self):
+        # blocks or a Partition, in the constructor or through replace, with
+        # each entry read as a config number
+        cfg = harness.ExperimentConfig(command="concentration", k=3, n_list=(8,), m=2, trials=1,
+                                       base_seed=0, p_rule=harness.PRule("fixed", p=0.3),
+                                       partition=[[1, 3], [np.int64(2)]])
+        assert cfg.partition == Partition([[1, 3], [2]])
+        assert dataclasses.replace(cfg, partition=[[2], [1, 3]]).partition == Partition([[2], [1, 3]])
+        assert dataclasses.replace(cfg, partition=cfg.partition).partition is cfg.partition
+        for bad, match in [([[1, 3], [3]], "bad partition"), ([[1, 3], [2.5]], "partition entry"),
+                           ([[1, 3], [True]], "partition entry"), (7, "bad partition"),
+                           ([[1], [2]], r"partition covers \[2\]")]:
+            with pytest.raises(ConfigError, match=match):
+                dataclasses.replace(cfg, partition=bad)
+            with pytest.raises(ConfigError, match=match):
+                config_from_dict(_base_config(partition=bad))
 
     @pytest.mark.parametrize("over,match", [
         ({"restarts": 0}, "estimator.restarts must be an int >= 1, got 0"),

@@ -540,7 +540,7 @@ class TestFamilyBatch:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the entry path's own index over [1, n + 1] takes 16 MB
+        # well below the 48 MB the sets' masks would take
         assert peak < 24 * 2**20
         want = [sum(int(a in set(v1.tolist()) and b in set(v2.tolist())) for a, b in coords.tolist())
                 for v1, v2 in fams]
@@ -616,6 +616,33 @@ class TestBoxCounterPaths:
                 assert _box_sums(unit, [subsets])[0] == dense_count_edges(unit_dense, subsets)
                 want = weighted_dense[np.ix_(*(s - 1 for s in subsets))].sum()
                 assert _box_sums(weighted, [subsets])[0] == pytest.approx(want, rel=0, abs=1e-12)
+        assert packed_calls == []
+
+    def test_entry_path_work_does_not_grow_with_n(self, packed_calls):
+        # 200 pairs of 5-member sets against a 5-entry weighted tensor at
+        # n = 10^6: the members are searched for, with no index or mask over [1, n]
+        n = 10**6
+        coords = np.array([[1, 2], [2, 1], [7, 999_999], [999_999, 7], [500_000, 3]])
+        values = [1.5, -2.0, 0.5, 3.0, -1.0]
+        t = SparseTensor(TensorShape(2, n), coords, values)
+        gen = np.random.default_rng(13)
+        pool = np.array([1, 2, 3, 7, 500_000, 999_999])
+        fams = [tuple(np.concatenate([gen.choice(pool, 2, replace=False),
+                                      gen.choice(np.arange(8, 499_999), 3, replace=False)])
+                      for _ in range(2)) for _ in range(200)]
+        batch = hypergraph._validate_families(t.shape, fams)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = hypergraph._box_sums(t, *batch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        want = [sum(v for (a, b), v in zip(coords.tolist(), values)
+                    if a in set(v1.tolist()) and b in set(v2.tolist())) for v1, v2 in fams]
+        assert got.tolist() == want
         assert packed_calls == []
 
     def test_gate_is_inclusive(self, packed_calls):

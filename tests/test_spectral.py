@@ -226,8 +226,11 @@ class TestCertifiedUpper:
         t = bernoulli_sample(TensorShape(3, 12), Homogeneous(0.3), SeedSpec(6, 1))
         w = center(t, Homogeneous(0.3))
         est = spectral_sandwich(w, 1, PowerIterConfig(restarts=3, seed=SeedSpec(6, 1)))
-        _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, balanced_partition(3, 1))))
-        _assert_certified(est.chain_upper, _svd_norm(_dense_unfolding(w, Partition([[1], [2, 3]]))))
+        _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, est.upper_partition)))
+        _assert_certified(est.bounds.get("balanced_upper", est.upper),
+                          _svd_norm(_dense_unfolding(w, balanced_partition(3, 1))))
+        _assert_certified(est.bounds["chain_upper"],
+                          _svd_norm(_dense_unfolding(w, Partition([[1], [2, 3]]))))
 
     def test_order2_with_background(self, rng):
         m = np.where(rng.random((9, 9)) < 0.4, rng.standard_normal((9, 9)), 0.0)
@@ -383,9 +386,9 @@ class TestSandwich:
         t = (SparseTensor.empty(shape) if kind == "empty"
              else center(SparseTensor.all_ones(shape), Homogeneous(1.0)))
         est = spectral_sandwich(t, m)
-        assert (est.lower, est.upper, est.hopm_value) == (0.0, 0.0, 0.0)
-        assert est.slice_value == (0.0 if k >= 3 else None)
-        assert est.chain_upper == (0.0 if 2 * m < k else None)
+        assert (est.lower, est.upper, est.bounds["hopm"]) == (0.0, 0.0, 0.0)
+        assert est.bounds.get("slice") == (0.0 if k >= 3 else None)
+        assert est.bounds.get("chain_upper") == (0.0 if 2 * m < k else None)
         assert est.iterations_used == 0
         assert est.lower_converged and est.upper_converged
         assert est.upper_partition == balanced_partition(k, m)
@@ -404,8 +407,8 @@ class TestSandwich:
         t = bernoulli_sample(TensorShape(3, 10), Homogeneous(0.3), SeedSpec(6, 0))
         w = center(t, Homogeneous(0.3))
         est = spectral_sandwich(w, 1, PowerIterConfig(restarts=4, seed=SeedSpec(6, 0)))
-        assert est.chain_upper is not None
-        assert est.chain_upper >= est.lower - 1e-8
+        assert "chain_upper" in est.bounds
+        assert est.bounds["chain_upper"] >= est.lower - 1e-8
 
     def test_chain_is_coarsened_unfolding(self):
         # k=3, m=1: both splits of {1}{2}{3} are equally balanced; the tie
@@ -416,7 +419,7 @@ class TestSandwich:
             w = center(t, Homogeneous(0.3))
             est = spectral_sandwich(w, 1, cfg)
             first = matrix_op_norm(unfold(w, Partition([[1], [2, 3]])), cfg).value
-            assert est.chain_upper == first, n
+            assert est.bounds["chain_upper"] == first, n
 
     def test_chain_partition_matches_merged_multiway(self):
         for k in range(3, 15):
@@ -429,7 +432,7 @@ class TestSandwich:
         w = _centered(4, 5, 0.3, SeedSpec(8, 0))
         assert spectral._chain_partition(4, 1) == Partition([[1, 2], [3, 4]])
         est = spectral_sandwich(w, 1, cfg)
-        assert est.chain_upper == matrix_op_norm(unfold(w, Partition([[1, 2], [3, 4]])), cfg).value
+        assert est.bounds["chain_upper"] == matrix_op_norm(unfold(w, Partition([[1, 2], [3, 4]])), cfg).value
 
     def test_upper_bounds_both_partitions_dominate_lower(self):
         t = bernoulli_sample(TensorShape(4, 6), Homogeneous(0.2), SeedSpec(7, 1))
@@ -460,6 +463,70 @@ class TestSandwich:
         t = SparseTensor.all_ones(TensorShape(3, 2))
         with pytest.raises(ValueError):
             spectral_sandwich(t, 3)
+
+
+class TestCandidateTable:
+    """``upper`` is the least certified upper candidate, and ``bounds`` names
+    every candidate's value."""
+
+    @pytest.mark.parametrize("k, n", [(4, 6), (5, 4)])
+    def test_chain_wins_at_m1(self, k, n):
+        w = _centered(k, n, 2 * np.log(n) / n, SeedSpec(3, k))
+        est = spectral_sandwich(w, 1, PowerIterConfig(restarts=2, seed=SeedSpec(3, 0)))
+        assert est.upper == min(est.bounds["balanced_upper"], est.bounds["chain_upper"])
+        assert est.bounds["chain_upper"] < est.bounds["balanced_upper"]
+        assert est.upper_partition == spectral._chain_partition(k, 1)
+        assert est.upper_converged
+        _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, est.upper_partition)))
+
+    def test_certified_candidate_beats_uncertified(self, monkeypatch):
+        # the chain's n^2 = 36 side is above the cap, the balanced n = 6 side is not
+        monkeypatch.setattr(spectral, "_DENSE_MAX", 20)
+        w = _centered(4, 6, 2 * np.log(6) / 6, SeedSpec(3, 4))
+        est = spectral_sandwich(w, 1, PowerIterConfig(restarts=2, seed=SeedSpec(3, 0)))
+        assert est.bounds["chain_upper"] < est.upper
+        assert est.upper_partition == balanced_partition(4, 1)
+        assert "balanced_upper" not in est.bounds
+        assert est.upper_converged
+        _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, balanced_partition(4, 1))))
+
+    def test_least_candidate_when_none_certified(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_DENSE_MAX", 3)
+        w = _centered(4, 6, 2 * np.log(6) / 6, SeedSpec(3, 4))
+        est = spectral_sandwich(w, 1, PowerIterConfig(restarts=2, seed=SeedSpec(3, 0)))
+        assert est.upper == min(est.bounds["balanced_upper"], est.bounds["chain_upper"])
+        assert est.upper_partition == spectral._chain_partition(4, 1)
+        assert not est.upper_converged
+
+    @pytest.mark.parametrize("k, m, n, blocks", [
+        (3, 1, 12, None), (3, 2, 8, None), (3, 2, 8, [[1, 3], [2]]), (3, 2, 8, [[1], [2, 3]]),
+        (4, 1, 6, None), (4, 2, 5, None), (4, 2, 5, [[1, 3], [2, 4]]), (5, 2, 4, None)])
+    def test_balanced_upper_only_when_another_wins(self, k, m, n, blocks):
+        cfg = PowerIterConfig(restarts=2, seed=SeedSpec(12, 0))
+        part = None if blocks is None else Partition(blocks)
+        for trial in range(3):
+            est = spectral_sandwich(_centered(k, n, 0.3, SeedSpec(12, trial)), m, cfg, partition=part)
+            won = est.upper_partition != balanced_partition(k, m)
+            assert ("balanced_upper" in est.bounds) == won
+            uppers = [v for key, v in est.bounds.items() if key.endswith("_upper")]
+            assert est.upper == min([est.upper, *uppers])
+
+    def test_override_is_a_candidate(self):
+        # the partition golden case's first trial, where the override wins
+        w = _centered(3, 8, 0.3, SeedSpec(5, 0))
+        cfg = PowerIterConfig(restarts=3, seed=SeedSpec(5, 0))
+        over = Partition([[1, 3], [2]])
+        est = spectral_sandwich(w, 2, cfg, partition=over)
+        assert est.upper == est.bounds["partition_upper"] == matrix_op_norm(unfold(w, over), cfg).value
+        assert est.upper < est.bounds["balanced_upper"]
+        assert est.upper_partition == over
+        _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, over)))
+        # an override equal to the balanced partition is not solved
+        same, plain = (spectral_sandwich(w, 2, cfg, partition=balanced_partition(3, 2)),
+                       spectral_sandwich(w, 2, cfg))
+        assert "partition_upper" not in same.bounds
+        assert (same.upper, same.bounds, same.iterations_used) == (
+            plain.upper, plain.bounds, plain.iterations_used)
 
 
 def _certify_calls(monkeypatch) -> list:
