@@ -305,6 +305,19 @@ class DenseProbability(_Frozen):
 ProbabilityModel = Union[Homogeneous, DenseProbability]
 
 
+def _probabilities(model: ProbabilityModel, shape: TensorShape | None = None):
+    """The one reader of a model: the float p of a ``Homogeneous`` model, or
+    the table of a ``DenseProbability``, whose shape must equal ``shape``
+    unless that is None."""
+    if isinstance(model, Homogeneous):
+        return model.p
+    if not isinstance(model, DenseProbability):
+        raise TypeError(f"unsupported probability model: {type(model).__name__}")
+    if shape is not None:
+        _require_same_shape(model.shape, shape)
+    return model.table
+
+
 class VectorTuple(_Frozen):
     """k real vectors of length n, one per tensor mode, copied."""
 
@@ -572,16 +585,12 @@ def center(t: SparseTensor, model: ProbabilityModel) -> OffsetTensor:
     """Subtract the expectation: the result materializes to ``t - p`` exactly.
 
     Homogeneous models yield an OffsetTensor with background -p at any size;
-    a dense probability table requires the dense gate.
+    a dense probability table (gated when it was built) yields background 0.
     """
-    if isinstance(model, Homogeneous):
-        return OffsetTensor(t, -model.p)
-    if not isinstance(model, DenseProbability):
-        raise TypeError(f"unsupported probability model: {type(model).__name__}")
-    if model.shape != t.shape:
-        raise ShapeMismatchError(f"model shape {model.shape} mismatches {t.shape}")
-    t.shape.require_dense_gate("centering with a dense probability table")
-    return OffsetTensor(SparseTensor.from_dense(t.to_dense() - model.table), 0.0)
+    p = _probabilities(model, t.shape)
+    if np.ndim(p) == 0:
+        return OffsetTensor(t, -p)
+    return OffsetTensor(SparseTensor.from_dense(t.to_dense() - p), 0.0)
 
 
 def rank1(xs) -> np.ndarray:

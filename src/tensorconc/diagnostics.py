@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DenseProbability,
-    Homogeneous,
     ProbabilityModel,
     SparseTensor,
     TensorLike,
@@ -25,6 +23,7 @@ from .core import (
     _dot,
     _integers,
     _lex_order,
+    _probabilities,
     _runs,
     _vectors_of,
     as_offset,
@@ -365,26 +364,21 @@ class KLRecord:
     within: bool
 
 
-def _model_table(model: ProbabilityModel) -> np.ndarray:
-    if isinstance(model, Homogeneous):
-        return np.asarray([model.p])
-    if isinstance(model, DenseProbability):
-        return model.table.reshape(-1)
-    raise TypeError(f"unsupported probability model: {type(model).__name__}")
-
-
 def kl_bernoulli(theta: ProbabilityModel, theta_prime: ProbabilityModel,
                  a: float, b: float) -> KLRecord:
     """Entrywise Bernoulli KL divergence against ||theta - theta'||_F^2 / (a(1-b)).
 
-    Homogeneous models are treated as a single Bernoulli pair; a homogeneous
-    model paired with a dense one broadcasts.  Terms with theta in {0, 1}
-    use their one-sided limits; theta' in {0, 1} with theta != theta' gives
+    Two homogeneous models are a single Bernoulli pair; a homogeneous model
+    paired with a dense one broadcasts, and two dense tables must have the
+    same shape (``ShapeMismatchError``).  Terms with theta in {0, 1} use
+    their one-sided limits; theta' in {0, 1} with theta != theta' gives
     +infinity.
     """
     if not 0.0 <= a < b <= 1.0:
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-    pt, qt = np.broadcast_arrays(_model_table(theta), _model_table(theta_prime))
+    p = _probabilities(theta)
+    q = _probabilities(theta_prime, theta.shape if np.ndim(p) else None)
+    pt, qt = (x.reshape(-1) for x in np.broadcast_arrays(p, q))
     lo = min(pt.min(), qt.min())
     hi = max(pt.max(), qt.max())
     if lo < a - 1e-15 or hi > b + 1e-15:

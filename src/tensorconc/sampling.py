@@ -17,13 +17,12 @@ import numpy as np
 
 from . import rng
 from .core import (
-    DenseProbability,
-    Homogeneous,
     ProbabilityModel,
     SparseTensor,
     TensorShape,
     _check_probability,
     _coords_from_linear,
+    _probabilities,
 )
 from .hypergraph import Hypergraph
 from .rng import SeedSpec
@@ -40,15 +39,12 @@ def bernoulli_sample(shape: TensorShape, model: ProbabilityModel, seed: SeedSpec
     geometric skipping above that.  A dense probability table is always
     sampled per coordinate.
     """
+    p = _probabilities(model, shape)
     key = rng.stream_key(seed, rng.LBL_BERNOULLI)
-    if isinstance(model, Homogeneous):
-        positions = rng.bernoulli_positions(shape.ncoords, model.p, key)
-    elif not isinstance(model, DenseProbability):
-        raise TypeError(f"unsupported probability model: {type(model).__name__}")
-    elif model.shape != shape:
-        raise ValueError(f"model shape {model.shape} mismatches {shape}")
+    if np.ndim(p) == 0:
+        positions = rng.bernoulli_positions(shape.ncoords, p, key)
     else:
-        positions = rng._positions_percoord(shape.ncoords, model.table.reshape(-1), key)
+        positions = rng._positions_percoord(shape.ncoords, p.reshape(-1), key)
     coords = _coords_from_linear(positions, shape.order, shape.dim)
     del positions  # freed before the values are allocated
     return SparseTensor(shape, coords, np.ones(len(coords)), presorted=True)

@@ -670,7 +670,7 @@ def spectral_sandwich(
     ``balanced_partition(k, m)``, from the lift of the lower witness),
     ``chain_upper`` for m < k/2 (by ``_chain_partition(k, m)``: {1 | 2,3}
     for k = 3, m = 1) and ``partition_upper`` (by the two-block
-    ``partition``, unless it is the balanced one).  ``upper`` is the least
+    ``partition``, unless it is already a candidate).  ``upper`` is the least
     certified candidate, or the least of all with ``upper_converged`` False
     when none is certified; a tie goes to the earlier one.  ``bounds`` maps
     each candidate to its value, ``balanced_upper`` only when another wins.
@@ -688,7 +688,7 @@ def spectral_sandwich(
     parts = {"balanced_upper": part}
     if 2 * m < k:
         parts["chain_upper"] = _chain_partition(k, m)
-    if partition is not None and partition != part:
+    if partition is not None and partition not in parts.values():
         parts["partition_upper"] = partition
     uppers = {key: matrix_op_norm(unfold(t, p), config,
                                   extra_inits=[lift] if key == "balanced_upper" else ())

@@ -27,6 +27,7 @@ from tensorconc import (
     frobenius_inner,
     frobenius_norm,
     hadamard,
+    kl_bernoulli,
     loads_tensor,
     multilinear_form,
     rank1,
@@ -354,6 +355,24 @@ class TestCenter:
         model = DenseProbability(table)
         table[0, 0] = 0.25
         assert model.table[0, 0] == 0.5 and not model.table.flags.writeable
+
+
+class TestModelReader:
+    """The sampler, ``center`` and ``kl_bernoulli`` read a model one way."""
+
+    @pytest.mark.parametrize("read", [
+        lambda model: bernoulli_sample(TensorShape(2, 3), model, SeedSpec(0, 0)),
+        lambda model: center(SparseTensor.empty(TensorShape(2, 3)), model),
+        lambda model: kl_bernoulli(model, Homogeneous(0.5), 0.2, 0.8),
+        lambda model: kl_bernoulli(Homogeneous(0.5), model, 0.2, 0.8),
+    ], ids=["bernoulli_sample", "center", "kl_bernoulli", "kl_bernoulli-prime"])
+    def test_same_type_error(self, read):
+        with pytest.raises(TypeError, match=r"^unsupported probability model: float$"):
+            read(0.5)
+
+    def test_center_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="shape mismatch"):
+            center(SparseTensor.empty(TensorShape(2, 3)), DenseProbability(np.full((3, 3, 3), 0.5)))
 
 
 class TestRank1:

@@ -614,6 +614,21 @@ class TestKLBernoulli:
             assert rec.within
             assert rec.kl >= -1e-12
 
+    # equal sizes once compared entry by entry; unequal ones failed to broadcast
+    @pytest.mark.parametrize("shape, other", [((4, 4), (2, 2, 2, 2)), ((2, 2), (3, 3))])
+    def test_tables_of_different_shapes_rejected(self, shape, other):
+        with pytest.raises(ShapeMismatchError):
+            kl_bernoulli(DenseProbability(np.full(shape, 0.3)),
+                         DenseProbability(np.full(other, 0.5)), 0.2, 0.8)
+
+    def test_homogeneous_broadcasts_against_a_table(self, rng):
+        table = rng.uniform(0.2, 0.8, size=(3, 3, 3))
+        for pair in ((table, np.full_like(table, 0.5)), (np.full_like(table, 0.5), table)):
+            want = kl_bernoulli(*(DenseProbability(x) for x in pair), 0.2, 0.8)
+            got = kl_bernoulli(*(DenseProbability(x) if x is table else Homogeneous(0.5)
+                                 for x in pair), 0.2, 0.8)
+            assert got == want
+
     def test_degenerate_prime_infinite(self):
         rec = kl_bernoulli(Homogeneous(0.5), Homogeneous(0.0), 0.0, 1.0)
         assert rec.kl == math.inf

@@ -1,7 +1,8 @@
 """Golden output bytes: one small sweep per command, pinned by sha256.
 
 Each case pins the digest of the results CSV with its wall_ms column masked,
-and of the summary JSON.  A change that moves any estimate by one ulp, or
+and of the summary JSON; ``DENSE_DIGEST`` pins the probability-table path,
+which no command runs.  A change that moves any estimate by one ulp, or
 reorders an aux key, changes a digest.  When such a change is intended,
 print the new digests with ``PYTHONPATH=src python tests/test_golden.py``
 and say why they moved.  The library imports numpy alone, so the bytes
@@ -13,8 +14,11 @@ import hashlib
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tensorconc import (DenseProbability, PowerIterConfig, SeedSpec, TensorShape,
+                        bernoulli_sample, center, spectral_sandwich)
 from tensorconc.harness import config_from_dict, run
 
 BASE = {
@@ -100,7 +104,38 @@ def test_output_bytes(case, tmp_path):
     assert digests(case, tmp_path) == DIGESTS[case]
 
 
+# A table's centering is the one input with a stored entry at every
+# coordinate: only here do the Gram products and the Cholesky certificate see
+# dense unfoldings.
+DENSE_DIGEST = "5878a8f0754d3533a930f9e0c5b0bf479b9fdc00235f7310609489a60547ffeb"
+
+
+def dense_digest() -> str:
+    """sha256 of two k = 3, n = 12 samples of a two-block table (0.4 on the
+    first n/2 mode-1 indices, 0.1 elsewhere), their centerings and their
+    m = 2 sandwiches."""
+    n = 12
+    table = np.full((n,) * 3, 0.1)
+    table[: n // 2] = 0.4
+    model = DenseProbability(table)
+    h = hashlib.sha256()
+    for trial in range(2):
+        seed = SeedSpec(7, trial)
+        t = bernoulli_sample(TensorShape(3, n), model, seed)
+        w = center(t, model)
+        est = spectral_sandwich(w, 2, PowerIterConfig(restarts=3, seed=seed))
+        for a in (t.coords, t.values, w.sparse.coords, w.sparse.values):
+            h.update(a.tobytes())
+        h.update(repr((w.background, est.lower, est.upper, sorted(est.bounds.items()))).encode())
+    return h.hexdigest()
+
+
+def test_dense_model_bytes():
+    assert dense_digest() == DENSE_DIGEST
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             print(f"    {case!r}: {digests(case, Path(tmp))!r},")
+    print(f"DENSE_DIGEST = {dense_digest()!r}")

@@ -11,6 +11,7 @@ from tensorconc import (
     DenseProbability,
     Homogeneous,
     SeedSpec,
+    ShapeMismatchError,
     SparseTensor,
     TensorShape,
     bernoulli_sample,
@@ -107,6 +108,11 @@ class TestBernoulliSample:
         table[0, :] = 1.0
         t = bernoulli_sample(TensorShape(2, 3), DenseProbability(table), SeedSpec(0, 0))
         assert t.coords.tolist() == [[1, 1], [1, 2], [1, 3]]
+
+    def test_dense_model_of_another_shape_rejected(self):
+        for shape in (TensorShape(2, 4), TensorShape(3, 3)):
+            with pytest.raises(ShapeMismatchError):
+                bernoulli_sample(shape, DenseProbability(np.full((3, 3), 0.5)), SeedSpec(0, 0))
 
     def test_dense_model_matches_uniform_replay(self):
         # 41^3 coordinates span two hash blocks

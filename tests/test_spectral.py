@@ -564,6 +564,14 @@ class TestCertificateOnlyForReportedValues:
         _run_trial(cfg, 120, 0)
         assert calls == [120]
 
+    def test_override_equal_to_chain_not_solved_again(self, monkeypatch):
+        w = _centered(3, 10, 0.3, SeedSpec(1, 0))
+        calls = _certify_calls(monkeypatch)
+        est = spectral_sandwich(w, 1, PowerIterConfig(restarts=2, seed=SeedSpec(1, 0)),
+                                partition=Partition([[1], [2, 3]]))
+        assert calls == [10, 10]
+        assert "partition_upper" not in est.bounds and "chain_upper" in est.bounds
+
     def test_partition_override_trial(self, monkeypatch):
         cfg = config_from_dict({
             "command": "concentration", "k": 3, "m": 2, "n_list": [8], "trials": 1,
