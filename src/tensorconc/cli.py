@@ -4,17 +4,17 @@
 
 Commands: concentration, regularize, expander, sparsify, diagnostics run a
 Monte-Carlo sweep from a JSON config; summarize aggregates an existing CSV
-(its config is {"csv": "<path>"}).  Exit codes: 0 success, 2 config error,
-3 I/O or CSV parse error.
+(its config is {"csv": "<path>"}).  Exit codes: 0 success, 2 config error
+(``--jobs`` below 1 too), 3 I/O or CSV parse error; an output directory that
+takes no file stops a sweep before its first trial.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .harness import COMMANDS, ConfigError, CsvFormatError, load_config, read_config, run, summarize
+from .harness import COMMANDS, ConfigError, CsvFormatError, load_config, read_config, run, write_summary
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,8 +40,6 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             return _summarize_cmd(args)
         cfg = load_config(args.config, command=args.command, overrides=args.set)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         run(cfg, jobs=args.jobs, out=args.out)
         return 0
     except ConfigError as exc:
@@ -49,6 +47,9 @@ def main(argv=None) -> int:
         return 2
     except CsvFormatError as exc:
         print(f"csv error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
         return 3
 
 
@@ -58,13 +59,7 @@ def _summarize_cmd(args) -> int:
     csv_path = data.pop("csv", None)
     if csv_path is None or data:
         raise ConfigError("summarize config must be exactly {\"csv\": \"<path>\"}")
-    summary = summarize(str(csv_path))
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    write_summary(str(csv_path), args.out)
     return 0
 
 

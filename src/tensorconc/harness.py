@@ -11,14 +11,17 @@ comparisons).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import operator
 import os
 import statistics
+import sys
+import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .core import DENSE_GATE, Homogeneous, SparseTensor, TensorShape, _fmt, center
 from .diagnostics import bounded_degree_check, discrepancy_check
@@ -114,9 +117,9 @@ class ExperimentConfig:
     p_rule: PRule
     m: int
     trials: int
-    base_seed: int
+    base_seed: int = 0
     estimator: EstimatorSettings = EstimatorSettings()
-    out: str = "results.csv"
+    out: str = "results.csv"  # a path: a str or an os.PathLike of one
     partition: object = None  # optional upper candidate: a Partition or its blocks
     params: dict = field(default_factory=dict)  # typed and completed from _PARAMS
 
@@ -124,6 +127,9 @@ class ExperimentConfig:
         # every check runs here, so an invalid config is never built
         for name in ("k", "m", "trials", "base_seed"):
             object.__setattr__(self, name, _number(getattr(self, name), int, name))
+        if not isinstance(self.out, (str, os.PathLike)) or not isinstance(os.fspath(self.out), str):
+            raise ConfigError(f"out must be a path, got {self.out!r}")
+        object.__setattr__(self, "out", os.fspath(self.out))
         object.__setattr__(self, "n_list", tuple(_number(n, int, "n_list entry")
                                                  for n in self.n_list))
         table = _PARAMS.get(self.command, {})
@@ -177,37 +183,26 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig:
+    """The config a JSON object states, whose keys and defaults are ``ExperimentConfig``'s fields."""
     data = dict(data)
-    cmd = data.pop("command", None)
     if command is not None:
-        if cmd is not None and cmd != command:
-            raise ConfigError(f"config command {cmd!r} conflicts with CLI command {command!r}")
-        cmd = command
-    if cmd is None:
-        raise ConfigError("no command given")
-    est = EstimatorSettings(**_section("estimator", [f.name for f in fields(EstimatorSettings)],
-                                       data.pop("estimator", {})))
+        if data.get("command") not in (None, command):
+            raise ConfigError(f"config command {data['command']!r} conflicts with CLI command {command!r}")
+        data["command"] = command
+    schema = fields(ExperimentConfig)
+    if unknown := sorted(set(data) - {f.name for f in schema}):
+        raise ConfigError(f"unknown config keys: {unknown}")
+    for f in schema:
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing config key: {f.name}")
+    if "estimator" in data:
+        data["estimator"] = EstimatorSettings(**_section(
+            "estimator", [f.name for f in fields(EstimatorSettings)], data["estimator"]))
     try:
-        cfg = ExperimentConfig(
-            command=cmd,
-            k=data.pop("k"),
-            n_list=data.pop("n_list"),
-            p_rule=PRule.from_dict(data.pop("p_rule")),
-            m=data.pop("m"),
-            trials=data.pop("trials"),
-            base_seed=data.pop("base_seed", 0),
-            estimator=est,
-            out=str(data.pop("out", "results.csv")),
-            partition=data.pop("partition", None),
-            params=data.pop("params", {}),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc.args[0]}") from exc
+        data["p_rule"] = PRule.from_dict(data["p_rule"])
+        return ExperimentConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    if data:
-        raise ConfigError(f"unknown config keys: {sorted(data)}")
-    return cfg
 
 
 def read_config(path: str, overrides: list | None = None) -> dict:
@@ -392,8 +387,9 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
     )
 
 
-def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
-    """Execute every (n, trial) cell, write the CSV and a JSON summary.
+def run(cfg: ExperimentConfig, jobs: int = 1, out=None) -> list:
+    """Execute every (n, trial) cell, write the CSV to the path ``out`` (``cfg.out`` by default)
+    and a JSON summary beside it; ``jobs < 1`` or an unwritable output directory raises first.
 
     Output is a pure function of the config: with ``jobs > 1`` the calling
     process and ``jobs - 1`` spawned workers take the trials from one shared
@@ -403,22 +399,22 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out: str | None = None) -> list:
     ``if __name__ == "__main__":`` guard, since each spawned worker imports
     the script's main module.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    path = os.fspath(out or cfg.out)
+    tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()  # the directory takes a file
     tasks = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         records = _run_in_processes(cfg, tasks, workers)
     else:
         records = [_run_trial(cfg, n, trial) for n, trial in tasks]
-    path = out or cfg.out
     with open(path, "w", encoding="ascii", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in records:
             writer.writerow(rec.csv_row())
-    summary = summarize(path)
-    with open(path + ".summary.json", "w", encoding="ascii") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_summary(path, path + ".summary.json")
     return records
 
 
@@ -503,6 +499,14 @@ def _run_in_processes(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
     finally:
         pool.shutdown(cancel_futures=True)
     return [record for _, record in sorted(done, key=operator.itemgetter(0))]
+
+
+def write_summary(csv_path: str, out: str | None = None) -> None:
+    """Write ``summarize(csv_path)`` as JSON (sorted keys, two-space indent, a
+    trailing newline) to ``out``, or to stdout when there is none."""
+    summary = summarize(csv_path)
+    with open(out, "w", encoding="ascii") if out else contextlib.nullcontext(sys.stdout) as f:
+        f.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 def summarize(csv_path: str) -> dict:

@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import _check_probability
+from .core import _LINEAR_LIMIT, _check_probability
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -179,17 +179,20 @@ def _positions_percoord(total: int, p, key: int) -> np.ndarray:
 
 
 def _positions_skip(total: int, p: float, key: int) -> np.ndarray:
+    # A gap past total ends the stream whatever its length, so each is clipped at the power
+    # of two above total, and a block of at most 2^63 / clip of them sums below 2^64.
     log1mp = math.log1p(-p)
-    block = max(1024, min(_BLOCK, int(total * p * 1.25) + 64))
+    clip = 1 << total.bit_length()
+    block = min(max(1024, min(_BLOCK, int(total * p * 1.25) + 64)), _LINEAR_LIMIT // clip)
     out = []
-    pos = -1
+    done = 0  # every position below done is decided
     drawn = 0
-    while pos < total:
+    while done < total:
         u = (hash_block(key, drawn, block) + np.uint64(1)) * 2.0**-53  # in (0, 1]
-        steps = np.floor(np.log(u) / log1mp).astype(np.int64) + 1
-        positions = pos + np.cumsum(steps)
-        out.append(positions[positions < total].astype(np.uint64))
-        pos = int(positions[-1])
+        gaps = np.minimum(np.floor(np.log(u) / log1mp), clip).astype(np.uint64)
+        skips = np.cumsum(gaps + np.uint64(1)) - np.uint64(1)  # each position less done
+        out.append(skips[skips < total - done] + np.uint64(done))
+        done += int(skips[-1]) + 1
         drawn += block
     return np.concatenate(out)
 

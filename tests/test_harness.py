@@ -118,6 +118,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(_base_config(bogus=1))
 
+    def test_schema_is_the_dataclass(self):
+        # required keys, defaults and known keys all come from ExperimentConfig
+        base = _base_config()
+        for key in ("base_seed", "estimator", "out"):
+            del base[key]
+        cfg = config_from_dict(base)
+        assert (cfg.base_seed, cfg.estimator, cfg.out) == (0, EstimatorSettings(), "results.csv")
+        assert (cfg.partition, cfg.params) == (None, {})
+        for key in ("command", "k", "n_list", "p_rule", "m", "trials"):
+            with pytest.raises(ConfigError, match=f"^missing config key: {key}$"):
+                config_from_dict({k: v for k, v in base.items() if k != key})
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['bogus', 'zz'\]$"):
+            config_from_dict(_base_config(bogus=1, zz=2, trials=0))
+
+    def test_out_is_a_path(self, tmp_path):
+        cfg = config_from_dict(_base_config())
+        moved = dataclasses.replace(cfg, out=tmp_path / "r.csv")
+        assert moved.out == str(tmp_path / "r.csv") and type(moved.out) is str
+        for bad in (5, None, b"r.csv", ["r.csv"]):
+            with pytest.raises(ConfigError, match="out must be a path"):
+                dataclasses.replace(cfg, out=bad)
+            with pytest.raises(ConfigError, match="out must be a path"):
+                config_from_dict(_base_config(out=bad))
+
     def test_log_rule_values(self):
         cfg = config_from_dict(_base_config(p_rule={"kind": "c_logn_over_nm", "c": 5, "m": 2}))
         assert cfg.p_rule.value(10) == pytest.approx(5 * np.log(10) / 100)
@@ -291,6 +315,33 @@ class TestRun:
         monkeypatch.setattr(harness, "_run_in_processes", no_pool)
         records = run(config_from_dict(_base_config(out=str(tmp_path / "r.csv"))), jobs=4)
         assert len(records) == 4
+
+    def test_unwritable_output_runs_no_trial(self, tmp_path, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the output was checked")
+
+        monkeypatch.setattr(harness, "_run_trial", no_trial)
+        cfg = config_from_dict(_base_config(out=str(tmp_path / "missing" / "r.csv")))
+        for jobs in (1, 2):
+            with pytest.raises(OSError):
+                run(cfg, jobs=jobs)
+        with pytest.raises(OSError):
+            run(config_from_dict(_base_config()), out=tmp_path / "missing" / "r.csv")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_1_rejected(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(harness, "_run_trial", None)
+        with pytest.raises(ConfigError, match=f"^jobs must be >= 1, got {jobs}$"):
+            run(config_from_dict(_base_config(out=str(tmp_path / "r.csv"))), jobs=jobs)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_path_out_writes_csv_and_summary(self, tmp_path):
+        out = tmp_path / "r.csv"
+        records = run(config_from_dict(_base_config(n_list=[8], trials=1)), out=out)
+        with open(out) as f:
+            assert len(list(csv.reader(f))) == 1 + len(records)
+        assert json.loads((tmp_path / "r.csv.summary.json").read_text()) == summarize(str(out))
 
     def test_partition_override_validated(self):
         with pytest.raises(ConfigError):
@@ -608,6 +659,33 @@ class TestCli:
         cfg_path.write_text(json.dumps(_base_config(command="expander")))
         res = self._cli("concentration", "--config", str(cfg_path))
         assert res.returncode == 2
+
+    def test_unwritable_out_exit_3(self, tmp_path):
+        # the sweep stops before its first trial; summarize after reading its CSV
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1)))
+        res = self._cli("concentration", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "missing" / "r.csv"))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("io error: ") and "Traceback" not in res.stderr
+        out = tmp_path / "r.csv"
+        assert self._cli("concentration", "--config", str(cfg_path),
+                         "--out", str(out)).returncode == 0
+        sum_cfg = tmp_path / "s.json"
+        sum_cfg.write_text(json.dumps({"csv": str(out)}))
+        res = self._cli("summarize", "--config", str(sum_cfg),
+                        "--out", str(tmp_path / "missing" / "s.json"))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("io error: ") and "Traceback" not in res.stderr
+
+    def test_jobs_0_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1, out=str(out))))
+        res = self._cli("concentration", "--config", str(cfg_path), "--jobs", "0")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "config error: jobs must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_csv_error_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

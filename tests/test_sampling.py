@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -189,6 +190,38 @@ class TestHashKernel:
         assert (h * 2.0**-53).tobytes() == uniform_block(key, start, count).tobytes()
         for i in (0, count - 1):
             assert int(h[i]) == _fin_int((start + i) * _GAMMA + key) >> 11
+
+
+class TestSkipStream:
+    # Digest of the geometric-skipping stream, recorded before the gaps were
+    # clipped; the goldens never reach it (they sample at most 120^3 <= 2^21
+    # coordinates), and its gaps take the floor of a SIMD-dispatched np.log.
+    def test_digest(self):
+        key = stream_key(SeedSpec(1, 0), LBL_BERNOULLI)
+        digest = hashlib.sha256()
+        for total, p in ((2**21 + 1, 0.3), (10**8, 1e-3), (2**40, 1e-7)):
+            digest.update(bernoulli_positions(total, p, key).tobytes())
+        assert digest.hexdigest() == (
+            "81556e9cb942155bb15169b14ce3df61edf19bc8601e7e678e81969f5b6c2b10")
+
+    @pytest.mark.parametrize("p", [1e-15, 1e-16, 1e-17, 1e-20, 1e-25])
+    def test_tiny_p_keeps_nothing(self, p):
+        # at most 4e-9 positions expected; 1024 gaps of mean 1/p used to wrap past 2^63
+        assert _positions_skip(2**22, p, stream_key(SeedSpec(1, 0), 1)).size == 0
+
+    def test_tiny_p_samplers(self):
+        assert bernoulli_sample(TensorShape(3, 200), Homogeneous(1e-17), SeedSpec(1, 0)).nnz == 0
+        assert er_hypergraph(3, 400, 1e-17, SeedSpec(1, 0)).num_edges == 0
+
+    @pytest.mark.parametrize("total", [2**62, 10**18 + 1, 2**63 - 1])
+    def test_positions_below_total_near_the_limit(self, total):
+        # gaps of about 10^17 to 10^19: some land below total, most past it
+        key = stream_key(SeedSpec(1, 0), 1)
+        for p in (1e-17, 1e-18, 1e-19):
+            got = _positions_skip(total, p, key)
+            assert got.dtype == np.uint64 and (got.size == 0 or int(got[-1]) < total)
+            assert np.all(got[1:] > got[:-1])
+            assert got.size <= total * p + 10 * math.sqrt(total * p) + 10
 
 
 class TestSparsifyUniform:
