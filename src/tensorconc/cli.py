@@ -6,7 +6,8 @@ Commands: concentration, regularize, expander, sparsify, diagnostics run a
 Monte-Carlo sweep from a JSON config; summarize aggregates an existing CSV
 (its config is {"csv": "<path>"}).  Exit codes: 0 success, 2 config error
 (``--jobs`` below 1 too), 3 I/O or CSV parse error; an output directory that
-takes no file stops a sweep before its first trial.
+takes no file, or an output or summary path that is a directory, stops a
+sweep before its first trial.
 """
 
 from __future__ import annotations

@@ -36,6 +36,13 @@ DENSE_GATE = 10**6
 
 _LINEAR_LIMIT = 1 << 63
 
+# Most 8-byte elements one numpy pass of a blocked kernel holds, read as
+# ``core._PASS`` at call time: counters per hash block (rng), member counters
+# per family-draw chunk, bits per ``_bit_rows`` array and fiber words per
+# packed count (hypergraph), pair products per Gram pass (spectral).  A pass's
+# arrays (512 KB each) stay in cache; no kernel's output depends on the size.
+_PASS = 1 << 16
+
 
 class TensorError(Exception):
     """Base class for tensor contract violations."""
@@ -407,14 +414,11 @@ def _require_same_shape(a: TensorShape, b: TensorShape) -> None:
 def frobenius_inner(t: TensorLike, a: TensorLike) -> float:
     """Sum of entrywise products over all n^k coordinates.
 
-    The sparse x sparse path merges the two sorted coordinate lists; if
-    either operand carries a nonzero background the dense gate n^k <= 10^6
-    applies (the background cross terms are still computed analytically).
+    The sparse x sparse path merges the two sorted coordinate lists; the
+    background cross terms are in closed form, so no dense gate applies.
     """
     t, a = as_offset(t), as_offset(a)
     _require_same_shape(t.shape, a.shape)
-    if t.background != 0.0 or a.background != 0.0:
-        t.shape.require_dense_gate("inner product with nonzero background")
     total = 0.0
     if t.nnz and a.nnz:
         lt, la = t.sparse.linear_indices(), a.sparse.linear_indices()

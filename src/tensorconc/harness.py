@@ -389,7 +389,8 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
 
 def run(cfg: ExperimentConfig, jobs: int = 1, out=None) -> list:
     """Execute every (n, trial) cell, write the CSV to the path ``out`` (``cfg.out`` by default)
-    and a JSON summary beside it; ``jobs < 1`` or an unwritable output directory raises first.
+    and a JSON summary beside it; ``jobs < 1``, an unwritable output directory or an output
+    path (CSV or summary) that is a directory raises first.
 
     Output is a pure function of the config: with ``jobs > 1`` the calling
     process and ``jobs - 1`` spawned workers take the trials from one shared
@@ -403,6 +404,9 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out=None) -> list:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     path = os.fspath(out or cfg.out)
     tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()  # the directory takes a file
+    for target in (path, path + ".summary.json"):
+        if os.path.isdir(target):
+            raise IsADirectoryError(f"output path is a directory: {target}")
     tasks = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import rng
+from . import core, rng
 from .core import OffsetTensor, SparseTensor, TensorShape, _Frozen, _integers, _runs, linear_index
 from .rng import SeedSpec
 from .spectral import PowerIterConfig, matrix_op_norm
@@ -122,7 +122,7 @@ def _packed_batch(n: int, sizes: np.ndarray, members: np.ndarray) -> tuple:
     flat = sizes.ravel()
     starts = np.cumsum(flat) - flat
     bit = np.repeat(np.arange(flat.size) * (words * 64) - 1, flat) + members
-    bits = np.split(bit, range(_BIT_CHUNK, bit.size, _BIT_CHUNK))
+    bits = np.split(bit, range(core._PASS, bit.size, core._PASS))
     masks = _bit_rows(flat.size, words, bits).reshape(*sizes.shape, words) if words else None
     return sizes, starts.reshape(sizes.shape), members, masks
 
@@ -133,7 +133,7 @@ def _bit_rows(rows: int, words: int, bits) -> np.ndarray:
 
     Distinct bits are set by adding them, since no two of them carry into
     each other, and ``np.add.at`` adds fast; callers pass at most
-    ``_BIT_CHUNK`` bits an array, which bounds its temporaries.
+    ``core._PASS`` bits an array, which bounds its temporaries.
     """
     out = np.zeros(rows * words, dtype=np.uint64)
     for part in bits:
@@ -141,18 +141,10 @@ def _bit_rows(rows: int, words: int, bits) -> np.ndarray:
     return out.reshape(rows, words)
 
 
-# Bits per array passed to ``_bit_rows``: 256 KB of uint64 masks.
-_BIT_CHUNK = 1 << 15
-
 # Bits of the largest bit-packed layout, n^(k-1) * 64 * ceil(n/64) (n = 256 at
 # k = 3): 2 MB of words.  It is the most any 0/1 tensor with
 # n^k <= ``core.DENSE_GATE`` needs (n = 2, k = 19).
 _PACKED_BITS = 1 << 24
-
-# Fiber words gathered per pass of the bit-packed kernel.  It keeps each of a
-# pass's arrays near 256 KB; at n = 100, k = 3, counting 5000 sampled families
-# in one pass allocated 43 MB at its peak, against 4.3 MB in passes.
-_PASS_WORDS = 1 << 15
 
 
 def _packed_words(k: int, n: int) -> int:
@@ -214,7 +206,7 @@ def _packed_counts(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, membe
     Families are grouped by the mode of their largest set (the last of equal
     sizes).  Each such mode's layout has one row of ceil(n/64) words per
     tuple of the other k-1 indices (row-major flat index), whose bit i is the
-    entry with that mode's index i + 1.  In passes of at most ``_PASS_WORDS``
+    entry with that mode's index i + 1.  In passes of at most ``core._PASS``
     gathered words (a family with more gets a pass to itself), the rows of
     every member tuple of the other k-1 sets are gathered, ANDed with their
     family's largest set as the batch packed it (``masks``), and their set
@@ -229,14 +221,14 @@ def _packed_counts(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, membe
         # each entry's row (its other indices, row-major), then its bit in it, by chunks
         fibers = _bit_rows(n ** (k - 1), words, (
             linear_index(c[:, others], n).view(np.int64) * (words * 64) + c[:, mode] - 1
-            for c in np.split(t.coords, range(_BIT_CHUNK, t.nnz, _BIT_CHUNK))))
+            for c in np.split(t.coords, range(core._PASS, t.nnz, core._PASS))))
         group = np.flatnonzero(widest == mode)
         tuples = np.prod(sizes[group][:, others], axis=1)
         ends = np.cumsum(tuples)
         a = 0
         while a < group.size:
             first = ends[a] - tuples[a]
-            b = max(a + 1, int(np.searchsorted(ends, first + _PASS_WORDS // words, "right")))
+            b = max(a + 1, int(np.searchsorted(ends, first + core._PASS // words, "right")))
             fams = group[a:b]
             # the flat row of every member tuple of the other sets, family by
             # family; ``own`` is each partial tuple's family
@@ -305,9 +297,6 @@ class SubsetFamilies:
         return cls(kind="explicit", families=fams)
 
 
-_MEMBER_CHUNK = 1 << 16  # member counters drawn and ranked at a time
-
-
 def _smallest(u: np.ndarray, sizes: np.ndarray, fine: Optional[np.ndarray] = None) -> np.ndarray:
     """Mask of the ``sizes[r]`` smallest entries of each row ``u[r]``; ties
     go to the earlier position, as a stable argsort ranks them.  Given
@@ -337,7 +326,7 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     hashes at counters ``(t * k + j) * n + [0, n)`` rank below that size,
     ascending, as int32; the same keep-row is packed into its mask where
     the bit-packed layout fits (``masks`` is None elsewhere).  All
-    sets are drawn as one run of counters, ``_MEMBER_CHUNK`` counters at a
+    sets are drawn as one run of counters, ``core._PASS`` counters at a
     time.
     """
     k, n, count = map(operator.index, (k, n, count))
@@ -347,7 +336,7 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     member_key = rng.stream_key(seed, rng.LBL_SUBSET_MEMBERS)
     u = rng.uniform_block(size_key, 0, count * k)
     sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
-    rows = max(1, _MEMBER_CHUNK // n)
+    rows = max(1, core._PASS // n)
     members = []
     words = _packed_words(k, n)
     # little-endian bytes of each set's words; packbits leaves the pad bits 0

@@ -8,10 +8,10 @@ finalizer.  There is no sequential generator state, so results are identical
 under any iteration order or degree of parallelism.
 
 Every array of draws comes from one kernel, ``_hash53``.  It walks the
-counters in blocks of 2^16 and hashes each block in place in two reused
-uint64 buffers.  For a contiguous run of counters it adds the block's offset
-``(start * GAMMA + key) mod 2^64``, computed with Python integers, to a
-precomputed ``i * GAMMA`` ramp.  It yields the top 53 bits ``h`` of each
+counters in blocks of ``core._PASS`` and hashes each block in place in two
+reused uint64 buffers.  For a contiguous run of counters it adds the block's
+offset ``(start * GAMMA + key) mod 2^64``, computed with Python integers, to
+a precomputed ``i * GAMMA`` ramp.  It yields the top 53 bits ``h`` of each
 hash; the uniform is ``u = h * 2^-53`` exactly.  So a Bernoulli(p) keep test
 ``u < p`` is the exact integer test ``h < ceil(p * 2^53)``, which is how
 ``_positions_percoord`` runs it, with no float temporary, and ranking on
@@ -27,6 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import core
 from .core import _LINEAR_LIMIT, _check_probability
 
 _MASK64 = (1 << 64) - 1
@@ -44,11 +45,10 @@ LBL_SLICE = 0x06
 LBL_SUBSET_SIZE = 0x07
 LBL_SUBSET_MEMBERS = 0x08
 
-_BLOCK = 1 << 16
 _U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
-# i * GAMMA mod 2^64; counter start + i enters the hash as start's offset plus _RAMP[i]
-_RAMP = np.arange(_BLOCK, dtype=np.uint64) * _U_GAMMA
+# i * GAMMA mod 2^64 (i < core._PASS): counter start + i is start's offset plus _RAMP[i]
+_RAMP = np.arange(core._PASS, dtype=np.uint64) * _U_GAMMA
 _RAMP.flags.writeable = False
 
 
@@ -90,15 +90,15 @@ def _hash53(key: int, counters) -> Iterator[tuple]:
 
     ``counters`` is a 1-d array (cast to uint64 as ``astype`` does) or a
     ``range`` with step 1.  Yields ``(lo, h)`` for each block of up to
-    ``_BLOCK`` counters starting at position ``lo``; ``h`` is a view of a
-    buffer that the next block overwrites.
+    ``core._PASS`` counters starting at position ``lo``; ``h`` is a view of
+    a buffer that the next block overwrites.
     """
-    total = len(counters)
+    total, block = len(counters), core._PASS
     contiguous = isinstance(counters, range)
-    z = np.empty(min(total, _BLOCK), dtype=np.uint64)
+    z = np.empty(min(total, block), dtype=np.uint64)
     tmp = np.empty_like(z)
-    for lo in range(0, total, _BLOCK):
-        count = min(_BLOCK, total - lo)
+    for lo in range(0, total, block):
+        count = min(block, total - lo)
         h, t = z[:count], tmp[:count]
         if contiguous:
             np.add(_RAMP[:count], np.uint64(((counters.start + lo) * _GAMMA + key) & _MASK64), out=h)
@@ -183,13 +183,14 @@ def _positions_skip(total: int, p: float, key: int) -> np.ndarray:
     # of two above total, and a block of at most 2^63 / clip of them sums below 2^64.
     log1mp = math.log1p(-p)
     clip = 1 << total.bit_length()
-    block = min(max(1024, min(_BLOCK, int(total * p * 1.25) + 64)), _LINEAR_LIMIT // clip)
+    block = min(max(1024, min(core._PASS, int(total * p * 1.25) + 64)), _LINEAR_LIMIT // clip)
     out = []
     done = 0  # every position below done is decided
     drawn = 0
     while done < total:
         u = (hash_block(key, drawn, block) + np.uint64(1)) * 2.0**-53  # in (0, 1]
-        gaps = np.minimum(np.floor(np.log(u) / log1mp), clip).astype(np.uint64)
+        with np.errstate(over="ignore"):  # a subnormal log1mp makes inf, which clip bounds
+            gaps = np.minimum(np.floor(np.log(u) / log1mp), clip).astype(np.uint64)
         skips = np.cumsum(gaps + np.uint64(1)) - np.uint64(1)  # each position less done
         out.append(skips[skips < total - done] + np.uint64(done))
         done += int(skips[-1]) + 1

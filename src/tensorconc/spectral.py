@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import rng
+from . import core, rng
 from .core import (
     OffsetTensor,
     TensorLike,
@@ -51,10 +51,6 @@ NUM_SLICES = 4
 # certified; at 4096 the Gram matrix, its shifted copy and the Cholesky
 # factor take 128 MB each.
 _DENSE_MAX = 4096
-
-# Most products _gram adds per pass: a memory cap, and small enough that a
-# pass's arrays (512 KB each) stay in cache, which made dense inputs 2x faster.
-_PAIR_CHUNK = 1 << 16
 
 # Most entry-by-start products a lockstep HOPM batch holds: a batch takes
 # as many starts as keep nnz * starts within it, so memory does not grow
@@ -338,8 +334,8 @@ def _gram(mat: _Contraction, short: int) -> tuple:
     start = np.searchsorted(longs, longs)
     counts = np.searchsorted(longs, longs, "right") - start
     g = np.zeros((r, r))
-    # an entry adds one product per entry of its run
-    step = max(1, _PAIR_CHUNK // counts.max(initial=1))
+    # an entry adds one product per entry of its run; a pass adds about core._PASS of them
+    step = max(1, core._PASS // counts.max(initial=1))
     for lo in range(0, len(vals), step):
         e = slice(lo, lo + step)
         c = counts[e]

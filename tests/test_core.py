@@ -185,12 +185,15 @@ class TestFrobenius:
         assert frobenius_norm(w) == pytest.approx(expected, rel=1e-12)
         assert frobenius_norm(w) == np.sqrt(unfold(w, balanced_partition(3, 2)).frobenius_sq())
 
-    def test_background_inner_gated(self):
+    def test_background_inner_above_dense_gate(self):
         small = OffsetTensor(SparseTensor.empty(TensorShape(2, 3)), 2.0)
         assert frobenius_inner(small, small) == pytest.approx(4.0 * 9)
         big = OffsetTensor(SparseTensor.empty(TensorShape(4, 200)), 1.0)
-        with pytest.raises(DenseGateError):
-            frobenius_inner(big, big)
+        assert frobenius_inner(big, big) == 200.0**4
+        # 200^3 coordinates: the background terms are in closed form, as in frobenius_norm
+        p = 1e-4
+        w = center(bernoulli_sample(TensorShape(3, 200), Homogeneous(p), SeedSpec(1, 0)), Homogeneous(p))
+        assert frobenius_inner(w, w) == pytest.approx(frobenius_norm(w) ** 2, rel=1e-12)
 
     def test_shape_mismatch(self):
         a = SparseTensor.empty(TensorShape(2, 3))

@@ -328,6 +328,14 @@ class TestRun:
         with pytest.raises(OSError):
             run(config_from_dict(_base_config()), out=tmp_path / "missing" / "r.csv")
         assert not (tmp_path / "missing").exists()
+        # an output path, or the summary beside it, that names a directory
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "b.csv.summary.json").mkdir()
+        for out in (tmp_path / "adir", tmp_path / "b.csv"):
+            for jobs in (1, 2):
+                with pytest.raises(IsADirectoryError):
+                    run(config_from_dict(_base_config()), jobs=jobs, out=out)
+        assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_1_rejected(self, tmp_path, monkeypatch, jobs):

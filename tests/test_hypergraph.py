@@ -27,7 +27,7 @@ from tensorconc import (
     multilinear_form,
     sample_subset_families,
 )
-from tensorconc import hypergraph, rng
+from tensorconc import core, hypergraph, rng
 from tensorconc.diagnostics import discrepancy_check
 
 
@@ -362,7 +362,7 @@ def _replay_families(k, n, count, seed, which):
 
 
 class TestFamilySamplerKernel:
-    CHUNK = hypergraph._MEMBER_CHUNK
+    CHUNK = core._PASS
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 100])
@@ -751,7 +751,7 @@ class TestCounts:
         want = [dense_count_edges(dense, fam) for fam in fams[:-1]] + [int(dense.sum())]
         words = -(-n // 64)
         for cap in (1, 5, 13):
-            monkeypatch.setattr(hypergraph, "_PASS_WORDS", cap * words)
+            monkeypatch.setattr(core, "_PASS", cap * words)
             assert _box_sums(t, fams).tolist() == want
 
     @pytest.mark.parametrize("k,n", [(2, 128), (3, 65), (4, 9)])
@@ -823,3 +823,27 @@ class TestSubsetValidation:
         g = Hypergraph(2, 4, [[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="distinct"):
             matrix_mixing_check(g, d=1, families=[(np.array([1, 2]), np.array([3, 3]))])
+
+
+@pytest.mark.parametrize("size", [7, 1000])
+def test_pass_size_moves_no_output(size, monkeypatch, packed_calls):
+    """The blocked kernels give the same bytes at any ``core._PASS``: hash
+    blocks over a range and over an array, both Bernoulli paths, the family
+    draw, and the packed box count across many bit chunks and gather passes."""
+    key = rng.stream_key(SeedSpec(990, 0), rng.LBL_BERNOULLI)
+    ctr = np.random.default_rng(990).integers(0, 2**64 - 1, 5000, dtype=np.uint64)
+    t = adjacency(er_hypergraph(3, 70, 0.05, SeedSpec(991, 0)))
+    assert t.nnz > 10 * 1000 and np.all(t.values == 1.0)
+
+    def outputs():
+        batch = hypergraph._draw_families(3, 70, 300, SeedSpec(992, 0))
+        return [rng._hashes(key, range(3, 5003)), rng._hashes(key, ctr),
+                rng.bernoulli_positions(5000, 0.3, key),  # one hash per position
+                rng.bernoulli_positions(2**22, 1e-3, key),  # geometric skips
+                *batch, hypergraph._box_sums(t, *batch)]
+
+    want = outputs()
+    monkeypatch.setattr(core, "_PASS", size)
+    got = outputs()
+    assert packed_calls == [300, 300]
+    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]

@@ -204,14 +204,16 @@ class TestSkipStream:
         assert digest.hexdigest() == (
             "81556e9cb942155bb15169b14ce3df61edf19bc8601e7e678e81969f5b6c2b10")
 
-    @pytest.mark.parametrize("p", [1e-15, 1e-16, 1e-17, 1e-20, 1e-25])
+    @pytest.mark.parametrize("p", [1e-15, 1e-16, 1e-17, 1e-20, 1e-25, 1e-310, 5e-324])
     def test_tiny_p_keeps_nothing(self, p):
-        # at most 4e-9 positions expected; 1024 gaps of mean 1/p used to wrap past 2^63
+        # at most 4e-9 positions expected; 1024 gaps of mean 1/p used to wrap past 2^63,
+        # and a subnormal p's gaps overflow to inf before they are clipped
         assert _positions_skip(2**22, p, stream_key(SeedSpec(1, 0), 1)).size == 0
 
     def test_tiny_p_samplers(self):
-        assert bernoulli_sample(TensorShape(3, 200), Homogeneous(1e-17), SeedSpec(1, 0)).nnz == 0
-        assert er_hypergraph(3, 400, 1e-17, SeedSpec(1, 0)).num_edges == 0
+        for p in (1e-17, 1e-310, 5e-324):
+            assert bernoulli_sample(TensorShape(3, 200), Homogeneous(p), SeedSpec(1, 0)).nnz == 0
+            assert er_hypergraph(3, 400, p, SeedSpec(1, 0)).num_edges == 0
 
     @pytest.mark.parametrize("total", [2**62, 10**18 + 1, 2**63 - 1])
     def test_positions_below_total_near_the_limit(self, total):

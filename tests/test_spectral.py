@@ -24,6 +24,7 @@ from tensorconc import (
     TensorShape,
     bernoulli_sample,
     center,
+    core,
     hopm_lower,
     matrix_op_norm,
     multilinear_form,
@@ -160,7 +161,7 @@ class TestMatrixProductsMatchScipy:
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_gram(self, cases, chunk, monkeypatch):
         if chunk is not None:
-            monkeypatch.setattr(spectral, "_PAIR_CHUNK", chunk)
+            monkeypatch.setattr(core, "_PASS", chunk)
         for m in cases:
             csr, csc = self._scipy(m)
             b = m.background
