@@ -22,7 +22,6 @@ from .core import (
     dumps_tensor,
     frobenius_inner,
     frobenius_norm,
-    hadamard,
     loads_tensor,
     multilinear_form,
     rank1,

@@ -568,23 +568,6 @@ def contract_all_but_one(t: TensorLike, xs, free_mode: int) -> np.ndarray:
     return c.all_but_one(factors, free_mode - 1)
 
 
-def hadamard(a, t: SparseTensor) -> SparseTensor:
-    """Entrywise product; ``a`` is a SparseTensor or a dense weight array."""
-    if isinstance(a, np.ndarray):
-        if a.shape != (t.shape.dim,) * t.shape.order:
-            raise ShapeMismatchError(f"weight array shape {a.shape} mismatches {t.shape}")
-        vals = t.values * a[tuple((t.coords - 1).T)] if t.nnz else t.values
-        return SparseTensor(t.shape, t.coords, vals)
-    if isinstance(a, OffsetTensor):
-        raise TypeError("hadamard weights must be a SparseTensor or dense array")
-    _require_same_shape(a.shape, t.shape)
-    if a.nnz == 0 or t.nnz == 0:
-        return SparseTensor.empty(t.shape)
-    la, lt = a.linear_indices(), t.linear_indices()
-    _, ia, it = np.intersect1d(la, lt, assume_unique=True, return_indices=True)
-    return SparseTensor(t.shape, t.coords[it], a.values[ia] * t.values[it])
-
-
 def center(t: SparseTensor, model: ProbabilityModel) -> OffsetTensor:
     """Subtract the expectation: the result materializes to ``t - p`` exactly.
 

@@ -334,7 +334,7 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
         raise ValueError("count must be >= 1")
     size_key = rng.stream_key(seed, rng.LBL_SUBSET_SIZE)
     member_key = rng.stream_key(seed, rng.LBL_SUBSET_MEMBERS)
-    u = rng.uniform_block(size_key, 0, count * k)
+    u = rng.uniforms(size_key, range(count * k))
     sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
     rows = max(1, core._PASS // n)
     members = []
@@ -343,7 +343,7 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     masks = np.zeros((count * k, words * 8), dtype=np.uint8)
     for lo in range(0, count * k, rows):
         hi = min(count * k, lo + rows)
-        h = rng.hash_block(member_key, lo * n, (hi - lo) * n).reshape(hi - lo, n)
+        h = rng.hashes(member_key, range(lo * n, hi * n)).reshape(hi - lo, n)
         # ranked on the top 32 of the 53 bits first: np.sort on uint32 takes
         # half the time, and a tie at a row's cut (about n / 2^32 a row) is
         # ranked again on all 53
@@ -416,13 +416,6 @@ class MixingReport:
             },
             sort_keys=True,
         )
-
-    def to_csv_rows(self) -> list:
-        rows = [["sizes", "e", "expected", "ratio"]]
-        for sizes, *stats in zip(self.sizes.tolist(), self.e.tolist(),
-                                 self.expected.tolist(), self.ratio.tolist()):
-            rows.append(["x".join(map(str, sizes))] + [format(v, ".17g") for v in stats])
-        return rows
 
 
 def _singleton_trials(t: SparseTensor, p: float) -> tuple:

@@ -83,8 +83,7 @@ def regularize(t: SparseTensor, m: int, p: float) -> RegularizationResult:
     run but are flagged (and warned) as outside it.
     """
     k, n = t.shape.order, t.shape.dim
-    if not 1 <= m <= k - 1:
-        raise ValueError(f"m must be in [1, {k - 1}], got {m}")
+    dm = degree_map(t, m)  # checks m before the regime warning
     _check_p(p)
     in_regime = 2 * m >= k
     if not in_regime:
@@ -93,7 +92,6 @@ def regularize(t: SparseTensor, m: int, p: float) -> RegularizationResult:
             stacklevel=2,
         )
     threshold = 2.0 * n**m * p
-    dm = degree_map(t, m)
     bad = dm.counts > threshold
     removed = np.ascontiguousarray(dm.prefixes[bad])
     if removed.shape[0] == 0:

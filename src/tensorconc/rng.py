@@ -12,10 +12,10 @@ counters in blocks of ``core._PASS`` and hashes each block in place in two
 reused uint64 buffers.  For a contiguous run of counters it adds the block's
 offset ``(start * GAMMA + key) mod 2^64``, computed with Python integers, to
 a precomputed ``i * GAMMA`` ramp.  It yields the top 53 bits ``h`` of each
-hash; the uniform is ``u = h * 2^-53`` exactly.  So a Bernoulli(p) keep test
-``u < p`` is the exact integer test ``h < ceil(p * 2^53)``, which is how
-``_positions_percoord`` runs it, with no float temporary, and ranking on
-``h`` is ranking on ``u``, which is why ``hash_block`` hands out ``h``.
+hash; the uniform is ``u = h * 2^-53`` exactly.  ``hashes`` and
+``uniforms`` read it over any counters.  So ranking on ``h`` is ranking on
+``u``, and the Bernoulli(p) keep test ``u < p`` is the exact integer test
+``h < ceil(p * 2^53)``, which ``_kept`` runs with no float temporary.
 """
 
 from __future__ import annotations
@@ -118,27 +118,32 @@ def _hash53(key: int, counters) -> Iterator[tuple]:
         yield lo, h
 
 
-def _hashes(key: int, counters) -> np.ndarray:
-    """``_hash53`` of every counter, as one uint64 array."""
+def hashes(key: int, counters) -> np.ndarray:
+    """The 53-bit hashes (uint64) of the counters, a ``range`` with step 1 or
+    a 1-d integer array: ranking on them is ranking on ``uniforms``."""
     out = np.empty(len(counters), dtype=np.uint64)
     for lo, h in _hash53(key, counters):
         out[lo:lo + len(h)] = h
     return out
 
 
-def uniforms_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) at the given uint64 counters."""
-    return (_hashes(key, np.ravel(counters)) * 2.0**-53).reshape(np.shape(counters))
+def uniforms(key: int, counters) -> np.ndarray:
+    """Uniforms in [0, 1) at the counters: exactly ``hashes(key, counters) * 2^-53``."""
+    return hashes(key, counters) * 2.0**-53
 
 
-def uniform_block(key: int, start: int, count: int) -> np.ndarray:
-    return hash_block(key, start, count) * 2.0**-53
+def _kept(key: int, counters, p) -> np.ndarray:
+    """Ascending uint64 positions i of the counters whose hash h passes the
+    Bernoulli(p) keep test ``h * 2^-53 < p``, run as ``h < ceil(p * 2^53)``.
 
-
-def hash_block(key: int, start: int, count: int) -> np.ndarray:
-    """The 53-bit hashes (uint64) behind ``uniform_block(key, start, count)``,
-    which is exactly these times 2^-53: ranking on them is ranking on it."""
-    return _hashes(key, range(start, start + count))
+    ``p`` is one probability, or an array of one per counter.
+    """
+    thresh = np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
+    kept = []
+    for lo, h in _hash53(key, counters):
+        below = h < (thresh if thresh.ndim == 0 else thresh[lo:lo + len(h)])
+        kept.append(np.flatnonzero(below).astype(np.uint64) + np.uint64(lo))
+    return np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
 
 
 def bernoulli_positions(total: int, p: float, key: int) -> np.ndarray:
@@ -168,14 +173,7 @@ def _positions_percoord(total: int, p, key: int) -> np.ndarray:
 
     ``p`` is one probability, or an array of one per position.
     """
-    scalar = np.ndim(p) == 0
-    if scalar:
-        thresh = np.uint64(math.ceil(p * 2.0**53))
-    kept = []
-    for lo, h in _hash53(key, range(total)):
-        below = h < (thresh if scalar else np.ceil(p[lo:lo + len(h)] * 2.0**53))
-        kept.append(np.flatnonzero(below).astype(np.uint64) + np.uint64(lo))
-    return np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
+    return _kept(key, range(total), p)
 
 
 def _positions_skip(total: int, p: float, key: int) -> np.ndarray:
@@ -188,7 +186,7 @@ def _positions_skip(total: int, p: float, key: int) -> np.ndarray:
     done = 0  # every position below done is decided
     drawn = 0
     while done < total:
-        u = (hash_block(key, drawn, block) + np.uint64(1)) * 2.0**-53  # in (0, 1]
+        u = (hashes(key, range(drawn, drawn + block)) + np.uint64(1)) * 2.0**-53  # in (0, 1]
         with np.errstate(over="ignore"):  # a subnormal log1mp makes inf, which clip bounds
             gaps = np.minimum(np.floor(np.log(u) / log1mp), clip).astype(np.uint64)
         skips = np.cumsum(gaps + np.uint64(1)) - np.uint64(1)  # each position less done

@@ -61,9 +61,7 @@ def sparsify_uniform(t: SparseTensor, p: float, seed: SeedSpec) -> SparseTensor:
         return t
     if p == 0.0:
         return SparseTensor.empty(t.shape)
-    key = rng.stream_key(seed, rng.LBL_SPARSIFY)
-    u = rng.uniforms_at(key, t.linear_indices())
-    keep = u < p
+    keep = rng._kept(rng.stream_key(seed, rng.LBL_SPARSIFY), t.linear_indices(), p)
     return SparseTensor(t.shape, t.coords[keep], t.values[keep], presorted=True)
 
 

@@ -237,7 +237,7 @@ def _lanczos(op, start: np.ndarray, seed: SeedSpec) -> tuple:
                 break
             first, beta = j + 1, 0.0
             key = rng.stream_key(seed, rng.LBL_POWER_INIT)
-            w = orthogonalized(2.0 * rng.uniform_block(key, 0, dim) - 1.0)
+            w = orthogonalized(2.0 * rng.uniforms(key, range(dim)) - 1.0)
         elif (j + 1 - first) % _CHECK_EVERY == 0:
             theta, s = _tridiagonal_top(alphas[first:], betas[first:])
             if beta * abs(s[-1]) <= _LANCZOS_TOL * theta:
@@ -552,7 +552,7 @@ def hopm_lower(
         starts.append(list(_vectors_of(x, k, n)))
     # restart r's mode-j vector is drawn at counters (r * k + j) * n + [0, n)
     key = rng.stream_key(config.seed, rng.LBL_HOPM_INIT)
-    u = rng.uniform_block(key, 0, config.restarts * k * n).reshape(config.restarts, k, n)
+    u = rng.uniforms(key, range(config.restarts * k * n)).reshape(config.restarts, k, n)
     for vs in 2.0 * u - 1.0:
         norms = [_norm(v) for v in vs]
         starts.append([v / nv if nv > 0 else np.full(n, n**-0.5) for v, nv in zip(vs, norms)])
@@ -597,7 +597,7 @@ def slice_lower(
     assignments = [np.ones(k - 2, dtype=np.int64)]
     if num_slices > 1:
         key = rng.stream_key(seed, rng.LBL_SLICE)
-        u = rng.uniform_block(key, 0, (num_slices - 1) * (k - 2))
+        u = rng.uniforms(key, range((num_slices - 1) * (k - 2)))
         extra = np.minimum(n, (u * n).astype(np.int64) + 1).reshape(num_slices - 1, k - 2)
         assignments.extend(list(extra))
     best_val, best, converged = -1.0, None, True
@@ -620,6 +620,8 @@ def slice_lower(
 def kron_lift(xs: Sequence[np.ndarray], modes: Sequence[int]) -> np.ndarray:
     """Kronecker product of the given (1-based) modes' vectors in unfolding
     digit order: the first block member is the least significant index."""
+    if not all(1 <= r <= len(xs) for r in modes):
+        raise ValueError(f"modes must be in [1, {len(xs)}], got {list(modes)}")
     vecs = [np.asarray(xs[r - 1], dtype=np.float64) for r in modes]
     return reduce(np.kron, list(reversed(vecs)))
 

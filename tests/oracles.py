@@ -187,7 +187,7 @@ def reference_slice_lower(t, num_slices, seed, config):
     k, n = t.shape.order, t.shape.dim
     assignments = [np.ones(k - 2, dtype=np.int64)]
     if num_slices > 1:
-        u = rng.uniform_block(rng.stream_key(seed, rng.LBL_SLICE), 0, (num_slices - 1) * (k - 2))
+        u = rng.uniforms(rng.stream_key(seed, rng.LBL_SLICE), range((num_slices - 1) * (k - 2)))
         assignments.extend(np.minimum(n, (u * n).astype(np.int64) + 1).reshape(num_slices - 1, k - 2))
     best_val, best, converged, seen = -1.0, None, True, set()
     for a in assignments:
@@ -350,7 +350,7 @@ def reference_hopm_lower(t, config, extra_inits=()):
     for x in extra_inits:
         starts.append(list(_vectors_of(x, k, n)))
     key = rng.stream_key(config.seed, rng.LBL_HOPM_INIT)
-    u = rng.uniform_block(key, 0, config.restarts * k * n).reshape(config.restarts, k, n)
+    u = rng.uniforms(key, range(config.restarts * k * n)).reshape(config.restarts, k, n)
     for vs in 2.0 * u - 1.0:
         norms = [spectral._norm(v) for v in vs]
         starts.append([v / nv if nv > 0 else np.full(n, n**-0.5) for v, nv in zip(vs, norms)])

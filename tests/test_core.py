@@ -26,7 +26,6 @@ from tensorconc import (
     dumps_tensor,
     frobenius_inner,
     frobenius_norm,
-    hadamard,
     kl_bernoulli,
     loads_tensor,
     multilinear_form,
@@ -294,29 +293,6 @@ class TestContract:
             spec = f"{modes},{','.join(modes[:free] + modes[free + 1:])}->{modes[free]}"
             got = contract_all_but_one(t, others, free + 1)
             assert got == pytest.approx(np.einsum(spec, dense, *others), rel=1e-12, abs=1e-12)
-
-
-class TestHadamard:
-    def test_identity_weight(self, rng):
-        t = random_sparse(rng, 3, 2)
-        j = SparseTensor.all_ones(t.shape)
-        assert hadamard(j, t) == t
-        assert hadamard(t, j).nnz == t.nnz
-
-    def test_zero_weight(self, rng):
-        t = random_sparse(rng, 3, 2)
-        assert hadamard(SparseTensor.empty(t.shape), t).nnz == 0
-
-    def test_matches_bruteforce(self, rng):
-        a = random_sparse(rng, 3, 2)
-        t = random_sparse(rng, 3, 2)
-        expected = a.to_dense() * t.to_dense()
-        assert np.array_equal(hadamard(a, t).to_dense(), expected)
-
-    def test_dense_weights(self, rng):
-        t = random_sparse(rng, 2, 4)
-        w = rng.standard_normal((4, 4))
-        assert np.allclose(hadamard(w, t).to_dense(), w * t.to_dense())
 
 
 class TestCenter:

@@ -148,6 +148,13 @@ class TestRegularize:
                         if counts[tuple(c[:k - m])] <= res.threshold]
                 assert res.regularized.coords.tolist() == kept
 
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_m_out_of_range_raises_before_the_regime_warning(self, m):
+        # m = 0 < k/2 would warn if the range were checked after the regime
+        t = SparseTensor.all_ones(TensorShape(4, 3))
+        with pytest.raises(ValueError, match=r"^m must be in \[1, 3\], got "):
+            regularize(t, m, 0.5)
+
     def test_out_of_regime_warns(self):
         t = SparseTensor.all_ones(TensorShape(4, 3))
         with pytest.warns(UserWarning, match="outside the guarantee regime"):

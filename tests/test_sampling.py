@@ -26,16 +26,15 @@ from tensorconc.rng import (
     _GAMMA,
     _MASK64,
     LBL_BERNOULLI,
+    LBL_SPARSIFY,
     _fin_int,
     _positions_percoord,
     _positions_skip,
     LBL_SUBSET_MEMBERS,
-    _hashes,
     bernoulli_positions,
-    hash_block,
+    hashes,
     stream_key,
-    uniform_block,
-    uniforms_at,
+    uniforms,
 )
 
 
@@ -77,7 +76,7 @@ class TestBernoulliSample:
         key = stream_key(seed, LBL_BERNOULLI)
         expected = []
         for lin in range(49):
-            u = uniforms_at(key, np.array([lin], dtype=np.uint64))[0]
+            u = uniforms(key, np.array([lin], dtype=np.uint64))[0]
             if u < 0.35:
                 expected.append([lin // 7 + 1, lin % 7 + 1])
         assert t.coords.tolist() == expected
@@ -122,7 +121,7 @@ class TestBernoulliSample:
         table[1] = 1.0
         seed = SeedSpec(6, 1)
         t = bernoulli_sample(TensorShape(3, 41), DenseProbability(table), seed)
-        u = uniforms_at(stream_key(seed, LBL_BERNOULLI), np.arange(41**3, dtype=np.uint64))
+        u = uniforms(stream_key(seed, LBL_BERNOULLI), np.arange(41**3, dtype=np.uint64))
         assert np.array_equal(t.linear_indices(), np.flatnonzero(u < table.reshape(-1)))
 
 
@@ -158,7 +157,7 @@ class TestHashKernel:
     @pytest.mark.parametrize("p", P_VALUES)
     def test_percoord_is_uniform_below_p(self, total, p):
         key = stream_key(SeedSpec(11, total), LBL_BERNOULLI)
-        want = np.flatnonzero(uniforms_at(key, np.arange(total, dtype=np.uint64)) < p)
+        want = np.flatnonzero(uniforms(key, np.arange(total, dtype=np.uint64)) < p)
         got = _positions_percoord(total, p, key)
         assert got.dtype == np.uint64
         assert np.array_equal(got, want)
@@ -178,16 +177,17 @@ class TestHashKernel:
         ctr = ctr[::2]  # unsorted, strided, and longer than one hash block
         key = stream_key(SeedSpec(3, 4), LBL_BERNOULLI)
         tops = [_fin_int(int(c) * _GAMMA + key) >> 11 for c in ctr]
-        assert np.array_equal(uniforms_at(key, ctr), np.array(tops) * 2.0**-53)
-        assert np.array_equal((_hashes(key, ctr) + 1) * 2.0**-53, (np.array(tops) + 1) * 2.0**-53)
+        assert np.array_equal(uniforms(key, ctr), np.array(tops) * 2.0**-53)
+        assert np.array_equal((hashes(key, ctr) + 1) * 2.0**-53, (np.array(tops) + 1) * 2.0**-53)
 
 
     @pytest.mark.parametrize("start,count", [(5, 3), (2**16 - 7, 20), (3 * 2**16 + 11, 2**17 + 5)])
     def test_hash_block_is_the_uniforms_numerator(self, start, count):
         key = stream_key(SeedSpec(12, count), LBL_SUBSET_MEMBERS)
-        h = hash_block(key, start, count)
+        h = hashes(key, range(start, start + count))
         assert h.dtype == np.uint64 and h.shape == (count,) and int(h.max()) < 2**53
-        assert (h * 2.0**-53).tobytes() == uniform_block(key, start, count).tobytes()
+        assert h.tobytes() == hashes(key, np.arange(start, start + count)).tobytes()
+        assert (h * 2.0**-53).tobytes() == uniforms(key, range(start, start + count)).tobytes()
         for i in (0, count - 1):
             assert int(h[i]) == _fin_int((start + i) * _GAMMA + key) >> 11
 
@@ -255,6 +255,25 @@ class TestSparsifyUniform:
         full = t.to_dense()
         sub = kept.to_dense()
         assert np.all((sub == 0) | (sub == full))
+
+    # 0.3 * 2^53 is not an integer, so the keep threshold is rounded up
+    @pytest.mark.parametrize("p", [2.0**-10, 0.3, 0.5, 0.9])
+    def test_all_ones_keeps_the_percoord_stream(self, p):
+        # 50^3 coordinates span two hash blocks
+        shape, seed = TensorShape(3, 50), SeedSpec(13, 2)
+        kept = sparsify_uniform(SparseTensor.all_ones(shape), p, seed)
+        want = _positions_percoord(shape.ncoords, p, stream_key(seed, LBL_SPARSIFY))
+        assert kept.linear_indices().astype(np.uint64).tobytes() == want.tobytes()
+
+    def test_weighted_base_keeps_the_entries_on_kept_coordinates(self, rng):
+        dense = np.where(rng.random((30, 30, 30)) < 0.4, rng.standard_normal((30, 30, 30)), 0.0)
+        t, seed = SparseTensor.from_dense(dense), SeedSpec(14, 0)
+        kept = sparsify_uniform(t, 0.3, seed)
+        stream = _positions_percoord(t.shape.ncoords, 0.3, stream_key(seed, LBL_SPARSIFY))
+        on = np.isin(t.linear_indices().astype(np.uint64), stream)
+        assert 0 < kept.nnz < t.nnz
+        assert kept.coords.tobytes() == t.coords[on].tobytes()
+        assert kept.values.tobytes() == t.values[on].tobytes()
 
 
 @pytest.mark.parametrize("entry", [

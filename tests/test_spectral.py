@@ -465,6 +465,15 @@ class TestSandwich:
         with pytest.raises(ValueError):
             spectral_sandwich(t, 3)
 
+    def test_kron_lift_rejects_modes_out_of_range(self):
+        # unchecked, mode 0 would read xs[-1], the last vector
+        xs = [np.ones(2), 2 * np.ones(2)]
+        assert np.array_equal(kron_lift(xs, [1]), [1.0, 1.0])
+        assert np.array_equal(kron_lift(xs, [2, 1]), [2.0, 2.0, 2.0, 2.0])
+        for modes in ([0], [1, 3], [-1]):
+            with pytest.raises(ValueError, match=r"modes must be in \[1, 2\]"):
+                kron_lift(xs, modes)
+
 
 class TestCandidateTable:
     """``upper`` is the least certified upper candidate, and ``bounds`` names
