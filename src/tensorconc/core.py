@@ -137,13 +137,12 @@ class SparseTensor(_Frozen):
         if not presorted:
             keep = values != 0.0
             coords, values = coords[keep], values[keep]
-            if coords.shape[0] > 1:
-                order = _lex_order(coords)
-                coords, values = coords[order], values[order]
-                dup = np.all(coords[1:] == coords[:-1], axis=1)
-                if dup.any():
-                    where = coords[1:][dup][0]
-                    raise ValueError(f"duplicate coordinate {tuple(int(i) for i in where)}")
+            order = _lex_order(coords)
+            coords, values = coords[order], values[order]
+            dup = np.all(coords[1:] == coords[:-1], axis=1)
+            if dup.any():
+                where = coords[1:][dup][0]
+                raise ValueError(f"duplicate coordinate {tuple(int(i) for i in where)}")
         coords = np.ascontiguousarray(coords)
         values = np.ascontiguousarray(values)
         coords.flags.writeable = False
@@ -515,12 +514,7 @@ class _Contraction:
     def form(self, factors) -> float:
         """sum_i T_i prod_j x_j[i_j] over the sparse part (pairwise summed),
         plus the background term; one factor per mode."""
-        total = 0.0
-        if len(self.values):
-            total += float(self._product(factors).sum())
-        if self.background != 0.0:
-            total += self._background_term(factors)
-        return total
+        return float(self._product(factors).sum()) + self._background_term(factors)
 
     def all_but_one(self, factors, free: int, bins: np.ndarray | None = None) -> np.ndarray:
         """Contraction with every mode's factor but the 0-based mode ``free``
@@ -529,12 +523,10 @@ class _Contraction:
         index * A + s of the entries' products (``spectral.hopm_lower``)."""
         others = [f for j, f in enumerate(factors) if j != free]
         shape = (self.dims[free], *others[0][0].shape[1:])
-        if len(self.values):
-            out = np.bincount(self.index[free] if bins is None else bins,
-                              weights=self._product(others).ravel(),
-                              minlength=math.prod(shape)).reshape(shape)
-        else:
-            out = np.zeros(shape)
+        out = np.bincount(self.index[free] if bins is None else bins,
+                          weights=self._product(others).ravel(),
+                          minlength=math.prod(shape))
+        out = out.astype(np.float64, copy=False).reshape(shape)  # int zeros when nnz = 0
         if self.background != 0.0:
             out = out + self._background_term(others)
         return out

@@ -166,9 +166,8 @@ def split_tuples(ys, n: int, p: float) -> TupleSplit:
         idx = np.column_stack([idx[rows], orders[j][pos]])
         heavy_products = heavy_products[rows] * y[pos]
     heavy_coords = (idx + 1).astype(np.int32)
-    if heavy_coords.shape[0] > 1:
-        order = _lex_order(heavy_coords)
-        heavy_coords, heavy_products = heavy_coords[order], heavy_products[order]
+    order = _lex_order(heavy_coords)
+    heavy_coords, heavy_products = heavy_coords[order], heavy_products[order]
     total = math.prod(float(v.sum()) for v in vecs)
     heavy_sum = float(heavy_products.sum())
     return TupleSplit(threshold, heavy_coords, heavy_products, total - heavy_sum, heavy_sum)
@@ -194,14 +193,12 @@ def light_contribution_check(w: TensorLike, ys, p: float, c: float) -> LightCont
     ys = _vectors_of(ys, w.shape.order, n)
     split = split_tuples(ys, n, p)
     total = multilinear_form(w, ys)
-    heavy_part = 0.0
-    if split.heavy_count:
-        vals = np.full(split.heavy_count, w.background)
-        if w.nnz:
-            _, ih, iw = np.intersect1d(linear_index(split.heavy_coords, n), w.sparse.linear_indices(),
-                                       assume_unique=True, return_indices=True)
-            vals[ih] += w.sparse.values[iw]
-        heavy_part = _dot(split.heavy_products, vals)
+    vals = np.full(split.heavy_count, w.background)
+    if split.heavy_count and w.nnz:  # linear_indices raises at n^k >= 2^63
+        _, ih, iw = np.intersect1d(linear_index(split.heavy_coords, n), w.sparse.linear_indices(),
+                                   assume_unique=True, return_indices=True)
+        vals[ih] += w.sparse.values[iw]
+    heavy_part = _dot(split.heavy_products, vals)
     light_sum = total - heavy_part
     ratio = abs(light_sum) / math.sqrt(n * p)
     return LightContributionRecord(light_sum, ratio, c, ratio <= c, split.heavy_count)

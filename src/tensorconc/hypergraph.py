@@ -8,6 +8,8 @@ tensor of a hypergraph e([n], ..., [n]) = k! * |E|.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import io
 import itertools
 import json
@@ -77,12 +79,9 @@ def loads_hypergraph(text: str) -> Hypergraph:
 
 def adjacency(h: Hypergraph) -> SparseTensor:
     """Symmetric adjacency tensor: each edge contributes k! unit entries."""
-    shape = TensorShape(h.k, h.n)
-    if h.num_edges == 0:
-        return SparseTensor.empty(shape)
     perms = list(itertools.permutations(range(h.k)))
     coords = np.concatenate([h.edges[:, perm] for perm in perms], axis=0)
-    return SparseTensor(shape, coords, np.ones(coords.shape[0]))
+    return SparseTensor(TensorShape(h.k, h.n), coords, np.ones(coords.shape[0]))
 
 
 def _validate_families(shape: TensorShape, families) -> tuple:
@@ -169,11 +168,9 @@ def _box_sums(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, members: n
     their values in the order V_1 lists its members.
     """
     k = t.shape.order
-    out = np.zeros(sizes.shape[0])
-    if t.nnz == 0 or not out.size:
-        return out
     if masks is not None and np.all(t.values == 1.0):
         return _packed_counts(t, sizes, starts, members, masks).astype(np.float64)
+    out = np.zeros(sizes.shape[0])
     cols = t.coords.T
     firsts = np.unique(members[_runs(starts[:, 0], sizes[:, 0])])
     lo = np.searchsorted(cols[0], firsts)
@@ -318,16 +315,38 @@ def _smallest(u: np.ndarray, sizes: np.ndarray, fine: Optional[np.ndarray] = Non
     return keep
 
 
+@functools.lru_cache(maxsize=None)
+def _size_cuts(n: int) -> np.ndarray:
+    """c_s for s in [1, n - 1], the least double >= log_n(s + 1/2), ascending.
+
+    A set drawn at u in [0, 1) has size rint(n^u) = 1 + #{s : u >= c_s}, so
+    ``searchsorted`` on the cuts gives it without a transcendental whose last
+    bit depends on the host.  Each cut is found to 40 digits with ``decimal``,
+    once per n and process; n^u = s + 1/2 has no dyadic solution u, so no
+    draw ties a cut.
+    """
+    cuts = np.empty(n - 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        log_n = decimal.Decimal(n).ln()
+        for s in range(1, n):
+            cut = decimal.Decimal(s + 0.5).ln() / log_n
+            c = float(cut)
+            cuts[s - 1] = c if decimal.Decimal(c) >= cut else math.nextafter(c, math.inf)
+    cuts.flags.writeable = False
+    return cuts
+
+
 def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     """``count`` tuples of k subsets of [1, n] as a batch ``(sizes, starts,
     members, masks)`` (see ``_packed_batch``); deterministic under seed.
 
-    Set j of family t has a log-uniform size and holds the members whose
-    hashes at counters ``(t * k + j) * n + [0, n)`` rank below that size,
-    ascending, as int32; the same keep-row is packed into its mask where
-    the bit-packed layout fits (``masks`` is None elsewhere).  All
-    sets are drawn as one run of counters, ``core._PASS`` counters at a
-    time.
+    Set j of family t has a log-uniform size (``_size_cuts``) and holds
+    the members whose hashes at counters ``(t * k + j) * n + [0, n)`` rank
+    below that size, ascending, as int32; the same keep-row is packed into
+    its mask where the bit-packed layout fits (``masks`` is None
+    elsewhere).  All sets are drawn as one run of counters, ``core._PASS``
+    counters at a time.
     """
     k, n, count = map(operator.index, (k, n, count))
     if count < 1:
@@ -335,7 +354,7 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     size_key = rng.stream_key(seed, rng.LBL_SUBSET_SIZE)
     member_key = rng.stream_key(seed, rng.LBL_SUBSET_MEMBERS)
     u = rng.uniforms(size_key, range(count * k))
-    sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
+    sizes = 1 + np.searchsorted(_size_cuts(n), u, side="right")
     rows = max(1, core._PASS // n)
     members = []
     words = _packed_words(k, n)

@@ -163,11 +163,8 @@ class UnfoldedView(_Frozen):
 
     def canonical_entries(self) -> tuple:
         """(coords, values) sorted lexicographically in unfolded coordinates."""
-        coords, values = self.coords, self.values
-        if coords.shape[0] > 1:
-            order = _lex_order(coords)
-            coords, values = coords[order], values[order]
-        return coords, values
+        order = _lex_order(self.coords)
+        return self.coords[order], self.values[order]
 
     def __repr__(self):
         return f"UnfoldedView(dims={self.dims}, nnz={self.nnz}, background={self.background!r})"

@@ -62,6 +62,19 @@ class TestShapesAndConstruction:
         assert t.coords.tolist() == [[1, 2], [3, 1]]
         assert t.values.tolist() == [2.0, 1.0]
 
+    @pytest.mark.parametrize("coords,values,want", [
+        (np.empty((0, 3)), [], []),
+        ([[2, 1, 3], [1, 1, 1]], [0.0, 0.0], []),
+        ([[2, 1, 3]], [1.5], [[2, 1, 3]]),
+        ([[2, 1, 3], [1, 1, 1]], [1.5, 0.0], [[2, 1, 3]]),
+    ])
+    def test_zero_and_one_entries_canonicalized(self, coords, values, want):
+        t = SparseTensor(TensorShape(3, 3), coords, values)
+        assert t.coords.dtype == np.int32 and t.coords.shape == (len(want), 3)
+        assert t.coords.tolist() == want and t.values.tolist() == [1.5] * len(want)
+        assert t.coords.flags.c_contiguous and not t.coords.flags.writeable
+        assert not t.values.flags.writeable
+
     def test_duplicate_coordinate_rejected(self):
         sh = TensorShape(2, 3)
         with pytest.raises(ValueError, match="duplicate"):
@@ -292,6 +305,7 @@ class TestContract:
             others = [xs[j] for j in range(k) if j != free]
             spec = f"{modes},{','.join(modes[:free] + modes[free + 1:])}->{modes[free]}"
             got = contract_all_but_one(t, others, free + 1)
+            assert got.dtype == np.float64 and got.shape == (n,)
             assert got == pytest.approx(np.einsum(spec, dense, *others), rel=1e-12, abs=1e-12)
 
 

@@ -81,6 +81,8 @@ class TestSplitTuples:
         ys = VectorTuple.uniform(k, n)
         split = split_tuples(ys, n, 1.0 / n**2)  # product == threshold: light
         assert split.heavy_count == 0
+        assert split.heavy_coords.dtype == np.int32 and split.heavy_coords.shape == (0, k)
+        assert split.heavy_products.shape == (0,)
         assert split.light_contribution == pytest.approx(n ** (k / 2))
 
     def test_basis_vectors_single_heavy(self):
@@ -88,7 +90,8 @@ class TestSplitTuples:
         e1 = np.zeros(n)
         e1[0] = 1.0
         split = split_tuples([e1, e1, e1], n, 0.5)
-        assert split.heavy_coords.tolist() == [[1, 1, 1]]
+        assert split.heavy_coords.dtype == np.int32 and split.heavy_coords.tolist() == [[1, 1, 1]]
+        assert split.heavy_products.tolist() == [1.0]
         assert split.heavy_contribution == pytest.approx(1.0)
         assert split.is_heavy((1, 1, 1))
         assert not split.is_heavy((1, 1, 2))

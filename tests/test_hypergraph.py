@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import json
@@ -86,8 +87,9 @@ class TestHypergraph:
 
 class TestAdjacency:
     def test_empty(self):
-        h = Hypergraph(3, 5, np.empty((0, 3)))
-        assert adjacency(h).nnz == 0
+        t = adjacency(Hypergraph(3, 5, np.empty((0, 3))))
+        assert t == SparseTensor.empty(TensorShape(3, 5))
+        assert t.coords.dtype == np.int32 and t.coords.shape == (0, 3)
 
     def test_single_edge_full_orbit(self):
         h = Hypergraph(3, 4, [[1, 2, 3]])
@@ -340,13 +342,26 @@ def _matrix_mixing_digests(check) -> list:
     return out
 
 
+def _exact_cuts(n):
+    """For s = 1..n-1, the least double c_s >= log_n(s + 1/2), from 60-digit
+    ``decimal`` logarithms: a set drawn at u has size s + 1 from u = c_s on."""
+    cuts = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for s in range(1, n):
+            exact = decimal.Decimal(s + 0.5).ln() / decimal.Decimal(n).ln()
+            c = float(exact)
+            cuts.append(c if decimal.Decimal(c) >= exact else math.nextafter(c, math.inf))
+    return np.array(cuts)
+
+
 def _replay_families(k, n, count, seed, which):
     """Per-set reference for families ``which`` of ``sample_subset_families``:
     each set draws its own n uniforms and keeps the first ``size`` positions
     of their stable argsort, sorted ascending."""
     member_key = rng.stream_key(seed, rng.LBL_SUBSET_MEMBERS)
     u = rng.uniforms(rng.stream_key(seed, rng.LBL_SUBSET_SIZE), range(count * k))
-    sizes = np.minimum(n, np.maximum(1, np.rint(np.exp(u * math.log(n))).astype(np.int64)))
+    sizes = 1 + np.count_nonzero(u[:, None] >= _exact_cuts(n), axis=1)
     fams = {}
     for t in which:
         fam = []
@@ -381,6 +396,17 @@ class TestFamilySamplerKernel:
                     assert np.array_equal(a, b)
             if n == 1:
                 assert {s.tobytes() for fam in got for s in fam} == {np.int32(1).tobytes()}
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 100, 120, 1000])
+    def test_sizes_exact_at_their_cuts(self, n, monkeypatch):
+        # u at each cut c_s gives size s + 1 and one ulp below it size s,
+        # points where rint(np.exp(u log n)) can round to either side
+        cuts = _exact_cuts(n)
+        u = np.concatenate([cuts, np.nextafter(cuts, -np.inf)])
+        monkeypatch.setattr(rng, "uniforms", lambda key, counters: u[counters])
+        sizes, *_ = hypergraph._draw_families(2, n, n - 1, SeedSpec(990, n))
+        s = np.arange(1, n)
+        assert sizes.ravel().tolist() == np.concatenate([s + 1, s]).tolist()
 
     def test_smallest_breaks_ties_by_position(self):
         gen = np.random.default_rng(5)
@@ -763,10 +789,14 @@ class TestCounts:
         assert packed_calls == [400]
         assert np.array_equal(bitmap, sparse)
 
-    def test_empty_inputs(self):
-        t = SparseTensor.empty(TensorShape(3, 4))
-        fam = tuple(np.array([1, 2]) for _ in range(3))
-        assert _box_sums(t, [fam]).tolist() == [0.0]
+    def test_empty_inputs(self, packed_calls):
+        # an empty tensor, on the packed path at n = 4 and on the entry path at n = 300
+        for n in (4, 300):
+            t = SparseTensor.empty(TensorShape(3, n))
+            fam = tuple(np.array([1, 2, n]) for _ in range(3))
+            assert _box_sums(t, [fam]).tolist() == [0.0]
+            assert count_edges(t, fam) == 0
+            assert packed_calls == [1, 1]
         t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(975, 0)))
         none = np.zeros((0, 3), dtype=np.int64)
         masks = np.zeros((0, 3, 1), dtype=np.uint64)

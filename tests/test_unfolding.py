@@ -190,6 +190,14 @@ class TestUnfold:
         t = SparseTensor(TensorShape(3, 2), [[2, 1, 2]], [1.0])
         view = unfold(t, Partition([[1, 2], [3]]))
         assert view.coords.tolist() == [[2, 2]]
+        coords, values = view.canonical_entries()
+        assert coords.dtype == np.int64 and coords.tolist() == [[2, 2]] and values.tolist() == [1.0]
+
+    def test_no_entries_canonical(self):
+        view = unfold(SparseTensor.empty(TensorShape(3, 2)), Partition([[1, 2], [3]]))
+        coords, values = view.canonical_entries()
+        assert coords.dtype == np.int64 and coords.shape == (0, 2)
+        assert values.dtype == np.float64 and values.shape == (0,)
 
     def test_frobenius_preserved_exactly(self, rng):
         for _ in range(10):
