@@ -193,8 +193,7 @@ class SparseTensor(_Frozen):
     def to_dense(self) -> np.ndarray:
         self.shape.require_dense_gate()
         out = np.zeros((self.shape.dim,) * self.shape.order)
-        if self.nnz:
-            out[tuple((self.coords - 1).T)] = self.values
+        out[tuple((self.coords - 1).T)] = self.values
         return out
 
     def __eq__(self, other) -> bool:
@@ -493,11 +492,11 @@ class _Contraction:
         """The values times the gathered factors in mode order; the values
         are skipped when ``unit``."""
         gathered = [g for g, _ in factors]
-        if self.unit and gathered:
+        if self.unit:
             prod, rest = gathered[0], gathered[1:]
         else:
             prod, rest = self.values, gathered
-            if gathered and gathered[0].ndim == 2:
+            if gathered[0].ndim == 2:
                 prod = prod[:, None]
         if rest:
             prod = prod * rest[0]

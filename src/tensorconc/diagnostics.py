@@ -86,12 +86,10 @@ def net_supremum_check(
     k, n = t.shape.order, t.shape.dim
     if n > 3 or k > 3:
         raise ValueError(f"net supremum check gated to n <= 3, k <= 3, got n={n}, k={k}")
-    net = lattice_net(n, delta)
-    y = net.points
+    y = lattice_net(n, delta).points  # never empty: the net holds the origin
     dense = t.materialize()
     mats = [dense] if k == 2 else (np.einsum("a,abc->bc", x, dense) for x in y)
-    sup = max(float(np.abs(np.einsum("ia,ab,jb->ij", y, m, y)).max())
-              for m in mats) if net.size else 0.0
+    sup = max(float(np.abs(np.einsum("ia,ab,jb->ij", y, m, y)).max()) for m in mats)
     bound = (1.0 - delta) ** (-k) * sup
     lower = hopm_lower(t, config).value
     return NetSupremumRecord(sup, bound, lower, lower <= bound + 1e-8, bound - lower)

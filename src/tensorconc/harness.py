@@ -278,7 +278,7 @@ CSV_HEADER = [f.name for f in fields(ResultRecord)]
 
 def _concentration(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
     t = bernoulli_sample(TensorShape(cfg.k, n), Homogeneous(p), seed)
-    return center(t, Homogeneous(p)), {"nnz": t.nnz}
+    return t, {"nnz": t.nnz}
 
 
 def _regularize(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
@@ -294,7 +294,7 @@ def _regularize(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
         chk = removed_count_check(reg, p)
         aux["removed_bound"] = chk.bound
         aux["removed_within"] = chk.within
-    return center(reg.regularized, Homogeneous(p)), aux
+    return reg.regularized, aux
 
 
 def _expander(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
@@ -305,18 +305,18 @@ def _expander(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
         "max_first_mode_degree": degree_map(tprime, cfg.k - 1).max_degree,
         "degree_bound": 2.0 * math.factorial(cfg.k) * n ** (cfg.k - 1) * p,
     }
-    if 0 < p < 1:
+    if p < 1:
         fam = SubsetFamilies.sampled(cfg.params["mixing_families"])
         report = mixing_check(tprime, p, fam, seed)
         aux["mixing_max_ratio"] = report.max_ratio
         aux["fitted_C"] = report.fitted_c
-    return center(tprime, Homogeneous(p)), aux
+    return tprime, aux
 
 
 def _sparsify(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
     base = SparseTensor.all_ones(TensorShape(cfg.k, n))
     kept = sparsify_uniform(base, p, seed)
-    return center(kept, Homogeneous(p)), {"kept": kept.nnz, "total": base.nnz}
+    return kept, {"kept": kept.nnz, "total": base.nnz}
 
 
 def _diagnostics(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
@@ -335,7 +335,7 @@ def _diagnostics(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
     }
 
 
-# command -> trial body: (cfg, n, p, seed) -> (tensor to bracket or None, aux fields)
+# command -> trial body: (cfg, n, p, seed) -> (T or None, aux); _run_trial brackets T - pJ
 _TRIALS = {
     "concentration": _concentration,
     "regularize": _regularize,
@@ -367,10 +367,10 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
     start = time.perf_counter()
     seed = SeedSpec(cfg.base_seed, trial)
     p = cfg.p_rule.value(n)
-    w, aux = _TRIALS[cfg.command](cfg, n, p, seed)
+    t, aux = _TRIALS[cfg.command](cfg, n, p, seed)
     lower = upper = 0.0
-    if w is not None:
-        est = spectral_sandwich(w, cfg.m, cfg.estimator.power_config(seed),
+    if t is not None:
+        est = spectral_sandwich(center(t, Homogeneous(p)), cfg.m, cfg.estimator.power_config(seed),
                                 num_slices=cfg.estimator.num_slices, partition=cfg.partition)
         lower, upper = est.lower, est.upper
         aux.update(est.bounds, lower_converged=est.lower_converged,
@@ -381,8 +381,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
         command=cfg.command, k=cfg.k, n=n, p=p, m=cfg.m, trial=trial,
         seed=f"{cfg.base_seed}:{trial}",
         lower=lower, upper=upper, sqrt_nmp=sqrt_nmp,
-        ratio_lower=lower / sqrt_nmp if sqrt_nmp > 0 else 0.0,
-        ratio_upper=upper / sqrt_nmp if sqrt_nmp > 0 else 0.0,
+        ratio_lower=lower / sqrt_nmp, ratio_upper=upper / sqrt_nmp,
         aux=aux, wall_ms=wall_ms,
     )
 

@@ -172,7 +172,9 @@ def _box_sums(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, members: n
         return _packed_counts(t, sizes, starts, members, masks).astype(np.float64)
     out = np.zeros(sizes.shape[0])
     cols = t.coords.T
-    firsts = np.unique(members[_runs(starts[:, 0], sizes[:, 0])])
+    # the distinct first-set members, sorted; np.unique with no return_* flag imports numpy.ma
+    firsts = np.sort(members[_runs(starts[:, 0], sizes[:, 0])])
+    firsts = firsts[np.append(True, firsts[1:] != firsts[:-1])]
     lo = np.searchsorted(cols[0], firsts)
     lens = np.searchsorted(cols[0], firsts, "right") - lo
     rows, at = _runs(lo, lens), np.cumsum(lens) - lens
@@ -213,7 +215,8 @@ def _packed_counts(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, membe
     words = masks.shape[2]
     widest = k - 1 - np.argmax(sizes[:, ::-1], axis=1)
     out = np.zeros(sizes.shape[0], dtype=np.int64)
-    for mode in np.unique(widest).tolist():
+    # each mode that is some family's widest, ascending (np.unique would import numpy.ma)
+    for mode in np.flatnonzero(np.bincount(widest, minlength=k)).tolist():
         others = [j for j in range(k) if j != mode]
         # each entry's row (its other indices, row-major), then its bit in it, by chunks
         fibers = _bit_rows(n ** (k - 1), words, (

@@ -28,7 +28,7 @@ class DegreeMap:
 
     @property
     def max_degree(self) -> int:
-        return int(self.counts.max()) if self.counts.size else 0
+        return int(self.counts.max(initial=0))
 
     def degree(self, prefix) -> int:
         prefix = _integers(prefix)
@@ -47,12 +47,9 @@ def degree_map(t: SparseTensor, m: int) -> DegreeMap:
     if not 1 <= m <= k - 1:
         raise ValueError(f"m must be in [1, {k - 1}], got {m}")
     plen = k - m
-    if t.nnz == 0:
-        return DegreeMap(plen, np.empty((0, plen), dtype=np.int32), np.empty(0, dtype=np.int64))
     pref = t.coords[:, :plen]
     # entries are lexicographically sorted, so equal prefixes are contiguous
-    new = np.empty(t.nnz, dtype=bool)
-    new[0] = True
+    new = np.ones(t.nnz, dtype=bool)
     new[1:] = pref[1:, 0] != pref[:-1, 0]
     for j in range(1, plen):
         new[1:] |= pref[1:, j] != pref[:-1, j]

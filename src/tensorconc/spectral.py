@@ -17,6 +17,10 @@ contract here is a certified bracket:
 
 A matrix is an order-2 ``core._Contraction`` of its entries sorted by
 (row, col); its products and its Gram matrix are formed in numpy.
+``matrix_op_norm``, ``hopm_lower`` and ``slice_lower`` each solve their input
+scaled by the power of two that puts its largest magnitude in [1, 2)
+(``_unit_scaled``), so its squares neither overflow nor vanish whatever its
+overall scale, and scale their value back.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 from . import core, rng
 from .core import (
     OffsetTensor,
+    SparseTensor,
     TensorLike,
     VectorTuple,
     _Contraction,
@@ -97,6 +102,21 @@ def _as_matrix(m) -> _Contraction:
     if m.shape.order != 2:
         raise ValueError(f"matrix operations need an order-2 tensor, got order {m.shape.order}")
     return _Contraction.of(m)
+
+
+def _unit_scaled(m) -> tuple:
+    """(m times 2^e, e) for a tensor or an unfolding ``m``, where 2^e puts the
+    largest magnitude of its stored values and background in [1, 2), as
+    ``_tridiagonal_top`` scales its tridiagonal: m itself when e is 0, as for
+    every 0/1 tensor centered at its p.  Each value scales exactly unless it
+    underflows."""
+    t = m.source if isinstance(m, UnfoldedView) else as_offset(m)
+    v = t.sparse.values
+    e = 1 - math.frexp(max(v.max(initial=0.0), -v.min(initial=0.0), abs(t.background)))[1]
+    if e == 0:
+        return m, 0
+    t = OffsetTensor(SparseTensor(t.shape, t.sparse.coords, np.ldexp(v, e)), math.ldexp(t.background, e))
+    return (unfold(t, m.partition) if isinstance(m, UnfoldedView) else t), e
 
 
 def _times(mat: _Contraction, v: np.ndarray, mode: int) -> np.ndarray:
@@ -292,8 +312,10 @@ def matrix_op_norm(
     estimate of the norm, and ``converged`` is False.  ``left``/``right``
     are the computed top singular pair and ``iterations`` counts Lanczos
     steps.  Only this function certifies: solves that need only the
-    singular vectors call ``_top_pair`` themselves.
+    singular vectors call ``_top_pair`` themselves.  A certified value that
+    scaling back (see the module notes) rounds down is stepped up.
     """
+    m, e = _unit_scaled(m)
     mat = _as_matrix(m)
     nrows, ncols = mat.dims
     if mat.is_zero():
@@ -307,7 +329,10 @@ def matrix_op_norm(
             start = q
             break
     theta, vec, steps, gram = _top_pair(mat, short, start, config.seed)
-    value = math.sqrt(max(theta, 0.0)) if gram is None else _certify(gram[0], theta, gram[1])
+    scaled = math.sqrt(max(theta, 0.0)) if gram is None else _certify(gram[0], theta, gram[1])
+    value = math.ldexp(scaled, -e)
+    if gram is not None and math.ldexp(value, e) < scaled:
+        value = math.nextafter(value, math.inf)
     # the long-side vector comes after the certificate, the step that needs the most memory
     left, right = _singular_pair(mat, short, vec)
     return MatrixNormResult(value, left, right, steps, gram is not None)
@@ -547,6 +572,7 @@ def hopm_lower(
     k, n = t.shape.order, t.shape.dim
     if t.is_exactly_zero():
         return HopmResult(0.0, VectorTuple.basis(k, n, [1] * k), 0, True)
+    t, e = _unit_scaled(t)
     starts = [[np.full(n, n**-0.5) for _ in range(k)], _fold_unfolding_witness(t, config)]
     for x in extra_inits:
         starts.append(list(_vectors_of(x, k, n)))
@@ -561,7 +587,7 @@ def hopm_lower(
     runs = [r for lo in range(0, len(starts), size)
             for r in _hopm_lockstep(contraction, starts[lo:lo + size])]
     val, xs, _, converged = max(runs, key=lambda r: r[0])
-    return HopmResult(val, VectorTuple(xs), sum(r[2] for r in runs), converged)
+    return HopmResult(math.ldexp(val, -e), VectorTuple(xs), sum(r[2] for r in runs), converged)
 
 
 @dataclass
@@ -587,7 +613,7 @@ def slice_lower(
     form value at unit vectors.  ``converged`` is False when a slice was
     solved above ``_DENSE_MAX``.
     """
-    t = as_offset(t)
+    t, e = _unit_scaled(as_offset(t))
     k, n = t.shape.order, t.shape.dim
     if k < 3:
         raise ValueError(f"slice bound needs order >= 3, got {k}")
@@ -614,7 +640,8 @@ def slice_lower(
         if achieved > best_val:
             best_val, best = achieved, (pair, tup)
     pair, tup = best
-    return SliceResult(best_val, VectorTuple([*pair, *VectorTuple.basis(k - 2, n, tup)]), converged)
+    witness = VectorTuple([*pair, *VectorTuple.basis(k - 2, n, tup)])
+    return SliceResult(math.ldexp(best_val, -e), witness, converged)
 
 
 def kron_lift(xs: Sequence[np.ndarray], modes: Sequence[int]) -> np.ndarray:

@@ -137,6 +137,9 @@ class TestShapesAndConstruction:
         assert np.shares_memory(t.coords, coords) and np.shares_memory(t.values, values)
         assert not coords.flags.writeable and not values.flags.writeable
 
+    def test_empty_to_dense(self):
+        assert np.array_equal(SparseTensor.empty(TensorShape(3, 2)).to_dense(), np.zeros((2, 2, 2)))
+
     def test_dense_gate(self):
         big = OffsetTensor(SparseTensor.empty(TensorShape(4, 200)), 1.0)
         with pytest.raises(DenseGateError):

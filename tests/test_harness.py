@@ -233,6 +233,20 @@ class TestRun:
         assert len(records) == 1
         assert records[0].lower == 0.0 and records[0].upper == 0.0
 
+    @pytest.mark.parametrize("p", [1e-160, 1e-300, 5e-324])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_tiny_p_rows_bracket(self, tmp_path, n, p):
+        # no entry is drawn, so each row brackets -pJ, whose norm is p n^1.5
+        cfg = config_from_dict(_base_config(
+            command="concentration", k=3, n_list=[n], m=2,
+            p_rule={"kind": "fixed", "p": p}, trials=2, out=str(tmp_path / "r.csv")))
+        for rec in run(cfg):
+            assert rec.aux["nnz"] == 0
+            assert 0.0 < rec.lower <= rec.upper
+            if p > 1e-300:
+                assert rec.lower == pytest.approx(p * n**1.5, rel=1e-12, abs=0)
+                assert rec.upper == pytest.approx(p * n**1.5, rel=1e-12, abs=0)
+
     def test_row_count_and_order(self, tmp_path):
         out = tmp_path / "r.csv"
         cfg = config_from_dict(_base_config(out=str(out)))

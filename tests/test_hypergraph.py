@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -691,6 +693,29 @@ class TestBoxCounterPaths:
         want = [dense[np.ix_(*(s - 1 for s in subsets))].sum() for subsets in families]
         assert _box_sums(t, families).tolist() == want
         assert packed_calls == []
+
+
+class TestNoMaskedArrayImport:
+    """numpy 2.4's np.unique with no return_* flag imports numpy.ma, which
+    no trial needs; no box count reaches that call."""
+
+    @pytest.mark.parametrize("work", [
+        # a diagnostics trial: degrees and packed box counts
+        "from tensorconc.harness import _run_trial, config_from_dict\n"
+        "cfg = config_from_dict({'command': 'diagnostics', 'k': 3, 'n_list': [20], 'm': 1,"
+        " 'p_rule': {'kind': 'fixed', 'p': 0.1}, 'trials': 1})\n"
+        "_run_trial(cfg, 20, 0)",
+        # an entry-path box sum of a weighted tensor
+        "import numpy as np\n"
+        "from tensorconc import SparseTensor, TensorShape, box_sum\n"
+        "t = SparseTensor(TensorShape(3, 300), [[1, 2, 3], [4, 5, 6], [1, 5, 3]], [0.5, 2.0, 3.0])\n"
+        "assert box_sum(t, [np.array([1, 4]), np.array([2, 5]), np.array([3, 6])]) == 5.5",
+    ])
+    def test_numpy_ma_not_imported(self, work):
+        script = f"import sys\n{work}\nprint('numpy.ma' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
 
 
 def _word_edge_tensor(gen, k, n):

@@ -38,6 +38,12 @@ class TestDegreeMap:
         assert dm.degree((1, 1)) == 0
         assert dm.max_degree == 1
 
+    def test_empty_tensor(self):
+        dm = degree_map(SparseTensor.empty(TensorShape(4, 5)), 1)
+        assert dm.prefixes.shape == (0, 3) and dm.prefixes.dtype == np.int32
+        assert dm.counts.shape == (0,) and dm.counts.dtype == np.int64
+        assert dm.max_degree == 0 and dm.total() == 0
+
     @pytest.mark.parametrize("prefix", [(1.7, 2.2), (2.0, 3.0), ("2", "3")])
     def test_non_integer_prefix_rejected(self, prefix):
         # 1.7 would truncate and report the degree of (1, 2)

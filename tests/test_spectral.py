@@ -361,6 +361,38 @@ class TestSliceLower:
         assert violations == 0
 
 
+class TestExtremeScale:
+    """Squares of entries below about 1e-154 underflow and above about 1e154
+    overflow; each solver runs on its input scaled by a power of two."""
+
+    def test_tiny_background_matrix_certified(self):
+        # 4 x 4, every entry -1e-160: the norm is 4e-160
+        res = matrix_op_norm(OffsetTensor(SparseTensor.empty(TensorShape(2, 4)), -1e-160))
+        assert res.converged and res.value >= 4 * 1e-160
+        assert res.value == pytest.approx(4e-160, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_diagonal_matrix_at_extreme_scale(self, scale):
+        t = SparseTensor(TensorShape(2, 3), [[1, 1], [2, 2]], [1.0 * scale, 2.0 * scale])
+        res = matrix_op_norm(t)
+        assert res.converged and res.value >= 2.0 * scale
+        assert res.value == pytest.approx(2.0 * scale, rel=1e-12, abs=0)
+        assert hopm_lower(t).value == pytest.approx(2.0 * scale, rel=1e-12, abs=0)
+
+    def test_tiny_background_slices(self):
+        # every 4 x 4 slice of -1e-160 J has norm 4e-160
+        res = slice_lower(OffsetTensor(SparseTensor.empty(TensorShape(3, 4)), -1e-160))
+        assert res.value == pytest.approx(4e-160, rel=1e-12, abs=0)
+
+    def test_unit_tensor_used_as_is(self):
+        w = center(SparseTensor.all_ones(TensorShape(3, 3)), Homogeneous(0.25))
+        for t in (w, OffsetTensor(w.sparse, -1.5)):
+            scaled, e = spectral._unit_scaled(t)
+            assert scaled is t and e == 0
+        scaled, e = spectral._unit_scaled(OffsetTensor(SparseTensor.empty(TensorShape(3, 3)), 3e-5))
+        assert e == 16 and scaled.background == 3e-5 * 2.0**16
+
+
 class TestSandwich:
     def test_all_ones_tight(self):
         j = SparseTensor.all_ones(TensorShape(3, 2))
