@@ -351,19 +351,6 @@ class VectorTuple(_Frozen):
     def __getitem__(self, i):
         return self.vectors[i]
 
-    @property
-    def order(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors[0].shape[0]
-
-    @property
-    def unit(self) -> bool:
-        """True when every vector has Euclidean norm within 1e-12 of 1."""
-        return all(abs(np.sqrt(_dot(v, v)) - 1.0) <= 1e-12 for v in self.vectors)
-
     @classmethod
     def basis(cls, order: int, dim: int, indices: Sequence[int]) -> "VectorTuple":
         """Standard basis vectors e_{i}, one per mode: 1-based integer

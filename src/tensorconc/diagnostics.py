@@ -21,7 +21,6 @@ from .core import (
     TensorLike,
     _check_p,
     _dot,
-    _integers,
     _lex_order,
     _probabilities,
     _runs,
@@ -113,12 +112,6 @@ class TupleSplit:
     @property
     def heavy_count(self) -> int:
         return self.heavy_coords.shape[0]
-
-    def is_heavy(self, coord) -> bool:
-        coord = _integers(coord)
-        if coord.shape != self.heavy_coords.shape[1:]:
-            raise ValueError(f"coord must have shape {self.heavy_coords.shape[1:]}")
-        return bool(np.any(np.all(self.heavy_coords == coord, axis=1)))
 
 
 def _kept(prods: np.ndarray, y: np.ndarray, rest: float, threshold: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from .hypergraph import SubsetFamilies, adjacency, mixing_check
 from .regularization import degree_map, expander_construct, regularize, removed_count_check
 from .rng import SeedSpec
 from .sampling import bernoulli_sample, er_hypergraph, sparsify_uniform
-from .spectral import NUM_SLICES, SANDWICH_SLACK, PowerIterConfig, spectral_sandwich
+from .spectral import NUM_SLICES, PowerIterConfig, brackets, spectral_sandwich
 from .unfolding import Partition
 
 class ConfigError(Exception):
@@ -543,7 +543,7 @@ def summarize(csv_path: str) -> dict:
             raise CsvFormatError(f"unparsable row {row!r}: {exc}") from exc
         if not isinstance(aux, dict):
             raise CsvFormatError(f"aux is not a JSON object in row {row!r}")
-        if lower > upper + SANDWICH_SLACK:
+        if not brackets(lower, upper):
             violations += 1
         if aux.get("lower_converged") is False:
             nonconverged_lower += 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseTensor, _check_p, _integers
+from .core import SparseTensor, _check_p
 from .hypergraph import Hypergraph, adjacency
 
 
@@ -22,23 +22,12 @@ from .hypergraph import Hypergraph, adjacency
 class DegreeMap:
     """Counts per (k-m)-prefix; prefixes with zero degree are implicit."""
 
-    prefix_order: int
-    prefixes: np.ndarray  # (num, prefix_order) int32, sorted lexicographically
+    prefixes: np.ndarray  # (num, k - m) int32, sorted lexicographically
     counts: np.ndarray  # (num,) int64
 
     @property
     def max_degree(self) -> int:
         return int(self.counts.max(initial=0))
-
-    def degree(self, prefix) -> int:
-        prefix = _integers(prefix)
-        if prefix.shape != (self.prefix_order,):
-            raise ValueError(f"prefix must have shape ({self.prefix_order},)")
-        idx = np.flatnonzero(np.all(self.prefixes == prefix, axis=1))
-        return int(self.counts[idx[0]]) if idx.size else 0
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def degree_map(t: SparseTensor, m: int) -> DegreeMap:
@@ -55,7 +44,7 @@ def degree_map(t: SparseTensor, m: int) -> DegreeMap:
         new[1:] |= pref[1:, j] != pref[:-1, j]
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, t.nnz)).astype(np.int64)
-    return DegreeMap(plen, np.ascontiguousarray(pref[starts]), counts)
+    return DegreeMap(np.ascontiguousarray(pref[starts]), counts)
 
 
 @dataclass(frozen=True)

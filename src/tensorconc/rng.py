@@ -150,7 +150,7 @@ def bernoulli_positions(total: int, p: float, key: int) -> np.ndarray:
     """Sorted uint64 positions in [0, total) kept by independent Bernoulli(p).
 
     Up to 2^21 positions the result is the per-coordinate stream
-    (``_positions_percoord``: one keyed uniform per position); above that it
+    (``_kept`` over every position: one keyed uniform each); above that it
     is the geometric-skipping stream (``_positions_skip``: gaps drawn over a
     sequential draw counter, O(total * p) expected).  The two are
     distributionally identical but not byte-identical; the choice depends
@@ -164,16 +164,8 @@ def bernoulli_positions(total: int, p: float, key: int) -> np.ndarray:
     if p == 1.0:
         return np.arange(total, dtype=np.uint64)
     if total <= 1 << 21:
-        return _positions_percoord(total, p, key)
+        return _kept(key, range(total), p)
     return _positions_skip(total, p, key)
-
-
-def _positions_percoord(total: int, p, key: int) -> np.ndarray:
-    """Sorted uint64 positions c in [0, total) with uniform u_c < p.
-
-    ``p`` is one probability, or an array of one per position.
-    """
-    return _kept(key, range(total), p)
 
 
 def _positions_skip(total: int, p: float, key: int) -> np.ndarray:

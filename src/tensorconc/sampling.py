@@ -44,7 +44,7 @@ def bernoulli_sample(shape: TensorShape, model: ProbabilityModel, seed: SeedSpec
     if np.ndim(p) == 0:
         positions = rng.bernoulli_positions(shape.ncoords, p, key)
     else:
-        positions = rng._positions_percoord(shape.ncoords, p.reshape(-1), key)
+        positions = rng._kept(key, range(shape.ncoords), p.reshape(-1))
     coords = _coords_from_linear(positions, shape.order, shape.dim)
     del positions  # freed before the values are allocated
     return SparseTensor(shape, coords, np.ones(len(coords)), presorted=True)

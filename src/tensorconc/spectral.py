@@ -20,7 +20,8 @@ A matrix is an order-2 ``core._Contraction`` of its entries sorted by
 ``matrix_op_norm``, ``hopm_lower`` and ``slice_lower`` each solve their input
 scaled by the power of two that puts its largest magnitude in [1, 2)
 (``_unit_scaled``), so its squares neither overflow nor vanish whatever its
-overall scale, and scale their value back.
+overall scale, and scale their value back (``_scaled_back``): a certified
+upper bound rounds up and a lower bound toward zero.
 """
 
 from __future__ import annotations
@@ -125,9 +126,19 @@ def _times(mat: _Contraction, v: np.ndarray, mode: int) -> np.ndarray:
     return mat.all_but_one(factors, 1 - mode)
 
 
+def _scaled_back(x: float, e: int, toward: float) -> float:
+    """x times 2^-e, stepped once toward ``toward`` (0 or inf) where rounding
+    moved it the other way; only a subnormal or overflowing result rounds."""
+    value = math.ldexp(x, -e)
+    back = math.ldexp(value, e)
+    if (back < x and toward > value) or (back > x and toward < value):
+        value = math.nextafter(value, toward)
+    return value
+
+
 @dataclass
 class MatrixNormResult:
-    """Operator norm of a matrix and its top singular pair.
+    """Operator norm of a matrix.
 
     ``converged`` means certified: ``value`` is then an upper bound on the
     norm.  It is False only above ``_DENSE_MAX``, where ``value`` is a Lanczos
@@ -135,8 +146,6 @@ class MatrixNormResult:
     """
 
     value: float
-    left: np.ndarray
-    right: np.ndarray
     iterations: int
     converged: bool
 
@@ -309,17 +318,17 @@ def matrix_op_norm(
     ``value`` is a certified upper bound on the norm (see ``_certify``);
     ``converged`` is then True.  Above the cap the operator is two sparse
     products, ``value`` is the square root of the top Ritz value, a lower
-    estimate of the norm, and ``converged`` is False.  ``left``/``right``
-    are the computed top singular pair and ``iterations`` counts Lanczos
-    steps.  Only this function certifies: solves that need only the
-    singular vectors call ``_top_pair`` themselves.  A certified value that
-    scaling back (see the module notes) rounds down is stepped up.
+    estimate of the norm, and ``converged`` is False.  ``iterations``
+    counts Lanczos steps.  Only this function certifies, and it returns no
+    vectors: solves that need a singular pair call ``_top_pair`` and
+    ``_singular_pair`` themselves.  Scaling back (see the module notes)
+    rounds a certified value up and an estimate toward zero.
     """
     m, e = _unit_scaled(m)
     mat = _as_matrix(m)
     nrows, ncols = mat.dims
     if mat.is_zero():
-        return MatrixNormResult(0.0, _e1(nrows), _e1(ncols), 0, True)
+        return MatrixNormResult(0.0, 0, True)
     short = 0 if nrows <= ncols else 1
     r = mat.dims[short]
     start = np.full(r, r**-0.5)
@@ -328,14 +337,10 @@ def matrix_op_norm(
         if _norm(q) > 0.0:
             start = q
             break
-    theta, vec, steps, gram = _top_pair(mat, short, start, config.seed)
-    scaled = math.sqrt(max(theta, 0.0)) if gram is None else _certify(gram[0], theta, gram[1])
-    value = math.ldexp(scaled, -e)
-    if gram is not None and math.ldexp(value, e) < scaled:
-        value = math.nextafter(value, math.inf)
-    # the long-side vector comes after the certificate, the step that needs the most memory
-    left, right = _singular_pair(mat, short, vec)
-    return MatrixNormResult(value, left, right, steps, gram is not None)
+    theta, _, steps, gram = _top_pair(mat, short, start, config.seed)
+    if gram is None:
+        return MatrixNormResult(_scaled_back(math.sqrt(max(theta, 0.0)), e, 0.0), steps, False)
+    return MatrixNormResult(_scaled_back(_certify(gram[0], theta, gram[1]), e, math.inf), steps, True)
 
 
 def _gram(mat: _Contraction, short: int) -> tuple:
@@ -587,7 +592,7 @@ def hopm_lower(
     runs = [r for lo in range(0, len(starts), size)
             for r in _hopm_lockstep(contraction, starts[lo:lo + size])]
     val, xs, _, converged = max(runs, key=lambda r: r[0])
-    return HopmResult(math.ldexp(val, -e), VectorTuple(xs), sum(r[2] for r in runs), converged)
+    return HopmResult(_scaled_back(val, e, 0.0), VectorTuple(xs), sum(r[2] for r in runs), converged)
 
 
 @dataclass
@@ -620,12 +625,9 @@ def slice_lower(
     num_slices = operator.index(num_slices)
     if num_slices < 1:
         raise ValueError(f"num_slices must be >= 1, got {num_slices}")
-    assignments = [np.ones(k - 2, dtype=np.int64)]
-    if num_slices > 1:
-        key = rng.stream_key(seed, rng.LBL_SLICE)
-        u = rng.uniforms(key, range((num_slices - 1) * (k - 2)))
-        extra = np.minimum(n, (u * n).astype(np.int64) + 1).reshape(num_slices - 1, k - 2)
-        assignments.extend(list(extra))
+    u = rng.uniforms(rng.stream_key(seed, rng.LBL_SLICE), range((num_slices - 1) * (k - 2)))
+    extra = np.minimum(n, (u * n).astype(np.int64) + 1).reshape(num_slices - 1, k - 2)
+    assignments = [np.ones(k - 2, dtype=np.int64), *extra]
     best_val, best, converged = -1.0, None, True
     for tup in dict.fromkeys(tuple(int(x) for x in a) for a in assignments):
         mask = np.all(t.sparse.coords[:, 2:] == np.asarray(tup, dtype=np.int32), axis=1)
@@ -641,7 +643,7 @@ def slice_lower(
             best_val, best = achieved, (pair, tup)
     pair, tup = best
     witness = VectorTuple([*pair, *VectorTuple.basis(k - 2, n, tup)])
-    return SliceResult(math.ldexp(best_val, -e), witness, converged)
+    return SliceResult(_scaled_back(best_val, e, 0.0), witness, converged)
 
 
 def kron_lift(xs: Sequence[np.ndarray], modes: Sequence[int]) -> np.ndarray:
@@ -651,6 +653,13 @@ def kron_lift(xs: Sequence[np.ndarray], modes: Sequence[int]) -> np.ndarray:
         raise ValueError(f"modes must be in [1, {len(xs)}], got {list(modes)}")
     vecs = [np.asarray(xs[r - 1], dtype=np.float64) for r in modes]
     return reduce(np.kron, list(reversed(vecs)))
+
+
+def brackets(lower: float, upper: float) -> bool:
+    """The bracket rule: 0 <= lower <= upper + ``SANDWICH_SLACK`` min(1, upper),
+    an absolute slack from a norm of 1 up and a relative one below; a NaN
+    fails it."""
+    return 0.0 <= lower <= upper + SANDWICH_SLACK * min(1.0, upper)
 
 
 @dataclass
@@ -668,7 +677,7 @@ class SpectralEstimate:
     upper_converged: bool
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper + SANDWICH_SLACK):
+        if not brackets(self.lower, self.upper):
             raise ValueError(
                 f"sandwich violated: lower={self.lower!r} > upper={self.upper!r}"
             )

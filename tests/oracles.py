@@ -169,17 +169,29 @@ def dense_expander(t: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-# Reference compositions of public calls: the slice bound and the HOPM seed
-# as they were built before the solver and its certificate were split, kept
-# to check that the split moved no bit.  Unlike the oracles above, these
-# reuse the library, through ``matrix_op_norm`` and ``multilinear_form``.
+# Reference compositions: the slice bound and the HOPM seed built step by
+# step, kept to check that the library's slice loop and mode-by-mode peel
+# move no bit.  Unlike the oracles above, these reuse the library: each pair
+# comes from ``spectral._top_pair`` and ``spectral._singular_pair`` from the
+# uniform start, the route the library's slices and HOPM seed take.
+
+
+def _reference_pair(mat, n, seed):
+    """The top singular pair of the n-row matrix ``mat`` and whether it was
+    solved at or below the dense cap (e_1, e_1 and True for a zero matrix)."""
+    from tensorconc import spectral
+
+    if mat.is_zero():
+        return (np.eye(1, n)[0], np.eye(1, mat.dims[1])[0]), True
+    _, vec, _, gram = spectral._top_pair(mat, 0, np.full(n, n**-0.5), seed)
+    return spectral._singular_pair(mat, 0, vec), gram is not None
 
 
 def reference_slice_lower(t, num_slices, seed, config):
-    """Each slice as an ``OffsetTensor``, its pair from ``matrix_op_norm``
-    (a certified solve), ranked by ``multilinear_form``."""
-    from tensorconc import (OffsetTensor, SparseTensor, TensorShape, VectorTuple, matrix_op_norm,
-                            multilinear_form, rng)
+    """Each slice as an ``OffsetTensor``, its pair from ``_reference_pair``,
+    ranked by ``multilinear_form``."""
+    from tensorconc import (OffsetTensor, SparseTensor, TensorShape, VectorTuple, multilinear_form,
+                            rng, spectral)
     from tensorconc.core import as_offset
     from tensorconc.spectral import SliceResult
 
@@ -198,13 +210,13 @@ def reference_slice_lower(t, num_slices, seed, config):
         mask = np.all(t.sparse.coords[:, 2:] == np.asarray(tup, dtype=np.int32), axis=1)
         piece = OffsetTensor(SparseTensor(TensorShape(2, n), t.sparse.coords[mask][:, :2],
                                           t.sparse.values[mask], presorted=True), t.background)
-        res = matrix_op_norm(piece, config)
-        converged = converged and res.converged
-        achieved = abs(multilinear_form(piece, [res.left, res.right]))
+        pair, certified = _reference_pair(spectral._as_matrix(piece), n, config.seed)
+        converged = converged and certified
+        achieved = abs(multilinear_form(piece, list(pair)))
         if achieved > best_val:
-            best_val, best = achieved, (res, tup)
-    res, tup = best
-    vecs = [res.left, res.right]
+            best_val, best = achieved, (pair, tup)
+    pair, tup = best
+    vecs = list(pair)
     for idx in tup:
         e = np.zeros(n)
         e[idx - 1] = 1.0
@@ -213,13 +225,14 @@ def reference_slice_lower(t, num_slices, seed, config):
 
 
 def reference_fold_witness(t, config):
-    """The HOPM seed from the left and right vectors of ``matrix_op_norm``
+    """The HOPM seed from the left and right vectors of ``_reference_pair``
     on the {1 | 2..k} unfolding, the right one peeled mode by mode."""
-    from tensorconc import balanced_partition, matrix_op_norm, spectral, unfold
+    from tensorconc import balanced_partition, spectral, unfold
 
     k, n = t.shape.order, t.shape.dim
-    res = matrix_op_norm(unfold(t, balanced_partition(k, k - 1)), config)
-    xs, v = [res.left], res.right
+    (left, v), _ = _reference_pair(spectral._as_matrix(unfold(t, balanced_partition(k, k - 1))),
+                                   n, config.seed)
+    xs = [left]
     for _ in range(k - 2):
         mat = v.reshape(-1, n)
         _, x, _ = spectral._lanczos(lambda x: np.einsum("ij,i->j", mat, np.einsum("ij,j->i", mat, x)),

@@ -390,10 +390,6 @@ class TestRank1:
 
 
 class TestVectorTuple:
-    def test_unit_flag(self):
-        assert VectorTuple.uniform(2, 5).unit
-        assert not VectorTuple([np.ones(3), np.ones(3)]).unit
-
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             VectorTuple([np.array([np.nan, 1.0])])

@@ -93,24 +93,6 @@ class TestSplitTuples:
         assert split.heavy_coords.dtype == np.int32 and split.heavy_coords.tolist() == [[1, 1, 1]]
         assert split.heavy_products.tolist() == [1.0]
         assert split.heavy_contribution == pytest.approx(1.0)
-        assert split.is_heavy((1, 1, 1))
-        assert not split.is_heavy((1, 1, 2))
-
-    def test_is_heavy_needs_integers(self):
-        e1 = np.eye(1, 5)[0]
-        split = split_tuples([e1, e1, e1], 5, 0.5)
-        assert split.is_heavy(np.ones(3, dtype=np.int64))
-        # 1.9 would truncate to the heavy (1, 1, 1)
-        with pytest.raises(TypeError, match="integers"):
-            split.is_heavy((1.9, 1.2, 1.0))
-
-    @pytest.mark.parametrize("coord", [(1,), (1, 1), (1, 1, 1, 1), [[1, 1, 1], [2, 2, 2]], 1])
-    def test_is_heavy_wrong_shape_rejected(self, coord):
-        # by broadcasting, (1,) and a stack holding (1, 1, 1) both read as heavy
-        e1 = np.eye(1, 4)[0]
-        for split in (split_tuples([e1, e1, e1], 4, 0.5), split_tuples(VectorTuple.uniform(3, 4), 4, 1.0)):
-            with pytest.raises(ValueError, match="shape"):
-                split.is_heavy(coord)
 
     def test_matches_bruteforce(self, rng):
         n, k = 8, 3

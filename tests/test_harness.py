@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -236,13 +237,17 @@ class TestRun:
     @pytest.mark.parametrize("p", [1e-160, 1e-300, 5e-324])
     @pytest.mark.parametrize("n", [4, 6])
     def test_tiny_p_rows_bracket(self, tmp_path, n, p):
-        # no entry is drawn, so each row brackets -pJ, whose norm is p n^1.5
+        # no entry is drawn, so each row brackets -pJ, whose norm is p n^1.5:
+        # compared exactly on the squares, lower within 1e-12 of it and upper above
         cfg = config_from_dict(_base_config(
             command="concentration", k=3, n_list=[n], m=2,
             p_rule={"kind": "fixed", "p": p}, trials=2, out=str(tmp_path / "r.csv")))
+        norm_sq = Fraction(p) ** 2 * n**3
         for rec in run(cfg):
             assert rec.aux["nnz"] == 0
             assert 0.0 < rec.lower <= rec.upper
+            assert Fraction(rec.lower) ** 2 <= norm_sq * (1 + Fraction(1, 10**12)) ** 2
+            assert Fraction(rec.upper) ** 2 >= norm_sq
             if p > 1e-300:
                 assert rec.lower == pytest.approx(p * n**1.5, rel=1e-12, abs=0)
                 assert rec.upper == pytest.approx(p * n**1.5, rel=1e-12, abs=0)
@@ -545,6 +550,9 @@ class TestSummarize:
         ({"upper": "two"}, "unparsable row"),
         ({"aux": "{"}, "unparsable row"),
         ({"aux": "[1]"}, "aux is not a JSON object"),
+        # below a norm of 1 the slack is relative, and a NaN fails the rule
+        ({"lower": "1.0000001e-159", "upper": "1e-159"}, 1),
+        ({"upper": "nan"}, 1),
     ])
     def test_body_rows(self, tmp_path, edit, expect):
         from tensorconc.harness import CsvFormatError

@@ -28,7 +28,7 @@ from tensorconc.rng import (
     LBL_BERNOULLI,
     LBL_SPARSIFY,
     _fin_int,
-    _positions_percoord,
+    _kept,
     _positions_skip,
     LBL_SUBSET_MEMBERS,
     bernoulli_positions,
@@ -84,7 +84,7 @@ class TestBernoulliSample:
     def test_skip_and_percoord_paths_agree_in_distribution(self):
         keys = [[stream_key(SeedSpec(base, s), LBL_BERNOULLI) for s in range(200)]
                 for base in (9, 10_000)]
-        counts_a = [len(_positions_percoord(1600, 0.1, key)) for key in keys[0]]
+        counts_a = [len(_kept(key, range(1600), 0.1)) for key in keys[0]]
         counts_b = [len(_positions_skip(1600, 0.1, key)) for key in keys[1]]
         assert stats.ks_2samp(counts_a, counts_b).pvalue > 1e-3
 
@@ -94,14 +94,13 @@ class TestBernoulliSample:
         assert a.size and np.array_equal(a, _positions_skip(27_000, 0.05, key))
         assert np.all(np.diff(a.astype(np.int64)) > 0) and int(a[-1]) < 27_000
 
-    @pytest.mark.parametrize("total,path,other", [
-        (2**21, _positions_percoord, _positions_skip),
-        (2**21 + 1, _positions_skip, _positions_percoord)])
-    def test_size_picks_the_path(self, total, path, other):
+    @pytest.mark.parametrize("total,percoord", [(2**21, True), (2**21 + 1, False)])
+    def test_size_picks_the_path(self, total, percoord):
         key = stream_key(SeedSpec(8, 1), LBL_BERNOULLI)
         got = bernoulli_positions(total, 1e-4, key)
-        assert np.array_equal(got, path(total, 1e-4, key))
-        assert not np.array_equal(got, other(total, 1e-4, key))
+        kept, skip = _kept(key, range(total), 1e-4), _positions_skip(total, 1e-4, key)
+        assert np.array_equal(got, kept) == percoord
+        assert np.array_equal(got, skip) != percoord
 
     def test_dense_model_sampling(self):
         table = np.zeros((3, 3))
@@ -158,7 +157,7 @@ class TestHashKernel:
     def test_percoord_is_uniform_below_p(self, total, p):
         key = stream_key(SeedSpec(11, total), LBL_BERNOULLI)
         want = np.flatnonzero(uniforms(key, np.arange(total, dtype=np.uint64)) < p)
-        got = _positions_percoord(total, p, key)
+        got = _kept(key, range(total), p)
         assert got.dtype == np.uint64
         assert np.array_equal(got, want)
 
@@ -262,14 +261,14 @@ class TestSparsifyUniform:
         # 50^3 coordinates span two hash blocks
         shape, seed = TensorShape(3, 50), SeedSpec(13, 2)
         kept = sparsify_uniform(SparseTensor.all_ones(shape), p, seed)
-        want = _positions_percoord(shape.ncoords, p, stream_key(seed, LBL_SPARSIFY))
+        want = _kept(stream_key(seed, LBL_SPARSIFY), range(shape.ncoords), p)
         assert kept.linear_indices().astype(np.uint64).tobytes() == want.tobytes()
 
     def test_weighted_base_keeps_the_entries_on_kept_coordinates(self, rng):
         dense = np.where(rng.random((30, 30, 30)) < 0.4, rng.standard_normal((30, 30, 30)), 0.0)
         t, seed = SparseTensor.from_dense(dense), SeedSpec(14, 0)
         kept = sparsify_uniform(t, 0.3, seed)
-        stream = _positions_percoord(t.shape.ncoords, 0.3, stream_key(seed, LBL_SPARSIFY))
+        stream = _kept(stream_key(seed, LBL_SPARSIFY), range(t.shape.ncoords), 0.3)
         on = np.isin(t.linear_indices().astype(np.uint64), stream)
         assert 0 < kept.nnz < t.nnz
         assert kept.coords.tobytes() == t.coords[on].tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -68,12 +69,6 @@ class TestMatrixOpNorm:
         m = rng.standard_normal((50, 50))
         got = matrix_op_norm(_matrix_tensor(m)).value
         assert got == pytest.approx(jacobi_spectral_norm(m), rel=1e-8)
-
-    def test_witness_achieves_value(self, rng):
-        m = rng.standard_normal((6, 6))
-        res = matrix_op_norm(_matrix_tensor(m))
-        achieved = abs(res.left @ m @ res.right)
-        assert achieved == pytest.approx(res.value, rel=1e-10)
 
     def test_zero_matrix(self):
         res = matrix_op_norm(SparseTensor.empty(TensorShape(2, 4)))
@@ -252,9 +247,8 @@ class TestCertifiedUpper:
         ]
         for t, dense in cases:
             res = matrix_op_norm(t)
+            assert res.converged
             _assert_certified(res.value, _svd_norm(dense))
-            achieved = abs(res.left @ dense @ res.right)
-            assert achieved == pytest.approx(_svd_norm(dense), rel=1e-12)
 
     def test_slice_witness_reproduces_value(self):
         t = bernoulli_sample(TensorShape(3, 30), Homogeneous(0.2), SeedSpec(4, 0))
@@ -294,7 +288,7 @@ class TestHopm:
         t = SparseTensor.from_dense(rank1([u, v, w]))
         res = hopm_lower(t)
         assert res.value == pytest.approx(6.0, abs=1e-6)
-        assert res.witness.unit
+        assert [np.linalg.norm(v) for v in res.witness] == pytest.approx([1.0] * 3, abs=1e-12)
 
     def test_all_ones(self):
         j = SparseTensor.all_ones(TensorShape(3, 3))
@@ -403,6 +397,12 @@ class TestSandwich:
     def test_zero_tensor(self):
         est = spectral_sandwich(SparseTensor.empty(TensorShape(3, 4)), 2)
         assert (est.lower, est.upper) == (0.0, 0.0)
+
+    def test_bracket_rule_is_relative_below_one(self):
+        est = spectral_sandwich(SparseTensor.empty(TensorShape(3, 4)), 2)
+        dataclasses.replace(est, lower=1e-159 * (1 + 1e-9), upper=1e-159)
+        with pytest.raises(ValueError, match="sandwich violated"):
+            dataclasses.replace(est, lower=1.0000001e-159, upper=1e-159)
 
     def test_exactly_cancelled_tensor(self):
         w = center(SparseTensor.all_ones(TensorShape(2, 5)), Homogeneous(1.0))
@@ -642,8 +642,8 @@ def _same_bits(a, b):
 
 
 class TestUncertifiedPairsMatchReference:
-    """Slices and the HOPM seed take their pairs from ``_top_pair`` without a
-    certificate; they must equal the certified ``matrix_op_norm`` pairs of
+    """Slices and the HOPM seed take their pairs from ``_top_pair`` and
+    ``_singular_pair`` without a certificate; they must equal the pairs of
     the reference construction bit for bit."""
 
     CFG = PowerIterConfig(restarts=3, seed=SeedSpec(3, 1))
