@@ -1,16 +1,17 @@
 """Monte-Carlo experiment harness with deterministic CSV output.
 
 A JSON config names a command (concentration, regularize, expander,
-sparsify, diagnostics), a sparsity rule p(n), and the sweep grid; every
-(n, trial) cell runs under seed (base_seed, trial) and the CSV bytes are a
-pure function of the config, whatever the worker count.
+sparsify, diagnostics), a sparsity rule p(n), the sweep grid and the output
+path; every (n, trial) cell runs under seed (base_seed, trial) and the CSV
+bytes are a pure function of the config, whatever the worker count.
 
 The CLI equivalent of this script:
 
-    tensorconc concentration --config conc.json --jobs 4
-    tensorconc summarize --config '{"csv": "conc.csv"}-as-a-file'
+    tensorconc run --config conc.json --jobs 4
+    tensorconc summarize conc.csv
 """
 
+import dataclasses
 import json
 import pathlib
 import tempfile
@@ -46,7 +47,7 @@ def main() -> None:
 
     # Determinism: running again produces identical bytes up to the wall_ms column.
     again = workdir / "again.csv"
-    run(config, jobs=1, out=str(again))
+    run(dataclasses.replace(config, out=again), jobs=1)
     mask = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
     print("byte-deterministic (wall_ms masked):", mask(out) == mask(again))
 

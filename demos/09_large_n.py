@@ -10,7 +10,7 @@ same solver without a certificate.
 
 The CLI equivalent of this script:
 
-    tensorconc regularize --config large.json
+    tensorconc run --config large.json
 """
 
 import pathlib

@@ -119,7 +119,7 @@ class ExperimentConfig:
     trials: int
     base_seed: int = 0
     estimator: EstimatorSettings = EstimatorSettings()
-    out: str = "results.csv"  # a path: a str or an os.PathLike of one
+    out: str = "results.csv"  # a nonempty path: a str or an os.PathLike of one
     partition: object = None  # optional upper candidate: a Partition or its blocks
     params: dict = field(default_factory=dict)  # typed and completed from _PARAMS
 
@@ -127,16 +127,17 @@ class ExperimentConfig:
         # every check runs here, so an invalid config is never built
         for name in ("k", "m", "trials", "base_seed"):
             object.__setattr__(self, name, _number(getattr(self, name), int, name))
-        if not isinstance(self.out, (str, os.PathLike)) or not isinstance(os.fspath(self.out), str):
+        out = os.fspath(self.out) if isinstance(self.out, (str, os.PathLike)) else None
+        if not isinstance(out, str) or not out:
             raise ConfigError(f"out must be a path, got {self.out!r}")
-        object.__setattr__(self, "out", os.fspath(self.out))
+        object.__setattr__(self, "out", out)
         object.__setattr__(self, "n_list", tuple(_number(n, int, "n_list entry")
                                                  for n in self.n_list))
         table = _PARAMS.get(self.command, {})
         raw = _section("params", table, self.params)
         object.__setattr__(self, "params", {
-            key: _number(raw.get(key, default), kind, f"params.{key}", 1 if kind is int else None)
-            for key, (kind, default) in table.items()})
+            key: _number(raw.get(key, default), int, f"params.{key}", 1)
+            for key, default in table.items()})
         if self.command not in COMMANDS:
             raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
         if self.k < 2:
@@ -147,8 +148,9 @@ class ExperimentConfig:
             raise ConfigError(f"n_list entries must lie in [1, 2^31), got {list(self.n_list)}")
         if self.n_list[-1] ** self.k >= 2**63:
             raise ConfigError(f"n^k = {self.n_list[-1]}^{self.k} is not below 2^63")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        # trial t runs under SeedSpec(base_seed, t), whose stream id is below 2^64
+        if not 1 <= self.trials <= 2**64:
+            raise ConfigError(f"trials must be in [1, 2^64], got {self.trials}")
         if not 0 <= self.base_seed < 2**64:
             raise ConfigError(f"base_seed must be in [0, 2^64), got {self.base_seed}")
         if not 1 <= self.m <= self.k - 1:
@@ -182,13 +184,9 @@ class ExperimentConfig:
                 raise ConfigError("partition override must have exactly two blocks")
 
 
-def config_from_dict(data: dict, command: str | None = None) -> ExperimentConfig:
+def config_from_dict(data: dict) -> ExperimentConfig:
     """The config a JSON object states, whose keys and defaults are ``ExperimentConfig``'s fields."""
     data = dict(data)
-    if command is not None:
-        if data.get("command") not in (None, command):
-            raise ConfigError(f"config command {data['command']!r} conflicts with CLI command {command!r}")
-        data["command"] = command
     schema = fields(ExperimentConfig)
     if unknown := sorted(set(data) - {f.name for f in schema}):
         raise ConfigError(f"unknown config keys: {unknown}")
@@ -238,8 +236,8 @@ def read_config(path: str, overrides: list | None = None) -> dict:
     return data
 
 
-def load_config(path: str, command: str | None = None, overrides: list | None = None) -> ExperimentConfig:
-    return config_from_dict(read_config(path, overrides), command)
+def load_config(path: str, overrides: list | None = None) -> ExperimentConfig:
+    return config_from_dict(read_config(path, overrides))
 
 
 @dataclass
@@ -321,9 +319,8 @@ def _sparsify(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
 
 def _diagnostics(cfg: ExperimentConfig, n: int, p: float, seed: SeedSpec):
     t = bernoulli_sample(TensorShape(cfg.k, n), Homogeneous(p), seed)
-    bd = bounded_degree_check(t, p, cfg.params["c1"])
-    disc = discrepancy_check(t, p, cfg.params["c2"], cfg.params["c3"],
-                             cfg.params["families"], seed)
+    bd = bounded_degree_check(t, p, c1=3.0)
+    disc = discrepancy_check(t, p, c2=20.0, c3=20.0, families=cfg.params["families"], seed=seed)
     return None, {
         "nnz": t.nnz,
         "max_degree": bd.max_degree,
@@ -345,12 +342,8 @@ _TRIALS = {
 }
 COMMANDS = tuple(_TRIALS)
 
-# command -> its params, {key: (type, default)}; every int in them is a count
-_PARAMS = {
-    "expander": {"mixing_families": (int, 500)},
-    "diagnostics": {"c1": (float, 3.0), "c2": (float, 20.0), "c3": (float, 20.0),
-                    "families": (int, 1000)},
-}
+# command -> its params, {key: default}; each is a count
+_PARAMS = {"expander": {"mixing_families": 500}, "diagnostics": {"families": 1000}}
 
 
 def _section(section: str, known, raw) -> dict:
@@ -386,10 +379,10 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
     )
 
 
-def run(cfg: ExperimentConfig, jobs: int = 1, out=None) -> list:
-    """Execute every (n, trial) cell, write the CSV to the path ``out`` (``cfg.out`` by default)
-    and a JSON summary beside it; ``jobs < 1``, an unwritable output directory or an output
-    path (CSV or summary) that is a directory raises first.
+def run(cfg: ExperimentConfig, jobs: int = 1) -> list:
+    """Execute every (n, trial) cell, write the CSV to ``cfg.out`` and a JSON
+    summary beside it; ``jobs < 1``, an unwritable output directory or an
+    output path (CSV or summary) that is a directory raises first.
 
     Output is a pure function of the config: with ``jobs > 1`` the calling
     process and ``jobs - 1`` spawned workers take the trials from one shared
@@ -401,9 +394,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out=None) -> list:
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    path = os.fspath(out or cfg.out)
-    tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()  # the directory takes a file
-    for target in (path, path + ".summary.json"):
+    tempfile.TemporaryFile(dir=os.path.dirname(cfg.out) or ".").close()  # the directory takes a file
+    for target in (cfg.out, cfg.out + ".summary.json"):
         if os.path.isdir(target):
             raise IsADirectoryError(f"output path is a directory: {target}")
     tasks = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
@@ -412,12 +404,12 @@ def run(cfg: ExperimentConfig, jobs: int = 1, out=None) -> list:
         records = _run_in_processes(cfg, tasks, workers)
     else:
         records = [_run_trial(cfg, n, trial) for n, trial in tasks]
-    with open(path, "w", encoding="ascii", newline="") as f:
+    with open(cfg.out, "w", encoding="ascii", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in records:
             writer.writerow(rec.csv_row())
-    write_summary(path, path + ".summary.json")
+    write_summary(cfg.out, cfg.out + ".summary.json")
     return records
 
 

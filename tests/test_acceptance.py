@@ -307,8 +307,8 @@ def test_criterion_10_run_determinism(tmp_path):
 
     def run_cli(out, jobs):
         res = subprocess.run(
-            [sys.executable, "-m", "tensorconc.cli", "concentration",
-             "--config", str(cfg_path), "--jobs", str(jobs), "--out", str(out)],
+            [sys.executable, "-m", "tensorconc.cli", "run",
+             "--config", str(cfg_path), "--jobs", str(jobs), "--set", f"out={out}"],
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         with open(out, "rb") as f:

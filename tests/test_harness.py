@@ -137,7 +137,7 @@ class TestConfig:
         cfg = config_from_dict(_base_config())
         moved = dataclasses.replace(cfg, out=tmp_path / "r.csv")
         assert moved.out == str(tmp_path / "r.csv") and type(moved.out) is str
-        for bad in (5, None, b"r.csv", ["r.csv"]):
+        for bad in (5, None, b"r.csv", ["r.csv"], ""):
             with pytest.raises(ConfigError, match="out must be a path"):
                 dataclasses.replace(cfg, out=bad)
             with pytest.raises(ConfigError, match="out must be a path"):
@@ -185,10 +185,10 @@ class TestConfig:
             config_from_dict(_base_config(estimator={key: 0}))
 
     def test_params_typed_with_defaults(self):
-        cfg = config_from_dict(_base_config(command="diagnostics", m=1,
-                                            params={"families": 100, "c1": 4}))
-        assert cfg.params == {"c1": 4.0, "c2": 20.0, "c3": 20.0, "families": 100}
-        assert isinstance(cfg.params["c1"], float)
+        cfg = config_from_dict(_base_config(command="diagnostics", m=1, params={"families": 100}))
+        assert cfg.params == {"families": 100}
+        assert config_from_dict(_base_config(command="diagnostics", m=1)).params == {
+            "families": 1000}
         assert config_from_dict(_base_config(command="expander")).params == {
             "mixing_families": 500}
         assert config_from_dict(_base_config()).params == {}
@@ -200,8 +200,8 @@ class TestConfig:
         ("diagnostics", {"families": 2.5}, "must be an int >= 1"),
         ("diagnostics", {"families": True}, "must be an int >= 1"),
         ("diagnostics", {"families": float("inf")}, "must be an int >= 1"),
-        ("diagnostics", {"c2": "x"}, "must be a number"),
-        ("diagnostics", {"c3": float("nan")}, "must be a number"),
+        ("diagnostics", {"c1": 3.0}, "unknown params"),  # the trial's constants
+        ("diagnostics", {"c2": 20.0, "c3": 20.0}, "unknown params"),
         ("diagnostics", {"families": 0}, "must be an int >= 1"),
         ("expander", {"mixing_families": -3}, "must be an int >= 1"),
     ])
@@ -214,6 +214,13 @@ class TestConfig:
         config_from_dict(_base_config(command="sparsify", n_list=[8, 100]))  # 100^3 = 10^6
         with pytest.raises(ConfigError, match="dense gate"):
             config_from_dict(_base_config(command="sparsify", n_list=[8, 101]))
+
+    @pytest.mark.parametrize("trials", [0, 2**64 + 1])
+    def test_trials_within_seed_streams(self, trials):
+        # trial t runs under SeedSpec(base_seed, t), whose stream id is below 2^64
+        with pytest.raises(ConfigError, match=rf"^trials must be in \[1, 2\^64\], got {trials}$"):
+            config_from_dict(_base_config(trials=trials))
+        assert config_from_dict(_base_config(trials=2**64)).trials == 2**64
 
     def test_set_overrides(self, tmp_path):
         path = tmp_path / "c.json"
@@ -272,15 +279,15 @@ class TestRun:
     def test_determinism_repeat(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = config_from_dict(_base_config())
-        run(cfg, out=str(a))
-        run(cfg, out=str(b))
+        run(dataclasses.replace(cfg, out=a))
+        run(dataclasses.replace(cfg, out=b))
         assert _masked(a) == _masked(b)
 
     def test_determinism_jobs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = config_from_dict(_base_config())
-        run(cfg, jobs=1, out=str(a))
-        run(cfg, jobs=8, out=str(b))
+        run(dataclasses.replace(cfg, out=a), jobs=1)
+        run(dataclasses.replace(cfg, out=b), jobs=8)
         assert _masked(a) == _masked(b)
 
     def test_regularize_command(self, tmp_path):
@@ -321,8 +328,8 @@ class TestRun:
         # the config crosses to worker processes by pickle, Partition included
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = config_from_dict(_base_config(n_list=[8], partition=[[1, 3], [2]]))
-        run(cfg, jobs=1, out=str(a))
-        run(cfg, jobs=2, out=str(b))
+        run(dataclasses.replace(cfg, out=a), jobs=1)
+        run(dataclasses.replace(cfg, out=b), jobs=2)
         assert _masked(a) == _masked(b)
         assert "partition_upper" in _masked(b)[1].decode()
 
@@ -344,8 +351,6 @@ class TestRun:
         for jobs in (1, 2):
             with pytest.raises(OSError):
                 run(cfg, jobs=jobs)
-        with pytest.raises(OSError):
-            run(config_from_dict(_base_config()), out=tmp_path / "missing" / "r.csv")
         assert not (tmp_path / "missing").exists()
         # an output path, or the summary beside it, that names a directory
         (tmp_path / "adir").mkdir()
@@ -353,8 +358,16 @@ class TestRun:
         for out in (tmp_path / "adir", tmp_path / "b.csv"):
             for jobs in (1, 2):
                 with pytest.raises(IsADirectoryError):
-                    run(config_from_dict(_base_config()), jobs=jobs, out=out)
+                    run(config_from_dict(_base_config(out=out)), jobs=jobs)
         assert not (tmp_path / "b.csv").exists()
+
+    def test_empty_out_runs_no_trial(self, monkeypatch):
+        # an empty path is refused when the config is built, not after the sweep
+        calls = []
+        monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="^out must be a path, got ''$"):
+            run(config_from_dict(_base_config(trials=3, out="")))
+        assert calls == []
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_1_rejected(self, tmp_path, monkeypatch, jobs):
@@ -365,7 +378,7 @@ class TestRun:
 
     def test_path_out_writes_csv_and_summary(self, tmp_path):
         out = tmp_path / "r.csv"
-        records = run(config_from_dict(_base_config(n_list=[8], trials=1)), out=out)
+        records = run(config_from_dict(_base_config(n_list=[8], trials=1, out=out)))
         with open(out) as f:
             assert len(list(csv.reader(f))) == 1 + len(records)
         assert json.loads((tmp_path / "r.csv.summary.json").read_text()) == summarize(str(out))
@@ -468,7 +481,7 @@ class TestWorkers:
         # the caller sleeps 1 s before each of its trials, so the workers,
         # once booted, take the rest of the 8
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(config_from_dict(_base_config(trials=4)), jobs=1, out=str(a))
+        run(config_from_dict(_base_config(trials=4, out=str(a))), jobs=1)
         cfg = _base_config(trials=4, out=str(b))
         out = self._python(self.SHARED.format(cfg=cfg, jobs=jobs, delay=1.0, params="{}"))
         calls, sizes = out.split(" ", 1)
@@ -593,12 +606,10 @@ class TestCli:
         out = tmp_path / "r.csv"
         cfg = _base_config(n_list=[8], trials=1, out=str(out))
         cfg_path.write_text(json.dumps(cfg))
-        res = self._cli("concentration", "--config", str(cfg_path), "--jobs", "2")
+        res = self._cli("run", "--config", str(cfg_path), "--jobs", "2")
         assert res.returncode == 0, res.stderr
         assert out.exists() and (tmp_path / "r.csv.summary.json").exists()
-        sum_cfg = tmp_path / "s.json"
-        sum_cfg.write_text(json.dumps({"csv": str(out)}))
-        res = self._cli("summarize", "--config", str(sum_cfg))
+        res = self._cli("summarize", str(out))
         assert res.returncode == 0
         assert json.loads(res.stdout)["rows"] == 1
 
@@ -607,22 +618,22 @@ class TestCli:
         # own BLAS threads
         from tensorconc.cli import _build_parser
 
-        sub = next(a for a in _build_parser()._actions if a.dest == "command")
-        jobs = next(a for a in sub.choices["concentration"]._actions if a.dest == "jobs")
+        sub = next(a for a in _build_parser()._actions if a.dest == "action")
+        jobs = next(a for a in sub.choices["run"]._actions if a.dest == "jobs")
         assert "calling process plus N-1 spawned workers" in jobs.help
         assert "caller keeps its own" in jobs.help
 
     def test_config_error_exit_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(_base_config(trials=0)))
-        res = self._cli("concentration", "--config", str(cfg_path))
+        res = self._cli("run", "--config", str(cfg_path))
         assert res.returncode == 2
 
     def test_bad_estimator_exit_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1)))
-        res = self._cli("concentration", "--config", str(cfg_path),
-                        "--set", "estimator.restarts=0", "--out", str(tmp_path / "o.csv"))
+        res = self._cli("run", "--config", str(cfg_path),
+                        "--set", "estimator.restarts=0", "--set", f"out={tmp_path / 'o.csv'}")
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: estimator.restarts must be an int >= 1")
 
@@ -632,7 +643,7 @@ class TestCli:
         out = tmp_path / "o.csv"
         cfg_path.write_text(json.dumps(_base_config(command="sparsify", n_list=[8, 120],
                                                     trials=1, out=str(out))))
-        res = self._cli("sparsify", "--config", str(cfg_path))
+        res = self._cli("run", "--config", str(cfg_path))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: sparsify") and "dense gate" in res.stderr
         assert not out.exists()
@@ -647,8 +658,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(_base_config(
             n_list=[8], p_rule={"kind": "c_logn_over_nm", "c": 5.0, "m": 2}, trials=1,
             out=str(out))))
-        res = self._cli("concentration", "--config", str(cfg_path), "--set", override,
-                        "--jobs", "2")
+        res = self._cli("run", "--config", str(cfg_path), "--set", override, "--jobs", "2")
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: ")
         assert not out.exists()
@@ -661,7 +671,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(_base_config(
             command="diagnostics", n_list=[8], m=1, trials=1, out=str(out), params=params)))
         sets = [arg for item in override for arg in ("--set", item)]
-        res = self._cli("diagnostics", "--config", str(cfg_path), *sets)
+        res = self._cli("run", "--config", str(cfg_path), *sets)
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: ") and "params" in res.stderr
         assert not out.exists()
@@ -679,32 +689,60 @@ class TestCli:
         out = tmp_path / "o.csv"
         cfg = _base_config(trials=1, out=str(out), **over)
         cfg_path.write_text(json.dumps(cfg))
-        res = self._cli(cfg["command"], "--config", str(cfg_path), "--jobs", "2")
+        res = self._cli("run", "--config", str(cfg_path), "--jobs", "2")
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: ") and match in res.stderr
         assert not out.exists()
 
-    def test_command_mismatch_exit_2(self, tmp_path):
+    def test_set_command_overrides_file(self, tmp_path):
         cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(_base_config(command="expander")))
-        res = self._cli("concentration", "--config", str(cfg_path))
-        assert res.returncode == 2
+        out = tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1, out=str(out))))
+        res = self._cli("run", "--config", str(cfg_path), "--set", "command=regularize")
+        assert res.returncode == 0, res.stderr
+        with open(out) as f:
+            row = dict(zip(CSV_HEADER, list(csv.reader(f))[1]))
+        assert row["command"] == "regularize" and "removed" in json.loads(row["aux"])
+
+    def test_missing_command_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "o.csv"
+        cfg = _base_config(n_list=[8], trials=1, out=str(out))
+        del cfg["command"]
+        cfg_path.write_text(json.dumps(cfg))
+        res = self._cli("run", "--config", str(cfg_path))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "config error: missing config key: command\n"
+        assert not out.exists()
+
+    def test_empty_out_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1)))
+        res = self._cli("run", "--config", str(cfg_path), "--set", "out=")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "config error: out must be a path, got ''\n"
+
+    def test_retired_forms_exit_2(self, tmp_path):
+        # the command is a config key, and summarize runs no trial
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1, out=str(out))))
+        assert self._cli("concentration", "--config", str(cfg_path)).returncode == 2
+        assert not out.exists()
+        assert self._cli("run", "--config", str(cfg_path)).returncode == 0
+        assert self._cli("summarize", str(out), "--jobs", "2").returncode == 2
 
     def test_unwritable_out_exit_3(self, tmp_path):
         # the sweep stops before its first trial; summarize after reading its CSV
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1)))
-        res = self._cli("concentration", "--config", str(cfg_path),
-                        "--out", str(tmp_path / "missing" / "r.csv"))
+        res = self._cli("run", "--config", str(cfg_path),
+                        "--set", f"out={tmp_path / 'missing' / 'r.csv'}")
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("io error: ") and "Traceback" not in res.stderr
         out = tmp_path / "r.csv"
-        assert self._cli("concentration", "--config", str(cfg_path),
-                         "--out", str(out)).returncode == 0
-        sum_cfg = tmp_path / "s.json"
-        sum_cfg.write_text(json.dumps({"csv": str(out)}))
-        res = self._cli("summarize", "--config", str(sum_cfg),
-                        "--out", str(tmp_path / "missing" / "s.json"))
+        assert self._cli("run", "--config", str(cfg_path), "--set", f"out={out}").returncode == 0
+        res = self._cli("summarize", str(out), "--out", str(tmp_path / "missing" / "s.json"))
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("io error: ") and "Traceback" not in res.stderr
 
@@ -712,7 +750,7 @@ class TestCli:
         cfg_path = tmp_path / "c.json"
         out = tmp_path / "o.csv"
         cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1, out=str(out))))
-        res = self._cli("concentration", "--config", str(cfg_path), "--jobs", "0")
+        res = self._cli("run", "--config", str(cfg_path), "--jobs", "0")
         assert res.returncode == 2, res.stderr
         assert res.stderr == "config error: jobs must be >= 1, got 0\n"
         assert not out.exists()
@@ -720,9 +758,7 @@ class TestCli:
     def test_csv_error_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
-        sum_cfg = tmp_path / "s.json"
-        sum_cfg.write_text(json.dumps({"csv": str(bad)}))
-        res = self._cli("summarize", "--config", str(sum_cfg))
+        res = self._cli("summarize", str(bad))
         assert res.returncode == 3
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
@@ -744,8 +780,8 @@ class TestCli:
                 for jobs in ("1", "2"):
                     out = tmp_path / f"k{k}-n{n}-t{threads}-j{jobs}.csv"
                     res = subprocess.run(
-                        [sys.executable, "-m", "tensorconc.cli", "concentration", "--config",
-                         str(cfg_path), "--jobs", jobs, "--out", str(out)],
+                        [sys.executable, "-m", "tensorconc.cli", "run", "--config",
+                         str(cfg_path), "--jobs", jobs, "--set", f"out={out}"],
                         capture_output=True, text=True, env=env)
                     assert res.returncode == 0, res.stderr
                     outputs[threads, jobs] = _masked(out)
@@ -758,8 +794,8 @@ class TestCli:
         cfg_path = tmp_path / "c.json"
         out = tmp_path / "o.csv"
         cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1)))
-        res = self._cli("concentration", "--config", str(cfg_path),
-                        "--set", "trials=2", "--out", str(out))
+        res = self._cli("run", "--config", str(cfg_path),
+                        "--set", "trials=2", "--set", f"out={out}")
         assert res.returncode == 0
         with open(out) as f:
             assert len(list(csv.reader(f))) == 3
