@@ -5,11 +5,12 @@
 
 run executes the Monte-Carlo sweep a JSON config states, its command
 (concentration, regularize, expander, sparsify, diagnostics) and its output
-path (out) included; --set overrides any config key.  summarize aggregates an
-existing results CSV, to --out or stdout.  Exit codes: 0 success, 2 config or
-usage error (--jobs below 1 too), 3 I/O or CSV parse error; an output
-directory that takes no file, or an output or summary path that is a
-directory, stops a sweep before its first trial.
+path (out) included; --set overrides a (dotted) key, a str field (command,
+out, p_rule.kind) with its text as written and any other with JSON.
+summarize writes a results CSV's summary to --out (not empty) or stdout.
+Exit codes: 0 success, 2 config or usage error (--jobs below 1 too), 3 I/O
+or CSV parse error; an output directory that takes no file, or an output or
+summary path that is a directory, stops a sweep before its first trial.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("run")
     sweep.add_argument("--config", required=True, help="JSON config file")
     sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a (dotted) config key")
+                       help="override a (dotted) config key: the text for a str "
+                            "field (command, out, p_rule.kind), JSON for any other")
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="run trials in the calling process plus N-1 spawned workers, "
                             "never more processes than trials or usable CPUs; each worker "
@@ -34,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "bytes do not depend on N or on OPENBLAS_NUM_THREADS")
     summary = sub.add_parser("summarize")
     summary.add_argument("csv", help="results CSV")
-    summary.add_argument("--out", default=None, help="summary path (stdout if none)")
+    summary.add_argument("--out", default=None, help="summary path, nonempty (stdout if none)")
     return parser
 
 

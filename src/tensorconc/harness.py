@@ -9,8 +9,6 @@ is the one field that varies between runs and is masked by determinism
 comparisons).
 """
 
-from __future__ import annotations
-
 import contextlib
 import csv
 import json
@@ -21,7 +19,7 @@ import statistics
 import sys
 import tempfile
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .core import DENSE_GATE, Homogeneous, SparseTensor, TensorShape, _fmt, center
 from .diagnostics import bounded_degree_check, discrepancy_check
@@ -81,12 +79,10 @@ class PRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PRule":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ConfigError(f"p_rule must be an object with a 'kind', got {d!r}")
-        table = _P_RULES.get(d["kind"])
-        if table is not None and set(d) != {"kind", *table}:
-            raise ConfigError(f"{d['kind']} p_rule takes exactly {sorted(table)}, "
-                              f"got {sorted(set(d) - {'kind'})}")
+        """The rule a config object states: a ``kind``, then exactly that kind's numbers."""
+        kind = _section("p_rule", d, [f.name for f in fields(cls)], ["kind"])["kind"]
+        if kind in _P_RULES:  # an unknown kind is refused when the rule is built
+            _section(f"{kind} p_rule", d, ["kind", *_P_RULES[kind]], ["kind", *_P_RULES[kind]])
         return cls(**d)
 
 
@@ -127,14 +123,11 @@ class ExperimentConfig:
         # every check runs here, so an invalid config is never built
         for name in ("k", "m", "trials", "base_seed"):
             object.__setattr__(self, name, _number(getattr(self, name), int, name))
-        out = os.fspath(self.out) if isinstance(self.out, (str, os.PathLike)) else None
-        if not isinstance(out, str) or not out:
-            raise ConfigError(f"out must be a path, got {self.out!r}")
-        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "out", _path(self.out))
         object.__setattr__(self, "n_list", tuple(_number(n, int, "n_list entry")
                                                  for n in self.n_list))
         table = _PARAMS.get(self.command, {})
-        raw = _section("params", table, self.params)
+        raw = _section("params", self.params, table)
         object.__setattr__(self, "params", {
             key: _number(raw.get(key, default), int, f"params.{key}", 1)
             for key, default in table.items()})
@@ -186,16 +179,12 @@ class ExperimentConfig:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """The config a JSON object states, whose keys and defaults are ``ExperimentConfig``'s fields."""
-    data = dict(data)
     schema = fields(ExperimentConfig)
-    if unknown := sorted(set(data) - {f.name for f in schema}):
-        raise ConfigError(f"unknown config keys: {unknown}")
-    for f in schema:
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing config key: {f.name}")
+    data = dict(_section("config", data, [f.name for f in schema], [
+        f.name for f in schema if f.default is MISSING and f.default_factory is MISSING]))
     if "estimator" in data:
         data["estimator"] = EstimatorSettings(**_section(
-            "estimator", [f.name for f in fields(EstimatorSettings)], data["estimator"]))
+            "estimator", data["estimator"], [f.name for f in fields(EstimatorSettings)]))
     try:
         data["p_rule"] = PRule.from_dict(data["p_rule"])
         return ExperimentConfig(**data)
@@ -206,8 +195,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def read_config(path: str, overrides: list | None = None) -> dict:
     """Read a JSON config object and apply ``--set key=value`` overrides.
 
-    A dotted key reaches into nested objects; a value that does not parse as
-    JSON is kept as a string.
+    A dotted key reaches into nested objects.  A value sets a ``str`` field of
+    the schema (``command``, ``out``, ``p_rule.kind``) as the text written,
+    and any other key as JSON.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -216,22 +206,23 @@ def read_config(path: str, overrides: list | None = None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} is not a JSON object")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = data
         parts = key.split(".")
+        schema = ExperimentConfig  # the field type the key names (annotations are classes here)
+        for part in parts:
+            schema = is_dataclass(schema) and {f.name: f.type for f in fields(schema)}.get(part)
+        try:
+            value = raw if schema is str else json.loads(raw)
+        except json.JSONDecodeError:
+            raise ConfigError(f"--set {key} takes a JSON value, got {raw!r}") from None
+        node = data  # the object the key sets in; a non-object on the way is refused
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set path {key!r} crosses a non-object")
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigError(f"--set path {key!r} crosses a non-object")
         node[parts[-1]] = value
     return data
 
@@ -346,14 +337,24 @@ COMMANDS = tuple(_TRIALS)
 _PARAMS = {"expander": {"mixing_families": 500}, "diagnostics": {"families": 1000}}
 
 
-def _section(section: str, known, raw) -> dict:
-    """The config object ``raw``, whose keys must all be ``known``."""
+def _section(section: str, raw, known, required=()) -> dict:
+    """The config object ``raw``, whose keys must all be ``known`` and include ``required``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} must be an object, got {raw!r}")
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {unknown}; known: {sorted(known)}")
+    if unknown := sorted(set(raw) - set(known)):
+        raise ConfigError(f"unknown {section} keys: {unknown}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing {section} key: {key}")
     return raw
+
+
+def _path(raw) -> str:
+    """``raw`` as an output path: a nonempty str, or an os.PathLike of one."""
+    path = os.fspath(raw) if isinstance(raw, (str, os.PathLike)) else None
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"out must be a path, got {raw!r}")
+    return path
 
 
 def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
@@ -498,7 +499,8 @@ def _run_in_processes(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
 
 def write_summary(csv_path: str, out: str | None = None) -> None:
     """Write ``summarize(csv_path)`` as JSON (sorted keys, two-space indent, a
-    trailing newline) to ``out``, or to stdout when there is none."""
+    trailing newline) to the path ``out``, or to stdout when it is None."""
+    out = None if out is None else _path(out)
     summary = summarize(csv_path)
     with open(out, "w", encoding="ascii") if out else contextlib.nullcontext(sys.stdout) as f:
         f.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -510,14 +512,11 @@ def summarize(csv_path: str) -> dict:
     rows whose lower or upper estimate did not converge (from ``aux``)."""
     try:
         with open(csv_path, "r", encoding="ascii", newline="") as f:
-            reader = csv.reader(f)
-            rows = list(reader)
+            rows = list(csv.reader(f))
     except OSError as exc:
         raise CsvFormatError(f"cannot read {csv_path}: {exc}") from exc
-    if not rows:
-        raise CsvFormatError(f"{csv_path} has no header row")
-    if rows[0] != CSV_HEADER:
-        raise CsvFormatError(f"{csv_path} header mismatch: {rows[0]}")
+    if rows[:1] != [CSV_HEADER]:
+        raise CsvFormatError(f"{csv_path} header mismatch: {rows[0] if rows else 'no header row'}")
     body = rows[1:]
     per_n: dict = {}
     violations = 0
@@ -535,12 +534,9 @@ def summarize(csv_path: str) -> dict:
             raise CsvFormatError(f"unparsable row {row!r}: {exc}") from exc
         if not isinstance(aux, dict):
             raise CsvFormatError(f"aux is not a JSON object in row {row!r}")
-        if not brackets(lower, upper):
-            violations += 1
-        if aux.get("lower_converged") is False:
-            nonconverged_lower += 1
-        if aux.get("upper_converged") is False:
-            nonconverged_upper += 1
+        violations += not brackets(lower, upper)
+        nonconverged_lower += aux.get("lower_converged") is False
+        nonconverged_upper += aux.get("upper_converged") is False
         bucket = per_n.setdefault(n, {"ratio_lower": [], "ratio_upper": []})
         bucket["ratio_lower"].append(ratio_lower)
         bucket["ratio_upper"].append(ratio_upper)

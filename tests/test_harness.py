@@ -2,10 +2,13 @@ import csv
 import dataclasses
 import json
 from fractions import Fraction
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -59,17 +62,40 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(_base_config(p_rule={"kind": "c_over_nm", "c": 0.0, "m": 2}))
 
-    @pytest.mark.parametrize("rule,match", [
-        ({"kind": "fixed", "p": 0.2, "m": 2},
-         r"fixed p_rule takes exactly \['p'\], got \['m', 'p'\]"),
-        ({"kind": "c_over_nm", "c": 1.0}, "c_over_nm p_rule takes exactly"),
-        ({"kind": "c_logn_over_nm", "c": 1.0, "m": 2, "p": 0.1}, "takes exactly"),
-        ({"kind": "c_logn_over_nm", "c": 1.0, "m": 2.0}, "p_rule.m must be an int"),
-        ({"kind": "nope"}, "unknown p_rule kind"),
+    @pytest.mark.parametrize("section,raw,message", [
+        pytest.param(None, [1], "config must be an object, got [1]", id="config-not-object"),
+        pytest.param(None, _base_config(bogus=1), "unknown config keys: ['bogus']",
+                     id="config-unknown"),
+        pytest.param(None, {k: v for k, v in _base_config().items() if k != "trials"},
+                     "missing config key: trials", id="config-missing"),
+        pytest.param("estimator", 4, "estimator must be an object, got 4",
+                     id="estimator-not-object"),
+        pytest.param("estimator", {"restarts": 2, "seed": 1}, "unknown estimator keys: ['seed']",
+                     id="estimator-unknown"),
+        pytest.param("params", [10], "params must be an object, got [10]", id="params-not-object"),
+        pytest.param("params", {"families": 10, "c1": 3.0}, "unknown params keys: ['c1']",
+                     id="params-unknown"),
+        pytest.param("p_rule", "fixed", "p_rule must be an object, got 'fixed'",
+                     id="p_rule-not-object"),
+        pytest.param("p_rule", {"kind": "fixed", "q": 0.2}, "unknown p_rule keys: ['q']",
+                     id="p_rule-unknown"),
+        pytest.param("p_rule", {"p": 0.2}, "missing p_rule key: kind", id="p_rule-missing-kind"),
+        pytest.param("p_rule", {"kind": "nope"}, "unknown p_rule kind 'nope'",
+                     id="p_rule-unknown-kind"),
+        pytest.param("p_rule", {"kind": "fixed", "p": 0.2, "m": 2},
+                     "unknown fixed p_rule keys: ['m']", id="p_rule-kind-extra"),
+        pytest.param("p_rule", {"kind": "c_over_nm", "c": 1.0}, "missing c_over_nm p_rule key: m",
+                     id="p_rule-kind-missing"),
+        pytest.param("p_rule", {"kind": "c_logn_over_nm", "c": 1.0, "m": 2, "p": 0.1},
+                     "unknown c_logn_over_nm p_rule keys: ['p']", id="p_rule-kind-other"),
     ])
-    def test_p_rule_keys_exact(self, rule, match):
-        with pytest.raises(ConfigError, match=match):
-            config_from_dict(_base_config(p_rule=rule))
+    def test_key_rule(self, section, raw, message):
+        # each config object is an object whose keys are all known and
+        # include the required ones; p_rule's kind then fixes its exact keys
+        data = raw if section is None else _base_config(command="diagnostics", m=1,
+                                                        **{section: raw})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(data)
 
     def test_p_rule_built_in_code_is_checked(self):
         with pytest.raises(ConfigError, match=r"p_rule\.m must be an int >= 0"):
@@ -228,6 +254,28 @@ class TestConfig:
         cfg = load_config(str(path), overrides=["trials=5", "estimator.restarts=2"])
         assert cfg.trials == 5
         assert cfg.estimator.restarts == 2
+
+    def test_set_value_typed_by_schema(self, tmp_path):
+        # a str field takes the text as written, any other key JSON
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_base_config()))
+        data = harness.read_config(str(path), [
+            "out=2024", "command=null", "p_rule.kind=true", "trials=3", "estimator.restarts=[2]",
+            "params.families=7", 'p_rule.p="0.5"', "partition=null"])
+        assert (data["out"], data["command"], data["p_rule"]) == (
+            "2024", "null", {"kind": "true", "p": "0.5"})
+        assert (data["trials"], data["estimator"], data["params"], data["partition"]) == (
+            3, {"restarts": [2]}, {"families": 7}, None)
+        assert harness.read_config(str(path), ['out="a b"'])["out"] == '"a b"'
+        for item in ("trials=three", "estimator.restarts=2x", "bogus=x", "p_rule.c="):
+            key, raw = item.split("=", 1)
+            with pytest.raises(ConfigError, match=f"^--set {re.escape(key)} takes a JSON value"):
+                harness.read_config(str(path), [item])
+        with pytest.raises(ConfigError, match="crosses a non-object"):
+            harness.read_config(str(path), ["out.x=1"])
+        path.write_text("[1]")
+        with pytest.raises(ConfigError, match="^config must be an object, got \\[1\\]$"):
+            load_config(str(path))
 
 
 class TestRun:
@@ -495,6 +543,21 @@ class TestWorkers:
         script = self.SHARED.format(cfg=cfg, jobs=2, delay=0.0, params='{"f": lambda: 0}')
         assert self._python(script) == "PicklingError 0 []"
 
+    def test_no_worker_left_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = config_from_dict(_base_config(command="expander", n_list=[8], trials=2,
+                                            out=str(tmp_path / "r.csv")))
+        run(cfg, jobs=2)
+        assert multiprocessing.active_children() == []
+        # the caller's trials only sleep and the worker's raise: the error
+        # comes back from the worker, which is gone too
+        cfg = dataclasses.replace(cfg, trials=200)
+        cfg.params["mixing_families"] = 0  # after the load-time check
+        monkeypatch.setattr(harness, "_run_trial", lambda *args: time.sleep(0.05))
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            run(cfg, jobs=2)
+        assert multiprocessing.active_children() == []
+
     def test_environment_restored(self, tmp_path):
         before = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         run(config_from_dict(_base_config(n_list=[8], out=str(tmp_path / "r.csv"))), jobs=2)
@@ -597,9 +660,12 @@ class TestSummarize:
 
 
 class TestCli:
-    def _cli(self, *args):
+    def _cli(self, *args, cwd=None):
+        # the package under test, importable from any working directory
+        path = [os.path.dirname(os.path.dirname(harness.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         return subprocess.run([sys.executable, "-m", "tensorconc.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, cwd=cwd, env=env)
 
     def test_run_and_summarize(self, tmp_path):
         cfg_path = tmp_path / "c.json"
@@ -650,6 +716,7 @@ class TestCli:
 
     @pytest.mark.parametrize("override", [
         "k=3.9", "n_list=[8.7]", "trials=2.5", 'trials="2"', "base_seed=1.5", "p_rule.m=2.5",
+        "p_rule.m=2.0",
         "estimator.restarts=2.5", "estimator.restarts=true", "estimator.num_slices=2.5"])
     def test_inexact_number_exit_2(self, tmp_path, override):
         # none of these is exactly a number of the type its key takes
@@ -703,6 +770,27 @@ class TestCli:
         with open(out) as f:
             row = dict(zip(CSV_HEADER, list(csv.reader(f))[1]))
         assert row["command"] == "regularize" and "removed" in json.loads(row["aux"])
+
+    def test_set_out_and_command_as_text(self, tmp_path):
+        # out and command are str fields: 2024 is a file name, not a number
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(_base_config(command="regularize", n_list=[8], trials=1)))
+        res = self._cli("run", "--config", str(cfg_path), "--set", "out=2024",
+                        "--set", "command=concentration", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        with open(tmp_path / "2024") as f:
+            row = dict(zip(CSV_HEADER, list(csv.reader(f))[1]))
+        assert row["command"] == "concentration"
+        assert json.loads((tmp_path / "2024.summary.json").read_text())["rows"] == 1
+
+    def test_empty_summary_out_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "r.csv"
+        cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1, out=str(out))))
+        assert self._cli("run", "--config", str(cfg_path)).returncode == 0
+        res = self._cli("summarize", str(out), "--out", "")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "config error: out must be a path, got ''\n"
 
     def test_missing_command_exit_2(self, tmp_path):
         cfg_path = tmp_path / "c.json"
