@@ -15,9 +15,7 @@ from tensorconc import (
     VectorTuple,
     center,
     contract_all_but_one,
-    dumps_tensor,
     frobenius_norm,
-    loads_tensor,
     multilinear_form,
     rank1,
 )
@@ -51,9 +49,3 @@ print("materialized centered tensor equals t - p:",
 # Rank-1 tensors materialize densely (gated to n^k <= 1e6).
 r = rank1([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
 print("rank-1 [[3,4],[6,8]]:", r.tolist())
-
-# Text serialization is canonical: header `k n nnz background`, one sorted
-# coordinate line per entry, 17 significant digits.
-text = dumps_tensor(w)
-print("serialized header:", text.splitlines()[0])
-print("round-trip identical:", dumps_tensor(loads_tensor(text)) == text)

@@ -44,7 +44,8 @@ print(f"sampled 2000 subset triples: max ratio {report.max_ratio:.3f}, "
       f"fitted C = {report.fitted_c:.3f}")
 singles = mixing_check(tprime, p, SubsetFamilies.singletons())
 print(f"exhaustive singletons: max ratio {singles.max_ratio:.3f}")
-print("summary:", report.to_json_summary())
+print(f"summary: max_ratio {report.max_ratio}, fitted_C {report.fitted_c}, "
+      f"families {len(report.ratio)}")
 
 # The classical two-set mixing inequality, for comparison, on a complete
 # graph (lambda = 1): the margin never goes positive.

@@ -19,10 +19,7 @@ from .core import (
     VectorTuple,
     center,
     contract_all_but_one,
-    dumps_tensor,
-    frobenius_inner,
     frobenius_norm,
-    loads_tensor,
     multilinear_form,
     rank1,
 )
@@ -45,10 +42,7 @@ from .hypergraph import (
     MixingReport,
     SubsetFamilies,
     adjacency,
-    box_sum,
     count_edges,
-    dumps_hypergraph,
-    loads_hypergraph,
     matrix_mixing_check,
     mixing_check,
     sample_subset_families,

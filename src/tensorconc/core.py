@@ -23,7 +23,6 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -396,28 +395,6 @@ def _require_same_shape(a: TensorShape, b: TensorShape) -> None:
         raise ShapeMismatchError(f"shape mismatch: {a} vs {b}")
 
 
-def frobenius_inner(t: TensorLike, a: TensorLike) -> float:
-    """Sum of entrywise products over all n^k coordinates.
-
-    The sparse x sparse path merges the two sorted coordinate lists; the
-    background cross terms are in closed form, so no dense gate applies.
-    """
-    t, a = as_offset(t), as_offset(a)
-    _require_same_shape(t.shape, a.shape)
-    total = 0.0
-    if t.nnz and a.nnz:
-        lt, la = t.sparse.linear_indices(), a.sparse.linear_indices()
-        _, it, ia = np.intersect1d(lt, la, assume_unique=True, return_indices=True)
-        total += _dot(t.sparse.values[it], a.sparse.values[ia])
-    if a.background != 0.0:
-        total += a.background * float(t.sparse.values.sum())
-    if t.background != 0.0:
-        total += t.background * float(a.sparse.values.sum())
-    if t.background != 0.0 and a.background != 0.0:
-        total += t.background * a.background * t.shape.ncoords
-    return total
-
-
 def _frobenius_sq(t: OffsetTensor) -> float:
     """Sum of squares over all n^k entries in closed form, v.v + 2 b sum(v) + b^2 n^k,
     so no dense gate applies."""
@@ -599,44 +576,3 @@ def _coords_from_linear(lin: np.ndarray, order: int, dim: int) -> np.ndarray:
     out += 1
     return out
 
-
-# --- text serialization ----------------------------------------------------
-#
-# Header line "k n nnz background", then one line per entry
-# "i1 i2 ... ik value" with 1-based indices in canonical sorted order and
-# floats printed with 17 significant digits.
-
-
-def dumps_tensor(t: TensorLike) -> str:
-    t = as_offset(t)
-    buf = io.StringIO()
-    k, n = t.shape.order, t.shape.dim
-    buf.write(f"{k} {n} {t.nnz} {_fmt(t.background)}\n")
-    coords, values = t.sparse.coords, t.sparse.values
-    for row, v in zip(coords, values):
-        buf.write(" ".join(str(int(i)) for i in row))
-        buf.write(f" {_fmt(v)}\n")
-    return buf.getvalue()
-
-
-def loads_tensor(text: str) -> OffsetTensor:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty tensor serialization")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError(f"malformed header: {lines[0]!r}")
-    k, n, nnz = int(head[0]), int(head[1]), int(head[2])
-    background = float(head[3])
-    if len(lines) - 1 != nnz:
-        raise ValueError(f"expected {nnz} entries, found {len(lines) - 1}")
-    shape = TensorShape(k, n)
-    coords = np.empty((nnz, k), dtype=np.int32)
-    values = np.empty(nnz)
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != k + 1:
-            raise ValueError(f"malformed entry line: {ln!r}")
-        coords[i] = [int(x) for x in parts[:k]]
-        values[i] = float(parts[k])
-    return OffsetTensor(SparseTensor(shape, coords, values), background)

