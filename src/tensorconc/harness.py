@@ -28,7 +28,6 @@ from .regularization import degree_map, expander_construct, regularize, removed_
 from .rng import SeedSpec
 from .sampling import bernoulli_sample, er_hypergraph, sparsify_uniform
 from .spectral import NUM_SLICES, PowerIterConfig, brackets, spectral_sandwich
-from .unfolding import Partition
 
 class ConfigError(Exception):
     """Invalid experiment configuration (CLI exit code 2)."""
@@ -94,7 +93,8 @@ _P_RULES = {"c_logn_over_nm": {"c": float, "m": int}, "c_over_nm": {"c": float, 
 @dataclass(frozen=True)
 class EstimatorSettings:
     restarts: int = PowerIterConfig.restarts
-    num_slices: int = NUM_SLICES
+    # no field or key: perfbench/tracing.py:100 passes it on; goes with that replay (ROADMAP 1a)
+    num_slices = NUM_SLICES
 
     def __post_init__(self):
         for f in fields(self):
@@ -116,8 +116,9 @@ class ExperimentConfig:
     base_seed: int = 0
     estimator: EstimatorSettings = EstimatorSettings()
     out: str = "results.csv"  # a nonempty path: a str or an os.PathLike of one
-    partition: object = None  # optional upper candidate: a Partition or its blocks
     params: dict = field(default_factory=dict)  # typed and completed from _PARAMS
+    # no field or key: perfbench/tracing.py:96 refuses other values; goes with that replay (ROADMAP 1a)
+    partition = None
 
     def __post_init__(self):
         # every check runs here, so an invalid config is never built
@@ -166,18 +167,6 @@ class ExperimentConfig:
         if self.command == "sparsify" and max(self.n_list) ** self.k > DENSE_GATE:
             raise ConfigError(f"sparsify lists all n^k entries; n = {max(self.n_list)} is "
                               f"above the dense gate n^k <= {DENSE_GATE}")
-        if self.partition is not None:
-            if not isinstance(self.partition, Partition):
-                try:
-                    object.__setattr__(self, "partition", Partition(
-                        [[_number(i, int, "partition entry") for i in b] for b in self.partition]))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad partition: {exc}") from exc
-            if self.partition.order != self.k:
-                raise ConfigError(
-                    f"partition covers [{self.partition.order}] but k = {self.k}")
-            if self.partition.arity != 2:
-                raise ConfigError("partition override must have exactly two blocks")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -367,8 +356,7 @@ def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
     t, aux = _TRIALS[cfg.command](cfg, n, p, seed)
     lower = upper = 0.0
     if t is not None:
-        est = spectral_sandwich(center(t, Homogeneous(p)), cfg.m, cfg.estimator.power_config(seed),
-                                num_slices=cfg.estimator.num_slices, partition=cfg.partition)
+        est = spectral_sandwich(center(t, Homogeneous(p)), cfg.m, cfg.estimator.power_config(seed))
         lower, upper = est.lower, est.upper
         aux.update(est.bounds, lower_converged=est.lower_converged,
                    upper_converged=est.upper_converged)

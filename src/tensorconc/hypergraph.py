@@ -332,7 +332,8 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
     u = rng.uniforms(size_key, range(count * k))
     sizes = 1 + np.searchsorted(_size_cuts(n), u, side="right")
     rows = max(1, core._PASS // n)
-    members = []
+    starts = np.cumsum(sizes) - sizes
+    members = np.empty(starts[-1] + sizes[-1], dtype=np.int32)
     words = _packed_words(k, n)
     # little-endian bytes of each set's words; packbits leaves the pad bits 0
     masks = np.zeros((count * k, words * 8), dtype=np.uint8)
@@ -344,12 +345,11 @@ def _draw_families(k: int, n: int, count: int, seed: SeedSpec) -> tuple:
         # ranked again on all 53
         keep = _smallest((h >> np.uint64(21)).astype(np.uint32), sizes[lo:hi], h)
         # row r keeps sizes[r] flat indices r * n + member - 1
-        members.append((np.flatnonzero(keep) - np.repeat(np.arange(hi - lo) * n - 1, sizes[lo:hi]))
-                       .astype(np.int32))
+        members[starts[lo]:starts[hi - 1] + sizes[hi - 1]] = (
+            np.flatnonzero(keep) - np.repeat(np.arange(hi - lo) * n - 1, sizes[lo:hi]))
         if words:
             masks[lo:hi, :(n + 7) // 8] = np.packbits(keep, axis=1, bitorder="little")
-    starts = np.cumsum(sizes) - sizes
-    return (sizes.reshape(count, k), starts.reshape(count, k), np.concatenate(members),
+    return (sizes.reshape(count, k), starts.reshape(count, k), members,
             masks.view("<u8").astype(np.uint64, copy=False).reshape(count, k, words) if words else None)
 
 

@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -693,28 +693,25 @@ def spectral_sandwich(
     t: TensorLike,
     m: int,
     config: PowerIterConfig = PowerIterConfig(),
-    num_slices: int = NUM_SLICES,
-    partition: Optional[Partition] = None,
 ) -> SpectralEstimate:
     """Bracket the spectral norm by the best of its candidates.
 
-    Lower candidates: ``hopm`` and, for k >= 3, ``slice``, whose witness
-    also seeds HOPM; ``lower`` is the largest, a tie going to HOPM.  Upper
-    candidates are unfolding norms: ``balanced_upper`` (by
-    ``balanced_partition(k, m)``, from the lift of the lower witness),
-    ``chain_upper`` for m < k/2 (by ``_chain_partition(k, m)``: {1 | 2,3}
-    for k = 3, m = 1) and ``partition_upper`` (by the two-block
-    ``partition``, unless it is already a candidate).  ``upper`` is the least
-    certified candidate, or the least of all with ``upper_converged`` False
-    when none is certified; a tie goes to the earlier one.  ``bounds`` maps
-    each candidate to its value, ``balanced_upper`` only when another wins.
+    Lower candidates: ``hopm`` and, for k >= 3, ``slice`` (``NUM_SLICES``
+    slices), whose witness also seeds HOPM; ``lower`` is the largest, a tie
+    going to HOPM.  Upper candidates are unfolding norms: ``balanced_upper``
+    (by ``balanced_partition(k, m)``, from the lift of the lower witness) and,
+    for m < k/2, ``chain_upper`` (by ``_chain_partition(k, m)``: {1 | 2,3}
+    for k = 3, m = 1).  ``upper`` is the least certified candidate, or the
+    least of all with ``upper_converged`` False when none is certified; a tie
+    goes to the earlier one.  ``bounds`` maps each candidate to its value,
+    ``balanced_upper`` only when another wins.
     """
     t = as_offset(t)
     k = t.shape.order
     part = balanced_partition(k, m)
     slices = {}
     if k >= 3:
-        slices["slice"] = slice_lower(t, num_slices=num_slices, seed=config.seed, config=config)
+        slices["slice"] = slice_lower(t, seed=config.seed, config=config)
     hopm = hopm_lower(t, config, extra_inits=[r.witness for r in slices.values()])
     lowers = {"hopm": hopm, **slices}
     best = max(lowers.values(), key=lambda r: r.value)
@@ -722,8 +719,6 @@ def spectral_sandwich(
     parts = {"balanced_upper": part}
     if 2 * m < k:
         parts["chain_upper"] = _chain_partition(k, m)
-    if partition is not None and partition not in parts.values():
-        parts["partition_upper"] = partition
     uppers = {key: matrix_op_norm(unfold(t, p), config,
                                   extra_inits=[lift] if key == "balanced_upper" else ())
               for key, p in parts.items()}

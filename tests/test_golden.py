@@ -32,7 +32,6 @@ CASES = {
     # the chain's {1,2 | 3,4} split: the first with s = 2 multiway blocks on the left
     "chain-k4-m1": {"command": "concentration", "k": 4, "m": 1, "n_list": [6]},
     "k2": {"command": "concentration", "k": 2, "m": 1, "n_list": [10]},
-    "partition": {"command": "concentration", "partition": [[1, 3], [2]]},
     "regularize": {"command": "regularize", "k": 4, "n_list": [6],
                    "p_rule": {"kind": "c_over_nm", "c": 3.0, "m": 2}},
     "regularize-chain": {"command": "regularize", "m": 1,
@@ -67,8 +66,6 @@ DIGESTS = {
                     "f6ae75185dc53d596be0f22721021eb1690a77e84959313461440a6cf1517d71"),
     "k2": ("3addbc9a5365d5b6098f168e87d8d958e1e825923e1dd74a0a5e2fb2715a8226",
            "157a32bba8ce3be12d7d496ee79315a228c8c50c9b071e1e66b2fd65c487c4d1"),
-    "partition": ("1481ad2150ccd5ac9d69f99a976943e2b9e92b15ac65b3c4154737ce0c1708a8",
-                  "83e21cb3f7ba4e12b7af23414e130429cf947e2abc14fa75265c38b85078ef24"),
     "regularize": ("c9473588fa67ad5cdcb6875aae25038372453a820d7ab400ada24e3d7f51f3b3",
                    "24eb9030b17fb9ab88719d7ee0a35ee6e42b6a93daf6149563604b47bc2c1b3f"),
     "regularize-chain": ("a780571cfcbf38934952f3bc3c684a8007c5fd87513cf8cbc94446b01ea306b1",

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from tensorconc import ConfigError, harness, load_config, run, summarize
+from tensorconc import ConfigError, harness, load_config, run, spectral, summarize
 from tensorconc.harness import CSV_HEADER, EstimatorSettings, config_from_dict
 from tensorconc.unfolding import Partition
 
@@ -117,26 +117,9 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 dataclasses.replace(cfg, **over)
 
-    def test_partition_built_in_code_is_read(self):
-        # blocks or a Partition, in the constructor or through replace, with
-        # each entry read as a config number
-        cfg = harness.ExperimentConfig(command="concentration", k=3, n_list=(8,), m=2, trials=1,
-                                       base_seed=0, p_rule=harness.PRule("fixed", p=0.3),
-                                       partition=[[1, 3], [np.int64(2)]])
-        assert cfg.partition == Partition([[1, 3], [2]])
-        assert dataclasses.replace(cfg, partition=[[2], [1, 3]]).partition == Partition([[2], [1, 3]])
-        assert dataclasses.replace(cfg, partition=cfg.partition).partition is cfg.partition
-        for bad, match in [([[1, 3], [3]], "bad partition"), ([[1, 3], [2.5]], "partition entry"),
-                           ([[1, 3], [True]], "partition entry"), (7, "bad partition"),
-                           ([[1], [2]], r"partition covers \[2\]")]:
-            with pytest.raises(ConfigError, match=match):
-                dataclasses.replace(cfg, partition=bad)
-            with pytest.raises(ConfigError, match=match):
-                config_from_dict(_base_config(partition=bad))
-
     @pytest.mark.parametrize("over,match", [
         ({"restarts": 0}, "estimator.restarts must be an int >= 1, got 0"),
-        ({"num_slices": 2.5}, "estimator.num_slices must be an int >= 1, got 2.5"),
+        ({"restarts": 2.5}, "estimator.restarts must be an int >= 1, got 2.5"),
         ({"restarts": True}, "estimator.restarts must be an int >= 1, got True"),
     ])
     def test_estimator_settings_read_on_construction(self, over, match):
@@ -154,7 +137,7 @@ class TestConfig:
             del base[key]
         cfg = config_from_dict(base)
         assert (cfg.base_seed, cfg.estimator, cfg.out) == (0, EstimatorSettings(), "results.csv")
-        assert (cfg.partition, cfg.params) == (None, {})
+        assert cfg.params == {}
         for key in ("command", "k", "n_list", "p_rule", "m", "trials"):
             with pytest.raises(ConfigError, match=f"^missing config key: {key}$"):
                 config_from_dict({k: v for k, v in base.items() if k != key})
@@ -186,7 +169,7 @@ class TestConfig:
         ([1], "estimator must be an object"), (4, "estimator must be an object"),
         ({"restarts": 2, "seed": 1}, r"unknown estimator keys: \['seed'\]"),
         ({"restarts": 0}, "estimator.restarts must be an int >= 1, got 0"),
-        ({"num_slices": "2"}, "estimator.num_slices must be an int >= 1, got '2'"),
+        ({"num_slices": 2}, r"unknown estimator keys: \['num_slices'\]"),
     ])
     def test_estimator_section_messages(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -202,15 +185,27 @@ class TestConfig:
             return real(raw, kind, name, least)
 
         monkeypatch.setattr(harness, "_number", spy)
-        cfg = config_from_dict(_base_config(estimator={"num_slices": 2}))
-        assert names.count("estimator.num_slices") == names.count("estimator.restarts") == 1
-        assert cfg.estimator == EstimatorSettings(num_slices=2)
-        assert cfg.estimator.restarts == EstimatorSettings().restarts
+        cfg = config_from_dict(_base_config(estimator={}))
+        assert names.count("estimator.restarts") == 1
+        assert cfg.estimator == EstimatorSettings()
 
-    @pytest.mark.parametrize("key", ["restarts", "num_slices"])
+    @pytest.mark.parametrize("key", ["restarts"])
     def test_estimator_counts_at_least_1(self, key):
         with pytest.raises(ConfigError, match=f"estimator.{key} must be an int >= 1, got 0"):
             config_from_dict(_base_config(estimator={key: 0}))
+
+    def test_replay_constants_are_not_settings(self):
+        # the benchmark's traced replay reads cfg.partition and
+        # cfg.estimator.num_slices; neither is a config key or a field
+        cfg = config_from_dict(_base_config())
+        assert "partition" not in [f.name for f in dataclasses.fields(cfg)]
+        assert "num_slices" not in [f.name for f in dataclasses.fields(cfg.estimator)]
+        assert cfg.partition is None
+        assert cfg.estimator.num_slices == spectral.NUM_SLICES
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, partition=Partition([[1, 3], [2]]))
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg.estimator, num_slices=2)
 
     def test_params_typed_with_defaults(self):
         cfg = config_from_dict(_base_config(command="diagnostics", m=1, params={"families": 100}))
@@ -263,11 +258,11 @@ class TestConfig:
         path.write_text(json.dumps(_base_config()))
         data = harness.read_config(str(path), [
             "out=2024", "command=null", "p_rule.kind=true", "trials=3", "estimator.restarts=[2]",
-            "params.families=7", 'p_rule.p="0.5"', "partition=null"])
+            "params.families=7", 'p_rule.p="0.5"'])
         assert (data["out"], data["command"], data["p_rule"]) == (
             "2024", "null", {"kind": "true", "p": "0.5"})
-        assert (data["trials"], data["estimator"], data["params"], data["partition"]) == (
-            3, {"restarts": [2]}, {"families": 7}, None)
+        assert (data["trials"], data["estimator"], data["params"]) == (
+            3, {"restarts": [2]}, {"families": 7})
         assert harness.read_config(str(path), ['out="a b"'])["out"] == '"a b"'
         for item in ("trials=three", "estimator.restarts=2x", "bogus=x", "p_rule.c="):
             key, raw = item.split("=", 1)
@@ -367,22 +362,6 @@ class TestRun:
         for rec in run(cfg):
             assert 0 <= rec.aux["kept"] <= rec.aux["total"] == 512
 
-    def test_partition_override(self, tmp_path):
-        out = tmp_path / "r.csv"
-        cfg = config_from_dict(_base_config(
-            n_list=[8], trials=1, out=str(out), partition=[[1, 3], [2]]))
-        rec = run(cfg)[0]
-        assert rec.aux["partition_upper"] >= rec.lower - 1e-8
-
-    def test_partition_override_jobs(self, tmp_path):
-        # the config crosses to worker processes by pickle, Partition included
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        cfg = config_from_dict(_base_config(n_list=[8], partition=[[1, 3], [2]]))
-        run(dataclasses.replace(cfg, out=a), jobs=1)
-        run(dataclasses.replace(cfg, out=b), jobs=2)
-        assert _masked(a) == _masked(b)
-        assert "partition_upper" in _masked(b)[1].decode()
-
     def test_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch):
         def no_pool(*args):
             raise AssertionError("worker processes started on a one-CPU host")
@@ -434,10 +413,10 @@ class TestRun:
         assert json.loads((tmp_path / "r.csv.summary.json").read_text()) == summarize(str(out))
 
     def test_partition_override_validated(self):
-        with pytest.raises(ConfigError):
-            config_from_dict(_base_config(partition=[[1], [2]]))  # covers [2], k=3
-        with pytest.raises(ConfigError):
-            config_from_dict(_base_config(partition=[[1], [2], [3]]))
+        # an upper candidate is no config key
+        for blocks in ([[1, 3], [2]], [[1], [2]]):
+            with pytest.raises(ConfigError, match=r"^unknown config keys: \['partition'\]$"):
+                config_from_dict(_base_config(partition=blocks))
 
     def test_diagnostics_command(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -705,6 +684,18 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: estimator.restarts must be an int >= 1")
 
+    @pytest.mark.parametrize("override", [
+        "estimator.num_slices=4", "estimator.num_slices=2.5", "partition=[[1, 3], [2]]"])
+    def test_removed_setting_exit_2(self, tmp_path, override):
+        cfg_path = tmp_path / "c.json"
+        out = tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps(_base_config(n_list=[8], trials=1, out=str(out))))
+        res = self._cli("run", "--config", str(cfg_path), "--set", override)
+        assert res.returncode == 2, res.stderr
+        section, _, name = override.split("=")[0].rpartition(".")
+        assert res.stderr.startswith(f"config error: unknown {section or 'config'} keys: ['{name}']")
+        assert not out.exists()
+
     def test_sparsify_above_dense_gate_exit_2(self, tmp_path):
         # 120^3 > 10^6: refused before the n = 8 trials run
         cfg_path = tmp_path / "c.json"
@@ -719,7 +710,7 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "k=3.9", "n_list=[8.7]", "trials=2.5", 'trials="2"', "base_seed=1.5", "p_rule.m=2.5",
         "p_rule.m=2.0",
-        "estimator.restarts=2.5", "estimator.restarts=true", "estimator.num_slices=2.5"])
+        "estimator.restarts=2.5", "estimator.restarts=true"])
     def test_inexact_number_exit_2(self, tmp_path, override):
         # none of these is exactly a number of the type its key takes
         cfg_path = tmp_path / "c.json"

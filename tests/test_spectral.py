@@ -540,35 +540,15 @@ class TestCandidateTable:
         assert est.upper_partition == spectral._chain_partition(4, 1)
         assert not est.upper_converged
 
-    @pytest.mark.parametrize("k, m, n, blocks", [
-        (3, 1, 12, None), (3, 2, 8, None), (3, 2, 8, [[1, 3], [2]]), (3, 2, 8, [[1], [2, 3]]),
-        (4, 1, 6, None), (4, 2, 5, None), (4, 2, 5, [[1, 3], [2, 4]]), (5, 2, 4, None)])
-    def test_balanced_upper_only_when_another_wins(self, k, m, n, blocks):
+    @pytest.mark.parametrize("k, m, n", [(3, 1, 12), (3, 2, 8), (4, 1, 6), (4, 2, 5), (5, 2, 4)])
+    def test_balanced_upper_only_when_another_wins(self, k, m, n):
         cfg = PowerIterConfig(restarts=2, seed=SeedSpec(12, 0))
-        part = None if blocks is None else Partition(blocks)
         for trial in range(3):
-            est = spectral_sandwich(_centered(k, n, 0.3, SeedSpec(12, trial)), m, cfg, partition=part)
+            est = spectral_sandwich(_centered(k, n, 0.3, SeedSpec(12, trial)), m, cfg)
             won = est.upper_partition != balanced_partition(k, m)
             assert ("balanced_upper" in est.bounds) == won
             uppers = [v for key, v in est.bounds.items() if key.endswith("_upper")]
             assert est.upper == min([est.upper, *uppers])
-
-    def test_override_is_a_candidate(self):
-        # the partition golden case's first trial, where the override wins
-        w = _centered(3, 8, 0.3, SeedSpec(5, 0))
-        cfg = PowerIterConfig(restarts=3, seed=SeedSpec(5, 0))
-        over = Partition([[1, 3], [2]])
-        est = spectral_sandwich(w, 2, cfg, partition=over)
-        assert est.upper == est.bounds["partition_upper"] == matrix_op_norm(unfold(w, over), cfg).value
-        assert est.upper < est.bounds["balanced_upper"]
-        assert est.upper_partition == over
-        _assert_certified(est.upper, _svd_norm(_dense_unfolding(w, over)))
-        # an override equal to the balanced partition is not solved
-        same, plain = (spectral_sandwich(w, 2, cfg, partition=balanced_partition(3, 2)),
-                       spectral_sandwich(w, 2, cfg))
-        assert "partition_upper" not in same.bounds
-        assert (same.upper, same.bounds, same.iterations_used) == (
-            plain.upper, plain.bounds, plain.iterations_used)
 
 
 def _certify_calls(monkeypatch) -> list:
@@ -605,22 +585,6 @@ class TestCertificateOnlyForReportedValues:
         calls = _certify_calls(monkeypatch)
         _run_trial(cfg, 120, 0)
         assert calls == [120]
-
-    def test_override_equal_to_chain_not_solved_again(self, monkeypatch):
-        w = _centered(3, 10, 0.3, SeedSpec(1, 0))
-        calls = _certify_calls(monkeypatch)
-        est = spectral_sandwich(w, 1, PowerIterConfig(restarts=2, seed=SeedSpec(1, 0)),
-                                partition=Partition([[1], [2, 3]]))
-        assert calls == [10, 10]
-        assert "partition_upper" not in est.bounds and "chain_upper" in est.bounds
-
-    def test_partition_override_trial(self, monkeypatch):
-        cfg = config_from_dict({
-            "command": "concentration", "k": 3, "m": 2, "n_list": [8], "trials": 1,
-            "p_rule": {"kind": "fixed", "p": 0.3}, "partition": [[1, 3], [2]]})
-        calls = _certify_calls(monkeypatch)
-        assert "partition_upper" in _run_trial(cfg, 8, 0).aux
-        assert calls == [8, 8]
 
 
 def _empty_slices_tensor() -> SparseTensor:
