@@ -204,22 +204,21 @@ class SparseTensor(_Frozen):
             and np.array_equal(self.values, other.values)
         )
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"SparseTensor(k={self.shape.order}, n={self.shape.dim}, nnz={self.nnz})"
 
 
-class OffsetTensor(_Frozen):
+@dataclass(frozen=True)
+class OffsetTensor:
     """``sparse + background * J``: a sparse tensor over a constant offset."""
 
-    __slots__ = ("sparse", "background")
+    sparse: SparseTensor
+    background: float = 0.0
 
-    def __init__(self, sparse: SparseTensor, background: float = 0.0):
-        background = float(background)
+    def __post_init__(self):
+        background = float(self.background)
         if not np.isfinite(background):
             raise ValueError("background must be finite")
-        object.__setattr__(self, "sparse", sparse)
         object.__setattr__(self, "background", background)
 
     @property
@@ -237,13 +236,6 @@ class OffsetTensor(_Frozen):
     def is_exactly_zero(self) -> bool:
         """True when every materialized entry is exactly 0 (checked sparsely)."""
         return _all_zero(self.sparse.values, self.background, self.shape.ncoords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OffsetTensor):
-            return NotImplemented
-        return self.background == other.background and self.sparse == other.sparse
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return (

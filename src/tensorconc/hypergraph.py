@@ -49,8 +49,6 @@ class Hypergraph(_Frozen):
             return NotImplemented
         return self.k == other.k and self.n == other.n and np.array_equal(self.edges, other.edges)
 
-    __hash__ = None
-
     def __repr__(self):
         return f"Hypergraph(k={self.k}, n={self.n}, m={self.num_edges})"
 

@@ -15,6 +15,7 @@ grow.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from .core import OffsetTensor, TensorLike, _Frozen, _frobenius_sq, _lex_order, as_offset, linear_index
 
 
-class Partition(_Frozen):
+@dataclass(frozen=True)
+class Partition:
     """Disjoint nonempty blocks of 1-based mode indices covering [k].
 
     Block order is significant (it fixes the unfolded mode order); members
@@ -30,22 +32,20 @@ class Partition(_Frozen):
     (``operator.index``): 1.5 or "2" raises ``TypeError``.
     """
 
-    __slots__ = ("blocks", "order")
+    blocks: Sequence[Sequence[int]]
 
-    def __init__(self, blocks: Sequence[Sequence[int]]):
-        clean = tuple(tuple(sorted(operator.index(i) for i in b)) for b in blocks)
+    def __post_init__(self):
+        clean = tuple(tuple(sorted(operator.index(i) for i in b)) for b in self.blocks)
         if not clean or any(len(b) == 0 for b in clean):
             raise ValueError("partition blocks must be nonempty")
         flat = [i for b in clean for i in b]
-        k = len(flat)
-        if sorted(flat) != list(range(1, k + 1)):
+        if sorted(flat) != list(range(1, len(flat) + 1)):
             raise ValueError(f"blocks must partition [1..k], got {clean}")
         object.__setattr__(self, "blocks", clean)
-        object.__setattr__(self, "order", k)
 
-    def __reduce__(self):
-        # rebuild through __init__: the default unpickling sets attributes
-        return (Partition, (self.blocks,))
+    @property
+    def order(self) -> int:
+        return sum(map(len, self.blocks))
 
     @property
     def arity(self) -> int:
@@ -53,14 +53,6 @@ class Partition(_Frozen):
 
     def dims(self, n: int) -> tuple:
         return tuple(n ** len(b) for b in self.blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
 
     def __repr__(self):
         return f"Partition({list(list(b) for b in self.blocks)})"

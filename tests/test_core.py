@@ -13,6 +13,7 @@ from tensorconc import (
     DenseGateError,
     DenseProbability,
     Homogeneous,
+    Hypergraph,
     OffsetTensor,
     SeedSpec,
     ShapeMismatchError,
@@ -389,6 +390,98 @@ class TestVectorTuple:
     def test_basis_index_count(self):
         with pytest.raises(ValueError, match="one index per mode"):
             VectorTuple.basis(3, 4, [1, 1])
+
+
+class TestChecks:
+    """Each input check raises its own exception and message."""
+
+    @pytest.mark.parametrize("coords,values,message", [
+        ([[1, 2]], [1.0, 2.0], "values must be one float per coordinate"),
+        ([[1, 2]], [np.inf], "values must be finite"),
+        ([[1, 2]], [np.nan], "values must be finite"),
+    ])
+    def test_sparse_values(self, coords, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SparseTensor(TensorShape(2, 3), coords, values)
+
+    def test_from_dense_not_cubical(self):
+        with pytest.raises(ValueError, match="^dense array must be cubical$"):
+            SparseTensor.from_dense(np.ones((2, 3)))
+
+    def test_linear_indices_above_2_63(self):
+        # n^k = (2^21)^3 = 2^63 is the first size that does not fit
+        t = SparseTensor(TensorShape(3, 2**21), [[1, 1, 1]], [1.0])
+        with pytest.raises(ValueError, match="^coordinate space too large for linear indexing$"):
+            t.linear_indices()
+
+    @pytest.mark.parametrize("background", [np.inf, -np.inf, np.nan])
+    def test_offset_background_not_finite(self, background):
+        with pytest.raises(ValueError, match="^background must be finite$"):
+            OffsetTensor(SparseTensor.empty(TensorShape(2, 3)), background)
+
+    @pytest.mark.parametrize("table", [np.full(3, 0.5), np.full((2, 3), 0.5)], ids=["order-1", "not-cubical"])
+    def test_dense_probability_shape(self, table):
+        with pytest.raises(ValueError, match=r"^probability table must be cubical of order >= 2$"):
+            DenseProbability(table)
+
+    @pytest.mark.parametrize("vectors,message", [
+        ([], "need at least one vector"),
+        ([np.ones(2), np.ones(3)], "all vectors must be 1-d of equal length"),
+    ], ids=["empty", "ragged"])
+    def test_vector_tuple_shape(self, vectors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VectorTuple(vectors)
+
+    def test_form_vector_count(self):
+        t = SparseTensor.all_ones(TensorShape(3, 2))
+        with pytest.raises(ShapeMismatchError, match="^expected 3 vectors, got 2$"):
+            multilinear_form(t, [np.ones(2)] * 2)
+
+    @pytest.mark.parametrize("free_mode", [0, 4])
+    def test_contract_free_mode_range(self, free_mode):
+        t = SparseTensor.all_ones(TensorShape(3, 2))
+        with pytest.raises(ValueError, match=rf"^free_mode must be in \[1, 3\], got {free_mode}$"):
+            contract_all_but_one(t, [np.ones(2)] * 2, free_mode)
+
+    def test_rank1_one_vector(self):
+        with pytest.raises(ValueError, match="^rank-1 tensor needs at least two vectors$"):
+            rank1([np.ones(2)])
+
+
+class TestOffsetTensorValue:
+    """``OffsetTensor`` is a frozen value: equal by value, not hashable."""
+
+    def test_equal_by_value(self):
+        sh = TensorShape(2, 3)
+        a = OffsetTensor(SparseTensor(sh, [[1, 2]], [1.5]), -0.25)
+        assert a == OffsetTensor(SparseTensor(sh, [[1, 2]], [1.5]), -0.25)
+        assert a != OffsetTensor(SparseTensor(sh, [[1, 2]], [1.5]), 0.25)
+        assert a != OffsetTensor(SparseTensor(sh, [[2, 1]], [1.5]), -0.25)
+        assert OffsetTensor(SparseTensor.empty(sh)) == OffsetTensor(SparseTensor.empty(sh), 0)
+        assert a != a.sparse
+
+    def test_background_stored_as_float(self):
+        t = OffsetTensor(SparseTensor.empty(TensorShape(2, 3)), np.float32(-1))
+        assert type(t.background) is float and t.background == -1.0
+
+    def test_frozen(self):
+        t = OffsetTensor(SparseTensor.empty(TensorShape(2, 3)), 0.5)
+        with pytest.raises(AttributeError):
+            t.background = 0.0
+        assert t.background == 0.5
+
+    @pytest.mark.parametrize("value", [
+        OffsetTensor(SparseTensor.empty(TensorShape(2, 3))),
+        SparseTensor.empty(TensorShape(2, 3)),
+        Hypergraph(3, 4, [[1, 2, 3]]),
+    ], ids=["OffsetTensor", "SparseTensor", "Hypergraph"])
+    def test_unhashable(self, value):
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(value)
+
+    def test_repr(self):
+        t = OffsetTensor(SparseTensor(TensorShape(3, 4), [[1, 2, 3]], [1.0]), -0.125)
+        assert repr(t) == "OffsetTensor(k=3, n=4, nnz=1, background=-0.125)"
 
 
 class TestSerialization:

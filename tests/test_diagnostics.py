@@ -50,8 +50,17 @@ class TestLatticeNet:
         with pytest.raises(ValueError):
             lattice_net(5, 0.5)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5])
+    def test_delta_range(self, delta):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+            lattice_net(2, delta)
+
 
 class TestNetSupremum:
+    def test_dimension_gate(self):
+        with pytest.raises(ValueError, match=r"^net supremum check gated to n <= 3, k <= 3, got n=4, k=3$"):
+            net_supremum_check(SparseTensor.empty(TensorShape(3, 4)))
+
     def test_zero_tensor(self):
         rec = net_supremum_check(SparseTensor.empty(TensorShape(3, 2)), 0.5)
         assert rec.sup_net == 0.0 and rec.lower == 0.0 and rec.within
@@ -495,6 +504,12 @@ class TestDiscrepancy:
 
 
 class TestDyadicProfile:
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5])
+    def test_delta_range(self, delta):
+        t = SparseTensor.empty(TensorShape(3, 4))
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+            dyadic_profile(VectorTuple.uniform(3, 4), delta, t, 0.1)
+
     def test_uniform_vector_single_class(self):
         n = 16
         ys = VectorTuple.uniform(3, n)

@@ -105,6 +105,11 @@ class TestAdjacency:
 
 
 class TestCountEdges:
+    def test_non_integer_entries_rejected(self):
+        t = SparseTensor(TensorShape(3, 4), [[1, 2, 3], [2, 3, 4]], [1.0, 0.5])
+        with pytest.raises(ValueError, match=r"^count_edges needs integer-valued entries, box sum = 1\.5$"):
+            count_edges(t, [np.arange(1, 5)] * 3)
+
     def test_falling_factorial_on_distinct_pattern(self):
         n, k = 6, 3
         edges = np.array(list(itertools.combinations(range(1, n + 1), k)), dtype=np.int32)
@@ -160,6 +165,16 @@ class TestCountEdges:
 
 
 class TestMixingCheck:
+    def test_p_one_rejected(self):
+        t = adjacency(er_hypergraph(3, 6, 0.3, SeedSpec(1, 0)))
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\), got 1\.0$"):
+            mixing_check(t, 1.0, SubsetFamilies.sampled(4))
+
+    def test_unknown_family_kind(self):
+        t = adjacency(er_hypergraph(3, 6, 0.3, SeedSpec(1, 0)))
+        with pytest.raises(ValueError, match="^unknown family kind 'bogus'$"):
+            mixing_check(t, 0.3, SubsetFamilies(kind="bogus"))
+
     def test_constant_tensor_zero_ratio(self):
         # entries exactly p everywhere: every discrepancy vanishes
         p = 0.3

@@ -153,6 +153,14 @@ class TestRegularize:
 
 
 class TestRemovedCountCheck:
+    def test_outside_guarantee_regime_rejected(self):
+        # k = 5, m = 2 < k/2: regularize warns, and the bound does not apply
+        t = bernoulli_sample(TensorShape(5, 4), Homogeneous(0.2), SeedSpec(4, 0))
+        with pytest.warns(UserWarning, match="outside the guarantee regime"):
+            res = regularize(t, 2, 0.2)
+        with pytest.raises(ValueError, match=r"^removed-count bound needs k/2 <= m <= k-1, got m=2, k=5$"):
+            removed_count_check(res, 0.2)
+
     def test_empty_within(self, rng):
         t = bernoulli_sample(TensorShape(4, 5), Homogeneous(0.2), SeedSpec(4, 0))
         res = regularize(t, 2, 0.2)

@@ -146,6 +146,12 @@ class TestSeedSpec:
             SeedSpec(0, bad)
 
 
+@pytest.mark.parametrize("total", [-1, 2**63])
+def test_bernoulli_positions_total_range(total):
+    with pytest.raises(ValueError, match=f"^coordinate space size out of range: {total}$"):
+        bernoulli_positions(total, 0.5, 0)
+
+
 class TestHashKernel:
     # 0.3 * 2^53 is not an integer, so the threshold is rounded up
     P_VALUES = [2.0**-53, 0.5, 1.0 - 2.0**-53, 0.3]

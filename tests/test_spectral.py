@@ -45,6 +45,12 @@ def _matrix_tensor(m: np.ndarray) -> SparseTensor:
     return SparseTensor.from_dense(m)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_power_iter_config_restarts(restarts):
+    with pytest.raises(ValueError, match="^restarts must be >= 1$"):
+        PowerIterConfig(restarts=restarts)
+
+
 class TestMatrixOpNorm:
     def test_identity(self):
         eye = _matrix_tensor(np.eye(5))
@@ -192,6 +198,12 @@ def _assert_certified(upper: float, sigma: float):
 
 class TestCertifiedUpper:
     """The certified value is at least the SVD norm, and barely above it."""
+
+    def test_no_certificate_after_every_attempt(self):
+        # a zero Gram matrix with theta 0 keeps the shift at 0, so each of
+        # the attempts factors the zero matrix and fails
+        with pytest.raises(ArithmeticError, match="^no Cholesky certificate for the Gram matrix$"):
+            spectral._certify(np.zeros((3, 3)), 0.0, 0.0)
 
     def test_concentration_trials(self):
         n, p = 120, 5.0 * np.log(120) / 120**2  # the conc-k3 benchmark workload

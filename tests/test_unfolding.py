@@ -60,6 +60,46 @@ class TestPartitionType:
         with pytest.raises(AttributeError):
             q.order = 4
 
+    def test_equal_partitions_hash_equal(self):
+        p, q = Partition([[3, 1], [2]]), Partition(((1, 3), (2,)))
+        assert p == q and hash(p) == hash(q) and p != Partition([[2], [1, 3]])
+        seen = {p: "a"}
+        assert seen[q] == "a" and len({p, q, balanced_partition(3, 1)}) == 2
+
+    @pytest.mark.parametrize("name", ["order", "blocks"])
+    def test_frozen(self, name):
+        p = Partition([[1, 3], [2]])
+        with pytest.raises(AttributeError):
+            setattr(p, name, 4)
+        assert p.blocks == ((1, 3), (2,)) and p.order == 3
+
+    def test_repr(self):
+        assert repr(Partition([[3, 1], [2]])) == "Partition([[1, 3], [2]])"
+        assert repr(balanced_partition(4, 2)) == "Partition([[1, 2], [3, 4]])"
+
+
+class TestChecks:
+    """Each input check raises its own exception and message."""
+
+    def test_phi_short_coordinate(self):
+        with pytest.raises(ValueError, match="^coordinate length 2 != order 3$"):
+            phi(Partition([[1, 2], [3]]), (1, 1), 2)
+
+    @pytest.mark.parametrize("unfolded,message", [
+        ((1,), "expected 2 indices, got 1"),
+        ((1, 1, 1), "expected 2 indices, got 3"),
+        ((5, 1), r"unfolded index 5 out of range \[1, 4\]"),
+        ((1, 0), r"unfolded index 0 out of range \[1, 2\]"),
+    ])
+    def test_phi_inverse_checks(self, unfolded, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            phi_inverse(Partition([[1, 2], [3]]), unfolded, 2)
+
+    def test_unfold_wrong_order(self):
+        t = SparseTensor.all_ones(TensorShape(3, 2))
+        with pytest.raises(ValueError, match="^partition of \\[4\\] cannot unfold an order-3 tensor$"):
+            unfold(t, balanced_partition(4, 2))
+
 
 class TestPhi:
     def test_all_ones_coordinate(self):
