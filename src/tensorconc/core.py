@@ -19,6 +19,8 @@ shape) all run on it.  A tensor whose values are all 1.0 skips multiplying
 by them.
 
 All types are immutable after construction and safe to share across threads.
+The array holders write their slots through one writer, ``_Frozen._set``, so
+they pickle and copy (to a worker process too) with read-only arrays.
 """
 
 from __future__ import annotations
@@ -96,9 +98,20 @@ def _fmt(x: float) -> str:
 
 
 class _Frozen:
-    """Immutable once built: ``__init__`` sets each slot with ``object.__setattr__``."""
+    """Immutable once built: ``_set``, the one writer, sets each slot with its arrays (alone
+    or in a tuple) read-only, in ``__init__`` and when ``pickle`` or ``copy`` restores it."""
 
     __slots__ = ()
+
+    def _set(self, **slots):
+        for name, value in slots.items():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        self._set(**state[1])  # (None, slots), as ``object.__getstate__`` gives it
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -142,13 +155,8 @@ class SparseTensor(_Frozen):
             if dup.any():
                 where = coords[1:][dup][0]
                 raise ValueError(f"duplicate coordinate {tuple(int(i) for i in where)}")
-        coords = np.ascontiguousarray(coords)
-        values = np.ascontiguousarray(values)
-        coords.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "values", values)
+        self._set(shape=shape, coords=np.ascontiguousarray(coords),
+                  values=np.ascontiguousarray(values))
 
     @classmethod
     def empty(cls, shape: TensorShape) -> "SparseTensor":
@@ -292,10 +300,7 @@ class DenseProbability(_Frozen):
         shape.require_dense_gate("dense probability table")
         if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails both
             raise ValueError("probabilities must lie in [0, 1]")
-        table = np.array(table, order="C")
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "shape", shape)
+        self._set(table=np.array(table, order="C"), shape=shape)
 
 
 ProbabilityModel = Union[Homogeneous, DenseProbability]
@@ -329,9 +334,7 @@ class VectorTuple(_Frozen):
                 raise ValueError("all vectors must be 1-d of equal length")
             if not np.all(np.isfinite(v)):
                 raise ValueError("vectors must be finite")
-        for v in vecs:
-            v.flags.writeable = False
-        object.__setattr__(self, "vectors", vecs)
+        self._set(vectors=vecs)
 
     def __iter__(self):
         return iter(self.vectors)

@@ -223,7 +223,7 @@ def load_config(path: str, overrides: list | None = None) -> ExperimentConfig:
     return config_from_dict(read_config(path, overrides))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResultRecord:
     command: str
     k: int

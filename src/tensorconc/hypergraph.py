@@ -36,9 +36,7 @@ class Hypergraph(_Frozen):
         edges = SparseTensor(shape, edges, np.ones(np.shape(edges)[:1]), presorted=presorted).coords
         if np.any(np.diff(edges, axis=1) <= 0):
             raise ValueError("each edge must be a strictly increasing vertex tuple")
-        object.__setattr__(self, "k", shape.order)
-        object.__setattr__(self, "n", shape.dim)
-        object.__setattr__(self, "edges", edges)
+        self._set(k=shape.order, n=shape.dim, edges=edges)
 
     @property
     def num_edges(self) -> int:

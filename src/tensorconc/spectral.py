@@ -136,7 +136,7 @@ def _scaled_back(x: float, e: int, toward: float) -> float:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixNormResult:
     """Operator norm of a matrix.
 
@@ -402,8 +402,10 @@ def _certify(g: np.ndarray, theta: float, form_err: float) -> float:
     square root of that sum, each step rounded up.  The first nu tried is
     theta + 2c; each failure quadruples the excess.  Cholesky is only a
     yes/no gate: the bits of the value come from ``theta`` and this rule,
-    not from LAPACK.
+    not from LAPACK, and a non-finite input is refused before it runs.
     """
+    if not (np.all(np.isfinite(g)) and math.isfinite(theta) and math.isfinite(form_err)):
+        raise ArithmeticError("Gram certificate needs finite inputs")
     r = g.shape[0]
     coef = _gamma(r + 1) / (1.0 - _gamma(r + 1)) * r
     top = float(np.max(np.diagonal(g)))
@@ -427,7 +429,7 @@ def _certify(g: np.ndarray, theta: float, form_err: float) -> float:
     raise ArithmeticError("no Cholesky certificate for the Gram matrix")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopmResult:
     value: float
     witness: VectorTuple
@@ -595,7 +597,7 @@ def hopm_lower(
     return HopmResult(_scaled_back(val, e, 0.0), VectorTuple(xs), sum(r[2] for r in runs), converged)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SliceResult:
     value: float
     witness: VectorTuple
@@ -662,7 +664,7 @@ def brackets(lower: float, upper: float) -> bool:
     return 0.0 <= lower <= upper + SANDWICH_SLACK * min(1.0, upper)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralEstimate:
     """Certified bracket around an (intractable) tensor spectral norm, with
     each candidate's value in ``bounds`` by name (see ``spectral_sandwich``)."""

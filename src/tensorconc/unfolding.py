@@ -126,12 +126,8 @@ class UnfoldedView(_Frozen):
                 f"partition of [{partition.order}] cannot unfold an order-"
                 f"{source.shape.order} tensor"
             )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "dims", partition.dims(source.shape.dim))
-        coords = phi_array(partition, source.sparse.coords, source.shape.dim)
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
+        self._set(source=source, partition=partition, dims=partition.dims(source.shape.dim),
+                  coords=phi_array(partition, source.sparse.coords, source.shape.dim))
 
     @property
     def arity(self) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_form, dense_inner
-from conftest import random_sparse
+from conftest import COPIERS, assert_equal_copy, random_sparse
 from tensorconc import (
     DenseGateError,
     DenseProbability,
@@ -482,6 +482,26 @@ class TestOffsetTensorValue:
     def test_repr(self):
         t = OffsetTensor(SparseTensor(TensorShape(3, 4), [[1, 2, 3]], [1.0]), -0.125)
         assert repr(t) == "OffsetTensor(k=3, n=4, nnz=1, background=-0.125)"
+
+
+_HOLDERS = {
+    "SparseTensor": lambda: bernoulli_sample(TensorShape(3, 6), Homogeneous(0.3), SeedSpec(1, 0)),
+    "OffsetTensor": lambda: center(SparseTensor(TensorShape(3, 4), [[1, 2, 3], [4, 1, 2]],
+                                                [1.5, -2.0]), Homogeneous(0.25)),
+    "DenseProbability": lambda: DenseProbability(np.linspace(0.0, 1.0, 27).reshape(3, 3, 3)),
+    "VectorTuple": lambda: VectorTuple([np.arange(4.0), -np.ones(4), np.full(4, 0.5)]),
+}
+
+
+class TestCopies:
+    """A value pickles (as a worker process receives it) and copies equal to
+    itself, with read-only arrays and slots that still refuse assignment."""
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+    @pytest.mark.parametrize("make", _HOLDERS.values(), ids=_HOLDERS.keys())
+    def test_roundtrip(self, make, copier):
+        value = make()
+        assert_equal_copy(value, copier(value))
 
 
 class TestSerialization:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import COPIERS, assert_equal_copy
 from tensorconc import ConfigError, harness, load_config, run, spectral, summarize
 from tensorconc.harness import CSV_HEADER, EstimatorSettings, config_from_dict
 from tensorconc.unfolding import Partition
@@ -286,6 +287,15 @@ class TestRun:
         assert len(records) == 1
         assert records[0].lower == 0.0 and records[0].upper == 0.0
 
+    def test_records_frozen(self, tmp_path):
+        cfg = config_from_dict(_base_config(n_list=[8], trials=1, out=str(tmp_path / "r.csv")))
+        record = run(cfg)[0]
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+        for copier in COPIERS.values():
+            assert_equal_copy(record, copier(record))
+
     @pytest.mark.parametrize("p", [1e-160, 1e-300, 5e-324])
     @pytest.mark.parametrize("n", [4, 6])
     def test_tiny_p_rows_bracket(self, tmp_path, n, p):
@@ -482,6 +492,33 @@ class TestWorkers:
         print(len(calls), sizes)
     """)
 
+    # A centered tensor goes to a spawned worker and its estimate comes back:
+    # the same bits as the caller's own call.
+    SANDWICH = textwrap.dedent("""
+        import concurrent.futures, math, multiprocessing
+        from tensorconc import (Homogeneous, PowerIterConfig, SeedSpec, TensorShape,
+                                bernoulli_sample, center, spectral_sandwich)
+
+        p = 5 * math.log(30) / 30**2
+        w = center(bernoulli_sample(TensorShape(3, 30), Homogeneous(p), SeedSpec(1, 0)),
+                   Homogeneous(p))
+        config = PowerIterConfig(restarts=2, seed=SeedSpec(1, 0))
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            future = pool.submit(spectral_sandwich, w, 2, config)
+            error = future.exception()
+
+        def bits(est):
+            return ([x.hex() for x in (est.lower, est.upper)],
+                    {key: value.hex() for key, value in est.bounds.items()},
+                    [v.tobytes() for v in est.lower_witness])
+        if error is not None:
+            print(type(error).__name__)
+        else:
+            there = future.result()
+            print(type(there).__name__, bits(there) == bits(spectral_sandwich(w, 2, config)))
+    """)
+
     def _python(self, script):
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, timeout=120)
@@ -500,6 +537,9 @@ class TestWorkers:
         cfg = _base_config(command="expander", n_list=[8], out=str(tmp_path / "r.csv"))
         error = self._error(cfg, jobs, params={"mixing_families": 0})
         assert error.startswith("ValueError") and "count must be >= 1" in error
+
+    def test_estimate_from_spawned_worker(self):
+        assert self._python(self.SANDWICH) == "SpectralEstimate True"
 
     def test_worker_death_raises(self, tmp_path):
         cfg = _base_config(out=str(tmp_path / "r.csv"))

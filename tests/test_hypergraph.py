@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_sparse
+from conftest import COPIERS, assert_equal_copy, random_sparse
 from oracles import dense_count_edges
 from tensorconc import (
     Hypergraph,
@@ -81,6 +81,11 @@ class TestHypergraph:
     def test_presorted_edges_kept_in_given_order(self):
         edges = np.array([[1, 2, 3], [2, 3, 4]], dtype=np.int32)
         assert Hypergraph(3, 4, edges, presorted=True).edges.tobytes() == edges.tobytes()
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+    def test_copies(self, copier):
+        h = Hypergraph(3, 6, [[1, 2, 3], [2, 4, 6], [1, 5, 6]])
+        assert_equal_copy(h, copier(h))
 
 
 class TestAdjacency:

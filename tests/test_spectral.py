@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from conftest import random_sparse
+from conftest import COPIERS, assert_equal_copy, random_sparse
 from oracles import (
     grid_rank1_max_2x2x2,
     jacobi_spectral_norm,
@@ -204,6 +204,17 @@ class TestCertifiedUpper:
         # the attempts factors the zero matrix and fails
         with pytest.raises(ArithmeticError, match="^no Cholesky certificate for the Gram matrix$"):
             spectral._certify(np.zeros((3, 3)), 0.0, 0.0)
+
+    @pytest.mark.parametrize("g, theta, form_err", [
+        (np.full((3, 3), np.nan), 1.0, 0.0),
+        (np.eye(3), np.nan, 0.0),
+        (np.eye(3), 1.0, np.nan),
+        (np.full((3, 3), np.inf), 1.0, 0.0),
+    ], ids=["nan-gram", "nan-theta", "nan-form-err", "inf-gram"])
+    def test_non_finite_input_refused(self, g, theta, form_err):
+        # refused before any factorization, whatever LAPACK makes of a NaN
+        with pytest.raises(ArithmeticError, match="^Gram certificate needs finite inputs$"):
+            spectral._certify(g, theta, form_err)
 
     def test_concentration_trials(self):
         n, p = 120, 5.0 * np.log(120) / 120**2  # the conc-k3 benchmark workload
@@ -577,6 +588,39 @@ def _certify_calls(monkeypatch) -> list:
 
 def _centered(k, n, p, seed):
     return center(bernoulli_sample(TensorShape(k, n), Homogeneous(p), seed), Homogeneous(p))
+
+
+_RESULTS = ["SpectralEstimate", "HopmResult", "SliceResult", "MatrixNormResult"]
+
+
+class TestFrozenResults:
+    """The results that carry a bracket refuse assignment, so nothing undoes
+    the check ``SpectralEstimate`` makes when built, and they cross to a
+    worker process and back by pickle."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        w = _centered(3, 12, 0.3, SeedSpec(4, 0))
+        config = PowerIterConfig(restarts=2, seed=SeedSpec(4, 0))
+        return {
+            "SpectralEstimate": spectral_sandwich(w, 1, config),
+            "HopmResult": hopm_lower(w, config),
+            "SliceResult": slice_lower(w, config=config),
+            "MatrixNormResult": matrix_op_norm(unfold(w, balanced_partition(3, 1)), config),
+        }
+
+    @pytest.mark.parametrize("name", _RESULTS)
+    def test_fields_frozen(self, results, name):
+        result = results[name]
+        assert type(result).__name__ == name
+        for f in dataclasses.fields(result):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, f.name, getattr(result, f.name))
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+    @pytest.mark.parametrize("name", _RESULTS)
+    def test_copies(self, results, name, copier):
+        assert_equal_copy(results[name], copier(results[name]), by_eq=False)
 
 
 class TestCertificateOnlyForReportedValues:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sparse
+from conftest import COPIERS, assert_equal_copy, random_sparse
 from oracles import reference_phi_array, set_partitions
 from tensorconc import (
     Homogeneous,
@@ -263,6 +263,13 @@ class TestUnfold:
         coords, values = view.canonical_entries()
         assert len({tuple(c) for c in coords.tolist()}) == t.nnz
         assert sorted(values.tolist()) == sorted(t.values.tolist())
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+    def test_view_copies(self, copier):
+        t = center(bernoulli_sample(TensorShape(3, 5), Homogeneous(0.3), SeedSpec(2, 0)),
+                   Homogeneous(0.3))
+        view = unfold(t, balanced_partition(3, 1))
+        assert_equal_copy(view, copier(view))
 
 
 class TestSandwichConsistency:
