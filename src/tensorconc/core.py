@@ -16,7 +16,8 @@ Contractions against vectors have one implementation, ``_Contraction``:
 (one layout for all its sweeps, with one column per start in a lockstep
 batch) and the spectral module's matrix products (an order-2 layout of any
 shape) all run on it.  A tensor whose values are all 1.0 skips multiplying
-by them.
+by them.  ``_index`` is the one conversion of 1-based coordinates to its
+0-based indices, and ``_Contraction.is_zero`` the one exact-zero test.
 
 All types are immutable after construction and safe to share across threads.
 The array holders write their slots through one writer, ``_Frozen._set``, so
@@ -241,10 +242,6 @@ class OffsetTensor:
         self.shape.require_dense_gate()
         return self.sparse.to_dense() + self.background
 
-    def is_exactly_zero(self) -> bool:
-        """True when every materialized entry is exactly 0 (checked sparsely)."""
-        return _all_zero(self.sparse.values, self.background, self.shape.ncoords)
-
     def __repr__(self) -> str:
         return (
             f"OffsetTensor(k={self.shape.order}, n={self.shape.dim}, "
@@ -253,13 +250,6 @@ class OffsetTensor:
 
 
 TensorLike = Union[SparseTensor, OffsetTensor]
-
-
-def _all_zero(values: np.ndarray, background: float, size: int) -> bool:
-    """True when all ``size`` entries, ``values`` stored over ``background``, are exactly 0."""
-    if background == 0.0:
-        return len(values) == 0
-    return len(values) == size and bool(np.all(values == -background))
 
 
 def as_offset(t: TensorLike) -> OffsetTensor:
@@ -404,12 +394,18 @@ def frobenius_norm(t: TensorLike) -> float:
     return float(np.sqrt(max(_frobenius_sq(as_offset(t)), 0.0)))
 
 
+def _index(coords: np.ndarray) -> tuple:
+    """The 0-based ``intp`` index array of each column of 1-based ``coords``."""
+    return tuple(coords[:, j].astype(np.intp) - 1 for j in range(coords.shape[1]))
+
+
 class _Contraction:
     """Entries laid out for repeated contractions against vectors.
 
-    Holds the 0-based ``intp`` index array of each mode (from 1-based
-    ``coords``), the values, the background and the dimensions ``dims``;
-    ``of`` lays out a tensor.  A vector enters a contraction as its mode-j
+    Holds the 0-based ``intp`` index array of each mode (``_index`` of 1-based
+    coordinates), the values, the background and the dimensions ``dims``;
+    ``of`` lays out a tensor, and ``is_zero`` is the library's one test that
+    every entry is exactly 0.  A vector enters a contraction as its mode-j
     *factor* (``factor``): the vector gathered at the entries' mode-j
     indices, and its sum.  A caller that changes one vector at a time (power
     iteration) refreshes only that factor.  Both contractions multiply the
@@ -422,8 +418,8 @@ class _Contraction:
 
     __slots__ = ("index", "values", "background", "dims", "unit")
 
-    def __init__(self, coords: np.ndarray, values: np.ndarray, background: float, dims: tuple):
-        self.index = tuple(coords[:, j].astype(np.intp) - 1 for j in range(len(dims)))
+    def __init__(self, index: tuple, values: np.ndarray, background: float, dims: tuple):
+        self.index = index
         self.values = values
         self.background = background
         self.dims = dims
@@ -431,11 +427,13 @@ class _Contraction:
 
     @classmethod
     def of(cls, t: OffsetTensor) -> "_Contraction":
-        return cls(t.sparse.coords, t.sparse.values, t.background, (t.shape.dim,) * t.shape.order)
+        return cls(_index(t.sparse.coords), t.sparse.values, t.background, (t.shape.dim,) * t.shape.order)
 
     def is_zero(self) -> bool:
-        """True when every entry is exactly 0 (``OffsetTensor.is_exactly_zero``)."""
-        return _all_zero(self.values, self.background, math.prod(self.dims))
+        """True when every entry, stored or background, is exactly 0."""
+        if self.background == 0.0:
+            return len(self.values) == 0
+        return len(self.values) == math.prod(self.dims) and bool(np.all(self.values == -self.background))
 
     def factor(self, j: int, v: np.ndarray) -> tuple:
         """(v at the 0-based mode ``j`` index of each entry, sum of v).  An

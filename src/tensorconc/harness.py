@@ -196,7 +196,7 @@ def read_config(path: str, overrides: list | None = None) -> dict:
             data = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a decode error, a bad byte or too deep a nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     for item in overrides or []:
         if "=" not in item:
@@ -208,7 +208,7 @@ def read_config(path: str, overrides: list | None = None) -> dict:
             schema = is_dataclass(schema) and {f.name: f.type for f in fields(schema)}.get(part)
         try:
             value = raw if schema is str else json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             raise ConfigError(f"--set {key} takes a JSON value, got {raw!r}") from None
         node = data  # the object the key sets in; a non-object on the way is refused
         for part in parts[:-1]:
@@ -504,7 +504,7 @@ def summarize(csv_path: str) -> dict:
     try:
         with open(csv_path, "r", encoding="ascii", newline="") as f:
             rows = list(csv.reader(f))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvFormatError(f"cannot read {csv_path}: {exc}") from exc
     if rows[:1] != [CSV_HEADER]:
         raise CsvFormatError(f"{csv_path} header mismatch: {rows[0] if rows else 'no header row'}")
@@ -521,7 +521,7 @@ def summarize(csv_path: str) -> dict:
             lower, upper = float(rec["lower"]), float(rec["upper"])
             ratio_lower, ratio_upper = float(rec["ratio_lower"]), float(rec["ratio_upper"])
             aux = json.loads(rec["aux"])
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CsvFormatError(f"unparsable row {row!r}: {exc}") from exc
         if not isinstance(aux, dict):
             raise CsvFormatError(f"aux is not a JSON object in row {row!r}")

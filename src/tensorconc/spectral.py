@@ -16,12 +16,13 @@ contract here is a certified bracket:
     converged.
 
 A matrix is an order-2 ``core._Contraction`` of its entries sorted by
-(row, col); its products and its Gram matrix are formed in numpy.
-``matrix_op_norm``, ``hopm_lower`` and ``slice_lower`` each solve their input
-scaled by the power of two that puts its largest magnitude in [1, 2)
-(``_unit_scaled``), so its squares neither overflow nor vanish whatever its
-overall scale, and scale their value back (``_scaled_back``): a certified
-upper bound rounds up and a lower bound toward zero.
+(row, col), indexed by ``core._index``; its products and its Gram matrix are
+formed in numpy.  ``matrix_op_norm``, ``hopm_lower`` and ``slice_lower`` each
+zero-test the layout they build (``_Contraction.is_zero``) and solve it scaled
+by the power of two that puts its largest magnitude in [1, 2) (``_unit_scaled``
+scales the layout; no tensor is rebuilt), so its squares neither overflow nor
+vanish whatever its scale, and scale their value back (``_scaled_back``): a
+certified upper bound rounds up and a lower bound toward zero.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ import numpy as np
 
 from . import core, rng
 from .core import (
-    OffsetTensor,
-    SparseTensor,
     TensorLike,
     VectorTuple,
     _Contraction,
@@ -98,26 +97,25 @@ def _as_matrix(m) -> _Contraction:
         if m.arity != 2:
             raise ValueError(f"matrix operations need an arity-2 unfolding, got {m.arity}")
         coords, values = m.canonical_entries()
-        return _Contraction(coords, values, m.background, m.dims)
+        return _Contraction(core._index(coords), values, m.background, m.dims)
     m = as_offset(m)
     if m.shape.order != 2:
         raise ValueError(f"matrix operations need an order-2 tensor, got order {m.shape.order}")
     return _Contraction.of(m)
 
 
-def _unit_scaled(m) -> tuple:
-    """(m times 2^e, e) for a tensor or an unfolding ``m``, where 2^e puts the
-    largest magnitude of its stored values and background in [1, 2), as
-    ``_tridiagonal_top`` scales its tridiagonal: m itself when e is 0, as for
-    every 0/1 tensor centered at its p.  Each value scales exactly unless it
-    underflows."""
-    t = m.source if isinstance(m, UnfoldedView) else as_offset(m)
-    v = t.sparse.values
-    e = 1 - math.frexp(max(v.max(initial=0.0), -v.min(initial=0.0), abs(t.background)))[1]
+def _unit_scaled(c: _Contraction) -> tuple:
+    """(c times 2^e, e), 2^e putting the largest magnitude of the layout's values
+    and background in [1, 2) as ``_tridiagonal_top`` scales its tridiagonal: c
+    itself at e = 0, as for a 0/1 tensor centered at its p.  Values scale exactly;
+    one that underflows to 0 leaves the layout, as a tensor drops a stored 0."""
+    v = c.values
+    e = 1 - math.frexp(max(v.max(initial=0.0), -v.min(initial=0.0), abs(c.background)))[1]
     if e == 0:
-        return m, 0
-    t = OffsetTensor(SparseTensor(t.shape, t.sparse.coords, np.ldexp(v, e)), math.ldexp(t.background, e))
-    return (unfold(t, m.partition) if isinstance(m, UnfoldedView) else t), e
+        return c, 0
+    v = np.ldexp(v, e)
+    keep = slice(None) if v.all() else v != 0.0
+    return _Contraction(tuple(ix[keep] for ix in c.index), v[keep], math.ldexp(c.background, e), c.dims), e
 
 
 def _times(mat: _Contraction, v: np.ndarray, mode: int) -> np.ndarray:
@@ -324,8 +322,7 @@ def matrix_op_norm(
     ``_singular_pair`` themselves.  Scaling back (see the module notes)
     rounds a certified value up and an estimate toward zero.
     """
-    m, e = _unit_scaled(m)
-    mat = _as_matrix(m)
+    mat, e = _unit_scaled(_as_matrix(m))
     nrows, ncols = mat.dims
     if mat.is_zero():
         return MatrixNormResult(0.0, 0, True)
@@ -437,9 +434,9 @@ class HopmResult:
     converged: bool
 
 
-def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> list:
+def _fold_unfolding_witness(t: TensorLike, config: PowerIterConfig) -> list:
     """Start vectors from the uncertified top singular pair of the
-    {1 | 2..k} unfolding (``_top_pair`` from the uniform start).
+    {1 | 2..k} unfolding, scaled (``_top_pair`` from the uniform start).
 
     The left vector seeds mode 1; the right vector (length n^(k-1)) is peeled
     one mode at a time: the top right singular vector of its n-column
@@ -447,7 +444,7 @@ def _fold_unfolding_witness(t: OffsetTensor, config: PowerIterConfig) -> list:
     mode, mirroring the digit order of the unfolding map.
     """
     k, n = t.shape.order, t.shape.dim
-    unf = _as_matrix(unfold(t, balanced_partition(k, k - 1)))
+    unf = _unit_scaled(_as_matrix(unfold(t, balanced_partition(k, k - 1))))[0]
     left, v = _singular_pair(unf, 0, _top_pair(unf, 0, np.full(n, n**-0.5), config.seed)[1])
     xs = [left]
     for _ in range(k - 2):
@@ -577,9 +574,10 @@ def hopm_lower(
     """
     t = as_offset(t)
     k, n = t.shape.order, t.shape.dim
-    if t.is_exactly_zero():
+    contraction = _Contraction.of(t)
+    if contraction.is_zero():
         return HopmResult(0.0, VectorTuple.basis(k, n, [1] * k), 0, True)
-    t, e = _unit_scaled(t)
+    contraction, e = _unit_scaled(contraction)
     starts = [[np.full(n, n**-0.5) for _ in range(k)], _fold_unfolding_witness(t, config)]
     for x in extra_inits:
         starts.append(list(_vectors_of(x, k, n)))
@@ -589,8 +587,7 @@ def hopm_lower(
     for vs in 2.0 * u - 1.0:
         norms = [_norm(v) for v in vs]
         starts.append([v / nv if nv > 0 else np.full(n, n**-0.5) for v, nv in zip(vs, norms)])
-    contraction = _Contraction.of(t)
-    size = max(1, _HOPM_BATCH // max(1, t.nnz))
+    size = max(1, _HOPM_BATCH // max(1, len(contraction.values)))
     runs = [r for lo in range(0, len(starts), size)
             for r in _hopm_lockstep(contraction, starts[lo:lo + size])]
     val, xs, _, converged = max(runs, key=lambda r: r[0])
@@ -620,7 +617,7 @@ def slice_lower(
     form value at unit vectors.  ``converged`` is False when a slice was
     solved above ``_DENSE_MAX``.
     """
-    t, e = _unit_scaled(as_offset(t))
+    t = as_offset(t)
     k, n = t.shape.order, t.shape.dim
     if k < 3:
         raise ValueError(f"slice bound needs order >= 3, got {k}")
@@ -630,11 +627,12 @@ def slice_lower(
     u = rng.uniforms(rng.stream_key(seed, rng.LBL_SLICE), range((num_slices - 1) * (k - 2)))
     extra = np.minimum(n, (u * n).astype(np.int64) + 1).reshape(num_slices - 1, k - 2)
     assignments = [np.ones(k - 2, dtype=np.int64), *extra]
+    c, e = _unit_scaled(_Contraction.of(t))
     best_val, best, converged = -1.0, None, True
     for tup in dict.fromkeys(tuple(int(x) for x in a) for a in assignments):
-        mask = np.all(t.sparse.coords[:, 2:] == np.asarray(tup, dtype=np.int32), axis=1)
+        mask = np.logical_and.reduce([ix == i - 1 for ix, i in zip(c.index[2:], tup)])
         # a subset of canonical entries stays sorted by (row, col)
-        mat = _Contraction(t.sparse.coords[mask][:, :2], t.sparse.values[mask], t.background, (n, n))
+        mat = _Contraction(tuple(ix[mask] for ix in c.index[:2]), c.values[mask], c.background, (n, n))
         if mat.is_zero():
             pair = (_e1(n), _e1(n))
         else:

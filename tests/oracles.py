@@ -357,7 +357,8 @@ def reference_hopm_lower(t, config, extra_inits=()):
 
     t = as_offset(t)
     k, n = t.shape.order, t.shape.dim
-    if t.is_exactly_zero():
+    contraction = _Contraction.of(t)
+    if contraction.is_zero():
         return spectral.HopmResult(0.0, VectorTuple.basis(k, n, [1] * k), 0, True)
     starts = [[np.full(n, n**-0.5) for _ in range(k)], spectral._fold_unfolding_witness(t, config)]
     for x in extra_inits:
@@ -367,7 +368,6 @@ def reference_hopm_lower(t, config, extra_inits=()):
     for vs in 2.0 * u - 1.0:
         norms = [spectral._norm(v) for v in vs]
         starts.append([v / nv if nv > 0 else np.full(n, n**-0.5) for v, nv in zip(vs, norms)])
-    contraction = _Contraction.of(t)
     best_val, best_xs, best_conv = -1.0, None, False
     total_iter = 0
     for xs in starts:

@@ -2,10 +2,11 @@
 
 Each case pins the digest of the results CSV with its wall_ms column masked,
 and of the summary JSON; ``DENSE_DIGEST`` pins the probability-table path,
-which no command runs.  A change that moves any estimate by one ulp, or
-reorders an aux key, changes a digest.  When such a change is intended,
-print the new digests with ``PYTHONPATH=src python tests/test_golden.py``
-and say why they moved.  The library imports numpy alone, so the bytes
+which no command runs, and ``SCALED_DIGEST`` the solvers on weighted tensors
+scaled by a power of two, which no other golden reaches.  A change that moves
+any estimate by one ulp, or reorders an aux key, changes a digest.  When such
+a change is intended, print the new digests with ``PYTHONPATH=src python
+tests/test_golden.py`` and say why they moved.  The library imports numpy alone, so the bytes
 depend on the numpy build: they were recorded with numpy 2.4 on x86-64, and
 whether they hold on other hosts is unchecked.
 """
@@ -17,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorconc import (DenseProbability, PowerIterConfig, SeedSpec, TensorShape,
-                        bernoulli_sample, center, spectral_sandwich)
+from tensorconc import (DenseProbability, OffsetTensor, PowerIterConfig, SeedSpec, SparseTensor,
+                        TensorShape, balanced_partition, bernoulli_sample, center, hopm_lower,
+                        matrix_op_norm, slice_lower, spectral_sandwich, unfold)
 from tensorconc.harness import config_from_dict, run
 
 BASE = {
@@ -131,8 +133,49 @@ def test_dense_model_bytes():
     assert dense_digest() == DENSE_DIGEST
 
 
+# Weighted tensors, at 1 and at extreme scales: every solver here scales its
+# input by a power of two other than 1 (2^-1 at scale 1).
+SCALED_DIGEST = "7ef9deba73d1d030601ee9980264833f8fc7b51f6ac7a9b8532784390b7a6764"
+
+
+def scaled_digest() -> str:
+    """sha256 of the sandwich, the balanced unfolding's norm, HOPM and (k >= 3)
+    the slice bound of four weighted tensors with background -0.3, a quarter of
+    the n^k coordinates stored with values 0.37 * {-7..7} (0 replaced by 1.5),
+    each at scales 1, 1e160 and 3e-170."""
+    h = hashlib.sha256()
+    for k, n, m in [(3, 9, 2), (3, 9, 1), (4, 5, 2), (2, 12, 1)]:
+        rng = np.random.default_rng(7)
+        lin = rng.choice(n**k, n**k // 4, replace=False)
+        coords = np.stack(np.unravel_index(lin, (n,) * k), axis=1) + 1
+        values = 0.37 * rng.integers(-7, 8, size=len(lin))
+        values[values == 0.0] = 1.5
+        config = PowerIterConfig(restarts=3, seed=SeedSpec(5, k))
+        for scale in (1.0, 1e160, 3e-170):
+            t = OffsetTensor(SparseTensor(TensorShape(k, n), coords, values * scale), -0.3 * scale)
+            est = spectral_sandwich(t, m, config)
+            norm = matrix_op_norm(unfold(t, balanced_partition(k, m)))
+            hopm = hopm_lower(t, config)
+            h.update(repr((est.lower, est.upper, sorted(est.bounds.items()), est.iterations_used,
+                           norm.value, norm.iterations, hopm.value, hopm.iterations)).encode())
+            witnesses = [est.lower_witness]
+            if k >= 3:
+                sl = slice_lower(t)
+                h.update(repr(sl.value).encode())
+                witnesses.append(sl.witness)
+            for w in witnesses:
+                for x in w:
+                    h.update(x.tobytes())
+    return h.hexdigest()
+
+
+def test_scaled_path_bytes():
+    assert scaled_digest() == SCALED_DIGEST
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             print(f"    {case!r}: {digests(case, Path(tmp))!r},")
     print(f"DENSE_DIGEST = {dense_digest()!r}")
+    print(f"SCALED_DIGEST = {scaled_digest()!r}")

@@ -888,6 +888,33 @@ class TestCli:
         res = self._cli("summarize", str(bad))
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("text,override", [
+        (b"\xff{}", []),  # not UTF-8
+        (b'{"params": ' + b"[" * 100_000, []),  # nested past the recursion limit
+        (b"{}", ["--set", "params=" + "[" * 30_000]),
+    ], ids=["bad-byte", "deep-file", "deep-set"])
+    def test_malformed_config_exit_2(self, tmp_path, text, override):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_bytes(text)
+        res = self._cli("run", "--config", str(cfg_path), *override)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: ") and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("field", [
+        "\xff",  # not ASCII
+        "x" * (csv.field_size_limit() + 1),
+        "[" * 100_000,  # an aux nested past the recursion limit
+    ], ids=["bad-byte", "long-field", "deep-aux"])
+    def test_malformed_csv_exit_3(self, tmp_path, field):
+        row = dict.fromkeys(CSV_HEADER, "1")
+        row["aux"] = field
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(("\n".join(",".join(r) for r in (CSV_HEADER, row.values())) + "\n")
+                        .encode("latin-1"))
+        res = self._cli("summarize", str(bad))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("csv error: ") and res.stderr.count("\n") == 1
+
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # n=120 gives a 120 x 14400 unfolding: its 14400-long vectors are past
         # the length at which OpenBLAS splits a dot product across threads.

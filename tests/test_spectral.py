@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import subprocess
 import sys
 import textwrap
@@ -34,6 +35,7 @@ from tensorconc import (
     spectral,
     spectral_sandwich,
     unfold,
+    unfolding,
 )
 from tensorconc.core import _Contraction
 from tensorconc.harness import _run_trial, config_from_dict
@@ -404,10 +406,51 @@ class TestExtremeScale:
     def test_unit_tensor_used_as_is(self):
         w = center(SparseTensor.all_ones(TensorShape(3, 3)), Homogeneous(0.25))
         for t in (w, OffsetTensor(w.sparse, -1.5)):
-            scaled, e = spectral._unit_scaled(t)
-            assert scaled is t and e == 0
-        scaled, e = spectral._unit_scaled(OffsetTensor(SparseTensor.empty(TensorShape(3, 3)), 3e-5))
+            c = _Contraction.of(t)
+            scaled, e = spectral._unit_scaled(c)
+            assert scaled is c and e == 0
+        c = _Contraction.of(OffsetTensor(SparseTensor.empty(TensorShape(3, 3)), 3e-5))
+        scaled, e = spectral._unit_scaled(c)
         assert e == 16 and scaled.background == 3e-5 * 2.0**16
+        assert scaled.dims == c.dims and all(map(np.array_equal, scaled.index, c.index))
+
+    @pytest.mark.parametrize("background", [0.0, -0.3])
+    def test_scaled_layout_is_the_scaled_tensors_layout(self, background):
+        # 1e-300 underflows at 2^-998 and leaves, as the scaled tensor drops it
+        values = np.array([3e300, -1e-300, 2.0, 1e-300, -5e299])
+        coords = [[1, 1, 1], [1, 2, 3], [2, 2, 2], [3, 1, 2], [3, 3, 3]]
+        t = OffsetTensor(SparseTensor(TensorShape(3, 3), coords, values), background)
+        got, e = spectral._unit_scaled(_Contraction.of(t))
+        want = _Contraction.of(OffsetTensor(SparseTensor(t.shape, coords, np.ldexp(values, e)),
+                                            math.ldexp(background, e)))
+        assert e == -998 and len(got.values) == 3
+        assert got.values.tobytes() == want.values.tobytes() and got.background == want.background
+        assert all(np.array_equal(a, b) for a, b in zip(got.index, want.index))
+
+    @staticmethod
+    def _weighted():
+        # entries -3..3 over a background of -0.3: every solver scales by 2^-1
+        return OffsetTensor(SparseTensor.from_dense((np.arange(64) % 7 - 3.0).reshape(4, 4, 4)), -0.3)
+
+    def test_scaled_unfolding_is_not_unfolded_again(self, monkeypatch):
+        view = unfold(self._weighted(), balanced_partition(3, 1))
+        calls = []
+        phi_array = unfolding.phi_array
+        monkeypatch.setattr(unfolding, "phi_array", lambda *a: calls.append(a) or phi_array(*a))
+        matrix_op_norm(view)
+        assert calls == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda t: matrix_op_norm(unfold(t, balanced_partition(3, 1))), hopm_lower, slice_lower,
+    ], ids=["matrix_op_norm", "hopm_lower", "slice_lower"])
+    def test_scaled_input_builds_no_tensor(self, monkeypatch, solve):
+        t = self._weighted()
+        built = []
+        init = SparseTensor.__init__
+        monkeypatch.setattr(SparseTensor, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        solve(t)
+        assert built == []
 
 
 class TestSandwich:
@@ -814,7 +857,7 @@ class TestHopmLockstep:
         # those of the start's own vector on every SIMD dispatch target
         a = np.random.default_rng(n).standard_normal((5, n)) * np.array([[1e-3], [1], [1e5], [7], [1]])
         assert spectral._row_norms(a).tobytes() == np.array([spectral._norm(r) for r in a]).tobytes()
-        c = _Contraction(np.ones((1, 2), dtype=np.int64), np.ones(1), 0.5, (n, n))
+        c = _Contraction(core._index(np.ones((1, 2), dtype=np.int64)), np.ones(1), 0.5, (n, n))
         sums = c.factor(0, np.ascontiguousarray(a.T))[1]
         assert sums.tobytes() == np.array([c.factor(0, r)[1] for r in a]).tobytes()
 
