@@ -22,23 +22,20 @@ from tensorconc import (
     frobenius_norm,
     hopm_lower,
     matrix_op_norm,
-    multiway_partition,
-    phi,
-    phi_inverse,
+    phi_array,
     unfold,
 )
 
 part = Partition([[1, 2], [3]])
-print("phi of (2,1,2) under {{1,2},{3}} with n=2:", phi(part, (2, 1, 2), 2))
-print("inverse of (2,2):", phi_inverse(part, (2, 2), 2))
+print("(2,1,2) under {{1,2},{3}} with n=2:", phi_array(part, np.array([[2, 1, 2]]), 2)[0].tolist())
 
-# phi is a bijection: all 8 coordinates of a 2x2x2 tensor land on the
+# The map is a bijection: all 8 coordinates of a 2x2x2 tensor land on the
 # 8 cells of the 4x2 matrix with no collisions.
-images = sorted(phi(part, c, 2) for c in itertools.product((1, 2), repeat=3))
+coords = np.array(list(itertools.product((1, 2), repeat=3)))
+images = sorted(map(tuple, phi_array(part, coords, 2).tolist()))
 print("images:", images)
 
 print("balanced_partition(5, 3):", balanced_partition(5, 3))
-print("multiway_partition(7, 3):", multiway_partition(7, 3))
 
 # Norm bookkeeping on a centered random tensor.
 n, p = 24, 0.15

@@ -1,9 +1,8 @@
-"""Desk-scale instruments for the concentration proof machinery.
+"""Checks of the concentration proof's events.
 
-Each device in the argument -- the lattice net, the light/heavy split of
-coordinate products, the dyadic magnitude classes, the bounded-degree and
-bounded-discrepancy events, the Bernoulli KL bound -- is computable exactly
-on small instances and checkable against its claimed bound.
+The bounded-degree and bounded-discrepancy events, which the `diagnostics`
+sweep checks on every trial, and the Bernoulli KL bound are each computed
+exactly and compared against their claimed bound.
 """
 
 import math
@@ -14,48 +13,12 @@ from tensorconc import (
     DenseProbability,
     Homogeneous,
     SeedSpec,
-    SparseTensor,
     TensorShape,
     bernoulli_sample,
     bounded_degree_check,
-    center,
     discrepancy_check,
-    dyadic_profile,
     kl_bernoulli,
-    lattice_net,
-    light_contribution_check,
-    net_supremum_check,
-    split_tuples,
 )
-
-# Lattice net: grid points of pitch delta/sqrt(n) inside the unit ball.
-net = lattice_net(2, 0.5)
-print(f"net(n=2, delta=0.5): {net.size} points, "
-      f"volume bound {math.exp(2 * math.log(7 / 0.5)):.0f}")
-
-# The net supremum dominates the spectral norm after a (1-delta)^-k blowup.
-t = SparseTensor.all_ones(TensorShape(3, 2))
-rec = net_supremum_check(t, 0.5)
-print(f"net supremum {rec.sup_net:.3f}, bound {rec.bound:.3f}, "
-      f"achieved lower {rec.lower:.3f}, within = {rec.within}")
-
-# Light/heavy split at threshold sqrt(np)/n.
-n, p = 16, 0.2
-gen = np.random.default_rng(3)
-ys = [v / np.linalg.norm(v) for v in gen.standard_normal((3, n))]
-split = split_tuples(ys, n, p)
-print(f"heavy tuples: {split.heavy_count} of {n**3}, threshold {split.threshold:.4f}")
-
-w = center(bernoulli_sample(TensorShape(3, n), Homogeneous(p), SeedSpec(77, 0)),
-           Homogeneous(p))
-light = light_contribution_check(w, ys, p, c=6.0)
-print(f"light-tuple contribution ratio |sum|/sqrt(np) = {light.ratio:.3f} (c = 6)")
-
-# Dyadic classes partition the large-coordinate indices by magnitude.
-prof = dyadic_profile([np.abs(y) for y in ys], 0.5, w.sparse, p)
-alpha_tot = max(sum(a for (j, s), a in prof.alpha.items() if j == mode) for mode in (1, 2, 3))
-print(f"dyadic classes: {len(prof.classes)}, worst alpha sum {alpha_tot:.2f} "
-      f"<= (2/delta)^2 = {(2 / 0.5)**2:.0f}")
 
 # Degree and discrepancy events at p = 5 log n / n.
 n = 80

@@ -18,24 +18,10 @@ from .core import (
     TensorShape,
     VectorTuple,
     center,
-    contract_all_but_one,
     frobenius_norm,
     multilinear_form,
-    rank1,
 )
-from .diagnostics import (
-    DyadicProfile,
-    LatticeNet,
-    TupleSplit,
-    bounded_degree_check,
-    discrepancy_check,
-    dyadic_profile,
-    kl_bernoulli,
-    lattice_net,
-    light_contribution_check,
-    net_supremum_check,
-    split_tuples,
-)
+from .diagnostics import bounded_degree_check, discrepancy_check, kl_bernoulli
 from .harness import ConfigError, ExperimentConfig, ResultRecord, load_config, run, summarize
 from .hypergraph import (
     Hypergraph,
@@ -71,10 +57,7 @@ from .unfolding import (
     Partition,
     UnfoldedView,
     balanced_partition,
-    multiway_partition,
-    phi,
     phi_array,
-    phi_inverse,
     unfold,
 )
 

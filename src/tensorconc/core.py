@@ -12,12 +12,12 @@ materialization is gated at n^k <= 10^6 and exceeding the gate is an error,
 never a silent fallback.
 
 Contractions against vectors have one implementation, ``_Contraction``:
-``multilinear_form``, ``contract_all_but_one``, higher-order power iteration
-(one layout for all its sweeps, with one column per start in a lockstep
-batch) and the spectral module's matrix products (an order-2 layout of any
-shape) all run on it.  A tensor whose values are all 1.0 skips multiplying
-by them.  ``_index`` is the one conversion of 1-based coordinates to its
-0-based indices, and ``_Contraction.is_zero`` the one exact-zero test.
+``multilinear_form``, higher-order power iteration (one layout for all its
+sweeps, with one column per start in a lockstep batch) and the spectral
+module's matrix products (an order-2 layout of any shape) all run on it.
+A tensor whose values are all 1.0 skips multiplying by them.  ``_index`` is
+the one conversion of 1-based coordinates to its 0-based indices, and
+``_Contraction.is_zero`` the one exact-zero test.
 
 All types are immutable after construction and safe to share across threads.
 The array holders write their slots through one writer, ``_Frozen._set``, so
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -499,23 +498,6 @@ def multilinear_form(t: TensorLike, xs) -> float:
     return c.form([c.factor(j, v) for j, v in enumerate(vecs)])
 
 
-def contract_all_but_one(t: TensorLike, xs, free_mode: int) -> np.ndarray:
-    """Vector v with v[i] = form value when e_i is inserted at ``free_mode``.
-
-    ``xs`` supplies the k-1 vectors for the other modes in ascending mode
-    order; ``free_mode`` is 1-based.
-    """
-    t = as_offset(t)
-    k, n = t.shape.order, t.shape.dim
-    if not 1 <= free_mode <= k:
-        raise ValueError(f"free_mode must be in [1, {k}], got {free_mode}")
-    others = [j for j in range(k) if j != free_mode - 1]
-    c = _Contraction.of(t)
-    factors = [c.factor(j, v) for j, v in zip(others, _vectors_of(xs, k - 1, n))]
-    factors.insert(free_mode - 1, None)
-    return c.all_but_one(factors, free_mode - 1)
-
-
 def center(t: SparseTensor, model: ProbabilityModel) -> OffsetTensor:
     """Subtract the expectation: the result materializes to ``t - p`` exactly.
 
@@ -526,16 +508,6 @@ def center(t: SparseTensor, model: ProbabilityModel) -> OffsetTensor:
     if np.ndim(p) == 0:
         return OffsetTensor(t, -p)
     return OffsetTensor(SparseTensor.from_dense(t.to_dense() - p), 0.0)
-
-
-def rank1(xs) -> np.ndarray:
-    """Dense outer product x_1 (x) ... (x) x_k of equal-length vectors, gated to n^k <= 10^6."""
-    vecs = list(xs)
-    if len(vecs) < 2:
-        raise ValueError("rank-1 tensor needs at least two vectors")
-    vecs = _vectors_of(vecs, None, np.shape(vecs[0])[0])
-    TensorShape(len(vecs), len(vecs[0])).require_dense_gate("rank-1 materialization")
-    return reduce(np.multiply.outer, vecs)
 
 
 def _lex_order(rows: np.ndarray) -> np.ndarray:

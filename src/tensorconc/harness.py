@@ -194,8 +194,6 @@ def read_config(path: str, overrides: list | None = None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # a decode error, a bad byte or too deep a nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     for item in overrides or []:
@@ -500,7 +498,9 @@ def write_summary(csv_path: str, out: str | None = None) -> None:
 def summarize(csv_path: str) -> dict:
     """Deterministic aggregation of a results CSV: per-n medians/maxima of the
     ratio columns, fitted constants, sandwich-violation counts, and counts of
-    rows whose lower or upper estimate did not converge (from ``aux``)."""
+    rows whose lower or upper estimate did not converge (from ``aux``).  A
+    row that does not parse is named by its number (the first row after the
+    header is 1) and field, not by its text."""
     try:
         with open(csv_path, "r", encoding="ascii", newline="") as f:
             rows = list(csv.reader(f))
@@ -512,25 +512,25 @@ def summarize(csv_path: str) -> dict:
     per_n: dict = {}
     violations = 0
     nonconverged_lower = nonconverged_upper = 0
-    for row in body:
+    for number, row in enumerate(body, start=1):
         if len(row) != len(CSV_HEADER):
             raise CsvFormatError(f"row has {len(row)} fields, expected {len(CSV_HEADER)}")
         rec = dict(zip(CSV_HEADER, row))
-        try:
-            n = int(rec["n"])
-            lower, upper = float(rec["lower"]), float(rec["upper"])
-            ratio_lower, ratio_upper = float(rec["ratio_lower"]), float(rec["ratio_upper"])
-            aux = json.loads(rec["aux"])
-        except (ValueError, RecursionError) as exc:
-            raise CsvFormatError(f"unparsable row {row!r}: {exc}") from exc
+        for field, read in (("n", int), ("lower", float), ("upper", float), ("ratio_lower", float),
+                            ("ratio_upper", float), ("aux", json.loads)):
+            try:
+                rec[field] = read(rec[field])
+            except (ValueError, RecursionError) as exc:  # its text may quote the whole field
+                raise CsvFormatError(f"unparsable row {number}: bad {field}") from exc
+        aux = rec["aux"]
         if not isinstance(aux, dict):
-            raise CsvFormatError(f"aux is not a JSON object in row {row!r}")
-        violations += not brackets(lower, upper)
+            raise CsvFormatError(f"aux is not a JSON object in row {number}")
+        violations += not brackets(rec["lower"], rec["upper"])
         nonconverged_lower += aux.get("lower_converged") is False
         nonconverged_upper += aux.get("upper_converged") is False
-        bucket = per_n.setdefault(n, {"ratio_lower": [], "ratio_upper": []})
-        bucket["ratio_lower"].append(ratio_lower)
-        bucket["ratio_upper"].append(ratio_upper)
+        bucket = per_n.setdefault(rec["n"], {"ratio_lower": [], "ratio_upper": []})
+        bucket["ratio_lower"].append(rec["ratio_lower"])
+        bucket["ratio_upper"].append(rec["ratio_upper"])
     out = {
         "rows": len(body),
         "violations": violations,

@@ -6,10 +6,10 @@ A partition pi = {B_1, ..., B_l} of the mode set [k] maps each coordinate
     m_j = 1 + sum_{r in B_j} (i_r - 1) * n^{pos(r)},
 
 where pos(r) is the rank of r within its (ascending) block: the first block
-member is the least significant digit.  phi_pi is a bijection between [n]^k
-and the product of the unfolded ranges, so unfolding permutes the entry list
-and preserves the Frobenius norm exactly, while the spectral norm can only
-grow.
+member is the least significant digit.  The map (``phi_array``) is a
+bijection between [n]^k and the product of the unfolded ranges, so
+unfolding permutes the entry list and preserves the Frobenius norm exactly,
+while the spectral norm can only grow.
 """
 
 from __future__ import annotations
@@ -65,41 +65,8 @@ def balanced_partition(k: int, m: int) -> Partition:
     return Partition([range(1, k - m + 1), range(k - m + 1, k + 1)])
 
 
-def multiway_partition(k: int, m: int) -> Partition:
-    """floor(k/m) consecutive blocks of size m plus a residual block of size k mod m."""
-    if not (1 <= m and 2 * m < k):
-        raise ValueError(f"m must satisfy 1 <= m < k/2, got m={m}, k={k}")
-    return Partition([range(s, min(s + m, k + 1)) for s in range(1, k + 1, m)])
-
-
-def phi(partition: Partition, coord: Sequence[int], n: int) -> tuple:
-    """Map one 1-based integer coordinate through the unfolding bijection."""
-    coord = tuple(operator.index(i) for i in coord)
-    if len(coord) != partition.order:
-        raise ValueError(f"coordinate length {len(coord)} != order {partition.order}")
-    if any(not 1 <= i <= n for i in coord):
-        raise ValueError(f"coordinate {coord} out of range [1, {n}]")
-    return tuple(phi_array(partition, np.array([coord]), n)[0].tolist())
-
-
-def phi_inverse(partition: Partition, unfolded: Sequence[int], n: int) -> tuple:
-    """Invert ``phi``: decode each unfolded index back into its block's digits."""
-    unfolded = tuple(operator.index(m) for m in unfolded)
-    if len(unfolded) != partition.arity:
-        raise ValueError(f"expected {partition.arity} indices, got {len(unfolded)}")
-    coord = [0] * partition.order
-    for block, m in zip(partition.blocks, unfolded):
-        if not 1 <= m <= n ** len(block):
-            raise ValueError(f"unfolded index {m} out of range [1, {n ** len(block)}]")
-        rem = m - 1
-        for r in block:
-            coord[r - 1] = rem % n + 1
-            rem //= n
-    return tuple(coord)
-
-
 def phi_array(partition: Partition, coords: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized ``phi`` over an (nnz, k) coordinate array; int64 output."""
+    """The unfolding map over an (nnz, k) 1-based coordinate array; int64 output."""
     if max(partition.dims(n)) >= 2**63:
         raise ValueError(f"unfolded sides {partition.dims(n)} are not all below 2^63")
     out = np.empty((coords.shape[0], partition.arity), dtype=np.int64)

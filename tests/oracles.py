@@ -5,6 +5,7 @@ independent classical algorithm), deliberately sharing no code path with the
 library under test, except the reference compositions at the end.
 """
 
+import functools
 import itertools
 import math
 
@@ -26,6 +27,11 @@ def dense_form(t: np.ndarray, xs) -> float:
             term *= xs[j][i]
         total += term
     return total
+
+
+def dense_rank1(xs) -> np.ndarray:
+    """The dense outer product x_1 (x) ... (x) x_k."""
+    return functools.reduce(np.multiply.outer, xs)
 
 
 def dense_degree_counts(t: np.ndarray, m: int) -> dict:
@@ -58,18 +64,6 @@ def unrank_combination(rank: int, n: int, k: int) -> list:
         out.append(v)
         v += 1
     return out
-
-
-def brute_heavy_tuples(ys, n: int, p: float) -> set:
-    threshold = np.sqrt(n * p) / n
-    heavy = set()
-    for idx in itertools.product(range(n), repeat=len(ys)):
-        prod = 1.0
-        for j, i in enumerate(idx):
-            prod *= ys[j][i]
-        if abs(prod) > threshold:
-            heavy.add(tuple(i + 1 for i in idx))
-    return heavy
 
 
 def jacobi_spectral_norm(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> float:
@@ -260,13 +254,14 @@ def reference_phi_array(partition, coords, n):
 
 
 def reference_chain_partition(k, m):
-    """The m < k/2 chain's two-block partition as the multiway blocks merged
-    on either side of their most balanced split, the first on ties."""
-    from tensorconc import Partition, multiway_partition
+    """The m < k/2 chain's two-block partition as the multiway blocks (floor(k/m)
+    consecutive blocks of size m, then one of size k mod m) merged on either
+    side of their most balanced split, the first on ties."""
+    from tensorconc import Partition
 
-    pi2 = multiway_partition(k, m)
-    split = min(range(1, pi2.arity), key=lambda s: abs(2 * sum(map(len, pi2.blocks[:s])) - k))
-    return Partition([sum(pi2.blocks[:split], ()), sum(pi2.blocks[split:], ())])
+    blocks = [tuple(range(s, min(s + m, k + 1))) for s in range(1, k + 1, m)]
+    split = min(range(1, len(blocks)), key=lambda s: abs(2 * sum(map(len, blocks[:s])) - k))
+    return Partition([sum(blocks[:split], ()), sum(blocks[split:], ())])
 
 
 def reference_validate_symmetric_adjacency(t):
@@ -279,74 +274,6 @@ def reference_validate_symmetric_adjacency(t):
         raise ValueError("adjacency tensor has an entry with repeated indices")
     if np.unique(srt, axis=0).shape[0] * math.factorial(t.shape.order) != t.nnz:
         raise ValueError("input tensor is not symmetric: incomplete permutation orbit")
-
-
-# The heavy-tuple search and the heavy lookup as they were before the
-# vectorized frontier and the ``intersect1d`` lookup, kept to check that the
-# change moved no bit.
-
-
-def reference_split_tuples(ys, n, p):
-    """Heavy tuples by depth-first search, one Python call per tree node:
-    positions scanned in descending |y| order, each branch cut at its first
-    pruned position.  Returns ``TupleSplit``'s fields after the threshold."""
-    from tensorconc.core import _lex_order
-
-    vecs = [np.asarray(v, float) for v in ys]
-    k = len(vecs)
-    threshold = math.sqrt(n * p) / n
-    orders = [np.argsort(-np.abs(v), kind="stable") for v in vecs]
-    suffix_max = np.ones(k + 1)
-    for j in range(k - 1, -1, -1):
-        suffix_max[j] = suffix_max[j + 1] * np.abs(vecs[j])[orders[j]][0]
-    heavy, prods = [], []
-
-    def descend(j, idx, prod):
-        if abs(prod) * suffix_max[j] <= threshold:
-            return
-        if j == k:
-            heavy.append([orders[jj][ii] + 1 for jj, ii in enumerate(idx)])
-            prods.append(prod)
-            return
-        for pos in range(n):
-            new = prod * vecs[j][orders[j][pos]]
-            if abs(new) * suffix_max[j + 1] <= threshold:
-                break
-            descend(j + 1, idx + [pos], new)
-
-    descend(0, [], 1.0)
-    coords = np.array(heavy, dtype=np.int32).reshape(len(heavy), k)
-    products = np.array(prods, dtype=np.float64)
-    if len(heavy) > 1:
-        order = _lex_order(coords)
-        coords, products = coords[order], products[order]
-    total = 1.0
-    for v in vecs:
-        total *= float(v.sum())
-    heavy_sum = float(products.sum())
-    return coords, products, total - heavy_sum, heavy_sum
-
-
-def reference_light_sum(w, ys, p):
-    """The light-tuple sum with the tensor's value at each heavy tuple found
-    by ``searchsorted`` on its sorted linear indices, a clamp and a hit mask."""
-    from tensorconc import multilinear_form
-    from tensorconc.core import _dot, as_offset, linear_index
-
-    w = as_offset(w)
-    n = w.shape.dim
-    coords, products, _, _ = reference_split_tuples(ys, n, p)
-    heavy_part = 0.0
-    if coords.shape[0]:
-        vals = np.full(coords.shape[0], w.background)
-        if w.nnz:
-            heavy_lin = linear_index(coords, n)
-            tensor_lin = w.sparse.linear_indices()
-            pos = np.minimum(np.searchsorted(tensor_lin, heavy_lin), len(tensor_lin) - 1)
-            hit = tensor_lin[pos] == heavy_lin
-            vals[hit] += w.sparse.values[pos[hit]]
-        heavy_part = _dot(products, vals)
-    return multilinear_form(w, ys) - heavy_part, coords.shape[0]
 
 
 def reference_hopm_lower(t, config, extra_inits=()):

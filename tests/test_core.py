@@ -23,13 +23,12 @@ from tensorconc import (
     balanced_partition,
     bernoulli_sample,
     center,
-    contract_all_but_one,
     frobenius_norm,
     kl_bernoulli,
     multilinear_form,
-    rank1,
     unfold,
 )
+from tensorconc.core import _Contraction, as_offset
 
 
 class TestShapesAndConstruction:
@@ -237,24 +236,30 @@ class TestMultilinearForm:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
+def _all_but_one(t, xs, free):
+    """``_Contraction.all_but_one`` of ``t`` at the 0-based mode ``free``;
+    ``xs[free]`` is not read."""
+    c = _Contraction.of(as_offset(t))
+    return c.all_but_one([c.factor(j, x) for j, x in enumerate(xs)], free)
+
+
 class TestContract:
     def test_ones_uniform(self):
         j = SparseTensor.all_ones(TensorShape(3, 2))
         u = np.full(2, 2 ** -0.5)
-        v = contract_all_but_one(j, [u, u], 1)
+        v = _all_but_one(j, [u, u, u], 0)
         assert v == pytest.approx(np.full(2, 2.0))
 
     def test_zero_tensor(self):
         z = SparseTensor.empty(TensorShape(3, 4))
-        v = contract_all_but_one(z, [np.ones(4), np.ones(4)], 2)
+        v = _all_but_one(z, [np.ones(4), np.ones(4), np.ones(4)], 1)
         assert np.all(v == 0.0)
 
     def test_definition_replay(self, rng):
         t = random_sparse(rng, 3, 2, values="float")
         xs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, 2))]
         for mode in range(1, 4):
-            others = [xs[j] for j in range(3) if j != mode - 1]
-            v = contract_all_but_one(t, others, mode)
+            v = _all_but_one(t, xs, mode - 1)
             for i in range(2):
                 probe = list(xs)
                 e = np.zeros(2)
@@ -276,10 +281,11 @@ class TestContract:
         modes = "abcde"[:k]
         want = np.einsum(f"{modes},{','.join(modes)}->", dense, *xs)
         assert multilinear_form(t, xs) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert multilinear_form(t, (x for x in xs)) == multilinear_form(t, xs)  # any iterable
         for free in range(k):
             others = [xs[j] for j in range(k) if j != free]
             spec = f"{modes},{','.join(modes[:free] + modes[free + 1:])}->{modes[free]}"
-            got = contract_all_but_one(t, others, free + 1)
+            got = _all_but_one(t, xs, free)
             assert got.dtype == np.float64 and got.shape == (n,)
             assert got == pytest.approx(np.einsum(spec, dense, *others), rel=1e-12, abs=1e-12)
 
@@ -341,24 +347,6 @@ class TestModelReader:
     def test_center_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError, match="shape mismatch"):
             center(SparseTensor.empty(TensorShape(2, 3)), DenseProbability(np.full((3, 3, 3), 0.5)))
-
-
-class TestRank1:
-    def test_basis_outer(self):
-        out = rank1([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
-        assert np.array_equal(out, [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_zero_vector(self):
-        out = rank1([np.zeros(2), np.ones(2), np.ones(2)])
-        assert np.all(out == 0.0)
-
-    def test_hand_product(self):
-        out = rank1([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-        assert np.array_equal(out, [[3.0, 4.0], [6.0, 8.0]])
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ShapeMismatchError, match=r"length n = 2, got shape \(3,\)"):
-            rank1([np.ones(2), np.ones(3)])
 
 
 class TestVectorTuple:
@@ -436,16 +424,9 @@ class TestChecks:
         t = SparseTensor.all_ones(TensorShape(3, 2))
         with pytest.raises(ShapeMismatchError, match="^expected 3 vectors, got 2$"):
             multilinear_form(t, [np.ones(2)] * 2)
-
-    @pytest.mark.parametrize("free_mode", [0, 4])
-    def test_contract_free_mode_range(self, free_mode):
-        t = SparseTensor.all_ones(TensorShape(3, 2))
-        with pytest.raises(ValueError, match=rf"^free_mode must be in \[1, 3\], got {free_mode}$"):
-            contract_all_but_one(t, [np.ones(2)] * 2, free_mode)
-
-    def test_rank1_one_vector(self):
-        with pytest.raises(ValueError, match="^rank-1 tensor needs at least two vectors$"):
-            rank1([np.ones(2)])
+        with pytest.raises(ValueError, match="length n = 2") as info:  # caught as a ValueError too
+            multilinear_form(t, [np.ones(2), np.ones(3), np.ones(2)])
+        assert isinstance(info.value, ShapeMismatchError)
 
 
 class TestOffsetTensorValue:

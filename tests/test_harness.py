@@ -882,6 +882,13 @@ class TestCli:
         assert res.stderr == "config error: jobs must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exit_3(self, tmp_path, name):
+        res = self._cli("run", "--config", name, cwd=tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("io error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
     def test_csv_error_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
@@ -900,20 +907,23 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: ") and res.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("field", [
-        "\xff",  # not ASCII
-        "x" * (csv.field_size_limit() + 1),
-        "[" * 100_000,  # an aux nested past the recursion limit
-    ], ids=["bad-byte", "long-field", "deep-aux"])
-    def test_malformed_csv_exit_3(self, tmp_path, field):
+    @pytest.mark.parametrize("field,line", [
+        ("\xff", "cannot read bad.csv: "),  # not ASCII
+        ("x" * (csv.field_size_limit() + 1), "cannot read bad.csv: "),
+        ("[" * 100_000, "unparsable row 1: bad aux\n"),  # nested past the recursion limit
+        ("[" + " " * 99_997 + "1]", "aux is not a JSON object in row 1\n"),  # 100,000 characters
+    ], ids=["bad-byte", "long-field", "deep-aux", "list-aux"])
+    def test_malformed_csv_exit_3(self, tmp_path, field, line):
         row = dict.fromkeys(CSV_HEADER, "1")
         row["aux"] = field
         bad = tmp_path / "bad.csv"
         bad.write_bytes(("\n".join(",".join(r) for r in (CSV_HEADER, row.values())) + "\n")
                         .encode("latin-1"))
-        res = self._cli("summarize", str(bad))
+        res = self._cli("summarize", "bad.csv", cwd=tmp_path)
         assert res.returncode == 3, res.stderr
-        assert res.stderr.startswith("csv error: ") and res.stderr.count("\n") == 1
+        # one short line: a row is named by its number and field, not its text
+        assert res.stderr.startswith("csv error: " + line) and res.stderr.count("\n") == 1
+        assert len(res.stderr.encode()) <= 200
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # n=120 gives a 120 x 14400 unfolding: its 14400-long vectors are past

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import COPIERS, assert_equal_copy, random_sparse
 from oracles import (
+    dense_rank1,
     grid_rank1_max_2x2x2,
     jacobi_spectral_norm,
     reference_chain_partition,
@@ -30,7 +31,6 @@ from tensorconc import (
     hopm_lower,
     matrix_op_norm,
     multilinear_form,
-    rank1,
     slice_lower,
     spectral,
     spectral_sandwich,
@@ -40,7 +40,7 @@ from tensorconc import (
 from tensorconc.core import _Contraction
 from tensorconc.harness import _run_trial, config_from_dict
 from tensorconc.spectral import kron_lift
-from tensorconc.unfolding import Partition, UnfoldedView, balanced_partition, multiway_partition
+from tensorconc.unfolding import Partition, UnfoldedView, balanced_partition
 
 
 def _matrix_tensor(m: np.ndarray) -> SparseTensor:
@@ -112,7 +112,7 @@ class TestMatrixOpNorm:
     def test_rejects_non_matrix_inputs(self):
         t = SparseTensor.all_ones(TensorShape(3, 2))
         with pytest.raises(ValueError, match="arity-2 unfolding, got 3"):
-            matrix_op_norm(unfold(t, multiway_partition(3, 1)))
+            matrix_op_norm(unfold(t, Partition([[1], [2], [3]])))
         with pytest.raises(ValueError, match="order-2 tensor, got order 3"):
             matrix_op_norm(t)
 
@@ -310,7 +310,7 @@ class TestHopm:
         u = np.array([2.0, 0.0])
         v = np.array([0.0, 3.0])
         w = np.array([1.0, 0.0])
-        t = SparseTensor.from_dense(rank1([u, v, w]))
+        t = SparseTensor.from_dense(dense_rank1([u, v, w]))
         res = hopm_lower(t)
         assert res.value == pytest.approx(6.0, abs=1e-6)
         assert [np.linalg.norm(v) for v in res.witness] == pytest.approx([1.0] * 3, abs=1e-12)

@@ -21,10 +21,7 @@ from tensorconc import (
     frobenius_norm,
     hopm_lower,
     matrix_op_norm,
-    multiway_partition,
-    phi,
     phi_array,
-    phi_inverse,
     unfold,
 )
 from tensorconc.spectral import PowerIterConfig
@@ -81,20 +78,6 @@ class TestPartitionType:
 class TestChecks:
     """Each input check raises its own exception and message."""
 
-    def test_phi_short_coordinate(self):
-        with pytest.raises(ValueError, match="^coordinate length 2 != order 3$"):
-            phi(Partition([[1, 2], [3]]), (1, 1), 2)
-
-    @pytest.mark.parametrize("unfolded,message", [
-        ((1,), "expected 2 indices, got 1"),
-        ((1, 1, 1), "expected 2 indices, got 3"),
-        ((5, 1), r"unfolded index 5 out of range \[1, 4\]"),
-        ((1, 0), r"unfolded index 0 out of range \[1, 2\]"),
-    ])
-    def test_phi_inverse_checks(self, unfolded, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            phi_inverse(Partition([[1, 2], [3]]), unfolded, 2)
-
     def test_unfold_wrong_order(self):
         t = SparseTensor.all_ones(TensorShape(3, 2))
         with pytest.raises(ValueError, match="^partition of \\[4\\] cannot unfold an order-3 tensor$"):
@@ -104,73 +87,35 @@ class TestChecks:
 class TestPhi:
     def test_all_ones_coordinate(self):
         p = Partition([[1, 2], [3]])
-        assert phi(p, (1, 1, 1), 2) == (1, 1)
+        assert phi_array(p, np.array([[1, 1, 1]]), 2).tolist() == [[1, 1]]
 
     def test_hand_example(self):
         p = Partition([[1, 2], [3]])
-        assert phi(p, (2, 1, 2), 2) == (2, 2)
+        assert phi_array(p, np.array([[2, 1, 2]]), 2).tolist() == [[2, 2]]
 
     def test_exhaustive_bijection_small(self):
         p = Partition([[1, 2], [3]])
-        images = {phi(p, c, 2) for c in itertools.product((1, 2), repeat=3)}
-        assert images == set(itertools.product(range(1, 5), range(1, 3)))
-
-    def test_out_of_range(self):
-        p = Partition([[1], [2]])
-        with pytest.raises(ValueError):
-            phi(p, (0, 1), 3)
-
-    @pytest.mark.parametrize("coord", [(1.5, 2, 3), ("2", 2, 3), (np.float64(1.0), 2, 3)])
-    def test_non_integer_coordinate_rejected(self, coord):
-        # 1.5 would truncate to the image of (1, 2, 3), "2" would parse
-        with pytest.raises(TypeError):
-            phi(Partition([[1], [2, 3]]), coord, 4)
-
-    @pytest.mark.parametrize("unfolded", [(1.9, 7), (1, "7")])
-    def test_non_integer_unfolded_index_rejected(self, unfolded):
-        with pytest.raises(TypeError):
-            phi_inverse(Partition([[1], [2, 3]]), unfolded, 4)
-
-    def test_numpy_integer_indices(self):
-        p = Partition([[1], [2, 3]])
-        assert phi(p, np.array([1, 2, 3]), 4) == (1, 10)
-        assert phi_inverse(p, (np.int32(1), np.uint8(10)), 4) == (1, 2, 3)
-
-    def test_inverse_trivial(self):
-        p = Partition([[1, 2], [3]])
-        assert phi_inverse(p, (1, 1), 2) == (1, 1, 1)
-
-    def test_inverse_hand_example(self):
-        p = Partition([[1, 2], [3]])
-        assert phi_inverse(p, (2, 2), 2) == (2, 1, 2)
-
-    def test_roundtrip_exhaustive_k4(self, rng):
-        p = Partition([[2, 4], [1], [3]])
-        n = 3
-        for c in itertools.product(range(1, n + 1), repeat=4):
-            assert phi_inverse(p, phi(p, c, n), n) == c
+        images = phi_array(p, np.array(list(itertools.product((1, 2), repeat=3))), 2)
+        assert set(map(tuple, images.tolist())) == set(itertools.product(range(1, 5), range(1, 3)))
 
     def test_sides_past_int64_rejected(self):
         n = 2**30  # a three-mode block has n^3 = 2^90 indices
         part = Partition([[1, 2, 3], [4]])
         with pytest.raises(ValueError, match="not all below 2"):
-            phi(part, (n, n, n, 1), n)
+            phi_array(part, np.array([[n, n, n, 1]]), n)
         t = SparseTensor(TensorShape(4, n), [[n, n, n, 1]], [1.0])
         with pytest.raises(ValueError, match="not all below 2"):
             unfold(t, part).coords
-        assert phi(Partition([[1, 2], [3]]), (n, n, n), n) == (2**60, n)
+        assert phi_array(Partition([[1, 2], [3]]), np.array([[n, n, n]]), n).tolist() == [[2**60, n]]
 
     def test_bijectivity_all_partitions_k_to_5(self):
         n = 3
         for k in range(2, 6):
             for blocks in set_partitions(k):
                 part = Partition(blocks)
-                seen = set()
-                for c in itertools.product(range(1, n + 1), repeat=k):
-                    u = phi(part, c, n)
-                    assert all(1 <= u[j] <= n ** len(part.blocks[j]) for j in range(part.arity))
-                    seen.add(u)
-                assert len(seen) == n**k
+                u = phi_array(part, np.array(list(itertools.product(range(1, n + 1), repeat=k))), n)
+                assert np.all((1 <= u) & (u <= np.array(part.dims(n))))
+                assert len(set(map(tuple, u.tolist()))) == n**k
 
     def test_phi_array_matches_strides_reference(self, rng):
         # random partitions of [k], k <= 6, blocks shuffled so that most are
@@ -201,17 +146,6 @@ class TestBalancedAndMultiway:
             balanced_partition(3, 0)
         with pytest.raises(ValueError):
             balanced_partition(3, 3)
-
-    def test_multiway_examples(self):
-        assert multiway_partition(5, 2).blocks == ((1, 2), (3, 4), (5,))
-        assert multiway_partition(6, 2).blocks == ((1, 2), (3, 4), (5, 6))
-        assert multiway_partition(7, 3).blocks == ((1, 2, 3), (4, 5, 6), (7,))
-
-    def test_multiway_excludes_half(self):
-        with pytest.raises(ValueError):
-            multiway_partition(4, 2)
-        with pytest.raises(ValueError):
-            multiway_partition(5, 3)
 
 
 class TestUnfold:
