@@ -117,6 +117,18 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+class _FrozenDict(dict):
+    """A dict that refuses every mutator; ``pickle`` and ``copy`` rebuild it from a plain copy."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class SparseTensor(_Frozen):
     """Coordinate-list tensor with canonical (sorted, unique, zero-free) entries.
 

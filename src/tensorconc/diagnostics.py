@@ -83,8 +83,9 @@ def discrepancy_check(
 
     ``families`` is either an integer (that many sampled families, sizes
     log-uniform, keyed by seed) or an explicit nonempty list of k-tuples of
-    index sets, each a set of distinct integers.  Sets are sorted by size
-    internally so |I_1| <= ... <= |I_k|, ties keeping their mode order.
+    index sets, each a set of distinct integers.  Each family's sets move to
+    the modes by ascending size (|I_1| <= ... <= |I_k|, ties in mode order)
+    before the count, so ``e`` is the box sum of the reordered family.
     """
     _check_p(p)
     n = t.shape.dim

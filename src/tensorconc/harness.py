@@ -21,7 +21,7 @@ import tempfile
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-from .core import DENSE_GATE, Homogeneous, SparseTensor, TensorShape, _fmt, center
+from .core import DENSE_GATE, Homogeneous, SparseTensor, TensorShape, _fmt, _FrozenDict, center
 from .diagnostics import bounded_degree_check, discrepancy_check
 from .hypergraph import SubsetFamilies, adjacency, mixing_check
 from .regularization import degree_map, expander_construct, regularize, removed_count_check
@@ -237,6 +237,9 @@ class ResultRecord:
     ratio_upper: float
     aux: dict
     wall_ms: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "aux", _FrozenDict(self.aux))
 
     def csv_row(self) -> list:
         """Fields as text: floats by ``_fmt``, ``aux`` as compact sorted JSON, the rest by ``str``."""
@@ -514,7 +517,7 @@ def summarize(csv_path: str) -> dict:
     nonconverged_lower = nonconverged_upper = 0
     for number, row in enumerate(body, start=1):
         if len(row) != len(CSV_HEADER):
-            raise CsvFormatError(f"row has {len(row)} fields, expected {len(CSV_HEADER)}")
+            raise CsvFormatError(f"row {number} has {len(row)} fields, expected {len(CSV_HEADER)}")
         rec = dict(zip(CSV_HEADER, row))
         for field, read in (("n", int), ("lower", float), ("upper", float), ("ratio_lower", float),
                             ("ratio_upper", float), ("aux", json.loads)):

@@ -234,9 +234,10 @@ def count_edges(t: SparseTensor, subsets: Sequence[np.ndarray]) -> int:
 
 @dataclass(frozen=True)
 class SubsetFamilies:
-    """Which subset tuples a mixing check evaluates.
+    """Which subset tuples a mixing check evaluates: ``families`` is the
+    count or list that ``_family_batch`` reads, or None for the singletons.
 
-    kinds:
+    constructors:
       sampled    -- ``count`` families; sizes log-uniform on [1, n], members
                     uniform without replacement, keyed by the check's seed
       singletons -- all n^k singleton tuples, evaluated in closed form
@@ -245,25 +246,22 @@ class SubsetFamilies:
                     ``explicit(itertools.product(*candidates))``
     """
 
-    kind: str
-    count: int = 0
-    families: Optional[tuple] = None
+    families: int | tuple | None = None
 
     @classmethod
     def sampled(cls, count: int) -> "SubsetFamilies":
         count = operator.index(count)
         if count < 1:
             raise ValueError("count must be >= 1")
-        return cls(kind="sampled", count=count)
+        return cls(count)
 
     @classmethod
     def singletons(cls) -> "SubsetFamilies":
-        return cls(kind="singletons")
+        return cls()
 
     @classmethod
     def explicit(cls, families) -> "SubsetFamilies":
-        fams = tuple(tuple(map(_integers, fam)) for fam in families)
-        return cls(kind="explicit", families=fams)
+        return cls(tuple(tuple(map(_integers, fam)) for fam in families))
 
 
 def _smallest(u: np.ndarray, sizes: np.ndarray, fine: Optional[np.ndarray] = None) -> np.ndarray:
@@ -429,12 +427,9 @@ def mixing_check(
         raise ValueError(f"p must be in (0, 1), got {p}")
     k, n = t.shape.order, t.shape.dim
     c = p * n ** (k - 1)
-    if families.kind == "singletons":
+    if families.families is None:
         return MixingReport(k, n, p, c, seed, *_singleton_trials(t, p))
-    if families.kind not in ("sampled", "explicit"):
-        raise ValueError(f"unknown family kind {families.kind!r}")
-    chosen = families.count if families.kind == "sampled" else families.families
-    sizes, *rest = _family_batch(t.shape, chosen, seed)
+    sizes, *rest = _family_batch(t.shape, families.families, seed)
     e = _box_sums(t, sizes, *rest)
     vol = _scaled_volume(1.0, sizes)
     expected = p * vol

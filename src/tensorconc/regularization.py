@@ -80,8 +80,6 @@ def regularize(t: SparseTensor, m: int, p: float) -> RegularizationResult:
     threshold = 2.0 * n**m * p
     bad = dm.counts > threshold
     removed = np.ascontiguousarray(dm.prefixes[bad])
-    if removed.shape[0] == 0:
-        return RegularizationResult(t, removed, threshold, m, in_regime)
     keep = np.repeat(~bad, dm.counts)
     out = SparseTensor(t.shape, t.coords[keep], t.values[keep], presorted=True)
     return RegularizationResult(out, removed, threshold, m, in_regime)

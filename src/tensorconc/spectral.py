@@ -677,6 +677,7 @@ class SpectralEstimate:
     upper_converged: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "bounds", core._FrozenDict(self.bounds))
         if not brackets(self.lower, self.upper):
             raise ValueError(
                 f"sandwich violated: lower={self.lower!r} > upper={self.upper!r}"

@@ -71,6 +71,26 @@ def assert_equal_copy(value, copied, by_eq: bool = True):
             setattr(copied, name, None)
 
 
+def assert_read_only(mapping):
+    """Every mutator of ``mapping`` raises ``TypeError`` and leaves it as it was."""
+    before = dict(mapping)
+    key = next(iter(before))
+    mutators = {
+        "setitem": lambda d: d.__setitem__(key, 1e9),
+        "update": lambda d: d.update({key: 1e9}),
+        "pop": lambda d: d.pop(key),
+        "delitem": lambda d: d.__delitem__(key),
+        "setdefault": lambda d: d.setdefault("absent", 1e9),
+        "popitem": lambda d: d.popitem(),
+        "clear": lambda d: d.clear(),
+        "ior": lambda d: d.__ior__({key: 1e9}),
+    }
+    for name, mutate in mutators.items():
+        with pytest.raises(TypeError):
+            mutate(mapping)
+        assert mapping == before, name
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -132,6 +132,18 @@ class TestDiscrepancy:
                 assert rep.e[f] == dense_count_edges(dense, fam)
         assert len({tuple(sorted(map(len, fam))) != tuple(map(len, fam)) for fam in fams}) == 2
 
+    def test_e_counts_the_size_ordered_family(self):
+        # ({1, 2, 3}, {4}) as listed holds all three entries (i, 4); moved to
+        # size order it is ({4}, {1, 2, 3}), which holds none
+        from tensorconc import count_edges
+
+        t = SparseTensor(TensorShape(2, 4), [[1, 4], [2, 4], [3, 4]], [1.0, 1.0, 1.0])
+        fam = (np.array([1, 2, 3]), np.array([4]))
+        rep = discrepancy_check(t, 0.5, 2.0, 2.0, [fam])
+        assert rep.sizes.tolist() == [[1, 3]]
+        assert count_edges(t, fam) == 3
+        assert rep.e.tolist() == [count_edges(t, fam[::-1])] == [0.0]
+
     def test_non_integer_members_rejected(self):
         t = bernoulli_sample(TensorShape(3, 6), Homogeneous(0.5), SeedSpec(1, 0))
         with pytest.raises(TypeError, match="integers"):

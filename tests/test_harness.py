@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import COPIERS, assert_equal_copy
+from conftest import COPIERS, assert_equal_copy, assert_read_only
 from tensorconc import ConfigError, harness, load_config, run, spectral, summarize
 from tensorconc.harness import CSV_HEADER, EstimatorSettings, config_from_dict
 from tensorconc.unfolding import Partition
@@ -293,8 +293,10 @@ class TestRun:
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
+        assert_read_only(record.aux)
         for copier in COPIERS.values():
             assert_equal_copy(record, copier(record))
+            assert_read_only(copier(record).aux)
 
     @pytest.mark.parametrize("p", [1e-160, 1e-300, 5e-324])
     @pytest.mark.parametrize("n", [4, 6])
@@ -642,7 +644,7 @@ class TestSummarize:
         ({}, 0),
         ({"lower": "2.000000005"}, 0),  # above upper by less than SANDWICH_SLACK
         ({"lower": "2.00000002"}, 1),
-        ({"wall_ms": None}, f"row has {len(CSV_HEADER) - 1} fields, expected {len(CSV_HEADER)}"),
+        ({"wall_ms": None}, f"row 2 has {len(CSV_HEADER) - 1} fields, expected {len(CSV_HEADER)}"),
         ({"n": "8.0"}, "unparsable row"),
         ({"upper": "two"}, "unparsable row"),
         ({"aux": "{"}, "unparsable row"),

@@ -176,9 +176,11 @@ class TestMixingCheck:
             mixing_check(t, 1.0, SubsetFamilies.sampled(4))
 
     def test_unknown_family_kind(self):
+        # a value that is neither a count nor a list of k-tuples is refused by
+        # the one family reader: "bogus" reads as families of one subset each
         t = adjacency(er_hypergraph(3, 6, 0.3, SeedSpec(1, 0)))
-        with pytest.raises(ValueError, match="^unknown family kind 'bogus'$"):
-            mixing_check(t, 0.3, SubsetFamilies(kind="bogus"))
+        with pytest.raises(ValueError, match="^expected 3 subsets, got 1$"):
+            mixing_check(t, 0.3, SubsetFamilies("bogus"))
 
     def test_constant_tensor_zero_ratio(self):
         # entries exactly p everywhere: every discrepancy vanishes
@@ -472,7 +474,7 @@ class TestFamilySamplerKernel:
             with pytest.raises(TypeError):
                 SubsetFamilies.sampled(bad)
         spec = SubsetFamilies.sampled(np.int64(3))
-        assert spec == SubsetFamilies.sampled(3) and type(spec.count) is int
+        assert spec == SubsetFamilies.sampled(3) and type(spec.families) is int
 
 
 def _word_packed(n, sets):

@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from conftest import COPIERS, assert_equal_copy, random_sparse
+from conftest import COPIERS, assert_equal_copy, assert_read_only, random_sparse
 from oracles import (
     dense_rank1,
     grid_rank1_max_2x2x2,
@@ -664,6 +664,13 @@ class TestFrozenResults:
     @pytest.mark.parametrize("name", _RESULTS)
     def test_copies(self, results, name, copier):
         assert_equal_copy(results[name], copier(results[name]), by_eq=False)
+
+    def test_bounds_read_only(self):
+        # a candidate set after the bracket check could read far above upper
+        est = spectral_sandwich(SparseTensor.all_ones(TensorShape(3, 2)), 1)
+        for copier in (lambda x: x, *COPIERS.values()):
+            assert_read_only(copier(est).bounds)
+        assert est.bounds["hopm"] <= est.upper
 
 
 class TestCertificateOnlyForReportedValues:
