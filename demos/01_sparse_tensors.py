@@ -19,12 +19,9 @@ from tensorconc import (
 )
 
 shape = TensorShape(order=3, dim=4)
-t = SparseTensor.from_entries(shape, [
-    ((1, 1, 2), 1.0),
-    ((2, 3, 4), 1.0),
-    ((4, 4, 4), 1.0),
-    ((1, 3, 2), 1.0),
-])
+# Coordinates in any order: construction sorts them, drops zeros and
+# refuses a repeated coordinate.
+t = SparseTensor(shape, [(1, 1, 2), (2, 3, 4), (4, 4, 4), (1, 3, 2)], [1.0, 1.0, 1.0, 1.0])
 print("tensor:", t)
 print("Frobenius norm:", frobenius_norm(t))
 

@@ -8,9 +8,10 @@ run executes the Monte-Carlo sweep a JSON config states, its command
 path (out) included; --set overrides a (dotted) key, a str field (command,
 out, p_rule.kind) with its text as written and any other with JSON.
 summarize writes a results CSV's summary to --out (not empty) or stdout.
-Exit codes: 0 success, 2 config or usage error (--jobs below 1 too), 3 I/O
-or CSV parse error; an output directory that takes no file, or an output or
-summary path that is a directory, stops a sweep before its first trial.
+Exit codes: 0 success, 2 config or usage error (--jobs below 1 too, or an
+output path that names the config or the CSV read), 3 I/O or CSV parse error;
+an output directory that takes no file, or an output or summary path that is
+a directory, stops a sweep before its first trial.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, CsvFormatError, load_config, run, write_summary
+from .harness import ConfigError, CsvFormatError, _refuse_overwrite, load_config, run, write_summary
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +47,10 @@ def main(argv=None) -> int:
         if args.action == "summarize":
             write_summary(args.csv, args.out)
         else:
-            run(load_config(args.config, args.set), jobs=args.jobs)
+            cfg = load_config(args.config, args.set)
+            for target in (cfg.out, cfg.out + ".summary.json"):
+                _refuse_overwrite(target, args.config)
+            run(cfg, jobs=args.jobs)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

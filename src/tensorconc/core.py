@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -99,7 +99,8 @@ def _fmt(x: float) -> str:
 
 class _Frozen:
     """Immutable once built: ``_set``, the one writer, sets each slot with its arrays (alone
-    or in a tuple) read-only, in ``__init__`` and when ``pickle`` or ``copy`` restores it."""
+    or in a tuple) read-only, in ``__init__`` and when ``pickle`` or ``copy`` restores it.
+    A frozen dataclass that derives from it has its fields set the same way."""
 
     __slots__ = ()
 
@@ -110,8 +111,12 @@ class _Frozen:
                     a.flags.writeable = False
             object.__setattr__(self, name, value)
 
+    def __post_init__(self):
+        self._set(**vars(self))
+
     def __setstate__(self, state):
-        self._set(**state[1])  # (None, slots), as ``object.__getstate__`` gives it
+        # ``object.__getstate__`` gives (None, slots), or a dataclass's field dict
+        self._set(**(state[1] if isinstance(state, tuple) else state))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -173,13 +178,6 @@ class SparseTensor(_Frozen):
     @classmethod
     def empty(cls, shape: TensorShape) -> "SparseTensor":
         return cls(shape, np.empty((0, shape.order), dtype=np.int32), np.empty(0))
-
-    @classmethod
-    def from_entries(cls, shape: TensorShape, entries: Iterable[tuple]) -> "SparseTensor":
-        entries = list(entries)
-        coords = np.array([e[0] for e in entries]).reshape(len(entries), shape.order)
-        values = np.array([e[1] for e in entries], dtype=np.float64)
-        return cls(shape, coords, values)
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "SparseTensor":

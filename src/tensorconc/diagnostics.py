@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProbabilityModel, SparseTensor, _check_p, _dot, _probabilities
+from .core import ProbabilityModel, SparseTensor, _check_p, _dot, _Frozen, _probabilities
 from .hypergraph import _box_sums, _family_batch, _scaled_volume
 from .rng import SeedSpec
 
@@ -37,7 +37,7 @@ def bounded_degree_check(t: SparseTensor, p: float, c1: float) -> BoundedDegreeR
 
 
 @dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(_Frozen):
     """The two bounded-discrepancy cases evaluated per family, one array row each.
 
     Case 1: e / mu_bar <= exp(1) * c2.

@@ -350,6 +350,13 @@ def _path(raw) -> str:
     return path
 
 
+def _refuse_overwrite(out: str, source: str) -> None:
+    """Raise ``ConfigError`` when the output path ``out`` names the existing
+    input file ``source``, however spelled (a link, ``./``)."""
+    if os.path.exists(out) and os.path.exists(source) and os.path.samefile(out, source):
+        raise ConfigError(f"output path {out} would overwrite the input {source}")
+
+
 def _run_trial(cfg: ExperimentConfig, n: int, trial: int) -> ResultRecord:
     start = time.perf_counter()
     seed = SeedSpec(cfg.base_seed, trial)
@@ -491,8 +498,11 @@ def _run_in_processes(cfg: ExperimentConfig, tasks: list, workers: int) -> list:
 
 def write_summary(csv_path: str, out: str | None = None) -> None:
     """Write ``summarize(csv_path)`` as JSON (sorted keys, two-space indent, a
-    trailing newline) to the path ``out``, or to stdout when it is None."""
-    out = None if out is None else _path(out)
+    trailing newline) to the path ``out``, or to stdout when it is None; an
+    ``out`` that is the CSV itself raises ``ConfigError`` first."""
+    if out is not None:
+        out = _path(out)
+        _refuse_overwrite(out, csv_path)
     summary = summarize(csv_path)
     with open(out, "w", encoding="ascii") if out else contextlib.nullcontext(sys.stdout) as f:
         f.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")

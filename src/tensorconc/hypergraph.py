@@ -373,7 +373,7 @@ def _scaled_volume(scale: float, sizes: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MixingReport:
+class MixingReport(_Frozen):
     """Discrepancy statistics |e - p * prod|V_i|| / sqrt(prod|V_i|), one array
     row per family."""
 
@@ -437,7 +437,7 @@ def mixing_check(
 
 
 @dataclass(frozen=True)
-class MatrixMixingReport:
+class MatrixMixingReport(_Frozen):
     """Two-set mixing margins, one array row per pair (V1, V2)."""
 
     n: int

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseTensor, _check_p
+from .core import SparseTensor, _check_p, _Frozen
 from .hypergraph import Hypergraph, adjacency
 
 
 @dataclass(frozen=True)
-class DegreeMap:
+class DegreeMap(_Frozen):
     """Counts per (k-m)-prefix; prefixes with zero degree are implicit."""
 
     prefixes: np.ndarray  # (num, k - m) int32, sorted lexicographically
@@ -48,7 +48,7 @@ def degree_map(t: SparseTensor, m: int) -> DegreeMap:
 
 
 @dataclass(frozen=True)
-class RegularizationResult:
+class RegularizationResult(_Frozen):
     regularized: SparseTensor
     removed: np.ndarray  # (|S|, k-m) int32, sorted
     threshold: float

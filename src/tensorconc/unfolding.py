@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OffsetTensor, TensorLike, _Frozen, _frobenius_sq, _lex_order, as_offset, linear_index
+from .core import OffsetTensor, TensorLike, _Frozen, _lex_order, as_offset, linear_index
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,6 @@ class UnfoldedView(_Frozen):
     @property
     def nnz(self) -> int:
         return self.source.nnz
-
-    def frobenius_sq(self) -> float:
-        """Frobenius norm squared of the source (the bijection preserves it)."""
-        return _frobenius_sq(self.source)
 
     def canonical_entries(self) -> tuple:
         """(coords, values) sorted lexicographically in unfolded coordinates."""

@@ -34,10 +34,10 @@ def random_sparse(rng: np.random.Generator, k: int, n: int, density: float = 0.4
 
 def _names(value) -> tuple:
     """The slot or field names of an array holder or a dataclass; () for anything else."""
-    if isinstance(value, _Frozen):
-        return type(value).__slots__
     if dataclasses.is_dataclass(value):
         return tuple(f.name for f in dataclasses.fields(value))
+    if isinstance(value, _Frozen):
+        return type(value).__slots__
     return ()
 
 

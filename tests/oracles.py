@@ -34,6 +34,19 @@ def dense_rank1(xs) -> np.ndarray:
     return functools.reduce(np.multiply.outer, xs)
 
 
+def dense_unfolding_holds(view, cells: np.ndarray) -> bool:
+    """Whether the unfolding ``view`` holds the dense tensor ``cells``: its
+    dense matrix, built from ``view.coords``, ``view.values`` and
+    ``view.background`` alone, has the same cells as a multiset and the same
+    exactly summed squares (the Frobenius norm a bijection of coordinates keeps)."""
+    unfolded = np.zeros(view.dims)
+    np.add.at(unfolded, tuple((view.coords - 1).T), view.values)
+    unfolded = (unfolded + view.background).ravel()
+    cells = cells.ravel()
+    return (np.array_equal(np.sort(unfolded), np.sort(cells))
+            and math.fsum(unfolded * unfolded) == math.fsum(cells * cells))
+
+
 def dense_degree_counts(t: np.ndarray, m: int) -> dict:
     """(k-m)-prefix -> number of nonzero entries (1-based prefixes)."""
     k = t.ndim

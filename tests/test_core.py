@@ -20,13 +20,11 @@ from tensorconc import (
     SparseTensor,
     TensorShape,
     VectorTuple,
-    balanced_partition,
     bernoulli_sample,
     center,
     frobenius_norm,
     kl_bernoulli,
     multilinear_form,
-    unfold,
 )
 from tensorconc.core import _Contraction, as_offset
 
@@ -90,7 +88,7 @@ class TestShapesAndConstruction:
             with pytest.raises(TypeError, match="integers"):
                 SparseTensor(sh, coords, [1.0])
         with pytest.raises(TypeError, match="integers"):
-            SparseTensor.from_entries(sh, [((1.5, 2), 1.0)])
+            SparseTensor(sh, [(1.5, 2)], [1.0])
 
     def test_coordinates_range_checked_before_narrowing(self):
         # 2^32 + 1 would wrap to 1 in int32
@@ -105,7 +103,7 @@ class TestShapesAndConstruction:
         for dtype in (np.uint8, np.int16, np.int64, np.uint64):
             t = SparseTensor(sh, np.array([[3, 1], [1, 2]], dtype=dtype), [2.0, 1.0])
             assert t.coords.dtype == np.int32 and t == want
-        assert SparseTensor.from_entries(sh, [((3, 1), 2.0), ((1, 2), 1.0)]) == want
+        assert SparseTensor(sh, [(3, 1), (1, 2)], [2.0, 1.0]) == want
         assert SparseTensor(sh, np.empty((0, 2)), np.empty(0)).nnz == 0
 
     def test_unranking_exact_below_2_63(self):
@@ -178,7 +176,6 @@ class TestFrobenius:
         w = center(t, Homogeneous(p))
         expected = np.sqrt(t.nnz * (1 - p) ** 2 + (120**3 - t.nnz) * p**2)
         assert frobenius_norm(w) == pytest.approx(expected, rel=1e-12)
-        assert frobenius_norm(w) == np.sqrt(unfold(w, balanced_partition(3, 2)).frobenius_sq())
 
     def test_background_inner_above_dense_gate(self):
         # a background's inner product with itself, b^2 n^k, is in closed form
@@ -494,13 +491,18 @@ class TestSerialization:
                   st.floats(-8, 8, allow_nan=False).filter(lambda v: v != 0.0)),
         max_size=6, unique_by=lambda e: e[0]))
     def test_roundtrip_identity_property(self, entries):
-        t = SparseTensor.from_entries(TensorShape(2, 3), entries)
+        t = _from_entries(TensorShape(2, 3), entries)
         listed = list(zip(map(tuple, t.coords.tolist()), t.values.tolist()))
         assert listed == sorted(entries)
-        assert SparseTensor.from_entries(t.shape, listed) == t
+        assert _from_entries(t.shape, listed) == t
 
     def test_entry_list_order_irrelevant(self, rng):
         sh = TensorShape(2, 4)
         entries = [((1, 2), 1.5), ((3, 1), -2.0), ((2, 2), 4.0)]
         perm = [entries[i] for i in rng.permutation(3)]
-        assert SparseTensor.from_entries(sh, entries) == SparseTensor.from_entries(sh, perm)
+        assert _from_entries(sh, entries) == _from_entries(sh, perm)
+
+
+def _from_entries(shape, entries) -> SparseTensor:
+    """The tensor of a list of (coordinate tuple, value) entries."""
+    return SparseTensor(shape, [c for c, _ in entries], [v for _, v in entries])

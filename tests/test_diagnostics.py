@@ -1,20 +1,30 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import COPIERS, assert_equal_copy
 from oracles import dense_count_edges
 from tensorconc import (
     DenseProbability,
     Homogeneous,
+    Hypergraph,
     SeedSpec,
     ShapeMismatchError,
     SparseTensor,
+    SubsetFamilies,
     TensorShape,
+    adjacency,
     bernoulli_sample,
     bounded_degree_check,
+    degree_map,
     discrepancy_check,
+    er_hypergraph,
     kl_bernoulli,
+    matrix_mixing_check,
+    mixing_check,
+    regularize,
 )
 
 
@@ -260,3 +270,41 @@ class TestKLBernoulli:
             kl_bernoulli(Homogeneous(0.5), Homogeneous(0.5), 0.8, 0.2)
         with pytest.raises(ValueError):
             kl_bernoulli(Homogeneous(0.9), Homogeneous(0.5), 0.2, 0.8)
+
+
+def _graph():
+    return adjacency(er_hypergraph(3, 8, 0.3, SeedSpec(1, 0)))
+
+
+# Each result that holds arrays, built by its check, and a value it reports.
+_REPORTS = {
+    "mixing": (lambda: mixing_check(_graph(), 0.3, SubsetFamilies.sampled(5), SeedSpec(1, 0)),
+               "max_ratio"),
+    "matrix_mixing": (lambda: matrix_mixing_check(Hypergraph(2, 6, [[1, 2], [3, 4], [5, 6]]), 1, 5,
+                                                  SeedSpec(1, 0)), "max_margin"),
+    "discrepancy": (lambda: discrepancy_check(_graph(), 0.3, 1.0, 1.0, 20, SeedSpec(1, 0)),
+                    "violations"),
+    "degree_map": (lambda: degree_map(_graph(), 1), "max_degree"),
+    "regularization": (lambda: regularize(_graph(), 2, 0.05), "removed_count"),
+}
+
+
+class TestReadOnlyReports:
+    """A check's result keeps the arrays it computed: built, pickled or copied,
+    each array refuses assignment, so what is read from it cannot move."""
+
+    @pytest.mark.parametrize("copier", [lambda x: x, *COPIERS.values()], ids=["built", *COPIERS])
+    @pytest.mark.parametrize("name", _REPORTS)
+    def test_arrays_refuse_assignment(self, name, copier):
+        make, read = _REPORTS[name]
+        report = make()
+        before = getattr(report, read)
+        copied = copier(report)
+        assert_equal_copy(report, copied, by_eq=False)
+        arrays = [getattr(copied, f.name) for f in dataclasses.fields(copied)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 1e9
+        assert getattr(copied, read) == before

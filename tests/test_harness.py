@@ -702,6 +702,29 @@ class TestCli:
         assert res.returncode == 0
         assert json.loads(res.stdout)["rows"] == 1
 
+    @pytest.mark.parametrize("spelling", ["./r.csv", "link.csv"])
+    def test_summary_onto_its_csv_exit_2(self, tmp_path, spelling):
+        run(config_from_dict(_base_config(n_list=[8], trials=1, out=str(tmp_path / "r.csv"))))
+        (tmp_path / "link.csv").symlink_to("r.csv")
+        before = (tmp_path / "r.csv").read_bytes()
+        res = self._cli("summarize", "r.csv", "--out", spelling, cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"config error: output path {spelling} would overwrite")
+        assert (tmp_path / "r.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("config, out", [
+        ("c.json", "./c.json"), ("c.json", "link.json"), ("o.csv.summary.json", "o.csv")])
+    def test_output_onto_its_config_exit_2(self, tmp_path, config, out):
+        # refused before the first trial: neither the CSV nor its summary is written
+        text = json.dumps(_base_config(n_list=[8], trials=1))
+        (tmp_path / config).write_text(text)
+        (tmp_path / "link.json").symlink_to(config)
+        res = self._cli("run", "--config", config, "--set", f"out={out}", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: output path") and config in res.stderr
+        assert (tmp_path / config).read_text() == text
+        assert sorted(os.listdir(tmp_path)) == sorted([config, "link.json"])
+
     def test_jobs_help_names_the_caller(self):
         # the caller runs trials beside N - 1 spawned workers and keeps its
         # own BLAS threads
